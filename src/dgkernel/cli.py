@@ -23,19 +23,16 @@ Exit codes: 0 success, 1 usage/parse error, 2 computation error,
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import homology as hml
 from . import invariants as inv
 from . import model_builder as mb
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
 from .errors import (AdmissibilityError, BoundExceededError,
-                     HomogeneityError, NotChainMapError, NotCycleError,
-                     ParityError)
+                     HomogeneityError, NotCycleError, ParityError)
 from .fields import parse_field
 from .graded_base import BasePresentation, BaseVariable, TruncatedBase
-from .module_resolution import (PresentedModule, ResidueFieldModule,
-                                resolve_module)
+from .homology import ResidueField
+from .module_resolution import PresentedModule, resolve_module
 
 COMMANDS = ("deviations", "acyclic-closure", "minimal-model", "betti",
             "poincare", "classify", "verify")
@@ -435,26 +432,11 @@ def _header_lines(job, command):
             f"bounds    max_hdeg={N} max_intdeg={D}"]
 
 
-def _certify_quasi_iso(model, threads):
-    """Exactness of the cone over the whole certified bidegree grid,
-    computed with up to `threads` concurrent bidegree slices."""
-    C = mb._cone_of(model.morphism(), model.max_hdeg, model.max_intdeg)
-    pairs = [(i, j) for i in range(model.max_hdeg)
-             for j in range(model.max_intdeg + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            dims = list(pool.map(lambda p: hml.homology(C, *p).dim, pairs))
-    else:
-        dims = [hml.homology(C, *p).dim for p in pairs]
-    bad = [p for p, dim in zip(pairs, dims) if dim]
-    return (not bad), (bad[0] if bad else None)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def run(job, threads=1):
+def run(job):
     command, params, _ = job.task
     A = build_algebra(job)
     N, D, _ = job.bounds
@@ -467,10 +449,10 @@ def run(job, threads=1):
         "classify": _run_classify,
         "verify": _run_verify,
     }[command]
-    return handler(job, A, N, D, params, threads)
+    return handler(job, A, N, D, params)
 
 
-def _run_deviations(job, A, N, D, params, threads):
+def _run_deviations(job, A, N, D, params):
     dev = inv.deviations(A, N, D)
     data = {"task": "deviations", "field": job.field[0],
             "bounds": {"max_hdeg": N, "max_intdeg": D},
@@ -485,9 +467,9 @@ def _run_deviations(job, A, N, D, params, threads):
     return Report(data, lines)
 
 
-def _model_report(job, model, N, D, label, threads):
+def _model_report(job, model, N, D, label):
     ok_min, witness = model.is_minimal()
-    ok_qi, bad = _certify_quasi_iso(model, threads)
+    ok_qi, bad = model.check_quasi_iso()
     rows = [[v.name, v.hdeg, v.intdeg, v.kind, v.family]
             for v in model.adjoined_variables()]
     data = {"task": label, "field": job.field[0],
@@ -509,12 +491,12 @@ def _model_report(job, model, N, D, label, threads):
     return Report(data, lines, failed_verification=not (ok_min and ok_qi))
 
 
-def _run_closure(job, A, N, D, params, threads):
+def _run_closure(job, A, N, D, params):
     model = mb.acyclic_closure(A, N, D)
-    return _model_report(job, model, N, D, "acyclic-closure", threads)
+    return _model_report(job, model, N, D, "acyclic-closure")
 
 
-def _run_model(job, A, N, D, params, threads):
+def _run_model(job, A, N, D, params):
     s = params.get("switch", "inf")
     if s == "inf":
         switch = mb.INFINITY
@@ -527,12 +509,12 @@ def _run_model(job, A, N, D, params, threads):
             raise JobError("--switch takes a nonnegative integer or 'inf'")
     spec = mb.residue_field_spec(A, N, D, switching_degree=switch)
     model = mb.build_model(spec)
-    return _model_report(job, model, N, D, "minimal-model", threads)
+    return _model_report(job, model, N, D, "minimal-model")
 
 
 def _parse_module(A, spec_text, job):
     if spec_text in (None, "residue-field"):
-        return ResidueFieldModule(A)
+        return ResidueField(A.field)
     if spec_text.startswith("cyclic:"):
         base_names = [v.name for v in A.base.presentation.variables]
         field = A.field
@@ -544,10 +526,10 @@ def _parse_module(A, spec_text, job):
     raise JobError("--module takes residue-field or cyclic:<expr>[,...]")
 
 
-def _run_betti(job, A, N, D, params, threads):
+def _run_betti(job, A, N, D, params):
     M = _parse_module(A, params.get("module"), job)
     res = resolve_module(A, M, N, D)
-    ok_min = res.is_minimal()
+    ok_min, _ = res.is_minimal()
     table = inv.BettiTable(res.betti_table(), N, D)
     data = {"task": "betti", "field": job.field[0],
             "bounds": {"max_hdeg": N, "max_intdeg": D},
@@ -564,7 +546,7 @@ def _run_betti(job, A, N, D, params, threads):
     return Report(data, lines, failed_verification=not ok_min)
 
 
-def _run_poincare(job, A, N, D, params, threads):
+def _run_poincare(job, A, N, D, params):
     try:
         order = int(params.get("order", N))
     except ValueError:
@@ -585,7 +567,7 @@ def _run_poincare(job, A, N, D, params, threads):
     return Report(data, lines)
 
 
-def _run_classify(job, A, N, D, params, threads):
+def _run_classify(job, A, N, D, params):
     verdict = inv.classify_growth(A, N, D)
     data = {"task": "classify", "field": job.field[0],
             "bounds": {"max_hdeg": N, "max_intdeg": D},
@@ -597,7 +579,7 @@ def _run_classify(job, A, N, D, params, threads):
     return Report(data, lines)
 
 
-def _run_verify(job, A, N, D, params, threads):
+def _run_verify(job, A, N, D, params):
     statement = params.get("statement")
     if not statement:
         raise JobError("verify requires --statement <id>")
@@ -629,23 +611,24 @@ def main(argv=None):
     parser.add_argument("jobfile", help="path to a job file")
     parser.add_argument("--json", metavar="PATH",
                         help="also write the report as JSON to PATH")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="cap on concurrent bidegree computations")
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 0 after --help and 2 on a usage error, which
+        # would read as a computation error here
+        return 1 if e.code else 0
     try:
         job = parse_job(args.jobfile)
     except JobError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:
-        report = run(job, threads=args.threads)
+        report = run(job)
     except JobError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (AdmissibilityError, BoundExceededError, HomogeneityError,
-            NotChainMapError, NotCycleError, ParityError, ValueError) as e:
+            NotCycleError, ParityError, ValueError) as e:
         print(f"computation error: {e}", file=sys.stderr)
         return 2
     sys.stdout.write(report.text())

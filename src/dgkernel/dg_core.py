@@ -147,11 +147,6 @@ class DgAlgebra:
         return DgElement(v.hdeg * exp, v.intdeg * exp,
                          {(0, 0, mon): self.field.one})
 
-    def from_terms(self, hdeg, intdeg, terms):
-        return DgElement(hdeg, intdeg,
-                         {k: v for k, v in terms.items()
-                          if not self.field.is_zero(v)})
-
     # --- linear structure --------------------------------------------------
 
     def add(self, u, v):
@@ -173,9 +168,6 @@ class DgAlgebra:
             return DgElement(u.hdeg, u.intdeg)
         return DgElement(u.hdeg, u.intdeg,
                          {k: F.mul(c, v) for k, v in u.terms.items()})
-
-    def sub(self, u, v):
-        return self.add(u, self.scale(self.field.neg(self.field.one), v))
 
     # --- multiplication ----------------------------------------------------
 
@@ -325,11 +317,6 @@ class DgAlgebra:
         self._bases[(i, j)] = out
         return out
 
-    def coords(self, u):
-        basis = self.basis_of_bidegree(u.hdeg, u.intdeg)
-        pos = {k: n for n, k in enumerate(basis)}
-        return {pos[k]: c for k, c in u.terms.items()}
-
     def element_from_coords(self, i, j, coords):
         basis = self.basis_of_bidegree(i, j)
         return DgElement(i, j, {basis[n]: c for n, c in coords.items()
@@ -407,26 +394,3 @@ class DgAlgebra:
                 if mon.is_trivial() or (bare is not None and bare >= over):
                     return False, (v.name, (jb, ib, mon))
         return True, None
-
-    # --- misc ---------------------------------------------------------------
-
-    def variable_names(self):
-        return [v.name for v in self.variables]
-
-    def term_name(self, key):
-        jb, ib, mon = key
-        parts = []
-        bname = self.base.basis_name(jb, ib)
-        if bname != "1" or mon.is_trivial():
-            parts.append(bname)
-        for vid, e in mon.evens:
-            v = self.variables[vid]
-            if e == 1:
-                parts.append(v.name)
-            elif v.kind == DIVIDED_POWER:
-                parts.append(f"{v.name}^({e})")
-            else:
-                parts.append(f"{v.name}^{e}")
-        for vid in mon.odds:
-            parts.append(self.variables[vid].name)
-        return "*".join(parts)

@@ -21,9 +21,5 @@ class NotCycleError(ValueError):
     """Attempted to adjoin a variable whose boundary is not a cycle."""
 
 
-class NotChainMapError(ValueError):
-    """A would-be morphism fails to commute with the differentials."""
-
-
 class AdmissibilityError(ValueError):
     """A fixture or module is outside the domain of the requested check."""

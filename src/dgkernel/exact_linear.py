@@ -58,19 +58,11 @@ class ExactMatrix:
     def zero(cls, field, rows, cols):
         return cls(field, rows, cols, {})
 
-    def column(self, c):
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
-
     def columns(self):
         cols = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def transpose(self):
-        return ExactMatrix(
-            self.field, self.cols, self.rows,
-            {(c, r): v for (r, c), v in self.entries.items()})
 
     def mul_vec(self, vec):
         """vec: dict col -> scalar; returns dict row -> scalar."""

@@ -78,11 +78,6 @@ class BasePresentation:
     def mono_hdeg(self, exps):
         return sum(e * v.hdeg for e, v in zip(exps, self.variables))
 
-    def polynomial_cover(self):
-        """The same generators with no relations (the presentation's
-        polynomial cover)."""
-        return BasePresentation(self.field, self.variables, ())
-
     def relations_in_square(self):
         """True when every relation lies in the square of the irrelevant
         ideal, i.e. no relation has a term that is a bare generator."""
@@ -109,15 +104,6 @@ class BasePresentation:
         rec(0, j, [])
         out.sort(reverse=True)
         return out
-
-    def mono_name(self, exps):
-        parts = []
-        for e, v in zip(exps, self.variables):
-            if e == 1:
-                parts.append(v.name)
-            elif e > 1:
-                parts.append(f"{v.name}^{e}")
-        return "*".join(parts) if parts else "1"
 
 
 def _mono_mul(e1, e2):
@@ -187,24 +173,15 @@ class TruncatedBase:
     def basis_hdeg(self, j, idx):
         return self.presentation.mono_hdeg(self._basis[j][idx])
 
-    def basis_name(self, j, idx):
-        return self.presentation.mono_name(self._basis[j][idx])
+    def a0_basis(self, j):
+        """Indices of the degree-j basis elements of homological degree 0:
+        a basis of the degree-j part of A0."""
+        return [b for b in range(self.dim(j)) if self.basis_hdeg(j, b) == 0]
 
     def normal_form(self, j, exps):
         if not (0 <= j <= self.D):
             raise BoundExceededError(f"internal degree {j} outside [0, {self.D}]")
         return self._nf[j][exps]
-
-    def maximal_ideal_basis(self, j):
-        """Basis of the degree-j piece of the irrelevant maximal ideal."""
-        if j < 1:
-            raise ValueError("maximal ideal has no degree-0 part; j must be >= 1")
-        return self.basis(j)
-
-    @property
-    def one(self):
-        """(degree, coefficient dict) of the unit."""
-        return {0: self.field.one}
 
     # --- arithmetic -------------------------------------------------------
 
@@ -260,8 +237,3 @@ class TruncatedBase:
                 else:
                     out[b] = s
         return j, out
-
-
-def truncate_quotient(presentation, D):
-    """Materialize presentation up to internal degree D."""
-    return TruncatedBase(presentation, D)

@@ -13,9 +13,9 @@ from fractions import Fraction
 from . import exact_linear as la
 from . import homology as hml
 from . import model_builder as mb
-from .dg_core import DgAlgebra, DgElement
+from .dg_core import DgElement
 from .errors import AdmissibilityError
-from .module_resolution import ResidueFieldModule, resolve_module
+from .module_resolution import resolve_module
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
 
 def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
     """Betti table of a module (default: the residue field)."""
-    M = module if module is not None else ResidueFieldModule(A)
+    M = module if module is not None else hml.ResidueField(A.field)
     res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
     ok, witness = res.is_minimal()
     if not ok:
@@ -153,67 +153,52 @@ def poincare_from_deviations(dev, order):
 # Embedding dimensions and homology range
 # ---------------------------------------------------------------------------
 
-def _hdeg0_basis(base, d):
-    return [b for b in range(base.dim(d)) if base.basis_hdeg(d, b) == 0]
+def _embedding_dimension(A, D, relations=None):
+    """dim m/(m^2 + I) degreewise through internal degree D, with m the
+    maximal ideal of A0 and I spanned by relations(d, pos): columns in
+    the coordinates pos of the degree-d part of A0."""
+    base = A.base
+    total = 0
+    for d in range(1, D + 1):
+        cand = base.a0_basis(d)
+        if not cand:
+            continue
+        pos = {b: n for n, b in enumerate(cand)}
+        span = []
+        for d1 in range(1, d):
+            for b1 in base.a0_basis(d1):
+                for b2 in base.a0_basis(d - d1):
+                    prod = base.mult_basis(d1, b1, d - d1, b2)
+                    col = {pos[b]: c for b, c in prod.items() if b in pos}
+                    if col:
+                        span.append(col)
+        if relations is not None:
+            span += relations(d, pos)
+        M = la.ExactMatrix.from_columns(A.field, len(cand), span)
+        rank, _ = la.rank_and_pivots(M)
+        total += len(cand) - rank
+    return total
 
 
 def embedding_dimension_a0(A):
     """dim m/m^2 of A0, computed degreewise up to the internal bound."""
-    base = A.base
-    F = A.field
-    total = 0
-    for d in range(1, base.D + 1):
-        cand = _hdeg0_basis(base, d)
-        if not cand:
-            continue
-        pos = {b: n for n, b in enumerate(cand)}
-        span = []
-        for d1 in range(1, d):
-            for b1 in _hdeg0_basis(base, d1):
-                for b2 in _hdeg0_basis(base, d - d1):
-                    prod = base.mult_basis(d1, b1, d - d1, b2)
-                    col = {pos[b]: c for b, c in prod.items() if b in pos}
-                    if col:
-                        span.append(col)
-        M = la.ExactMatrix.from_columns(F, len(cand), span)
-        rank, _ = la.rank_and_pivots(M)
-        total += len(cand) - rank
-    return total
+    return _embedding_dimension(A, A.base.D)
 
 
 def embedding_dimension_h0(A):
     """dim m/m^2 of H_0(A) = A0 / image(d: A_1 -> A_0), degreewise."""
-    base = A.base
-    F = A.field
-    total = 0
-    for d in range(1, A.max_intdeg + 1):
-        cand = _hdeg0_basis(base, d)
-        if not cand:
-            continue
-        pos = {b: n for n, b in enumerate(cand)}
-        span = []
-        for d1 in range(1, d):
-            for b1 in _hdeg0_basis(base, d1):
-                for b2 in _hdeg0_basis(base, d - d1):
-                    prod = base.mult_basis(d1, b1, d - d1, b2)
-                    col = {pos[b]: c for b, c in prod.items() if b in pos}
-                    if col:
-                        span.append(col)
-        # boundaries of homological degree 1
-        rows = A.basis_of_bidegree(0, d)
+    def boundaries(d, pos):
         rowpos = {}
-        for n, (jb, ib, mon) in enumerate(rows):
+        for n, (jb, ib, mon) in enumerate(A.basis_of_bidegree(0, d)):
             if mon.is_trivial() and ib in pos:
                 rowpos[n] = pos[ib]
-        dm = A.diff_matrix(1, d)
-        for col in dm.columns():
+        span = []
+        for col in A.diff_matrix(1, d).columns():
             c2 = {rowpos[r]: v for r, v in col.items() if r in rowpos}
             if c2:
                 span.append(c2)
-        M = la.ExactMatrix.from_columns(F, len(cand), span)
-        rank, _ = la.rank_and_pivots(M)
-        total += len(cand) - rank
-    return total
+        return span
+    return _embedding_dimension(A, A.max_intdeg, boundaries)
 
 
 def homology_top(A):
@@ -317,18 +302,11 @@ def _report(statement, comparisons, N, D, notes=None):
 
 
 def _require_h0_residue_field(A):
-    base = A.base
     for d in range(1, A.max_intdeg + 1):
-        cand = _hdeg0_basis(base, d)
+        cand = A.base.a0_basis(d)
         if not cand:
             continue
-        rows = A.basis_of_bidegree(0, d)
-        rowpos = {}
-        for n, (jb, ib, mon) in enumerate(rows):
-            if mon.is_trivial():
-                rowpos[ib] = n
-        dm = A.diff_matrix(1, d)
-        rank, _ = la.rank_and_pivots(dm)
+        rank, _ = la.rank_and_pivots(A.diff_matrix(1, d))
         if rank < len(cand):
             raise AdmissibilityError(
                 "statement requires H_0(A) = k (maximal ideal of A_0 must "
@@ -336,9 +314,8 @@ def _require_h0_residue_field(A):
 
 
 def _first_maximal_ideal_element(A):
-    base = A.base
     for d in range(1, A.max_intdeg + 1):
-        cand = _hdeg0_basis(base, d)
+        cand = A.base.a0_basis(d)
         if cand:
             return d, {cand[0]: A.field.one}
     raise AdmissibilityError("A_0 has no elements in its maximal ideal")

@@ -1,9 +1,10 @@
 """Models with prescribed switching degree, acyclic closures, minimal
 models, Koszul complexes, and minimal semifree resolutions of modules.
 
-The construction is the staged one: at stage i, cycles in the mapping
-cone of q_i: U(i) -> B that descend to minimal A0-module generators of
-its homology in degree i+1 become new variables.  Below the switching
+The construction is the staged one shared with module resolutions
+(homology.kill_homology): at stage i, cycles in the mapping cone of
+q_i: U(i) -> B that descend to minimal A0-module generators of its
+homology in degree i+1 become new variables.  Below the switching
 degree s they are polynomial/exterior variables, at or above it they are
 divided-power/exterior variables.  Generator selection is deterministic
 (smallest internal degree first, then basis order), which makes the
@@ -12,12 +13,12 @@ uniqueness-of-counts property directly testable by reversing the order.
 
 import math
 
-from . import dg_core
 from . import exact_linear as la
 from . import homology as hml
-from .dg_core import DgAlgebra, DgElement, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
+from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
 from .errors import AdmissibilityError, BoundExceededError
-from .graded_base import TruncatedBase
+from .graded_base import BasePresentation, TruncatedBase
+from .homology import ResidueField, TargetElement
 
 INFINITY = math.inf
 
@@ -26,66 +27,23 @@ INFINITY = math.inf
 # Targets
 # ---------------------------------------------------------------------------
 
-class TargetElement:
-    """Homogeneous element of a target, in coordinates of the target's own
-    bidegree basis."""
-
-    __slots__ = ("hdeg", "intdeg", "coords")
-
-    def __init__(self, hdeg, intdeg, coords=None):
-        self.hdeg = hdeg
-        self.intdeg = intdeg
-        self.coords = dict(coords) if coords else {}
-
-    def is_zero(self):
-        return not self.coords
-
-
-class ResidueFieldTarget:
-    """The residue field k, concentrated in bidegree (0, 0)."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def complex(self, hmax, dmax):
-        return hml.BigradedComplex(
-            self.field,
-            lambda i, j: ["1"] if (i, j) == (0, 0) else [],
-            lambda i, j: la.ExactMatrix.zero(self.field, 0, 0),
-            0, hmax, dmax)
-
-    def zero(self, hdeg, intdeg):
-        return TargetElement(hdeg, intdeg)
-
-    def one(self):
-        return TargetElement(0, 0, {0: self.field.one})
-
-    def basis_size(self, i, j):
-        return 1 if (i, j) == (0, 0) else 0
-
-    def multiply(self, u, v):
-        F = self.field
-        if u.is_zero() or v.is_zero():
-            return TargetElement(u.hdeg + v.hdeg, u.intdeg + v.intdeg)
-        return TargetElement(0, 0, {0: F.mul(u.coords[0], v.coords[0])})
-
-    def power(self, u, e):
-        if e == 0:
-            return self.one()
-        out = u
-        for _ in range(e - 1):
-            out = self.multiply(out, u)
-        return out
-
-
 class RingTarget:
-    """A truncated graded quotient ring as a dg-algebra with zero
+    """A truncated graded quotient ring R as a dg-algebra with zero
     differential.  Generators may carry even homological degrees, so this
-    covers both ordinary rings and algebras like k[x0]/(x0^m), |x0| = d."""
+    covers both ordinary rings and algebras like k[x0]/(x0^m), |x0| = d.
+    The source base S acts through the surjection S -> R that sends each
+    generator of S to the generator of R of the same name."""
 
-    def __init__(self, tbase):
+    def __init__(self, tbase, source_base):
         self.tbase = tbase
         self.field = tbase.field
+        self.source_base = source_base
+        tnames = [v.name for v in tbase.presentation.variables]
+        self._cols = []
+        for v in source_base.presentation.variables:
+            if v.name not in tnames:
+                raise ValueError(f"source generator {v.name} missing from target")
+            self._cols.append(tnames.index(v.name))
         self._bases = {}
 
     def basis(self, i, j):
@@ -99,22 +57,12 @@ class RingTarget:
                 self._bases[key] = []
         return self._bases[key]
 
-    def basis_size(self, i, j):
+    def dim(self, i, j):
         return len(self.basis(i, j))
 
     def complex(self, hmax, dmax):
-        return hml.BigradedComplex(
-            self.field,
-            lambda i, j: self.basis(i, j) if i >= 0 else [],
-            lambda i, j: la.ExactMatrix.zero(
-                self.field, len(self.basis(i - 1, j)), len(self.basis(i, j))),
-            0, hmax, min(dmax, self.tbase.D))
-
-    def zero(self, hdeg, intdeg):
-        return TargetElement(hdeg, intdeg)
-
-    def one(self):
-        return TargetElement(0, 0, {0: self.field.one})
+        return hml.BigradedComplex(self.field, self.basis, None,
+                                   0, hmax, min(dmax, self.tbase.D))
 
     def element_from_ring(self, j, ring_coeffs):
         """TargetElement from {ring_basis_index: scalar} in internal degree
@@ -132,7 +80,6 @@ class RingTarget:
         return {basis[n]: c for n, c in elem.coords.items()}
 
     def multiply(self, u, v):
-        F = self.field
         h, d = u.hdeg + v.hdeg, u.intdeg + v.intdeg
         if d > self.tbase.D:
             raise BoundExceededError("target product exceeds internal bound")
@@ -140,140 +87,30 @@ class RingTarget:
                                    v.intdeg, self.ring_coeffs(v))
         return self.element_from_ring(d, prod) if prod else TargetElement(h, d)
 
-    def power(self, u, e):
-        if e == 0:
-            return self.one()
-        out = u
-        for _ in range(e - 1):
-            out = self.multiply(out, u)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# Morphisms into a target
-# ---------------------------------------------------------------------------
-
-class DgMorphism:
-    """Multiplicative chain map q: U -> target.  Defined by a base map
-    (image of every base basis element) and an image per variable."""
-
-    def __init__(self, algebra, target, base_map, images):
-        self.algebra = algebra
-        self.target = target
-        self.base_map = base_map       # (jb, idx) -> TargetElement
-        self.images = dict(images)    # var id -> TargetElement
-
-    def _power_image(self, vid, e):
-        var = self.algebra.variables[vid]
-        img = self.images[vid]
-        if e == 1:
-            return img
-        if img.is_zero():
-            return self.target.zero(var.hdeg * e, var.intdeg * e)
-        if var.kind == DIVIDED_POWER:
-            F = self.algebra.field
-            fact = F.one
-            for n in range(2, e + 1):
-                fact = F.mul(fact, F.from_int(n))
-            p = self.target.power(img, e)
-            if F.is_zero(fact):
-                if p.is_zero():
-                    return p
-                raise AdmissibilityError(
-                    "divided-power image not computable: e! vanishes in the field")
-            return TargetElement(p.hdeg, p.intdeg,
-                                 {k: F.div(v, fact) for k, v in p.coords.items()})
-        return self.target.power(img, e)
-
-    def evaluate(self, u):
-        F = self.algebra.field
-        T = self.target
-        out = T.zero(u.hdeg, u.intdeg)
-        for (jb, ib, mon), c in u.terms.items():
-            img = self.base_map(jb, ib)
-            if img.is_zero():
-                continue
-            dead = False
-            for vid, e in mon.evens:
-                img = T.multiply(img, self._power_image(vid, e))
-                if img.is_zero():
-                    dead = True
-                    break
-            if not dead:
-                for vid in mon.odds:
-                    img = T.multiply(img, self.images[vid])
-                    if img.is_zero():
-                        dead = True
-                        break
-            if dead:
-                continue
-            for k, v in img.coords.items():
-                s = F.add(out.coords.get(k, F.zero), F.mul(c, v))
-                if F.is_zero(s):
-                    out.coords.pop(k, None)
-                else:
-                    out.coords[k] = s
-        return out
-
-    def chain_map(self, hmax, dmax):
-        U = self.algebra
-        Ucomp = hml.algebra_complex(U, hmax)
-        Tcomp = self.target.complex(hmax, dmax)
-
-        def block(i, j):
-            cols = U.basis_of_bidegree(i, j)
-            m = self.target.basis_size(i, j)
-            entries = {}
-            for cidx, key in enumerate(cols):
-                img = self.evaluate(DgElement(i, j, {key: U.field.one}))
-                for r, v in img.coords.items():
-                    entries[(r, cidx)] = v
-            return la.ExactMatrix(U.field, m, len(cols), entries)
-
-        return hml.ChainMap(Ucomp, Tcomp, block)
-
-    def check_chain_map_on_variables(self):
-        """Verify d(q(v)) = q(dv) for every variable.  Supported targets
-        have zero differential, so the condition is q(dv) = 0."""
-        for v in self.algebra.variables:
-            if not self.evaluate(v.boundary).is_zero():
-                return False, v.name
-        return True, None
-
-
-def augmentation_base_map(tbase, field):
-    """Base map of the augmentation to k: unit -> 1, positive degrees -> 0."""
-    target = ResidueFieldTarget(field)
-
-    def base_map(jb, ib):
-        if jb == 0:
-            return TargetElement(0, 0, {0: field.one})
-        return TargetElement(tbase.basis_hdeg(jb, ib), jb)
-    return target, base_map
-
-
-def quotient_base_map(source_base, target):
-    """Base map of a surjection S -> R: a basis monomial of S is reduced to
-    normal form in the target ring.  Source generators must be a subset of
-    the target presentation's generators (matched by name)."""
-    sp = source_base.presentation
-    tp = target.tbase.presentation
-    tnames = [v.name for v in tp.variables]
-    col = []
-    for v in sp.variables:
-        if v.name not in tnames:
-            raise ValueError(f"source generator {v.name} missing from target")
-        col.append(tnames.index(v.name))
-
-    def base_map(jb, ib):
-        exps = source_base.basis(jb)[ib]
+    def base_image(self, jb, ib):
+        """Image of the source basis monomial (jb, ib): its normal form in
+        the target ring."""
+        tp = self.tbase.presentation
         texps = [0] * len(tp.variables)
-        for e, c in zip(exps, col):
+        for e, c in zip(self.source_base.basis(jb)[ib], self._cols):
             texps[c] = e
-        nf = target.tbase.normal_form(jb, tuple(texps))
-        return target.element_from_ring(jb, nf) if nf else TargetElement(
+        nf = self.tbase.normal_form(jb, tuple(texps))
+        return self.element_from_ring(jb, nf) if nf else TargetElement(
             tp.mono_hdeg(tuple(texps)), jb)
-    return base_map
+
+    def act_matrix(self, d, bidx, i, j):
+        """Multiplication by the image of the source base element (d,
+        bidx), from slice (i, j) to (i, j + d)."""
+        F = self.field
+        elem = self.base_image(d, bidx)
+        n, m = self.dim(i, j), self.dim(i, j + d)
+        entries = {}
+        if m and not elem.is_zero():
+            for cidx in range(n):
+                prod = self.multiply(elem, TargetElement(i, j, {cidx: F.one}))
+                for r, v in prod.coords.items():
+                    entries[(r, cidx)] = v
+        return la.ExactMatrix(F, m, n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +119,10 @@ def quotient_base_map(source_base, target):
 
 class ModelSpec:
     """Input of build_model.  switching_degree: 0 = acyclic closure,
-    math.inf = minimal model."""
+    math.inf = minimal model.  The target provides base_image, the image
+    of each basis element of the source's base."""
 
-    def __init__(self, source, target, base_map, switching_degree,
+    def __init__(self, source, target, switching_degree,
                  max_hdeg, max_intdeg, var_images=None):
         if switching_degree != INFINITY and switching_degree < 0:
             raise ValueError("switching degree must be >= 0 or infinity")
@@ -292,7 +130,6 @@ class ModelSpec:
             raise ValueError("bounds must be positive")
         self.source = source
         self.target = target
-        self.base_map = base_map
         self.switching_degree = switching_degree
         self.max_hdeg = max_hdeg
         self.max_intdeg = max_intdeg
@@ -300,8 +137,10 @@ class ModelSpec:
 
 
 class Model:
-    """Output of build_model: the extension, the comparison morphism data,
-    bigraded variable counts, and certification bounds."""
+    """The extension U with the multiplicative comparison map q: U ->
+    target (the image of every variable), bigraded variable counts, and
+    certification bounds.  build_model grows it one stage at a time
+    through hml.kill_homology."""
 
     def __init__(self, spec, algebra, images, source_nvars):
         self.spec = spec
@@ -335,10 +174,6 @@ class Model:
     def count_marginal(self, i):
         return self.n_marginal(i) + self.eps_marginal(i)
 
-    def morphism(self):
-        return DgMorphism(self.algebra, self.spec.target,
-                          self.spec.base_map, self.images)
-
     def is_minimal(self):
         return self.algebra.is_minimal(over=self.source_nvars)
 
@@ -346,8 +181,8 @@ class Model:
         """Exactness of the cone in homological degrees 0..through (so
         H_i(q) is an isomorphism for i < through and surjective at it)."""
         through = self.max_hdeg - 1 if through_hdeg is None else through_hdeg
-        q = self.morphism()
-        C = _cone_of(q, self.max_hdeg, self.max_intdeg)
+        C = hml.cone_of(self, self.spec.target, self.max_hdeg,
+                        self.max_intdeg)
         for i in range(0, through + 1):
             for j in range(self.max_intdeg + 1):
                 if hml.homology(C, i, j).dim != 0:
@@ -374,61 +209,89 @@ class Model:
                 table[k] = table.get(k, 0) + c
         return table
 
+    # --- the object under construction, for hml.kill_homology ------------
 
-def _cone_of(q, hmax, dmax):
-    f = q.chain_map(hmax, dmax)
-    return hml.cone(f)
+    def complex(self, hmax, dmax):
+        return hml.algebra_complex(self.algebra, hmax)
+
+    def act_matrix(self, d, bidx, i, j):
+        return self.algebra.act_matrix(d, bidx, i, j)
+
+    def _power_image(self, vid, e):
+        var = self.algebra.variables[vid]
+        img = self.images[vid]
+        if e == 1:
+            return img
+        if img.is_zero():
+            return TargetElement(var.hdeg * e, var.intdeg * e)
+        p = img
+        for _ in range(e - 1):
+            p = self.spec.target.multiply(p, img)
+        if var.kind == DIVIDED_POWER:
+            F = self.algebra.field
+            fact = F.one
+            for n in range(2, e + 1):
+                fact = F.mul(fact, F.from_int(n))
+            if F.is_zero(fact):
+                if p.is_zero():
+                    return p
+                raise AdmissibilityError(
+                    "divided-power image not computable: e! vanishes in the field")
+            return TargetElement(p.hdeg, p.intdeg,
+                                 {k: F.div(v, fact) for k, v in p.coords.items()})
+        return p
+
+    def _factor_images(self, key):
+        jb, ib, mon = key
+        yield self.spec.target.base_image(jb, ib)
+        for vid, e in mon.evens:
+            yield self._power_image(vid, e)
+        for vid in mon.odds:
+            yield self.images[vid]
+
+    def q_block(self, i, j):
+        """Matrix of q from slice (i, j) of U to slice (i, j) of the
+        target: each basis monomial goes to the product of the images of
+        its factors."""
+        U = self.algebra
+        T = self.spec.target
+        cols = U.basis_of_bidegree(i, j)
+        entries = {}
+        for cidx, key in enumerate(cols):
+            img = None
+            for factor in self._factor_images(key):
+                img = factor if img is None else T.multiply(img, factor)
+                if img.is_zero():
+                    break
+            for r, v in img.coords.items():
+                entries[(r, cidx)] = v
+        return la.ExactMatrix(U.field, T.dim(i, j), len(cols), entries)
+
+    def extend(self, n, stage):
+        """The model with one variable of homological degree n per cycle
+        of the stage.  Below the switching degree the variables are
+        polynomial/exterior (family X), from it on divided-power/exterior
+        (family Y)."""
+        s = self.spec.switching_degree
+        if n % 2 == 1:
+            kind = EXTERIOR
+        else:
+            kind = POLYNOMIAL if n < s else DIVIDED_POWER
+        family = "X" if n < s else "Y"
+        prefix = "x" if family == "X" else "y"
+        U = self.algebra
+        # adjoining variables of degree n leaves the degree-(n-1) bases
+        # unchanged, so every cycle is read off the pre-stage algebra
+        cycles = [U.element_from_coords(n - 1, j, x) for j, x, _ in stage]
+        images = dict(self.images)
+        for z, (j, _, t) in zip(cycles, stage):
+            name = f"{prefix}{n}_{len(U.variables) - self.source_nvars}"
+            U = U.adjoin_variable(z, kind, name=name, family=family)
+            images[len(U.variables) - 1] = TargetElement(n, j, t)
+        return Model(self.spec, U, images, self.source_nvars)
 
 
-def _cone_actions(U, target, base_map, cone_complex, Ucomp):
-    """A0-action on a cone of q: U -> B: block diagonal, U-side by algebra
-    multiplication, B-side by multiplication with the image of the base
-    element."""
-    tbase = U.base
-    F = U.field
-
-    def actions(i):
-        def act(d, j):
-            mats = []
-            for bidx in range(tbase.dim(d)):
-                if tbase.basis_hdeg(d, bidx) != 0:
-                    continue
-                mu = U.act_matrix(d, bidx, i - 1, j) if Ucomp.dim(i - 1, j) else \
-                    la.ExactMatrix.zero(F, Ucomp.dim(i - 1, j + d), Ucomp.dim(i - 1, j))
-                r_img = base_map(d, bidx)
-                mb = _target_mult_matrix(target, r_img, i, j)
-                nu, nb = Ucomp.dim(i - 1, j), target.basis_size(i, j)
-                mu_rows = Ucomp.dim(i - 1, j + d)
-                entries = {}
-                for (r, c), v in mu.entries.items():
-                    entries[(r, c)] = v
-                for (r, c), v in mb.entries.items():
-                    entries[(mu_rows + r, nu + c)] = v
-                mats.append(la.ExactMatrix(
-                    F, mu_rows + target.basis_size(i, j + d), nu + nb, entries))
-            return mats
-        return act
-    return actions
-
-
-def _target_mult_matrix(target, elem, i, j):
-    """Matrix of multiplication by elem (hdeg 0, intdeg d) from target
-    slice (i, j) to (i, j + d)."""
-    F = target.field
-    n = target.basis_size(i, j)
-    m = target.basis_size(i, j + elem.intdeg)
-    if elem.is_zero() or n == 0 or m == 0:
-        return la.ExactMatrix.zero(F, m, n)
-    entries = {}
-    for cidx in range(n):
-        unit = TargetElement(i, j, {cidx: F.one})
-        prod = target.multiply(elem, unit)
-        for r, v in prod.coords.items():
-            entries[(r, cidx)] = v
-    return la.ExactMatrix(F, m, n, entries)
-
-
-def build_model(spec, reverse=False, name_prefix=None):
+def build_model(spec, reverse=False):
     """Construct the minimal model with the prescribed switching degree.
 
     Requires H_0 of the induced map to be surjective (checked).  Raises
@@ -436,48 +299,22 @@ def build_model(spec, reverse=False, name_prefix=None):
     U = spec.source
     if U.max_hdeg < spec.max_hdeg or U.max_intdeg < spec.max_intdeg:
         U = DgAlgebra(U.base, U.variables, spec.max_hdeg, spec.max_intdeg)
-    target = spec.target
-    base_map = spec.base_map
-    images = dict(spec.var_images)
     for v in U.variables:
-        if v.id not in images:
+        if v.id not in spec.var_images:
             raise ValueError(f"missing target image for source variable {v.name}")
-    s = spec.switching_degree
     N, D = spec.max_hdeg, spec.max_intdeg
-    source_nvars = len(U.variables)
+    model = Model(spec, U, dict(spec.var_images), len(U.variables))
 
-    q = DgMorphism(U, target, base_map, images)
-    C = _cone_of(q, N + 1, D)
+    C = hml.cone_of(model, spec.target, N + 1, D)
     for j in range(D + 1):
         if hml.homology(C, 0, j).dim != 0:
             raise AdmissibilityError(
                 f"H0 of the map is not surjective (cone H0 nonzero at intdeg {j})")
 
-    for i in range(N):
-        Ucomp = hml.algebra_complex(U, N)
-        q = DgMorphism(U, target, base_map, images)
-        f = q.chain_map(N + 1, D)
-        C = hml.cone(f)
-        actions = _cone_actions(U, target, base_map, C, Ucomp)(i + 1)
-        gens = hml.minimal_generators(C, i + 1, actions, dmax=D, reverse=reverse)
-        hdeg = i + 1
-        odd = hdeg % 2 == 1
-        if odd:
-            kind = EXTERIOR
-        else:
-            kind = POLYNOMIAL if hdeg < s else DIVIDED_POWER
-        family = "X" if hdeg < s else "Y"
-        prefix = name_prefix or ("x" if family == "X" else "y")
-        for k, (j, col) in enumerate(gens):
-            nu = Ucomp.dim(i, j)
-            ucoords = {r: v for r, v in col.items() if r < nu}
-            tcoords = {r - nu: v for r, v in col.items() if r >= nu}
-            a = U.element_from_coords(i, j, ucoords)
-            b = TargetElement(i + 1, j, tcoords)
-            name = f"{prefix}{hdeg}_{len(U.variables) - source_nvars}"
-            U = U.adjoin_variable(a, kind, name=name, family=family)
-            images[len(U.variables) - 1] = b
-    return Model(spec, U, images, source_nvars)
+    for n in range(1, N + 1):
+        model = hml.kill_homology(model, spec.target, n, N + 1, D,
+                                  reverse=reverse)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +323,8 @@ def build_model(spec, reverse=False, name_prefix=None):
 
 def residue_field_spec(A, max_hdeg, max_intdeg, switching_degree=0):
     """ModelSpec for a model of k over A along the augmentation."""
-    target, base_map = augmentation_base_map(A.base, A.field)
-    var_images = {v.id: target.zero(v.hdeg, v.intdeg) for v in A.variables}
-    return ModelSpec(A, target, base_map, switching_degree,
+    var_images = {v.id: TargetElement(v.hdeg, v.intdeg) for v in A.variables}
+    return ModelSpec(A, ResidueField(A.field), switching_degree,
                      max_hdeg, max_intdeg, var_images)
 
 
@@ -514,7 +350,6 @@ def cover_algebra(tbase, max_hdeg, max_intdeg):
     degree-0 generators, no relations, as a DgAlgebra with no variables."""
     p = tbase.presentation
     gens = [v for v in p.variables if v.hdeg == 0]
-    from .graded_base import BasePresentation
     cover = BasePresentation(p.field, gens, ())
     S = TruncatedBase(cover, tbase.D)
     return DgAlgebra(S, (), max_hdeg, max_intdeg)
@@ -530,9 +365,7 @@ def model_over_cover(tbase, max_hdeg, max_intdeg, switching_degree=INFINITY,
         raise AdmissibilityError(
             "presentation is not minimal: a relation has a linear term")
     S = cover_algebra(tbase, max_hdeg, max_intdeg)
-    target = RingTarget(tbase)
-    base_map = quotient_base_map(S.base, target)
-    spec = ModelSpec(S, target, base_map, switching_degree,
+    spec = ModelSpec(S, RingTarget(tbase, S.base), switching_degree,
                      max_hdeg, max_intdeg, {})
     return build_model(spec, reverse=reverse)
 

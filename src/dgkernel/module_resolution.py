@@ -1,58 +1,17 @@
 """Minimal semifree resolutions of dg-modules and their Betti numbers.
 
-Admissible modules: the residue field k, homological shifts of k, graded
-A0-modules given by a finite homogeneous presentation, and bounded
-complexes of such.  The resolution is built by the same staged cone
-construction as the models: at stage n, cycles in cone(q: F -> M) that
-descend to minimal A0-generators of H_n become new free summands.
+Admissible modules: the residue field k and its homological shifts
+(homology.ResidueField), and graded A0-modules given by a finite
+homogeneous presentation.  The resolution is built by the same staged
+cone construction as the models (homology.kill_homology): at stage n,
+cycles in cone(q: F -> M) that descend to minimal A0-generators of H_n
+become new free summands.
 """
 
 from . import exact_linear as la
 from . import homology as hml
-from .dg_core import DgElement, TRIVIAL_MONOMIAL
+from .dg_core import DgElement
 from .errors import AdmissibilityError, HomogeneityError
-
-
-class ResidueFieldModule:
-    """k, concentrated in bidegree (shift, 0)."""
-
-    def __init__(self, algebra, shift=0):
-        self.algebra = algebra
-        self.field = algebra.field
-        self.shift = shift
-        self.hmin = shift
-
-    def basis(self, i, j):
-        return ["1"] if (i, j) == (self.shift, 0) else []
-
-    def dim(self, i, j):
-        return len(self.basis(i, j))
-
-    def complex(self, hmax, dmax):
-        return hml.BigradedComplex(
-            self.field, self.basis,
-            lambda i, j: la.ExactMatrix.zero(self.field, 0, 0),
-            self.shift, hmax, dmax)
-
-    def act_matrices(self, d, i, j):
-        # the maximal ideal acts as zero on k
-        return [la.ExactMatrix.zero(self.field, self.dim(i, j + d),
-                                    self.dim(i, j))
-                for _ in self._mbasis(d)]
-
-    def _mbasis(self, d):
-        base = self.algebra.base
-        return [b for b in range(base.dim(d)) if base.basis_hdeg(d, b) == 0]
-
-    def act(self, a, i, j, coords):
-        F = self.field
-        out = {}
-        if a.hdeg == 0 and a.intdeg == 0 and coords:
-            c = a.terms.get((0, 0, TRIVIAL_MONOMIAL))
-            if c is not None:
-                for r, v in coords.items():
-                    out[r] = F.mul(c, v)
-        return out
 
 
 class PresentedModule:
@@ -94,13 +53,13 @@ class PresentedModule:
         self._nf = {}
         for j in range(D + 1):
             free = [(g, b) for g, dg in enumerate(self.gens) if dg <= j
-                    for b in self._a0_basis(j - dg)]
+                    for b in base.a0_basis(j - dg)]
             pos = {lab: n for n, lab in enumerate(free)}
             span = []
             for t, comps in self._rels:
                 if t > j:
                     continue
-                for r in self._a0_basis(j - t):
+                for r in base.a0_basis(j - t):
                     col = {}
                     for g, (jr, coeffs) in comps.items():
                         prod = base.multiply(j - t, {r: self.field.one},
@@ -125,10 +84,6 @@ class PresentedModule:
             self._bases[j] = qbasis
             self._nf[j] = nf
 
-    def _a0_basis(self, d):
-        base = self.algebra.base
-        return [b for b in range(base.dim(d)) if base.basis_hdeg(d, b) == 0]
-
     def basis(self, i, j):
         return self._bases[j] if i == self.shift else []
 
@@ -136,11 +91,8 @@ class PresentedModule:
         return len(self.basis(i, j))
 
     def complex(self, hmax, dmax):
-        return hml.BigradedComplex(
-            self.field, self.basis,
-            lambda i, j: la.ExactMatrix.zero(
-                self.field, self.dim(i - 1, j), self.dim(i, j)),
-            self.shift, hmax, dmax)
+        return hml.BigradedComplex(self.field, self.basis, None,
+                                   self.shift, hmax, dmax)
 
     def _mult_by_base(self, d, bidx, j, coords):
         """coords in degree j -> coords in degree j + d, multiplication by
@@ -161,19 +113,14 @@ class PresentedModule:
                         out[b3] = s
         return out
 
-    def act_matrices(self, d, i, j):
-        mats = []
+    def act_matrix(self, d, bidx, i, j):
         n = self.dim(i, j)
-        m = self.dim(i, j + d)
-        for bidx in self._a0_basis(d):
-            entries = {}
-            if i == self.shift:
-                for cidx in range(n):
-                    for r, v in self._mult_by_base(
-                            d, bidx, j, {cidx: self.field.one}).items():
-                        entries[(r, cidx)] = v
-            mats.append(la.ExactMatrix(self.field, m, n, entries))
-        return mats
+        entries = {}
+        for cidx in range(n):
+            for r, v in self._mult_by_base(
+                    d, bidx, j, {cidx: self.field.one}).items():
+                entries[(r, cidx)] = v
+        return la.ExactMatrix(self.field, self.dim(i, j + d), n, entries)
 
     def act(self, a, i, j, coords):
         """Action of a homogeneous algebra element on coords at (i, j).
@@ -195,56 +142,6 @@ class PresentedModule:
                 else:
                     out[r] = s
         return out
-
-
-class ComplexModule:
-    """A bounded complex of presented modules: pieces[n] concentrated in
-    homological degree n, with differentials given as explicit matrices
-    per internal degree (diffs[(n, j)]: piece n slice j -> piece n-1 slice
-    j).  The matrices are validated to square to zero."""
-
-    def __init__(self, algebra, pieces, diffs):
-        self.algebra = algebra
-        self.field = algebra.field
-        self.pieces = dict(pieces)
-        self.diffs = dict(diffs)
-        self.hmin = min(self.pieces)
-        for (n, j), M in self.diffs.items():
-            if n - 1 in self.pieces and (n - 1, j) in self.diffs:
-                if not self.diffs[(n - 1, j)].matmul(M).is_zero():
-                    raise ValueError(f"differential does not square to zero "
-                                     f"at ({n},{j})")
-
-    def basis(self, i, j):
-        p = self.pieces.get(i)
-        return [(i, lab) for lab in p.basis(i, j)] if p else []
-
-    def dim(self, i, j):
-        return len(self.basis(i, j))
-
-    def _diff(self, i, j):
-        M = self.diffs.get((i, j))
-        if M is None:
-            return la.ExactMatrix.zero(self.field, self.dim(i - 1, j),
-                                       self.dim(i, j))
-        return M
-
-    def complex(self, hmax, dmax):
-        return hml.BigradedComplex(self.field, self.basis, self._diff,
-                                   self.hmin, hmax, dmax)
-
-    def act_matrices(self, d, i, j):
-        p = self.pieces.get(i)
-        if p is None:
-            base = self.algebra.base
-            nm = len([b for b in range(base.dim(d))
-                      if base.basis_hdeg(d, b) == 0])
-            return [la.ExactMatrix.zero(self.field, 0, 0)] * nm
-        return p.act_matrices(d, i, j)
-
-    def act(self, a, i, j, coords):
-        p = self.pieces.get(i)
-        return p.act(a, i, j, coords) if p else {}
 
 
 class SemifreeResolution:
@@ -278,15 +175,6 @@ class SemifreeResolution:
 
     def dim(self, i, j):
         return len(self.basis(i, j))
-
-    def element_coords(self, i, j, comps):
-        """coords of {g: DgElement} in the (i, j) basis."""
-        pos = {lab: n for n, lab in enumerate(self.basis(i, j))}
-        out = {}
-        for g, e in comps.items():
-            for akey, c in e.terms.items():
-                out[pos[(g, akey)]] = c
-        return out
 
     def coords_to_components(self, i, j, coords):
         comps = {}
@@ -378,6 +266,17 @@ class SemifreeResolution:
                 entries[(r, cidx)] = v
         return la.ExactMatrix(self.algebra.field, m, len(cols), entries)
 
+    def extend(self, n, stage):
+        """Add one free generator of homological degree n per cycle of the
+        stage, with its boundary and its image in the module."""
+        # generators of degree n leave the degree-(n-1) basis unchanged, so
+        # every boundary is read off the pre-stage basis
+        new = [(n, j, self.coords_to_components(n - 1, j, x), t)
+               for j, x, t in stage]
+        self.generators.extend(new)
+        self._bases.clear()
+        return self
+
     # --- reporting -----------------------------------------------------------
 
     def betti_table(self):
@@ -401,9 +300,8 @@ class SemifreeResolution:
 
     def check_resolves(self, through_hdeg):
         """Cone of q is exact in homological degrees <= through_hdeg."""
-        Fc = self.complex(self.max_hdeg + 1, self.max_intdeg)
-        Mc = self.module.complex(self.max_hdeg + 1, self.max_intdeg)
-        C = hml.cone(hml.ChainMap(Fc, Mc, self.q_block))
+        C = hml.cone_of(self, self.module, self.max_hdeg + 1,
+                        self.max_intdeg)
         for i in range(self.module.hmin, through_hdeg + 1):
             for j in range(self.max_intdeg + 1):
                 if hml.homology(C, i, j).dim != 0:
@@ -414,37 +312,7 @@ class SemifreeResolution:
 def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):
     """Minimal semifree resolution of M over A up to the given bounds."""
     res = SemifreeResolution(A, M, max_hdeg, max_intdeg)
-    N, D = max_hdeg, max_intdeg
-    F = A.field
-
-    def mbasis(d):
-        return [b for b in range(A.base.dim(d))
-                if A.base.basis_hdeg(d, b) == 0]
-
-    for n in range(M.hmin, N + 1):
-        Fc = res.complex(N + 1, D)
-        Mc = M.complex(N + 1, D)
-        C = hml.cone(hml.ChainMap(Fc, Mc, res.q_block))
-
-        def actions(d, j):
-            mats = []
-            mm = M.act_matrices(d, n, j)
-            for k, bidx in enumerate(mbasis(d)):
-                fa = res.act_matrix(d, bidx, n - 1, j)
-                nf, nm = Fc.dim(n - 1, j), Mc.dim(n, j)
-                entries = dict(fa.entries)
-                for (r, c), v in mm[k].entries.items():
-                    entries[(fa.rows + r, nf + c)] = v
-                mats.append(la.ExactMatrix(
-                    F, fa.rows + Mc.dim(n, j + d), nf + nm, entries))
-            return mats
-
-        gens = hml.minimal_generators(C, n, actions, dmax=D, reverse=reverse)
-        for j, col in gens:
-            nf = Fc.dim(n - 1, j)
-            fcoords = {r: v for r, v in col.items() if r < nf}
-            mcoords = {r - nf: v for r, v in col.items() if r >= nf}
-            bnd = res.coords_to_components(n - 1, j, fcoords)
-            res.generators.append((n, j, bnd, mcoords))
-            res._bases.clear()
+    for n in range(M.hmin, max_hdeg + 1):
+        res = hml.kill_homology(res, M, n, max_hdeg + 1, max_intdeg,
+                                reverse=reverse)
     return res

@@ -112,6 +112,24 @@ task minimal-model --switch 2
     assert "certified true" in out
 
 
+def test_betti_reports_minimal_as_bool(tmp_path, capsys):
+    jpath = tmp_path / "out.json"
+    path = write_job(tmp_path, HYP.format(task="betti"))
+    assert run_cli([path, "--json", str(jpath)]) == 0
+    assert "minimal   true\n" in capsys.readouterr().out
+    assert json.loads(jpath.read_text())["minimal"] is True
+
+
+@pytest.mark.parametrize("args,code", [
+    (["{job}", "--bogus"], 1),
+    ([], 1),
+    (["--help"], 0),
+])
+def test_usage_exit_codes(tmp_path, capsys, args, code):
+    path = write_job(tmp_path, HYP.format(task="deviations"))
+    assert run_cli([a.format(job=path) for a in args]) == code
+
+
 def test_betti_cyclic_module(tmp_path, capsys):
     job = """\
 field Q
@@ -208,15 +226,6 @@ task verify --statement halperin
     path = write_job(tmp_path, job)
     assert run_cli([path]) == 2
     assert "computation error" in capsys.readouterr().err
-
-
-def test_threads_flag_same_output(tmp_path, capsys):
-    path = write_job(tmp_path, HYP.format(task="acyclic-closure"))
-    assert run_cli([path]) == 0
-    out1 = capsys.readouterr().out
-    assert run_cli([path, "--threads", "4"]) == 0
-    out2 = capsys.readouterr().out
-    assert out1 == out2
 
 
 def test_console_script_entry_point(tmp_path):
