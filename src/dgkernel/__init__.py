@@ -11,6 +11,6 @@ from .model_builder import (ModelSpec, Model, build_model, acyclic_closure,
                             minimal_model, model_over_cover, koszul_complex,
                             koszul_on_maximal_ideal, INFINITY)
 from .errors import (BoundExceededError, HomogeneityError, ParityError,
-                     NotCycleError, AdmissibilityError)
+                     NotCycleError, AdmissibilityError, CertificationError)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ betti [--module residue-field|cyclic:<expr>[,<expr>...]] |
 poincare [--order n] | classify | verify --statement <id>.
 
 Exit codes: 0 success, 1 usage/parse error, 2 computation error,
-3 verification failure.
+3 verification or certification failure.
 """
 
 import argparse
@@ -28,14 +28,17 @@ from . import invariants as inv
 from . import model_builder as mb
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
 from .errors import (AdmissibilityError, BoundExceededError,
-                     HomogeneityError, NotCycleError, ParityError)
+                     CertificationError, HomogeneityError, NotCycleError,
+                     ParityError)
 from .fields import parse_field
 from .graded_base import BasePresentation, BaseVariable, TruncatedBase
 from .homology import ResidueField
 from .module_resolution import PresentedModule, resolve_module
 
-COMMANDS = ("deviations", "acyclic-closure", "minimal-model", "betti",
-            "poincare", "classify", "verify")
+# command -> the task options it takes
+COMMANDS = {"deviations": (), "acyclic-closure": (),
+            "minimal-model": ("switch",), "betti": ("module",),
+            "poincare": ("order",), "classify": (), "verify": ("statement",)}
 KINDS = {"polynomial": POLYNOMIAL, "exterior": EXTERIOR,
          "dividedPower": DIVIDED_POWER}
 
@@ -257,7 +260,13 @@ def parse_job(path):
             while k < len(rest):
                 if not rest[k].startswith("--") or k + 1 >= len(rest):
                     raise JobError("task options are --name value pairs", n)
-                params[rest[k][2:]] = rest[k + 1]
+                name = rest[k][2:]
+                if name not in COMMANDS[command]:
+                    raise JobError(f"{command} takes no option {rest[k]!r}",
+                                   n)
+                if name in params:
+                    raise JobError(f"repeated option {rest[k]!r}", n)
+                params[name] = rest[k + 1]
                 k += 2
             job.task = (command, params, n)
         else:
@@ -504,26 +513,28 @@ def _run_model(job, A, N, D, params):
         try:
             switch = int(s)
         except ValueError:
-            raise JobError("--switch takes a nonnegative integer or 'inf'")
+            switch = -1
         if switch < 0:
-            raise JobError("--switch takes a nonnegative integer or 'inf'")
+            raise JobError("--switch takes a nonnegative integer or 'inf'",
+                           job.task[2])
     spec = mb.residue_field_spec(A, N, D, switching_degree=switch)
     model = mb.build_model(spec)
     return _model_report(job, model, N, D, "minimal-model")
 
 
 def _parse_module(A, spec_text, job):
+    line = job.task[2]
     if spec_text in (None, "residue-field"):
         return ResidueField(A.field)
     if spec_text.startswith("cyclic:"):
         base_names = [v.name for v in A.base.presentation.variables]
-        field = A.field
         rels = []
         for expr in spec_text[len("cyclic:"):].split(","):
-            terms = parse_expression(expr, 0, base_names)
-            rels.append({0: _terms_to_poly(terms, field, 0)})
+            terms = parse_expression(expr, line, base_names)
+            rels.append({0: _terms_to_poly(terms, A.field, line)})
         return PresentedModule(A, gens=[0], relations=rels)
-    raise JobError("--module takes residue-field or cyclic:<expr>[,...]")
+    raise JobError("--module takes residue-field or cyclic:<expr>[,...]",
+                   line)
 
 
 def _run_betti(job, A, N, D, params):
@@ -550,7 +561,9 @@ def _run_poincare(job, A, N, D, params):
     try:
         order = int(params.get("order", N))
     except ValueError:
-        raise JobError("--order takes an integer")
+        order = -1
+    if order < 0:
+        raise JobError("--order takes a nonnegative integer", job.task[2])
     dev = inv.deviations(A, N, D)
     series = inv.poincare_from_deviations(dev, order)
     data = {"task": "poincare", "field": job.field[0],
@@ -582,7 +595,7 @@ def _run_classify(job, A, N, D, params):
 def _run_verify(job, A, N, D, params):
     statement = params.get("statement")
     if not statement:
-        raise JobError("verify requires --statement <id>")
+        raise JobError("verify requires --statement <id>", job.task[2])
     report = inv.verify(statement, A, N, D)
     data = {"task": "verify", "field": job.field[0],
             "bounds": {"max_hdeg": N, "max_intdeg": D},
@@ -631,6 +644,9 @@ def main(argv=None):
             NotCycleError, ParityError, ValueError) as e:
         print(f"computation error: {e}", file=sys.stderr)
         return 2
+    except CertificationError as e:
+        print(f"certification error: {e}", file=sys.stderr)
+        return 3
     sys.stdout.write(report.text())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

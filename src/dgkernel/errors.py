@@ -23,3 +23,8 @@ class NotCycleError(ValueError):
 
 class AdmissibilityError(ValueError):
     """A fixture or module is outside the domain of the requested check."""
+
+
+class CertificationError(Exception):
+    """A runtime certificate failed: a computed object does not satisfy
+    an identity the kernel relies on (d o d = 0, minimality)."""

@@ -1,10 +1,19 @@
-"""Sparse exact matrices and deterministic Gaussian elimination.
+"""Sparse exact matrices and one incremental echelon engine.
 
 Everything downstream (quotient rings, homology, minimal generators)
-reduces to rank / kernel / solve / complement over an exact field.
-Pivoting is deterministic: columns are processed left to right and the
-pivot is the nonzero entry with the smallest unused row index, so
-repeated runs and reordered-input runs agree exactly.
+reduces to rank / kernel / independence modulo a span / normal forms in
+a quotient over an exact field.  All of it runs on one engine: a basis
+of columns (dicts row -> scalar) keyed by pivot row, in which every
+column is 1 at its own pivot row and 0 at every other pivot row.
+_reduce brings a column to 0 at every pivot row in one pass; _insert
+adds a reduced nonzero column, pivoting on its largest row.
+
+Every public answer is canonical: pivot columns are the greedy
+independent columns, kernel vectors are 1 at their own dependent column
+and 0 at the others, generator picks depend only on the span, and the
+quotient's complement is the greedy smallest-index one (the rows that
+are no column's largest row, which is why pivots sit there), with
+normal forms unique once it is fixed.  So repeated runs agree exactly.
 """
 
 
@@ -96,14 +105,6 @@ class ExactMatrix:
                     out[(r, c)] = s
         return ExactMatrix(F, self.rows, other.cols, out)
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r, c + self.cols)] = v
-        return ExactMatrix(self.field, self.rows, self.cols + other.cols, entries)
-
     def is_zero(self):
         return not self.entries
 
@@ -116,178 +117,127 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _rref(M):
-    """Reduced row echelon form.
+def _subtract(F, col, f, other):
+    """col -= f * other, in place, dropping entries that become zero."""
+    for r, v in other.items():
+        s = F.sub(col.get(r, F.zero), F.mul(f, v))
+        if F.is_zero(s):
+            col.pop(r, None)
+        else:
+            col[r] = s
 
-    Returns (pivots, rows) where pivots is the ordered list of
-    (pivot_row_index_original, pivot_col) and rows is a list of row dicts
-    of the reduced matrix, indexed by original row position.  Row swaps
-    are implicit: the pivot for each column is the unused row with the
-    smallest original index.
-    """
-    F = M.field
-    rows = [dict() for _ in range(M.rows)]
-    for (r, c), v in M.entries.items():
-        rows[r][c] = v
-    used = set()
-    pivots = []
-    for col in range(M.cols):
-        pr = None
-        for r in range(M.rows):
-            if r not in used and col in rows[r]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        used.add(pr)
-        pivots.append((pr, col))
-        inv = F.inv(rows[pr][col])
-        rows[pr] = {c: F.mul(inv, v) for c, v in rows[pr].items()}
-        prow = rows[pr]
-        for r in range(M.rows):
-            if r == pr:
-                continue
-            f = rows[r].get(col)
-            if f is None:
-                continue
-            row = rows[r]
-            for c, v in prow.items():
-                s = F.sub(row.get(c, F.zero), F.mul(f, v))
-                if F.is_zero(s):
-                    row.pop(c, None)
-                else:
-                    row[c] = s
-    return pivots, rows
+
+def _reduce(F, basis, col):
+    """Reduce col in place against basis; returns col, now 0 at every
+    pivot row.  Subtracting one basis column leaves col unchanged at the
+    other pivot rows, so one pass over col's pivot rows suffices."""
+    for p in [r for r in col if r in basis]:
+        _subtract(F, col, col[p], basis[p])
+    return col
+
+
+def _insert(F, basis, col):
+    """Add a reduced nonzero column to basis.  It pivots on its largest
+    row, is scaled to 1 there, and that row is cleared from every other
+    basis column, so each basis column keeps its largest row as pivot."""
+    p = max(col)
+    inv = F.inv(col[p])
+    col = {r: F.mul(inv, v) for r, v in col.items()}
+    for other in basis.values():
+        f = other.get(p)
+        if f is not None:
+            _subtract(F, other, f, col)
+    basis[p] = col
+
+
+def _echelon(F, nrows, cols):
+    """A basis, as above, of the span of cols (dicts, left as they are)
+    in F^nrows."""
+    basis = {}
+    for col in cols:
+        if len(basis) == nrows:
+            break
+        col = _reduce(F, basis, dict(col))
+        if col:
+            _insert(F, basis, col)
+    return basis
 
 
 def rank_and_pivots(M):
-    """Rank and the deterministically chosen pivot columns."""
-    pivots, _ = _rref(M)
-    return len(pivots), [c for _, c in pivots]
+    """Rank and the pivot columns: the columns independent of those to
+    their left."""
+    F = M.field
+    basis = {}
+    pivots = []
+    for c, col in enumerate(M.columns()):
+        if len(basis) == M.rows:
+            break
+        if _reduce(F, basis, col):
+            _insert(F, basis, col)
+            pivots.append(c)
+    return len(pivots), pivots
 
 
 def kernel_basis(M):
-    """Canonical null-space basis: one column per free variable, set to 1
-    in index order, pivot variables filled from the reduced echelon form."""
+    """Canonical null-space basis: one column per dependent column c of M,
+    equal to 1 at c and 0 at the other dependent columns.
+
+    Column c carries a tag row -1 - c, below M's rows; a column that
+    reduces to tag rows only spells out its kernel vector."""
     F = M.field
-    pivots, rows = _rref(M)
-    pivot_cols = {c: r for r, c in pivots}
-    free = [c for c in range(M.cols) if c not in pivot_cols]
-    columns = []
-    for fc in free:
-        col = {fc: F.one}
-        for pc, pr in pivot_cols.items():
-            v = rows[pr].get(fc)
-            if v is not None:
-                col[pc] = F.neg(v)
-        columns.append(col)
-    return ExactMatrix(F, M.cols, len(free), {
-        (r, i): v for i, col in enumerate(columns) for r, v in col.items()})
-
-
-def solve(M, b):
-    """One exact solution of M x = b, or None if b is outside the column
-    space.  b is a dict row -> scalar (or a list).  Free variables are 0."""
-    F = M.field
-    if isinstance(b, (list, tuple)):
-        b = {i: (F.from_int(v) if isinstance(v, int) else v)
-             for i, v in enumerate(b) if not F.is_zero(
-                 F.from_int(v) if isinstance(v, int) else v)}
-    aug = ExactMatrix(F, M.rows, M.cols + 1, dict(M.entries))
-    for r, v in b.items():
-        if not F.is_zero(v):
-            aug.entries[(r, M.cols)] = v
-    pivots, rows = _rref(aug)
-    x = {}
-    for pr, pc in pivots:
-        if pc == M.cols:
-            return None
-        v = rows[pr].get(M.cols)
-        if v is not None:
-            x[pc] = v
-    return x
-
-
-def solve_many(M, bs):
-    """Solve M x = b for each column dict in bs; None where unsolvable.
-    One elimination pass shared by all right-hand sides."""
-    F = M.field
-    n = M.cols
-    entries = dict(M.entries)
-    for i, b in enumerate(bs):
-        for r, v in b.items():
-            if not F.is_zero(v):
-                entries[(r, n + i)] = v
-    aug = ExactMatrix(F, M.rows, n + len(bs), entries)
-    # eliminate only on the first n columns
-    rows = [dict() for _ in range(aug.rows)]
-    for (r, c), v in aug.entries.items():
-        rows[r][c] = v
-    used = set()
-    pivots = []
-    for col in range(n):
-        pr = None
-        for r in range(aug.rows):
-            if r not in used and col in rows[r]:
-                pr = r
-                break
-        if pr is None:
+    basis = {}
+    entries = {}
+    n = 0
+    for c, col in enumerate(M.columns()):
+        col[-1 - c] = F.one
+        _reduce(F, basis, col)
+        if max(col) >= 0:
+            _insert(F, basis, col)
             continue
-        used.add(pr)
-        pivots.append((pr, col))
-        inv = F.inv(rows[pr][col])
-        rows[pr] = {c: F.mul(inv, v) for c, v in rows[pr].items()}
-        prow = rows[pr]
-        for r in range(aug.rows):
-            if r == pr:
-                continue
-            f = rows[r].get(col)
-            if f is None:
-                continue
-            row = rows[r]
-            for c, v in prow.items():
-                s = F.sub(row.get(c, F.zero), F.mul(f, v))
-                if F.is_zero(s):
-                    row.pop(c, None)
-                else:
-                    row[c] = s
-    sols = []
-    unused = [r for r in range(aug.rows) if r not in used]
-    for i in range(len(bs)):
-        col = n + i
-        # unsolvable iff some non-pivot row still has an entry in this column
-        if any(col in rows[r] for r in unused):
-            sols.append(None)
-            continue
-        x = {}
-        for pr, pc in pivots:
-            v = rows[pr].get(col)
-            if v is not None:
-                x[pc] = v
-        sols.append(x)
-    return sols
-
-
-def cokernel_complement(M):
-    """Row indices whose standard basis vectors complete the column space
-    of M to the full target, chosen greedily by smallest index."""
-    F = M.field
-    aug = M
-    eye = ExactMatrix.identity(F, M.rows)
-    aug = M.hstack(eye)
-    _, pivot_cols = rank_and_pivots(aug)
-    return sorted(c - M.cols for c in pivot_cols if c >= M.cols)
+        entries[(c, n)] = F.one
+        for r in sorted(col, reverse=True):
+            if r != -1 - c:
+                entries[(-1 - r, n)] = col[r]
+        n += 1
+    return ExactMatrix(F, M.cols, n, entries)
 
 
 def pick_new_generators(field, nrows, base_cols, cand_cols, reverse=False):
     """Greedy selection of candidate columns independent modulo the span
-    of base_cols.  Returns the list of selected candidate indices, in the
-    deterministic processing order (ascending, or descending if reverse)."""
-    idx = list(range(len(cand_cols)))
-    if reverse:
-        idx = idx[::-1]
-    cols = list(base_cols) + [cand_cols[i] for i in idx]
-    M = ExactMatrix.from_columns(field, nrows, cols)
-    _, pivots = rank_and_pivots(M)
-    nb = len(base_cols)
-    return [idx[c - nb] for c in pivots if c >= nb]
+    of base_cols, all of length nrows.  Returns the list of selected
+    candidate indices, in the deterministic processing order (ascending,
+    or descending if reverse)."""
+    basis = _echelon(field, nrows, base_cols)
+    order = range(len(cand_cols))
+    sel = []
+    for k in (reversed(order) if reverse else order):
+        if len(basis) == nrows:
+            break
+        col = _reduce(field, basis, dict(cand_cols[k]))
+        if col:
+            _insert(field, basis, col)
+            sel.append(k)
+    return sel
+
+
+def quotient(field, nrows, span):
+    """The quotient of field^nrows by the span of the columns in span.
+
+    Returns (keep, normal_forms).  keep lists, ascending, the rows whose
+    unit vectors complete span to the whole space, chosen greedily by
+    smallest index: the rows that are no basis column's pivot.
+    normal_forms[r] gives the class of unit vector r as coordinates over
+    keep ({index into keep: scalar}); for a pivot row r it is minus the
+    rest of basis column r."""
+    basis = _echelon(field, nrows, span)
+    keep = [r for r in range(nrows) if r not in basis]
+    pos = {r: n for n, r in enumerate(keep)}
+    normal_forms = []
+    for r in range(nrows):
+        col = basis.get(r)
+        if col is None:
+            normal_forms.append({pos[r]: field.one})
+        else:
+            normal_forms.append({pos[q]: field.neg(col[q])
+                                 for q in sorted(col) if q != r})
+    return keep, normal_forms

@@ -128,7 +128,6 @@ class TruncatedBase:
         self._nf = {}       # j -> {exponent tuple: {basis_index: scalar}}
         self._mult = {}
         P = presentation
-        F = self.field
         for j in range(D + 1):
             mons = P.monomials_of_intdeg(j)
             pos = {m: i for i, m in enumerate(mons)}
@@ -142,21 +141,9 @@ class TruncatedBase:
                     for exps, c in g.items():
                         col[pos[_mono_mul(m, exps)]] = c
                     span.append(col)
-            M = la.ExactMatrix.from_columns(F, len(mons), span)
-            keep = la.cokernel_complement(M)
-            basis = [mons[i] for i in keep]
-            self._basis[j] = basis
-            # normal form of every monomial: unique coefficients on the
-            # complement block of [complement units | relation span]
-            unit_cols = [{i: F.one} for i in keep]
-            A = la.ExactMatrix.from_columns(F, len(mons), unit_cols + span)
-            rhs = [{i: F.one} for i in range(len(mons))]
-            sols = la.solve_many(A, rhs)
-            nf = {}
-            for m, sol in zip(mons, sols):
-                assert sol is not None
-                nf[m] = {b: v for b, v in sol.items() if b < len(basis)}
-            self._nf[j] = nf
+            keep, nfs = la.quotient(self.field, len(mons), span)
+            self._basis[j] = [mons[i] for i in keep]
+            self._nf[j] = dict(zip(mons, nfs))
 
     # --- queries ---------------------------------------------------------
 

@@ -9,6 +9,7 @@ internal degree, so each (i, j) slice is finite and exact.
 
 from . import exact_linear as la
 from .dg_core import TRIVIAL_MONOMIAL
+from .errors import CertificationError
 
 
 class BigradedComplex:
@@ -143,17 +144,16 @@ class HomologyClassSet:
 
 
 def homology(C, i, j):
-    """H_i of C in internal degree j."""
-    Z = la.kernel_basis(C.diff(i, j))
-    boundary_rank, _ = la.rank_and_pivots(C.diff(i + 1, j))
-    dim = Z.cols - boundary_rank
+    """H_i of C in internal degree j.  Raises CertificationError when the
+    differential into slice (i, j) does not square to zero there."""
+    if not C.check_dd_zero(i + 1, j):
+        raise CertificationError(
+            f"d o d != 0 from bidegree ({i + 1},{j}) to ({i - 1},{j})")
+    zcols = la.kernel_basis(C.diff(i, j)).columns()
     bcols = C.diff(i + 1, j).columns()
-    zcols = Z.columns()
     sel = la.pick_new_generators(C.field, C.dim(i, j), bcols, zcols)
     reps = [zcols[k] for k in sel]
-    complete = i + 1 <= C.hmax
-    assert len(reps) == dim
-    return HomologyClassSet(i, j, dim, reps, complete)
+    return HomologyClassSet(i, j, len(reps), reps, i + 1 <= C.hmax)
 
 
 def minimal_generators(C, i, actions, dmax=None, reverse=False):

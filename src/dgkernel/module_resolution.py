@@ -70,19 +70,9 @@ class PresentedModule:
                                 col.get(key, self.field.zero), c)
                     span.append({k: v for k, v in col.items()
                                  if not self.field.is_zero(v)})
-            M = la.ExactMatrix.from_columns(self.field, len(free), span)
-            keep = la.cokernel_complement(M)
-            qbasis = [free[i] for i in keep]
-            unit_cols = [{i: self.field.one} for i in keep]
-            A = la.ExactMatrix.from_columns(self.field, len(free),
-                                            unit_cols + span)
-            sols = la.solve_many(A, [{i: self.field.one}
-                                     for i in range(len(free))])
-            nf = {}
-            for lab, sol in zip(free, sols):
-                nf[lab] = {b: v for b, v in sol.items() if b < len(qbasis)}
-            self._bases[j] = qbasis
-            self._nf[j] = nf
+            keep, nfs = la.quotient(self.field, len(free), span)
+            self._bases[j] = [free[i] for i in keep]
+            self._nf[j] = dict(zip(free, nfs))
 
     def basis(self, i, j):
         return self._bases[j] if i == self.shift else []

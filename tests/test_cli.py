@@ -1,6 +1,7 @@
 """CLI: job parsing with positioned errors, command dispatch, exit codes,
 and byte-stable JSON reports."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -124,10 +125,32 @@ def test_betti_reports_minimal_as_bool(tmp_path, capsys):
     (["{job}", "--bogus"], 1),
     ([], 1),
     (["--help"], 0),
+    (["{unknown_option}"], 1),
+    (["{negative_order}"], 1),
 ])
 def test_usage_exit_codes(tmp_path, capsys, args, code):
-    path = write_job(tmp_path, HYP.format(task="deviations"))
-    assert run_cli([a.format(job=path) for a in args]) == code
+    tasks = {"job": "deviations", "unknown_option": "deviations --bogus 1",
+             "negative_order": "poincare --order -3"}
+    paths = {name: write_job(tmp_path, HYP.format(task=task), name)
+             for name, task in tasks.items()}
+    assert run_cli([a.format(**paths) for a in args]) == code
+
+
+@pytest.mark.parametrize("task,message", [
+    ("deviations --bogus 1", "deviations takes no option '--bogus'"),
+    ("betti --module residue-field --module cyclic:x",
+     "repeated option '--module'"),
+    ("poincare --order -3", "--order takes a nonnegative integer"),
+    ("minimal-model --switch x", "--switch takes a nonnegative integer"),
+    ("verify", "verify requires --statement"),
+])
+def test_task_option_errors_name_the_task_line(tmp_path, capsys, task,
+                                               message):
+    path = write_job(tmp_path, HYP.format(task=task))
+    assert run_cli([path]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "at line 5" in err
 
 
 def test_betti_cyclic_module(tmp_path, capsys):
@@ -142,6 +165,12 @@ task betti --module cyclic:x
     assert run_cli([path]) == 0
     out = capsys.readouterr().out
     assert "marginals 1 1 1 1 1 1 1" in out
+
+
+def test_cyclic_module_error_names_the_task_line(tmp_path, capsys):
+    path = write_job(tmp_path, HYP.format(task="betti --module cyclic:q"))
+    assert run_cli([path]) == 1
+    assert "unknown name 'q' at line 5, column 1" in capsys.readouterr().err
 
 
 def test_dg_variable_job(tmp_path, capsys):
@@ -214,6 +243,21 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert run_cli([path]) == 3
 
 
+def test_certification_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a resolution that fails its minimality certificate is reported with
+    # exit 3 and a message, not a traceback
+    from dgkernel.module_resolution import SemifreeResolution
+
+    monkeypatch.setattr(SemifreeResolution, "is_minimal",
+                        lambda self: (False, 0))
+    job = HYP.format(task="verify --statement product-formula")
+    path = write_job(tmp_path, job)
+    assert run_cli([path]) == 3
+    err = capsys.readouterr().err
+    assert "certification error: resolution not minimal" in err
+    assert "Traceback" not in err
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     # halperin on a non-ring fixture is inadmissible -> exit 2
     job = """\
@@ -242,3 +286,69 @@ def test_fp_field(tmp_path, capsys):
     assert run_cli([path]) == 0
     out = capsys.readouterr().out
     assert "marginals 0 1 1 0 0 0 0 0 0" in out
+
+
+GOLDEN_RINGS = {
+    "golod-Q": "field Q\nbase x 1\nbase y 1\nrelation x^2\nrelation x*y\n"
+               "bounds 5 6\n",
+    "ci-F3": "field Fp:3\nbase x 1\nbase y 1\nrelation x^2\nrelation y^2\n"
+             "bounds 5 6\n",
+}
+
+# sha256 (first 16 hex digits) of "<exit code>\n" + stdout + JSON report
+# per task.  They guard the byte-identical report contract across
+# rewrites of the kernel: refreeze them only for a deliberate change to
+# a report.
+GOLDEN_DIGESTS = {
+    "golod-Q": [
+        ("deviations", "7d3c8dcb7d6b5dc1"),
+        ("acyclic-closure", "dabc11c2259bc997"),
+        ("minimal-model --switch 2", "09118dbc402d5c62"),
+        ("betti --module cyclic:x", "b62d820a3fd4b437"),
+        ("poincare", "ac94e3824fe036ea"),
+        ("classify", "a4d2b791af58d047"),
+        ("verify --statement koszul-shift", "53c234e5e8472b6a"),
+        ("verify --statement deviations-compare", "ec2882235f3c3966"),
+        ("verify --statement quasi-fibers", "3bd4fde395ed25d0"),
+        ("verify --statement product-formula", "5d6ede7ceb21ab4e"),
+        ("verify --statement switching-compare", "1179da1805aba776"),
+        ("verify --statement vanishing-pattern", "8b58d21dfeaefad0"),
+        ("verify --statement halperin", "f1785b85c3c1d312"),
+        ("verify --statement uniqueness", "5e852c578aaf2173"),
+        ("verify --statement odd-to-even", "961072c56c39ede0"),
+        ("verify --statement fiber-boundedness", "53c234e5e8472b6a"),
+    ],
+    "ci-F3": [
+        ("deviations", "126500285399b572"),
+        ("acyclic-closure", "5a7cb799ed08bbd8"),
+        ("minimal-model --switch 2", "532867c6bda85084"),
+        ("betti --module cyclic:x", "afa5fd7506cdab08"),
+        ("poincare", "f02ec48714afdb5e"),
+        ("classify", "cdde74242f00be6b"),
+        ("verify --statement koszul-shift", "53c234e5e8472b6a"),
+        ("verify --statement deviations-compare", "0dc825bc38305138"),
+        ("verify --statement quasi-fibers", "4835e23efe2186bf"),
+        ("verify --statement product-formula", "2a9bb9046afe8be5"),
+        ("verify --statement switching-compare", "c641f8197617ad7a"),
+        ("verify --statement vanishing-pattern", "c57947b22a3e58e4"),
+        ("verify --statement halperin", "8348fef4727086b6"),
+        ("verify --statement uniqueness", "6377ac617ad1ae53"),
+        ("verify --statement odd-to-even", "68f6918b31afc17a"),
+        ("verify --statement fiber-boundedness", "44c13ff88c079589"),
+    ],
+}
+
+
+def test_reports_match_frozen_digests(tmp_path, capsys):
+    path = tmp_path / "job.txt"
+    jpath = tmp_path / "out.json"
+    for ring, tasks in GOLDEN_DIGESTS.items():
+        for task, digest in tasks:
+            path.write_text(GOLDEN_RINGS[ring] + f"task {task}\n")
+            if jpath.exists():
+                jpath.unlink()
+            code = run_cli([str(path), "--json", str(jpath)])
+            report = jpath.read_text() if jpath.exists() else ""
+            text = f"{code}\n{capsys.readouterr().out}{report}"
+            assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, \
+                (ring, task)

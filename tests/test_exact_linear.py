@@ -1,6 +1,8 @@
-"""Exact linear algebra: rank, kernels, solving, complement selection."""
+"""Exact linear algebra: rank, kernels, generator picks and quotients,
+checked against a dense textbook reference."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -40,44 +42,34 @@ def test_kernel_annihilates():
     assert prod.is_zero()
 
 
-def test_solve_roundtrip():
-    M = la.ExactMatrix.from_rows(QQ, [[1, 2], [3, 4]])
-    b = {0: QQ.from_int(5), 1: QQ.from_int(11)}
-    x = la.solve(M, b)
-    assert x is not None
-    assert M.mul_vec(x) == b
+def test_quotient_complement_spans():
+    # span{e0+e1}: e0 completes it, and e1 = -e0 modulo the span
+    keep, nfs = la.quotient(QQ, 2, [{0: QQ.one, 1: QQ.one}])
+    assert keep == [0]
+    assert nfs == [{0: QQ.one}, {0: -QQ.one}]
 
 
-def test_solve_many_matches_solve():
-    rng = random.Random(7)
-    M = random_matrix(QQ, 5, 4, rng)
-    bs = [M.mul_vec({c: QQ.from_int(rng.randint(-3, 3)) for c in range(4)})
-          for _ in range(6)]
-    many = la.solve_many(M, bs)
-    for b, x in zip(bs, many):
-        assert x is not None
-        assert M.mul_vec(x) == b
+def test_quotient_prefers_smallest_index():
+    keep, nfs = la.quotient(QQ, 3, [])
+    assert keep == [0, 1, 2]
+    assert nfs == [{0: QQ.one}, {1: QQ.one}, {2: QQ.one}]
 
 
-def test_solve_reports_inconsistency():
-    M = la.ExactMatrix.from_rows(QQ, [[1], [0]])
-    assert la.solve(M, {1: QQ.one}) is None
+def test_quotient_of_everything_is_zero():
+    F = GF(3)
+    span = [{0: 1, 1: 2}, {1: 1}, {0: 2, 2: 1}]
+    assert la.quotient(F, 3, span) == ([], [{}, {}, {}])
 
 
-def test_cokernel_complement_spans():
-    # image of M is span{e0+e1}; complement must add one unit vector
-    M = la.ExactMatrix.from_rows(QQ, [[1], [1]])
-    comp = la.cokernel_complement(M)
-    assert len(comp) == 1
-    units = [{i: QQ.one} for i in comp]
-    stacked = M.hstack(la.ExactMatrix.from_columns(QQ, 2, units))
-    rank, _ = la.rank_and_pivots(stacked)
-    assert rank == 2
-
-
-def test_cokernel_complement_prefers_smallest_index():
-    M = la.ExactMatrix.zero(QQ, 3, 0)
-    assert la.cokernel_complement(M) == [0, 1, 2]
+def test_quotient_normal_forms_in_span():
+    # k^4 / span{e0 - 2 e2, e1 + e3, e2 + e3}: the complement is {e0},
+    # and e1 = e2 = -e3 = e0 / 2
+    span = [{0: QQ.one, 2: QQ(-2)}, {1: QQ.one, 3: QQ.one},
+            {2: QQ.one, 3: QQ.one}]
+    keep, nfs = la.quotient(QQ, 4, span)
+    assert keep == [0]
+    assert nfs == [{0: QQ.one}, {0: QQ(1, 2)}, {0: QQ(1, 2)},
+                   {0: QQ(-1, 2)}]
 
 
 def test_pick_new_generators_skips_spanned():
@@ -112,3 +104,120 @@ def test_rref_deterministic(seed):
     M = random_matrix(GF(3), rng.randint(1, 5), rng.randint(1, 5), rng)
     assert la.kernel_basis(M).entries == la.kernel_basis(M).entries
     assert la.rank_and_pivots(M) == la.rank_and_pivots(M)
+
+
+# --- an independent dense reference -----------------------------------------
+
+def ref_rref(p, rows, ncols):
+    """Textbook Gauss-Jordan over Q (p = 0, Fractions) or F_p (ints mod p)
+    on dense rows; returns (nonzero rows of the RREF, pivot columns)."""
+    R = [[Fraction(x) if p == 0 else x % p for x in row] for row in rows]
+    inv = (lambda a: 1 / a) if p == 0 else (lambda a: pow(a, p - 2, p))
+    red = (lambda a: a) if p == 0 else (lambda a: a % p)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(R)) if R[k][c]), None)
+        if k is None:
+            continue
+        R[r], R[k] = R[k], R[r]
+        s = inv(R[r][c])
+        R[r] = [red(x * s) for x in R[r]]
+        for k in range(len(R)):
+            if k != r and R[k][c]:
+                f = R[k][c]
+                R[k] = [red(x - f * y) for x, y in zip(R[k], R[r])]
+        pivots.append(c)
+    return R[:len(pivots)], pivots
+
+
+def ref_rank(p, nrows, cols):
+    """Rank of the columns (dicts row -> int or scalar) in k^nrows."""
+    rows = [[col.get(r, 0) for col in cols] for r in range(nrows)]
+    return len(ref_rref(p, rows, len(cols))[1])
+
+
+FIELDS = {0: QQ, 2: GF(2), 3: GF(3), 101: GF(101)}
+
+
+@st.composite
+def small_matrices(draw):
+    """(p, rows, columns as int dicts): sparse entries, up to 6 x 7."""
+    p = draw(st.sampled_from(sorted(FIELDS)))
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(0, 7))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+    cols = [{r: v for r in range(nrows) if (v := draw(entry)) % (p or 7)}
+            for _ in range(ncols)]
+    return p, nrows, cols
+
+
+def engine_matrix(p, nrows, cols):
+    F = FIELDS[p]
+    return la.ExactMatrix.from_columns(
+        F, nrows, [{r: F.from_int(v) for r, v in c.items()} for c in cols])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_rank_pivots_and_kernel_match_reference(m):
+    p, nrows, cols = m
+    M = engine_matrix(p, nrows, cols)
+    rows = [[c.get(r, 0) for c in cols] for r in range(nrows)]
+    R, pivots = ref_rref(p, rows, len(cols))
+    assert la.rank_and_pivots(M) == (len(pivots), pivots)
+    # canonical kernel: 1 at a free column, minus the RREF column at pivots
+    free = [c for c in range(len(cols)) if c not in pivots]
+    expect = {}
+    for n, f in enumerate(free):
+        expect[(f, n)] = 1
+        for row, pc in zip(R, pivots):
+            if row[f]:
+                expect[(pc, n)] = -row[f] if p == 0 else (-row[f]) % p
+    K = la.kernel_basis(M)
+    assert (K.rows, K.cols) == (len(cols), len(free))
+    assert K.entries == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(), st.integers(0, 7), st.booleans())
+def test_pick_new_generators_matches_reference(m, nbase, reverse):
+    p, nrows, cols = m
+    F = FIELDS[p]
+    cols = [{r: F.from_int(v) for r, v in c.items()} for c in cols]
+    base, cand = cols[:nbase], cols[nbase:]
+    order = range(len(cand))
+    expect, span = [], list(base)
+    for k in (reversed(order) if reverse else order):
+        if ref_rank(p, nrows, span + [cand[k]]) > ref_rank(p, nrows, span):
+            expect.append(k)
+            span.append(cand[k])
+    assert la.pick_new_generators(F, nrows, base, cand, reverse) == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_quotient_matches_reference(m):
+    p, nrows, cols = m
+    F = FIELDS[p]
+    span = [{r: F.from_int(v) for r, v in c.items()} for c in cols]
+    keep, nfs = la.quotient(F, nrows, span)
+    # keep is the greedy smallest-index complement of the span
+    expect = []
+    for r in range(nrows):
+        units = [{q: 1} for q in expect]
+        if ref_rank(p, nrows, span + units + [{r: 1}]) > \
+                ref_rank(p, nrows, span + units):
+            expect.append(r)
+    assert keep == expect
+    assert len(nfs) == nrows
+    rank = ref_rank(p, nrows, span)
+    for r, nf in enumerate(nfs):
+        assert all(0 <= n < len(keep) for n in nf)
+        if r in keep:
+            assert nf == {keep.index(r): F.one}
+        # e_r - nf(r) lies in the span
+        diff = {r: F.one}
+        for n, v in nf.items():
+            diff[keep[n]] = F.sub(diff.get(keep[n], F.zero), v)
+        assert ref_rank(p, nrows, span + [diff]) == rank

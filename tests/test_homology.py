@@ -1,6 +1,8 @@
 """Bigraded complexes, cones, homology, and Nakayama generator picks."""
 
-from dgkernel import QQ, EXTERIOR
+import pytest
+
+from dgkernel import QQ, EXTERIOR, CertificationError
 from dgkernel import homology as hml
 from dgkernel import exact_linear as la
 from _fixtures import hypersurface, ring_algebra
@@ -75,3 +77,12 @@ def test_dd_zero_across_grid():
     for i in range(2, 5):
         for j in range(6):
             assert C.check_dd_zero(i, j)
+
+
+def test_homology_rejects_d_squared_nonzero():
+    # k in degrees 0, 1, 2 with every differential the identity
+    C = hml.BigradedComplex(
+        QQ, lambda i, j: ["e"], lambda i, j: la.ExactMatrix.identity(QQ, 1),
+        0, 2, 0)
+    with pytest.raises(CertificationError, match="d o d != 0"):
+        hml.homology(C, 1, 0)

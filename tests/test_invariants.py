@@ -2,7 +2,7 @@
 
 import pytest
 
-from dgkernel import QQ, AdmissibilityError
+from dgkernel import QQ, GF, AdmissibilityError
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
 from _fixtures import (hypersurface, complete_intersection, golod,
@@ -132,6 +132,58 @@ def test_verify_passes(statement, make, N, D):
     A = make(QQ, N=N, D=D)
     report = inv.verify(statement, A, N, D)
     assert report.verdict == "pass", report.comparisons
+
+
+@pytest.mark.parametrize("field,gens,relations,N,D", [
+    (QQ, [("x", 1), ("y", 1)], [{(2, 0): 1}, {(0, 3): 1}], 6, 7),
+    (QQ, [("x", 1)], [{(3,): 1}], 6, 6),
+    (GF(3), [("x", 1), ("y", 2)], [{(3, 0): 1}, {(1, 1): 1}, {(0, 2): 1}],
+     5, 8),
+])
+def test_product_formula_cut_at_internal_bound(field, gens, relations, N, D):
+    # Betti numbers past internal degree D are cut from the table; the
+    # product formula must be cut there too, not compared single-graded
+    A = ring_algebra(field, gens, relations, N, D)
+    report = inv.verify("product-formula", A, N, D)
+    assert report.verdict == "pass", report.comparisons
+
+
+def test_product_formula_compares_bigraded_rows(monkeypatch):
+    # same marginals, one Betti number moved to another internal degree
+    A = hypersurface(QQ, N=4, D=6)
+    btab, res = inv.betti_numbers(A, 4, 6)
+    table = dict(btab.table)
+    table[(2, 3)] = table.pop((2, 2))
+    monkeypatch.setattr(inv, "betti_numbers", lambda *a: (
+        inv.BettiTable(table, 4, 6), res))
+    report = inv.verify("product-formula", A, 4, 6)
+    assert report.verdict == "fail"
+    assert [c["i"] for c in report.comparisons if not c["ok"]] == [2]
+    assert report.comparisons[2]["lhs"] == report.comparisons[2]["rhs"]
+
+
+def test_vanishing_pattern_window_cut_at_internal_bound():
+    # n = [0, 3, 2, 3, 4, 0]: n_5 = 0 only because its variables have
+    # internal degree >= 9
+    A = ring_algebra(GF(3), [("x", 1), ("y", 2)],
+                     [{(3, 0): 1}, {(1, 1): 1}, {(0, 2): 1}], 5, 8)
+    report = inv.verify("vanishing-pattern", A, 5, 8)
+    assert report.verdict == "inconclusive-at-bound"
+    assert report.comparisons == [{"t": 4, "case": "even", "n_t": 4,
+                                   "ok": False, "window_cut_at_D": True}]
+    assert any("cut at internal degree 8" in n for n in report.notes)
+
+
+@pytest.mark.parametrize("table,verdict", [
+    ({(4, 4): 1}, "fail"),
+    ({(4, 8): 1}, "inconclusive-at-bound"),
+])
+def test_vanishing_pattern_fails_only_below_the_bound(monkeypatch, table,
+                                                     verdict):
+    monkeypatch.setattr(inv, "n_table_over_cover", lambda A, N, D: (
+        inv.CountTable(table, N, D, "n"), None))
+    A = complete_intersection(QQ, N=5, D=8)
+    assert inv.verify("vanishing-pattern", A, 5, 8).verdict == verdict
 
 
 def test_verify_koszul_shift_needs_h0_k():
