@@ -304,21 +304,23 @@ def _validate_job(job):
             for name, intdeg, hdeg, _ in job.base_vars}
     job.parsed_relations = []
     for expr, n in job.relations:
-        terms = parse_expression(expr, n, names)
+        poly = _terms_to_poly(parse_expression(expr, n, names), field, n)
         idegs = set()
         hdegs = set()
-        for _, exps in terms:
+        for exps in poly:
             idegs.add(sum(e * degs[names[k]][0] for k, e in enumerate(exps)))
             hdegs.add(sum(e * degs[names[k]][1] for k, e in enumerate(exps)))
         if len(idegs) != 1 or len(hdegs) != 1:
             raise JobError(f"non-homogeneous relation {expr!r}", n)
-        job.parsed_relations.append(_terms_to_poly(terms, field, n))
+        job.parsed_relations.append(poly)
     for name, hdeg, intdeg, kind, _, n in job.dgvars:
         if name in names:
             raise JobError(f"duplicate name {name!r}", n)
         names.append(name)
         if hdeg < 1:
             raise JobError("dg variable homological degree must be >= 1", n)
+        if intdeg < 1:
+            raise JobError("internal degree must be >= 1", n)
         odd = hdeg % 2 == 1
         if kind == "exterior" and not odd:
             raise JobError("exterior kind requires odd homological degree "

@@ -30,8 +30,9 @@ class Monomial:
     def __init__(self, evens=(), odds=()):
         self.evens = tuple(sorted(evens))
         self.odds = tuple(odds)
-        assert all(e >= 1 for _, e in self.evens)
-        assert all(a < b for a, b in zip(self.odds, self.odds[1:]))
+        if not (all(e >= 1 for _, e in self.evens) and all(
+                a < b for a, b in zip(self.odds, self.odds[1:]))):
+            raise ValueError(f"not a normal-form monomial: {self!r}")
         self._hash = hash((self.evens, self.odds))
 
     def is_trivial(self):

@@ -73,21 +73,6 @@ class ExactMatrix:
             cols[c][r] = v
         return cols
 
-    def mul_vec(self, vec):
-        """vec: dict col -> scalar; returns dict row -> scalar."""
-        F = self.field
-        out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
-            if x is None:
-                continue
-            s = F.add(out.get(r, F.zero), F.mul(v, x))
-            if F.is_zero(s):
-                out.pop(r, None)
-            else:
-                out[r] = s
-        return out
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise ValueError("shape mismatch")

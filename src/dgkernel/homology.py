@@ -7,6 +7,8 @@ at a few homological degrees per stage.  The differential preserves
 internal degree, so each (i, j) slice is finite and exact.
 """
 
+from functools import partial
+
 from . import exact_linear as la
 from .dg_core import TRIVIAL_MONOMIAL
 from .errors import CertificationError
@@ -159,12 +161,17 @@ def homology(C, i, j):
 def minimal_generators(C, i, actions, dmax=None, reverse=False):
     """Cycles descending to minimal A0-module generators of H_i(C), found
     degreewise: in internal degree j, kill boundaries and the image of the
-    irrelevant maximal ideal acting on lower-internal-degree cycles, then
+    irrelevant maximal ideal m acting on lower-internal-degree cycles, then
     greedily select completing kernel columns.
 
-    actions(d, j) must yield the matrices of multiplication by the degree-d
-    basis of the maximal ideal of A0, mapping slice (i, j) to (i, j + d).
-    Returns a list of (intdeg, column dict) in selection order.
+    actions maps each internal degree d of the algebra generators of A0
+    (its homological-degree-0 base variables) to a function of j that
+    yields the matrices of multiplication by the degree-d basis of A0,
+    mapping slice (i, j) to (i, j + d).  Those degrees suffice: generators
+    have degree >= 1, so m_e is the sum of A0_d * A0_(e-d) over them, and
+    A0-multiples of cycles are cycles, so m * Z in degree j is spanned by
+    the A0_d * Z_(j-d).  Returns a list of (intdeg, column dict) in
+    selection order.
     """
     if dmax is None:
         dmax = C.dmax
@@ -175,15 +182,13 @@ def minimal_generators(C, i, actions, dmax=None, reverse=False):
         Z = la.kernel_basis(C.diff(i, j)).columns()
         kernels[j] = Z
         W = C.diff(i + 1, j).columns()
-        for d in range(1, j + 1):
+        for d, act_at in actions.items():
             lower = kernels.get(j - d)
             if not lower:
                 continue
-            for act in actions(d, j - d):
-                for z in lower:
-                    col = act.mul_vec(z)
-                    if col:
-                        W.append(col)
+            Zl = la.ExactMatrix.from_columns(F, C.dim(i, j - d), lower)
+            for act in act_at(j - d):
+                W.extend(col for col in act.matmul(Zl).columns() if col)
         sel = la.pick_new_generators(F, C.dim(i, j), W, Z, reverse=reverse)
         for k in sel:
             gens.append((j, Z[k]))
@@ -277,7 +282,8 @@ def kill_homology(built, target, n, hmax, dmax, reverse=False):
 
     built (a model or a semifree resolution) has complex(hmax, dmax) for
     X, q_block(i, j) for q, act_matrix(d, bidx, i, j) for the action of
-    the base element (d, bidx) of A0 = built.algebra.base, and
+    the base element (d, bidx) of A0 = built.algebra.base (asked for only
+    in the degrees d of A0's generators, see minimal_generators), and
     extend(n, stage), which adjoins the whole stage at once; stage lists
     (intdeg, X coords at (n-1, intdeg), T coords at (n, intdeg)) per
     selected cycle.  target has complex(hmax, dmax), dim(i, j) and
@@ -288,7 +294,7 @@ def kill_homology(built, target, n, hmax, dmax, reverse=False):
     base = built.algebra.base
     F = C.field
 
-    def actions(d, j):
+    def action(d, j):
         mats = []
         for bidx in base.a0_basis(d):
             mx = built.act_matrix(d, bidx, n - 1, j)
@@ -300,6 +306,9 @@ def kill_homology(built, target, n, hmax, dmax, reverse=False):
                                        mx.cols + mt.cols, entries))
         return mats
 
+    degrees = sorted({v.intdeg for v in base.presentation.variables
+                      if v.hdeg == 0})
+    actions = {d: partial(action, d) for d in degrees}
     stage = []
     for j, col in minimal_generators(C, n, actions, dmax=dmax,
                                      reverse=reverse):

@@ -197,6 +197,39 @@ def test_nonhomogeneous_relation_positioned(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize("field,relation", [
+    ("Q", "2*x^2 - x^2 - x^2 + x^3"),
+    ("Fp:2", "x^2 + x^2 + x^3"),
+])
+def test_relation_homogeneity_checked_after_cancellation(tmp_path, capsys,
+                                                         field, relation):
+    job = HYP.format(task="deviations").replace("field Q", f"field {field}")
+    assert run_cli([write_job(tmp_path, job.replace("x^2", "x^3"))]) == 0
+    expected = capsys.readouterr().out
+    path = write_job(tmp_path, job.replace("x^2", relation))
+    assert run_cli([path]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_relation_cancelling_to_zero_positioned(tmp_path, capsys):
+    job = HYP.format(task="deviations").replace("x^2", "x^2 + x - x^2 - x")
+    path = write_job(tmp_path, job)
+    assert run_cli([path]) == 1
+    err = capsys.readouterr().err
+    assert "expression reduces to zero" in err
+    assert "line 3" in err
+
+
+def test_dg_variable_internal_degree_zero_positioned(tmp_path, capsys):
+    job = HYP.format(task="deviations").replace(
+        "bounds", "dgvar e 1 0 exterior 0\nbounds")
+    path = write_job(tmp_path, job)
+    assert run_cli([path]) == 1
+    err = capsys.readouterr().err
+    assert "internal degree must be >= 1" in err
+    assert "line 4" in err
+
+
 def test_parity_mismatch_positioned(tmp_path, capsys):
     job = """\
 field Q
@@ -339,12 +372,12 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_reports_match_frozen_digests(tmp_path, capsys):
+def check_frozen_digests(tmp_path, capsys, rings, digests):
     path = tmp_path / "job.txt"
     jpath = tmp_path / "out.json"
-    for ring, tasks in GOLDEN_DIGESTS.items():
+    for ring, tasks in digests.items():
         for task, digest in tasks:
-            path.write_text(GOLDEN_RINGS[ring] + f"task {task}\n")
+            path.write_text(rings[ring] + f"task {task}\n")
             if jpath.exists():
                 jpath.unlink()
             code = run_cli([str(path), "--json", str(jpath)])
@@ -352,3 +385,40 @@ def test_reports_match_frozen_digests(tmp_path, capsys):
             text = f"{code}\n{capsys.readouterr().out}{report}"
             assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, \
                 (ring, task)
+
+
+def test_reports_match_frozen_digests(tmp_path, capsys):
+    check_frozen_digests(tmp_path, capsys, GOLDEN_RINGS, GOLDEN_DIGESTS)
+
+
+# Rings whose A0 has generators in more than one internal degree, and a
+# base generator of homological degree 2: the generator degrees of A0 are
+# {1, 2, 3} and {2, 3}.
+MIXED_RINGS = {
+    "mixed-Q": "field Q\nbase x 1\nbase y 2\nbase w 3\n"
+               "relation x^2*y - w*x\nrelation y^3\nrelation x*w - y^2\n"
+               "bounds 7 12\n",
+    "hdeg-F3": "field Fp:3\nbase x 2\nbase u 2 hdeg 2\nbase y 3\n"
+               "relation x^3\nrelation x*y\nrelation u^2\nbounds 7 12\n",
+}
+
+MIXED_DIGESTS = {
+    "mixed-Q": [
+        ("deviations", "4e802ccb4a1581d1"),
+        ("betti", "86720aacf5f37ffb"),
+        ("acyclic-closure", "d343302fcb8bfbb6"),
+        ("minimal-model", "3a6aedaa0628e276"),
+        ("betti --module cyclic:x", "d41d796ac4270fde"),
+    ],
+    "hdeg-F3": [
+        ("deviations", "4b8765513d0ee24f"),
+        ("betti", "203d3a3029c0fc8d"),
+        ("acyclic-closure", "c06169ee2956f19c"),
+        ("minimal-model", "7428e35515db1d7b"),
+        ("betti --module cyclic:x", "4ce6f84f4af586e2"),
+    ],
+}
+
+
+def test_mixed_degree_reports_match_frozen_digests(tmp_path, capsys):
+    check_frozen_digests(tmp_path, capsys, MIXED_RINGS, MIXED_DIGESTS)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dgkernel import (QQ, GF, ParityError, NotCycleError,
+from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
                       EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
 from dgkernel import acyclic_closure
 from _fixtures import hypersurface, complete_intersection, golod
@@ -148,3 +148,13 @@ def test_is_minimal_on_closure():
     U = closure_algebra(QQ)
     ok, witness = U.is_minimal()
     assert ok, witness
+
+
+@pytest.mark.parametrize("evens,odds", [
+    (((0, 0),), ()),
+    ((), (2, 1)),
+    ((), (1, 1)),
+])
+def test_monomial_rejects_non_normal_form(evens, odds):
+    with pytest.raises(ValueError, match="not a normal-form monomial"):
+        Monomial(evens, odds)
