@@ -117,6 +117,13 @@ class DgAlgebra:
         self.max_hdeg = self.max_intdeg if max_hdeg is None else max_hdeg
         self._bases = {}
         self._vmons = None
+        # d(1*m) per variable monomial m, one dict per top variable id of
+        # m: adjoin_variable hands the dicts of the older variables on to
+        # the extension, whose new variable gets a fresh one, so sibling
+        # extensions of one algebra never share entries
+        self._dcache = [{} for _ in self.variables]
+        # one Monomial object per monomial in the cached differentials
+        self._interned = {}
 
     # --- element constructors --------------------------------------------
 
@@ -229,38 +236,88 @@ class DgAlgebra:
     # --- differential ------------------------------------------------------
 
     def differential(self, u):
-        if u.hdeg == 0:
-            return DgElement(u.hdeg - 1, u.intdeg)
         F = self.field
-        result = DgElement(u.hdeg - 1, u.intdeg)
-        for (jb, ib, mon), c in u.terms.items():
-            for vid, e in mon.evens:
-                var = self.variables[vid]
-                if var.boundary.is_zero():
-                    continue
-                mult = e if var.kind == POLYNOMIAL else 1
-                cc = F.mul(c, F.from_int(mult))
-                if F.is_zero(cc):
-                    continue
-                rest_evens = tuple((w, x) if w != vid else (w, e - 1)
-                                   for w, x in mon.evens if w != vid or e > 1)
-                rest = DgElement(
-                    u.hdeg - var.hdeg, u.intdeg - var.intdeg,
-                    {(jb, ib, Monomial(rest_evens, mon.odds)): cc})
-                result = self.add(result, self.multiply(var.boundary, rest))
-            for k, vid in enumerate(mon.odds):
-                var = self.variables[vid]
-                if var.boundary.is_zero():
-                    continue
-                # base and even-variable factors to the left are all of even
-                # homological degree; only the k earlier odd factors sign
-                sign = F.neg(F.one) if k % 2 == 1 else F.one
-                rest_odds = mon.odds[:k] + mon.odds[k + 1:]
-                rest = DgElement(
-                    u.hdeg - var.hdeg, u.intdeg - var.intdeg,
-                    {(jb, ib, Monomial(mon.evens, rest_odds)): F.mul(c, sign)})
-                result = self.add(result, self.multiply(var.boundary, rest))
-        return result
+        out = {}
+        if u.hdeg > 0:
+            for key, c in u.terms.items():
+                for k, v in self._label_differential(key).items():
+                    s = F.add(out.get(k, F.zero), F.mul(c, v))
+                    if F.is_zero(s):
+                        out.pop(k, None)
+                    else:
+                        out[k] = s
+        return DgElement(u.hdeg - 1, u.intdeg, out)
+
+    def _label_differential(self, key):
+        """Terms of d(b*m) for the basis label key = (jb, ib, m).  Base
+        elements are even with zero differential, so d(b*m) = b*d(m)."""
+        jb, ib, mon = key
+        dm = self._monomial_differential(mon)
+        if jb == 0:
+            return dm
+        F = self.field
+        mult = self.base.mult_basis
+        out = {}
+        for (j2, i2, m2), c in dm.items():
+            for i3, c3 in mult(jb, ib, j2, i2).items():
+                k = (jb + j2, i3, m2)
+                s = F.add(out.get(k, F.zero), F.mul(c, c3))
+                if F.is_zero(s):
+                    out.pop(k, None)
+                else:
+                    out[k] = s
+        return out
+
+    def _monomial_differential(self, mon):
+        """Terms of d(1*mon), by the Leibniz rule on first use and from
+        the chain's cache after that.  Do not mutate the result."""
+        if mon.is_trivial():
+            return {}
+        top = max(mon.evens[-1][0] if mon.evens else -1,
+                  mon.odds[-1] if mon.odds else -1)
+        cache = self._dcache[top]
+        hit = cache.get(mon)
+        if hit is None:
+            intern = self._interned.setdefault
+            hit = {(jb, ib, intern(m, m)): c
+                   for (jb, ib, m), c in self._leibniz(mon).items()}
+            cache[intern(mon, mon)] = hit
+        return hit
+
+    def _leibniz(self, mon):
+        """d(1*mon) as a DgElement's terms: each variable factor in turn
+        is replaced by its boundary, with the Koszul sign of the odd
+        factors to its left."""
+        F = self.field
+        hdeg = (sum(self.variables[v].hdeg * e for v, e in mon.evens)
+                + sum(self.variables[v].hdeg for v in mon.odds))
+        intdeg = (sum(self.variables[v].intdeg * e for v, e in mon.evens)
+                  + sum(self.variables[v].intdeg for v in mon.odds))
+        result = DgElement(hdeg - 1, intdeg)
+        for vid, e in mon.evens:
+            var = self.variables[vid]
+            if var.boundary.is_zero():
+                continue
+            c = F.from_int(e if var.kind == POLYNOMIAL else 1)
+            if F.is_zero(c):
+                continue
+            rest_evens = tuple((w, x) if w != vid else (w, e - 1)
+                               for w, x in mon.evens if w != vid or e > 1)
+            rest = DgElement(hdeg - var.hdeg, intdeg - var.intdeg,
+                             {(0, 0, Monomial(rest_evens, mon.odds)): c})
+            result = self.add(result, self.multiply(var.boundary, rest))
+        for k, vid in enumerate(mon.odds):
+            var = self.variables[vid]
+            if var.boundary.is_zero():
+                continue
+            # even-variable factors to the left are of even homological
+            # degree; only the k earlier odd factors sign
+            sign = F.neg(F.one) if k % 2 == 1 else F.one
+            rest_odds = mon.odds[:k] + mon.odds[k + 1:]
+            rest = DgElement(hdeg - var.hdeg, intdeg - var.intdeg,
+                             {(0, 0, Monomial(mon.evens, rest_odds)): sign})
+            result = self.add(result, self.multiply(var.boundary, rest))
+        return result.terms
 
     # --- monomial bases ----------------------------------------------------
 
@@ -333,8 +390,7 @@ class DgAlgebra:
         pos = {k: n for n, k in enumerate(rows)}
         entries = {}
         for cidx, key in enumerate(cols):
-            du = self.differential(DgElement(i, j, {key: self.field.one}))
-            for k, c in du.terms.items():
+            for k, c in self._label_differential(key).items():
                 entries[(pos[k], cidx)] = c
         return ExactMatrix(self.field, len(rows), len(cols), entries)
 
@@ -345,16 +401,22 @@ class DgAlgebra:
         from .exact_linear import ExactMatrix
         if self.base.basis_hdeg(d, bidx) != 0:
             raise ValueError("A0-action requires a homological-degree-0 element")
-        r = self.base_element(d, {bidx: self.field.one})
         cols = self.basis_of_bidegree(i, j)
         rows = self.basis_of_bidegree(i, j + d)
         pos = {k: n for n, k in enumerate(rows)}
         entries = {}
         for cidx, key in enumerate(cols):
-            p = self.multiply(r, DgElement(i, j, {key: self.field.one}))
-            for k, c in p.terms.items():
+            for k, c in self._act_label(d, bidx, key):
                 entries[(pos[k], cidx)] = c
         return ExactMatrix(self.field, len(rows), len(cols), entries)
+
+    def _act_label(self, d, bidx, key):
+        """(label, scalar) pairs of the A0 basis element (d, bidx) times
+        the basis label key = (jb, ib, m): base elements are even, so only
+        the base index moves and m is unchanged."""
+        jb, ib, mon = key
+        for i3, c3 in self.base.mult_basis(d, bidx, jb, ib).items():
+            yield (d + jb, i3, mon), c3
 
     # --- adjunction --------------------------------------------------------
 
@@ -377,8 +439,11 @@ class DgAlgebra:
         vid = len(self.variables)
         var = DgVariable(vid, name or f"v{vid}", hdeg, z.intdeg, kind, z,
                          family=family)
-        return DgAlgebra(self.base, self.variables + (var,),
-                         self.max_hdeg, self.max_intdeg)
+        ext = DgAlgebra(self.base, self.variables + (var,),
+                        self.max_hdeg, self.max_intdeg)
+        ext._dcache[:vid] = self._dcache
+        ext._interned = self._interned
+        return ext
 
     # --- minimality --------------------------------------------------------
 

@@ -507,12 +507,24 @@ def _verify_halperin(A, N, D):
         raise AdmissibilityError("halperin requires an ordinary ring")
     if N < 3:
         raise AdmissibilityError("bound too small: need max_hdeg >= 3")
-    eps = deviations(A, N, D).marginals()
-    some_zero = any(eps[t] == 0 for t in range(1, N + 1))
+    dev = deviations(A, N, D)
+    eps = dev.marginals()
+    zeros = [t for t in range(1, N + 1) if eps[t] == 0]
+    some_zero = bool(zeros)
     ci_pattern = all(eps[i] == 0 for i in range(3, N + 1))
-    comparisons = [{"some_eps_zero": some_zero, "ci_pattern": ci_pattern,
-                    "eps": eps[1:], "ok": some_zero == ci_pattern}]
-    return _report("halperin", comparisons, N, D)
+    row = {"some_eps_zero": some_zero, "ci_pattern": ci_pattern,
+           "eps": eps[1:], "ok": some_zero == ci_pattern}
+    # variables past internal degree D may fill a zero in a homological
+    # degree at or above one where the table reaches D
+    reach = min((h for (h, d), c in dev.table.items() if c and d == D),
+                default=None)
+    if not row["ok"] and reach is not None and zeros[0] >= reach:
+        row["zero_cut_at_D"] = True
+        return VerificationReport(
+            "halperin", "inconclusive-at-bound", [row], N, D,
+            [f"eps_t = 0 for t in {zeros} read from a table that reaches "
+             f"internal degree {D} in homological degree {reach}"])
+    return _report("halperin", [row], N, D)
 
 
 def _verify_uniqueness(A, N, D):

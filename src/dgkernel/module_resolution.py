@@ -217,17 +217,13 @@ class SemifreeResolution:
 
     def act_matrix(self, d, bidx, i, j):
         A = self.algebra
-        F = A.field
-        r = A.base_element(d, {bidx: F.one})
         cols = self.basis(i, j)
         pos = {lab: n for n, lab in enumerate(self.basis(i, j + d))}
         entries = {}
         for cidx, (g, akey) in enumerate(cols):
-            h, dg, _, _ = self.generators[g]
-            prod = A.multiply(r, DgElement(i - h, j - dg, {akey: F.one}))
-            for akey2, c in prod.terms.items():
+            for akey2, c in A._act_label(d, bidx, akey):
                 entries[(pos[(g, akey2)], cidx)] = c
-        return la.ExactMatrix(F, len(self.basis(i, j + d)), len(cols), entries)
+        return la.ExactMatrix(A.field, len(pos), len(cols), entries)
 
     # --- the comparison map -------------------------------------------------
 

@@ -422,3 +422,37 @@ MIXED_DIGESTS = {
 
 def test_mixed_degree_reports_match_frozen_digests(tmp_path, capsys):
     check_frozen_digests(tmp_path, capsys, MIXED_RINGS, MIXED_DIGESTS)
+
+
+# verify uniqueness runs its forward and reversed constructions on the
+# job's own DgAlgebra (its bounds are the job's), so they extend one
+# algebra side by side; a dgvar gives that algebra a variable of its own.
+UNIQUENESS_RINGS = dict(
+    MIXED_RINGS,
+    **{"dgvar-Q": "field Q\nbase x 1\nbase y 1\nrelation x^2\n"
+                  "relation y^2\ndgvar e 1 1 exterior x\nbounds 6 8\n"})
+
+UNIQUENESS_DIGESTS = {
+    "mixed-Q": [("verify --statement uniqueness", "d6bc6ce29471cf1f")],
+    "hdeg-F3": [("verify --statement uniqueness", "6f921bcbbaeff68b")],
+    "dgvar-Q": [("verify --statement uniqueness", "31e346c81faa27f6")],
+}
+
+
+def test_uniqueness_reports_match_frozen_digests(tmp_path, capsys):
+    check_frozen_digests(tmp_path, capsys, UNIQUENESS_RINGS,
+                         UNIQUENESS_DIGESTS)
+
+
+def test_reports_do_not_depend_on_earlier_jobs(tmp_path, capsys):
+    # nothing a job computes may outlive it and change a later report
+    ring = MIXED_RINGS["mixed-Q"]
+    reports = []
+    for task in ("acyclic-closure", "verify --statement uniqueness",
+                 "acyclic-closure"):
+        path = write_job(tmp_path, ring + f"task {task}\n")
+        jpath = tmp_path / "out.json"
+        assert run_cli([path, "--json", str(jpath)]) == 0
+        reports.append(jpath.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[2]

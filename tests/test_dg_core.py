@@ -7,7 +7,7 @@ import random
 import pytest
 
 from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
-                      EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
+                      DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
 from dgkernel import acyclic_closure
 from _fixtures import hypersurface, complete_intersection, golod
 
@@ -158,3 +158,22 @@ def test_is_minimal_on_closure():
 def test_monomial_rejects_non_normal_form(evens, odds):
     with pytest.raises(ValueError, match="not a normal-form monomial"):
         Monomial(evens, odds)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_sibling_extensions_keep_their_own_differential(order):
+    # e with d e = x and f with d f = y extend the same parent, so both new
+    # variables get id 0; each must keep its own differential
+    A = complete_intersection(QQ, N=4, D=4)
+    gens = [A.base_element(1, A.base.normal_form(1, exps))
+            for exps in ((1, 0), (0, 1))]
+    exts = {}
+    for k in order:
+        exts[k] = A.adjoin_variable(gens[k], EXTERIOR, name="ef"[k])
+        expected = {ib: c for (_, ib, _), c in gens[k].terms.items()}
+        assert exts[k].diff_matrix(1, 1).columns() == [expected]
+    for k in order:
+        fresh = DgAlgebra(A.base, exts[k].variables, 4, 4)
+        for i, j in ((1, 1), (1, 2), (1, 3)):
+            assert (exts[k].diff_matrix(i, j).entries
+                    == fresh.diff_matrix(i, j).entries), (k, i, j)

@@ -7,7 +7,10 @@ from dgkernel import (QQ, GF, EXTERIOR, CertificationError, BaseVariable,
                       acyclic_closure, model_over_cover)
 from dgkernel import homology as hml
 from dgkernel import exact_linear as la
-from dgkernel.module_resolution import PresentedModule, resolve_module
+from dgkernel import model_builder as mb
+from dgkernel.dg_core import DgElement, POLYNOMIAL
+from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
+                                        resolve_module)
 from _fixtures import hypersurface, ring_algebra
 
 
@@ -214,3 +217,159 @@ def test_generator_degree_action_matches_full_action(monkeypatch, construct,
     assert sum(len(ref) for ref, _ in stages) > 3
     for n, (ref, got) in enumerate(stages):
         assert got == ref, n
+
+
+# ---------------------------------------------------------------------------
+# The cached differential and the base-index action match the general
+# product and the Leibniz rule
+# ---------------------------------------------------------------------------
+
+def leibniz_reference(A, key):
+    """d of the basis label key = (jb, ib, m): write b*m as the product of
+    b, the powers v^e of its even variables and its odd variables, and
+    replace one factor at a time by its differential, with the Koszul
+    sign of the factors to its left, using the general product."""
+    jb, ib, mon = key
+    F = A.field
+    factors = [(A.base_element(jb, {ib: F.one}), None)]
+    for vid, e in mon.evens:
+        var = A.variables[vid]
+        lower = A.var_element(vid, e - 1) if e > 1 else A.one()
+        c = F.from_int(e) if var.kind == POLYNOMIAL else F.one
+        factors.append((A.var_element(vid, e),
+                        A.scale(c, A.multiply(var.boundary, lower))))
+    for vid in mon.odds:
+        factors.append((A.var_element(vid), A.variables[vid].boundary))
+    total = A.zero(sum(f.hdeg for f, _ in factors) - 1,
+                   sum(f.intdeg for f, _ in factors))
+    for k, (_, df) in enumerate(factors):
+        if df is None:
+            continue
+        term = A.one()
+        for f, _ in factors[:k]:
+            term = A.multiply(term, f)
+        if term.hdeg % 2:
+            df = A.scale(F.neg(F.one), df)
+        term = A.multiply(term, df)
+        for f, _ in factors[k + 1:]:
+            term = A.multiply(term, f)
+        total = A.add(total, term)
+    return total
+
+
+def reference_matrix(field, cols, rows, column):
+    """Matrix whose column for each label of cols is column(label), a list
+    of (row label, scalar) pairs that may repeat a row."""
+    pos = {lab: n for n, lab in enumerate(rows)}
+    entries = {}
+    for cidx, lab in enumerate(cols):
+        for r, c in column(lab):
+            key = (pos[r], cidx)
+            entries[key] = field.add(entries.get(key, field.zero), c)
+    return la.ExactMatrix(field, len(rows), len(cols), entries)
+
+
+def check_against_reference(built, n):
+    """diff_matrix and act_matrix of a model's algebra or a resolution, in
+    the slices stage n reads, against the general product and the Leibniz
+    rule on a fresh algebra with the same variables."""
+    A = built.algebra
+    plain = DgAlgebra(A.base, A.variables, A.max_hdeg, A.max_intdeg)
+    F = A.field
+    one = F.one
+    if isinstance(built, SemifreeResolution):
+        basis, diff, act = built.basis, built.diff_matrix, built.act_matrix
+        hmax, dmax = built.max_hdeg, built.max_intdeg
+
+        def label(i, j, lab):
+            g, akey = lab
+            h, d, _, _ = built.generators[g]
+            return g, DgElement(i - h, j - d, {akey: one})
+
+        def d_column(i, j):
+            def column(lab):
+                g, a = label(i, j, lab)
+                out = [((g, k), c) for k, c in
+                       leibniz_reference(plain, lab[1]).terms.items()]
+                sign = F.neg(one) if a.hdeg % 2 else one
+                for g2, e in built.generators[g][2].items():
+                    out += [((g2, k), F.mul(sign, c)) for k, c in
+                            plain.multiply(a, e).terms.items()]
+                return out
+            return column
+
+        def act_column(i, j, r):
+            def column(lab):
+                g, a = label(i, j, lab)
+                return [((g, k), c)
+                        for k, c in plain.multiply(r, a).terms.items()]
+            return column
+    else:
+        basis, diff, act = A.basis_of_bidegree, A.diff_matrix, A.act_matrix
+        hmax, dmax = A.max_hdeg, A.max_intdeg
+
+        def d_column(i, j):
+            return lambda key: leibniz_reference(plain, key).terms.items()
+
+        def act_column(i, j, r):
+            return lambda key: plain.multiply(
+                r, DgElement(i, j, {key: one})).terms.items()
+
+    checked = 0
+    for i in range(max(n - 1, 0), min(n + 1, hmax) + 1):
+        for j in range(dmax + 1):
+            cols = basis(i, j)
+            if i > 0 and cols:
+                ref = reference_matrix(F, cols, basis(i - 1, j),
+                                       d_column(i, j))
+                assert diff(i, j).entries == ref.entries, ("d", i, j)
+                checked += 1
+            for d in range(1, dmax - j + 1):
+                for bidx in A.base.a0_basis(d):
+                    r = plain.base_element(d, {bidx: one})
+                    ref = reference_matrix(F, cols, basis(i, j + d),
+                                           act_column(i, j, r))
+                    assert act(d, bidx, i, j).entries == ref.entries, \
+                        ("act", d, bidx, i, j)
+    return checked
+
+
+def minimal_model_switch_2(field, algebra):
+    return lambda: mb.build_model(mb.residue_field_spec(
+        algebra(field, 5, 8), 5, 8, switching_degree=2))
+
+
+def minimal_model_of_k(field, algebra):
+    return lambda: mb.minimal_model(algebra(field, 5, 8), 5, 8)
+
+
+@pytest.mark.parametrize("construct", [
+    lambda: closure(QQ, mixed_degree_algebra)(False),
+    lambda: closure(GF(3), hdeg_two_algebra)(False),
+    minimal_model_switch_2(GF(3), mixed_degree_algebra),
+    minimal_model_switch_2(QQ, hdeg_two_algebra),
+    minimal_model_of_k(QQ, mixed_degree_algebra),
+    minimal_model_of_k(GF(3), mixed_degree_algebra),
+    lambda: betti_of(GF(3), mixed_degree_algebra)(False),
+    lambda: betti_of(QQ, hdeg_two_algebra)(False),
+    lambda: betti_of(QQ, mixed_degree_algebra, cyclic={(1, 0, 0): 1})(False),
+    lambda: betti_of(GF(3), hdeg_two_algebra, cyclic={(1, 0, 0): 1})(False),
+    lambda: over_cover(QQ, mixed_degree_algebra)(False),
+    lambda: over_cover(GF(3), hdeg_two_algebra)(False),
+], ids=["closure-Q", "hdeg2-closure-F3", "switch2-F3", "hdeg2-switch2-Q",
+        "minimal-Q", "minimal-F3", "betti-F3", "hdeg2-betti-Q",
+        "cyclic-x-Q", "hdeg2-cyclic-x-F3", "cover-Q", "hdeg2-cover-F3"])
+def test_cached_differential_and_action_match_general_product(monkeypatch,
+                                                              construct):
+    kill_homology = hml.kill_homology
+    checked = []
+
+    def checked_kill(built, target, n, hmax, dmax, reverse=False):
+        checked.append(check_against_reference(built, n))
+        out = kill_homology(built, target, n, hmax, dmax, reverse=reverse)
+        checked.append(check_against_reference(out, n + 1))
+        return out
+
+    monkeypatch.setattr(hml, "kill_homology", checked_kill)
+    construct()
+    assert sum(checked) > 10

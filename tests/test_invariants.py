@@ -186,6 +186,42 @@ def test_vanishing_pattern_fails_only_below_the_bound(monkeypatch, table,
     assert inv.verify("vanishing-pattern", A, 5, 8).verdict == verdict
 
 
+def test_halperin_zero_cut_at_internal_bound():
+    # eps_5 = eps_6 = 0 only because their variables have internal
+    # degree > 10: at D = 16 the marginals are 3 3 2 3 6 8
+    A = ring_algebra(QQ, [("x", 1), ("y", 2), ("w", 3)],
+                     [{(2, 1, 0): 1, (1, 0, 1): -1}, {(0, 3, 0): 1},
+                      {(1, 0, 1): 1, (0, 2, 0): -1}], 6, 10)
+    report = inv.verify("halperin", A, 6, 10)
+    assert report.verdict == "inconclusive-at-bound"
+    assert report.comparisons == [{
+        "some_eps_zero": True, "ci_pattern": False,
+        "eps": [3, 3, 2, 2, 0, 0], "ok": False, "zero_cut_at_D": True}]
+    assert any("internal degree 10 in homological degree 4" in n
+               for n in report.notes)
+
+
+@pytest.mark.parametrize("make", [complete_intersection, golod])
+def test_halperin_passes_at_small_bounds(make):
+    report = inv.verify("halperin", make(QQ, N=5, D=6), 5, 6)
+    assert report.verdict == "pass", report.comparisons
+    assert report.notes == []
+
+
+@pytest.mark.parametrize("table,verdict", [
+    ({(1, 1): 2, (2, 2): 1, (4, 4): 1}, "fail"),
+    ({(1, 1): 2, (2, 2): 1, (4, 8): 1}, "fail"),
+    ({(1, 1): 2, (2, 8): 1, (4, 8): 1}, "inconclusive-at-bound"),
+])
+def test_halperin_fails_only_below_the_bound(monkeypatch, table, verdict):
+    # eps_3 = 0 with eps_4 > 0: the zero decides, and it is certified
+    # unless the table reaches D = 8 at or below homological degree 3
+    monkeypatch.setattr(inv, "deviations", lambda A, N, D: (
+        inv.DeviationTable(table, N, D)))
+    A = complete_intersection(QQ, N=5, D=8)
+    assert inv.verify("halperin", A, 5, 8).verdict == verdict
+
+
 def test_verify_koszul_shift_needs_h0_k():
     A = hypersurface(QQ, N=6, D=8)
     with pytest.raises(AdmissibilityError):

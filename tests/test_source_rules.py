@@ -2,17 +2,51 @@
 
 import ast
 import pathlib
+import re
 
 import dgkernel
 
 
+ROOT = pathlib.Path(dgkernel.__file__).parent
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+
+
+def modules():
+    for path in sorted(ROOT.glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def test_no_assert_statements_in_package():
     # runtime checks must survive python -O, which strips assert
-    root = pathlib.Path(dgkernel.__file__).parent
     found = []
-    for path in sorted(root.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
-    assert root.joinpath("dg_core.py").exists()
+    assert ROOT.joinpath("dg_core.py").exists()
+    assert not found, found
+
+
+def test_no_module_level_mutable_state():
+    # caches live on the objects they belong to (the differential cache on
+    # a DgAlgebra's chain), never in a module-level container that one job
+    # leaves behind for the next; UPPER_CASE names are read-only tables
+    found = []
+    for path, tree in modules():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if not isinstance(node.value, CONTAINERS):
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and not re.fullmatch(r"[A-Z][A-Z0-9_]*", name.id)
+                            and not re.fullmatch(r"__\w+__", name.id)):
+                        found.append(f"{path.name}:{node.lineno} {name.id}")
     assert not found, found
