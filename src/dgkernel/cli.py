@@ -303,7 +303,7 @@ def _validate_job(job):
     degs = {name: (intdeg, hdeg)
             for name, intdeg, hdeg, _ in job.base_vars}
     job.parsed_relations = []
-    for expr, n in job.relations:
+    for rel_no, (expr, n) in enumerate(job.relations):
         poly = _terms_to_poly(parse_expression(expr, n, names), field, n)
         idegs = set()
         hdegs = set()
@@ -312,6 +312,10 @@ def _validate_job(job):
             hdegs.add(sum(e * degs[names[k]][1] for k, e in enumerate(exps)))
         if len(idegs) != 1 or len(hdegs) != 1:
             raise JobError(f"non-homogeneous relation {expr!r}", n)
+        (d,) = idegs
+        if d < 2:
+            raise JobError(f"relation #{rel_no} has internal degree {d} < 2",
+                           n)
         job.parsed_relations.append(poly)
     for name, hdeg, intdeg, kind, _, n in job.dgvars:
         if name in names:
@@ -534,7 +538,10 @@ def _parse_module(A, spec_text, job):
         for expr in spec_text[len("cyclic:"):].split(","):
             terms = parse_expression(expr, line, base_names)
             rels.append({0: _terms_to_poly(terms, A.field, line)})
-        return PresentedModule(A, gens=[0], relations=rels)
+        try:
+            return PresentedModule(A, gens=[0], relations=rels)
+        except (BoundExceededError, ValueError) as e:
+            raise JobError(str(e), line)
     raise JobError("--module takes residue-field or cyclic:<expr>[,...]",
                    line)
 

@@ -20,8 +20,7 @@ class BigradedComplex:
     basis_fn(i, j) -> ordered list of labels, diff_fn(i, j) -> ExactMatrix
     from slice (i, j) to (i-1, j), or diff_fn None for the zero
     differential.  Valid for hmin <= i <= hmax and 0 <= j <= dmax; outside
-    that range dimensions read as 0 but homology at the boundary is
-    flagged incomplete.
+    that range dimensions read as 0.
     """
 
     def __init__(self, field, basis_fn, diff_fn, hmin, hmax, dmax):
@@ -33,6 +32,7 @@ class BigradedComplex:
         self.dmax = dmax
         self._bases = {}
         self._diffs = {}
+        self._ranks = {}
 
     def basis(self, i, j):
         if not (self.hmin <= i <= self.hmax and 0 <= j <= self.dmax):
@@ -60,6 +60,13 @@ class BigradedComplex:
                         f"{M.rows}x{M.cols}, expected {m}x{n}")
             self._diffs[key] = M
         return self._diffs[key]
+
+    def rank(self, i, j):
+        """Rank of the differential out of slice (i, j)."""
+        key = (i, j)
+        if key not in self._ranks:
+            self._ranks[key] = la.rank_and_pivots(self.diff(i, j))[0]
+        return self._ranks[key]
 
     def check_dd_zero(self, i, j):
         return self.diff(i - 1, j).matmul(self.diff(i, j)).is_zero()
@@ -126,36 +133,26 @@ def cone(f):
         min(C.hmin + 1, D.hmin), min(C.hmax + 1, D.hmax), min(C.dmax, D.dmax))
 
 
-class HomologyClassSet:
-    """Homology of one bidegree slice: dimension plus representative cycles
-    (coordinate columns).  complete is False when the boundary space could
-    be cut off by the homological bound."""
-
-    __slots__ = ("hdeg", "intdeg", "dim", "reps", "complete")
-
-    def __init__(self, hdeg, intdeg, dim, reps, complete):
-        self.hdeg = hdeg
-        self.intdeg = intdeg
-        self.dim = dim
-        self.reps = reps
-        self.complete = complete
-
-    def __repr__(self):
-        return (f"HomologyClassSet(({self.hdeg},{self.intdeg}), dim={self.dim}, "
-                f"complete={self.complete})")
-
-
 def homology(C, i, j):
-    """H_i of C in internal degree j.  Raises CertificationError when the
-    differential into slice (i, j) does not square to zero there."""
+    """dim H_i of C in internal degree j: dim C_(i,j) - rank d_i - rank
+    d_(i+1).  Raises CertificationError when the differential into slice
+    (i, j) does not square to zero there."""
     if not C.check_dd_zero(i + 1, j):
         raise CertificationError(
             f"d o d != 0 from bidegree ({i + 1},{j}) to ({i - 1},{j})")
-    zcols = la.kernel_basis(C.diff(i, j)).columns()
-    bcols = C.diff(i + 1, j).columns()
-    sel = la.pick_new_generators(C.field, C.dim(i, j), bcols, zcols)
-    reps = [zcols[k] for k in sel]
-    return HomologyClassSet(i, j, len(reps), reps, i + 1 <= C.hmax)
+    return C.dim(i, j) - C.rank(i, j) - C.rank(i + 1, j)
+
+
+def first_nonzero_homology(C, hdegs, dmax):
+    """The first (i, j), for i in hdegs and then 0 <= j <= dmax, with
+    H_i of C nonzero in internal degree j, or None.  On the cone of a
+    comparison map q (cone_of) this is the exactness certificate: None
+    over hdegs 0..n means H_i(q) is bijective for i < n and onto at n."""
+    for i in hdegs:
+        for j in range(dmax + 1):
+            if homology(C, i, j):
+                return i, j
+    return None
 
 
 def minimal_generators(C, i, actions, dmax=None, reverse=False):

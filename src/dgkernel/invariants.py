@@ -202,16 +202,15 @@ def embedding_dimension_h0(A):
     return _embedding_dimension(A, A.max_intdeg, boundaries)
 
 
+def _top_homology(C, N, D):
+    """max{i < N : H_i(C) != 0 in some internal degree <= D}, or -1."""
+    return max((i for i in range(N) if hml.first_nonzero_homology(C, [i], D)),
+               default=-1)
+
+
 def homology_top(A):
-    """max{i <= N : H_i(A) != 0 within the internal bound}, or -1."""
-    C = hml.algebra_complex(A)
-    top = -1
-    for i in range(A.max_hdeg):
-        for j in range(A.max_intdeg + 1):
-            if hml.homology(C, i, j).dim > 0:
-                top = max(top, i)
-                break
-    return top
+    """max{i < N : H_i(A) != 0 within the internal bound}, or -1."""
+    return _top_homology(hml.algebra_complex(A), A.max_hdeg, A.max_intdeg)
 
 
 def is_ring_algebra(A):
@@ -613,10 +612,7 @@ def _verify_fiber_boundedness(A, N, D):
     stages = sorted({v.hdeg for v in model.adjoined_variables()})
     comparisons = []
     for i in [0] + stages:
-        C = _fiber_complex(model, i)
-        tops = [n for n in range(N) if any(
-            hml.homology(C, n, j).dim > 0 for j in range(D + 1))]
-        top = max(tops, default=-1)
+        top = _top_homology(_fiber_complex(model, i), N, D)
         comparisons.append({"stage": i, "top_nonzero_homology": top,
                             "ok": top < N - 1})
     return _report("fiber-boundedness", comparisons, N, D)

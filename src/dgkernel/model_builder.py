@@ -181,13 +181,10 @@ class Model:
         """Exactness of the cone in homological degrees 0..through (so
         H_i(q) is an isomorphism for i < through and surjective at it)."""
         through = self.max_hdeg - 1 if through_hdeg is None else through_hdeg
-        C = hml.cone_of(self, self.spec.target, self.max_hdeg,
-                        self.max_intdeg)
-        for i in range(0, through + 1):
-            for j in range(self.max_intdeg + 1):
-                if hml.homology(C, i, j).dim != 0:
-                    return False, (i, j)
-        return True, None
+        bad = hml.first_nonzero_homology(
+            hml.cone_of(self, self.spec.target, self.max_hdeg,
+                        self.max_intdeg), range(through + 1), self.max_intdeg)
+        return bad is None, bad
 
     def free_rank_table(self):
         """Ranks of the underlying free module over the source: monomials
@@ -305,11 +302,12 @@ def build_model(spec, reverse=False):
     N, D = spec.max_hdeg, spec.max_intdeg
     model = Model(spec, U, dict(spec.var_images), len(U.variables))
 
-    C = hml.cone_of(model, spec.target, N + 1, D)
-    for j in range(D + 1):
-        if hml.homology(C, 0, j).dim != 0:
-            raise AdmissibilityError(
-                f"H0 of the map is not surjective (cone H0 nonzero at intdeg {j})")
+    bad = hml.first_nonzero_homology(
+        hml.cone_of(model, spec.target, N + 1, D), [0], D)
+    if bad is not None:
+        raise AdmissibilityError(
+            "H0 of the map is not surjective (cone H0 nonzero at intdeg "
+            f"{bad[1]})")
 
     for n in range(1, N + 1):
         model = hml.kill_homology(model, spec.target, n, N + 1, D,

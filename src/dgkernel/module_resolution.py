@@ -286,13 +286,10 @@ class SemifreeResolution:
 
     def check_resolves(self, through_hdeg):
         """Cone of q is exact in homological degrees <= through_hdeg."""
-        C = hml.cone_of(self, self.module, self.max_hdeg + 1,
-                        self.max_intdeg)
-        for i in range(self.module.hmin, through_hdeg + 1):
-            for j in range(self.max_intdeg + 1):
-                if hml.homology(C, i, j).dim != 0:
-                    return False, (i, j)
-        return True, None
+        bad = hml.first_nonzero_homology(
+            hml.cone_of(self, self.module, self.max_hdeg + 1, self.max_intdeg),
+            range(self.module.hmin, through_hdeg + 1), self.max_intdeg)
+        return bad is None, bad
 
 
 def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):

@@ -171,6 +171,16 @@ def test_cyclic_module_error_names_the_task_line(tmp_path, capsys):
     path = write_job(tmp_path, HYP.format(task="betti --module cyclic:q"))
     assert run_cli([path]) == 1
     assert "unknown name 'q' at line 5, column 1" in capsys.readouterr().err
+    # relations the module itself rejects: not homogeneous, above the
+    # internal bound, zero in the ring
+    ring = "field Q\nbase x 1\nbase y 1\nrelation x^2\nbounds 3 3\n"
+    for spec, message in [("x+x^2", "non-homogeneous polynomial"),
+                          ("x,y^4", "internal degree 4 outside [0, 3]"),
+                          ("x^3", "relation #0 is zero")]:
+        path = write_job(tmp_path,
+                         ring + f"task betti --module cyclic:{spec}\n")
+        assert run_cli([path]) == 1, spec
+        assert capsys.readouterr().err == f"error: {message} at line 6\n"
 
 
 def test_dg_variable_job(tmp_path, capsys):
@@ -209,6 +219,13 @@ def test_relation_homogeneity_checked_after_cancellation(tmp_path, capsys,
     path = write_job(tmp_path, job.replace("x^2", relation))
     assert run_cli([path]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_relation_of_internal_degree_one_positioned(tmp_path, capsys):
+    job = HYP.format(task="deviations").replace("x^2", "x")
+    assert run_cli([write_job(tmp_path, job)]) == 1
+    assert capsys.readouterr().err == \
+        "error: relation #0 has internal degree 1 < 2 at line 3\n"
 
 
 def test_relation_cancelling_to_zero_positioned(tmp_path, capsys):
@@ -442,6 +459,23 @@ UNIQUENESS_DIGESTS = {
 def test_uniqueness_reports_match_frozen_digests(tmp_path, capsys):
     check_frozen_digests(tmp_path, capsys, UNIQUENESS_RINGS,
                          UNIQUENESS_DIGESTS)
+
+
+# Reports whose numbers come from homology dimensions outside the model
+# and resolution drivers: the top nonzero homology of hdeg-F3 (classify,
+# vanishing-pattern, fiber-boundedness), and the cone certificate over an
+# algebra with a variable of its own.
+HOMOLOGY_DIGESTS = {
+    "hdeg-F3": [("classify", "7e2b3046a27211df"),
+                ("verify --statement vanishing-pattern", "e63ae1075867d11d"),
+                ("verify --statement fiber-boundedness", "66ca498d26d46e9c")],
+    "dgvar-Q": [("acyclic-closure", "8d2c7ae189be18d9")],
+}
+
+
+def test_homology_reports_match_frozen_digests(tmp_path, capsys):
+    check_frozen_digests(tmp_path, capsys, UNIQUENESS_RINGS,
+                         HOMOLOGY_DIGESTS)
 
 
 def test_reports_do_not_depend_on_earlier_jobs(tmp_path, capsys):

@@ -1,26 +1,29 @@
 """Bigraded complexes, cones, homology, and Nakayama generator picks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dgkernel import (QQ, GF, EXTERIOR, CertificationError, BaseVariable,
-                      BasePresentation, TruncatedBase, DgAlgebra,
-                      acyclic_closure, model_over_cover)
+from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError,
+                      CertificationError, BaseVariable, BasePresentation,
+                      TruncatedBase, DgAlgebra, acyclic_closure,
+                      model_over_cover)
 from dgkernel import homology as hml
 from dgkernel import exact_linear as la
 from dgkernel import model_builder as mb
 from dgkernel.dg_core import DgElement, POLYNOMIAL
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
                                         resolve_module)
-from _fixtures import hypersurface, ring_algebra
+from _fixtures import (complete_intersection, golod, hypersurface,
+                       ring_algebra)
 
 
 def test_ring_complex_homology_is_the_ring():
     A = hypersurface(QQ, N=4, D=4)
     C = hml.algebra_complex(A)
-    assert hml.homology(C, 0, 0).dim == 1
-    assert hml.homology(C, 0, 1).dim == 1
-    assert hml.homology(C, 1, 1).dim == 0
-    assert hml.homology(C, 2, 2).dim == 0
+    assert hml.homology(C, 0, 0) == 1
+    assert hml.homology(C, 0, 1) == 1
+    assert hml.homology(C, 1, 1) == 0
+    assert hml.homology(C, 2, 2) == 0
 
 
 def test_koszul_on_hypersurface_has_h1():
@@ -29,10 +32,10 @@ def test_koszul_on_hypersurface_has_h1():
     K = A.adjoin_variable(x, EXTERIOR, name="e")
     C = hml.algebra_complex(K)
     # H_0 = k, H_1 = k*(x e) in internal degree 2
-    assert hml.homology(C, 0, 0).dim == 1
-    assert hml.homology(C, 0, 1).dim == 0
-    assert hml.homology(C, 1, 2).dim == 1
-    assert hml.homology(C, 1, 1).dim == 0
+    assert hml.homology(C, 0, 0) == 1
+    assert hml.homology(C, 0, 1) == 0
+    assert hml.homology(C, 1, 2) == 1
+    assert hml.homology(C, 1, 1) == 0
 
 
 def test_koszul_on_regular_element_is_exact():
@@ -43,7 +46,7 @@ def test_koszul_on_regular_element_is_exact():
     # x is a nonzerodivisor until degree 4, so H_1 vanishes below the
     # truncation-induced top
     for j in range(5):
-        assert hml.homology(C, 1, j).dim == 0
+        assert hml.homology(C, 1, j) == 0
 
 
 def test_cone_of_identity_is_exact():
@@ -54,24 +57,7 @@ def test_cone_of_identity_is_exact():
     cone = hml.cone(f)
     for i in range(4):
         for j in range(5):
-            assert hml.homology(cone, i, j).dim == 0
-
-
-def test_homology_reps_are_cycles():
-    A = hypersurface(QQ, N=6, D=6)
-    x = A.base_element(1, A.base.normal_form(1, (1,)))
-    K = A.adjoin_variable(x, EXTERIOR, name="e")
-    C = hml.algebra_complex(K)
-    h = hml.homology(C, 1, 2)
-    reps = la.ExactMatrix.from_columns(QQ, C.dim(1, 2), h.reps)
-    assert C.diff(1, 2).matmul(reps).is_zero()
-
-
-def test_completeness_flag_at_top_degree():
-    A = hypersurface(QQ, N=3, D=6)
-    C = hml.algebra_complex(A)
-    assert hml.homology(C, 1, 1).complete
-    assert not hml.homology(C, C.hmax, 1).complete
+            assert hml.homology(cone, i, j) == 0
 
 
 def test_dd_zero_across_grid():
@@ -373,3 +359,135 @@ def test_cached_differential_and_action_match_general_product(monkeypatch,
     monkeypatch.setattr(hml, "kill_homology", checked_kill)
     construct()
     assert sum(checked) > 10
+
+
+# ---------------------------------------------------------------------------
+# homology is a dimension read from ranks; the cone certificate
+# ---------------------------------------------------------------------------
+
+def reference_homology(C, i, j):
+    """dim H_i in internal degree j as the number of kernel columns of d_i
+    that a generator pick keeps modulo the columns of d_(i+1)."""
+    Z = la.kernel_basis(C.diff(i, j)).columns()
+    return len(la.pick_new_generators(C.field, C.dim(i, j),
+                                      C.diff(i + 1, j).columns(), Z))
+
+
+KOSZUL_RINGS = {"hypersurface": hypersurface,
+                "complete-intersection": complete_intersection,
+                "golod": golod, "mixed-degree": mixed_degree_algebra,
+                "hdeg-two": hdeg_two_algebra}
+
+
+@st.composite
+def koszul_inputs(draw):
+    """A fixture ring over Q or F_3 at (4, 5) and one or two random base
+    elements (intdeg, {basis index: scalar}) of its maximal ideal."""
+    F = draw(st.sampled_from([QQ, GF(3)]))
+    A = KOSZUL_RINGS[draw(st.sampled_from(sorted(KOSZUL_RINGS)))](F, 4, 5)
+    elements = []
+    for _ in range(draw(st.integers(1, 2))):
+        j = draw(st.integers(1, 3))
+        elements.append((j, {b: F.from_int(draw(st.integers(-2, 2)))
+                             for b in A.base.a0_basis(j)}))
+    return A, elements
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(koszul_inputs())
+def test_homology_matches_kernel_and_pick_on_koszul_complexes(inputs):
+    A, elements = inputs
+    C = hml.algebra_complex(mb.koszul_complex(A, elements))
+    for i in range(C.hmax + 1):
+        for j in range(C.dmax + 1):
+            assert hml.homology(C, i, j) == reference_homology(C, i, j), \
+                (i, j)
+
+
+@pytest.mark.parametrize("construct", [
+    closure(QQ, mixed_degree_algebra),
+    closure(GF(3), hdeg_two_algebra),
+    betti_of(GF(3), mixed_degree_algebra),
+    betti_of(QQ, hdeg_two_algebra, cyclic={(1, 0, 0): 1}),
+    over_cover(QQ, mixed_degree_algebra),
+], ids=["closure-Q", "hdeg2-closure-F3", "betti-F3", "hdeg2-cyclic-x-Q",
+        "cover-Q"])
+def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
+                                                         construct):
+    kill_homology = hml.kill_homology
+    checked = []
+
+    def checked_kill(built, target, n, hmax, dmax, reverse=False):
+        C = hml.cone_of(built, target, hmax, dmax)
+        for i in range(max(C.hmin, n - 1), min(n + 1, C.hmax) + 1):
+            for j in range(dmax + 1):
+                got = hml.homology(C, i, j)
+                assert got == reference_homology(C, i, j), (n, i, j)
+                checked.append(got)
+        return kill_homology(built, target, n, hmax, dmax, reverse=reverse)
+
+    monkeypatch.setattr(hml, "kill_homology", checked_kill)
+    construct(False)
+    assert any(checked)
+
+
+def closure_through(A, N, D, last):
+    """The acyclic closure of k over A built through stage last only."""
+    spec = mb.residue_field_spec(A, N, D)
+    model = mb.Model(spec, A, dict(spec.var_images), len(A.variables))
+    for n in range(1, last + 1):
+        model = hml.kill_homology(model, spec.target, n, N + 1, D)
+    return model
+
+
+def resolution_through(A, N, D, last):
+    """The minimal resolution of k over A built through stage last only."""
+    M = hml.ResidueField(A.field)
+    res = SemifreeResolution(A, M, N, D)
+    for n in range(last + 1):
+        res = hml.kill_homology(res, M, n, N + 1, D)
+    return res
+
+
+# The first bidegree at which the cone is not exact, frozen from the
+# separate cone loops that first_nonzero_homology replaced.
+@pytest.mark.parametrize("algebra, closure_at, resolution_at", [
+    (lambda: golod(QQ, 5, 8), (4, 4), (4, 4)),
+    (lambda: complete_intersection(GF(3), 5, 8), (2, 2), (4, 4)),
+    (lambda: mixed_degree_algebra(QQ, 5, 8), (3, 8), (4, 7)),
+    (lambda: hdeg_two_algebra(GF(3), 5, 8), (3, 2), (4, 4)),
+], ids=["golod-Q", "ci-F3", "mixed-Q", "hdeg2-F3"])
+def test_cone_certificate_names_the_frozen_witness(algebra, closure_at,
+                                                   resolution_at):
+    # stop each construction one stage before the last stage below N = 5
+    # that adds a variable or a generator
+    A = algebra()
+    closure_stop = max(v.hdeg for v in acyclic_closure(A, 5, 8)
+                       .adjoined_variables() if v.hdeg < 5)
+    model = closure_through(algebra(), 5, 8, closure_stop - 1)
+    assert model.check_quasi_iso() == (False, closure_at)
+    resolution_stop = max(h for h, _, _, _ in resolve_module(
+        A, hml.ResidueField(A.field), 5, 8).generators if h < 5)
+    res = resolution_through(algebra(), 5, 8, resolution_stop - 1)
+    assert res.check_resolves(4) == (False, resolution_at)
+
+
+def test_cone_certificate_scans_homological_degree_first():
+    # after stage 1 the cone has homology in degrees 2 and 3, at (3, 2)
+    # below the internal degree of (2, 5)
+    model = closure_through(hdeg_two_algebra(GF(3), 5, 8), 5, 8, 1)
+    assert model.check_quasi_iso() == (False, (2, 5))
+
+
+class UnitToZero(hml.ResidueField):
+    """k as a target that the unit of the source does not reach."""
+
+    def base_image(self, jb, ib):
+        return hml.TargetElement(0, jb)
+
+
+def test_build_model_rejects_a_map_not_onto_h0():
+    spec = mb.ModelSpec(golod(QQ, 3, 4), UnitToZero(QQ), 0, 3, 4, {})
+    with pytest.raises(AdmissibilityError, match=r"^H0 of the map is not "
+                       r"surjective \(cone H0 nonzero at intdeg 0\)$"):
+        mb.build_model(spec)
