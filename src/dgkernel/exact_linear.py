@@ -6,7 +6,10 @@ a quotient over an exact field.  All of it runs on one engine: a basis
 of columns (dicts row -> scalar) keyed by pivot row, in which every
 column is 1 at its own pivot row and 0 at every other pivot row.
 _reduce brings a column to 0 at every pivot row in one pass; _insert
-adds a reduced nonzero column, pivoting on its largest row.
+adds a reduced nonzero column, pivoting on its largest row.  Beside the
+basis the engine keeps an index from each non-pivot row to the pivots
+of the basis columns nonzero there, so _insert back-substitutes into
+exactly the columns that need it.
 
 Every public answer is canonical: pivot columns are the greedy
 independent columns, kernel vectors are 1 at their own dependent column
@@ -121,31 +124,49 @@ def _reduce(F, basis, col):
     return col
 
 
-def _insert(F, basis, col):
+def _insert(F, basis, index, col):
     """Add a reduced nonzero column to basis.  It pivots on its largest
     row, is scaled to 1 there, and that row is cleared from every other
-    basis column, so each basis column keeps its largest row as pivot."""
+    basis column, so each basis column keeps its largest row as pivot.
+    index maps each non-pivot row r to the set of pivots q with
+    basis[q][r] != 0; the columns to clear are index.pop(p), and the
+    index follows every entry that appears or vanishes."""
     p = max(col)
     inv = F.inv(col[p])
     col = {r: F.mul(inv, v) for r, v in col.items()}
-    for other in basis.values():
-        f = other.get(p)
-        if f is not None:
-            _subtract(F, other, f, col)
+    zero = F.zero
+    for q in index.pop(p, ()):
+        other = basis[q]
+        f = other.pop(p)
+        for r, v in col.items():
+            if r == p:
+                continue
+            s = F.sub(other.get(r, zero), F.mul(f, v))
+            if F.is_zero(s):
+                del other[r]
+                index[r].discard(q)
+            else:
+                if r not in other:
+                    index.setdefault(r, set()).add(q)
+                other[r] = s
+    for r in col:
+        if r != p:
+            index.setdefault(r, set()).add(p)
     basis[p] = col
 
 
 def _echelon(F, nrows, cols):
     """A basis, as above, of the span of cols (dicts, left as they are)
-    in F^nrows."""
+    in F^nrows, with its index."""
     basis = {}
+    index = {}
     for col in cols:
         if len(basis) == nrows:
             break
         col = _reduce(F, basis, dict(col))
         if col:
-            _insert(F, basis, col)
-    return basis
+            _insert(F, basis, index, col)
+    return basis, index
 
 
 def rank_and_pivots(M):
@@ -153,12 +174,13 @@ def rank_and_pivots(M):
     their left."""
     F = M.field
     basis = {}
+    index = {}
     pivots = []
     for c, col in enumerate(M.columns()):
         if len(basis) == M.rows:
             break
         if _reduce(F, basis, col):
-            _insert(F, basis, col)
+            _insert(F, basis, index, col)
             pivots.append(c)
     return len(pivots), pivots
 
@@ -171,13 +193,14 @@ def kernel_basis(M):
     reduces to tag rows only spells out its kernel vector."""
     F = M.field
     basis = {}
+    index = {}
     entries = {}
     n = 0
     for c, col in enumerate(M.columns()):
         col[-1 - c] = F.one
         _reduce(F, basis, col)
         if max(col) >= 0:
-            _insert(F, basis, col)
+            _insert(F, basis, index, col)
             continue
         entries[(c, n)] = F.one
         for r in sorted(col, reverse=True):
@@ -192,7 +215,7 @@ def pick_new_generators(field, nrows, base_cols, cand_cols, reverse=False):
     of base_cols, all of length nrows.  Returns the list of selected
     candidate indices, in the deterministic processing order (ascending,
     or descending if reverse)."""
-    basis = _echelon(field, nrows, base_cols)
+    basis, index = _echelon(field, nrows, base_cols)
     order = range(len(cand_cols))
     sel = []
     for k in (reversed(order) if reverse else order):
@@ -200,7 +223,7 @@ def pick_new_generators(field, nrows, base_cols, cand_cols, reverse=False):
             break
         col = _reduce(field, basis, dict(cand_cols[k]))
         if col:
-            _insert(field, basis, col)
+            _insert(field, basis, index, col)
             sel.append(k)
     return sel
 
@@ -214,7 +237,7 @@ def quotient(field, nrows, span):
     normal_forms[r] gives the class of unit vector r as coordinates over
     keep ({index into keep: scalar}); for a pivot row r it is minus the
     rest of basis column r."""
-    basis = _echelon(field, nrows, span)
+    basis, _ = _echelon(field, nrows, span)
     keep = [r for r in range(nrows) if r not in basis]
     pos = {r: n for n, r in enumerate(keep)}
     normal_forms = []

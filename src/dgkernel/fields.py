@@ -1,8 +1,9 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Scalars are plain Python objects (Fraction for Q, reduced ints for F_p);
-the field object supplies the arithmetic so the linear algebra and all
-algebra layers stay field-agnostic.
+Scalars are plain Python objects: for Q an int when the value is
+integral and a Fraction otherwise, for F_p reduced ints.  The field
+object supplies the arithmetic so the linear algebra and all algebra
+layers stay field-agnostic.
 """
 
 from fractions import Fraction
@@ -19,40 +20,53 @@ def _is_prime(p):
     return True
 
 
+def _q(x):
+    """x as an int when it is integral; otherwise the Fraction x."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 class RationalField:
-    """Arbitrary-precision rationals, always in lowest terms."""
+    """Arbitrary-precision rationals, always in lowest terms.
+
+    An integral scalar is an int: ints and Fractions compare and hash
+    equal, so this only skips Fraction arithmetic where it is not needed.
+    """
 
     characteristic = 0
     name = "Q"
 
     def __call__(self, n, d=1):
-        return Fraction(n, d)
+        return _q(Fraction(n, d))
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
+    # add, sub and mul inline _q: they are the engine's inner loop
     def add(self, a, b):
-        return a + b
+        s = a + b
+        return s if s.__class__ is int or s.denominator != 1 else s.numerator
 
     def sub(self, a, b):
-        return a - b
+        s = a - b
+        return s if s.__class__ is int or s.denominator != 1 else s.numerator
 
     def mul(self, a, b):
-        return a * b
+        s = a * b
+        return s if s.__class__ is int or s.denominator != 1 else s.numerator
 
     def neg(self, a):
-        return -a
+        return _q(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _q(1 / Fraction(a))
 
     def div(self, a, b):
-        return Fraction(a) / b
+        return _q(Fraction(a) / b)
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def is_zero(self, a):
         return a == 0

@@ -260,7 +260,9 @@ class SemifreeResolution:
         new = [(n, j, self.coords_to_components(n - 1, j, x), t)
                for j, x, t in stage]
         self.generators.extend(new)
-        self._bases.clear()
+        # a basis of homological degree < n has no label on the new
+        # generators, so only the slices of degree >= n are stale
+        self._bases = {k: v for k, v in self._bases.items() if k[0] < n}
         return self
 
     # --- reporting -----------------------------------------------------------

@@ -293,6 +293,29 @@ def test_verify_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert run_cli([path]) == 3
 
 
+@pytest.mark.parametrize("N, verdict, cut", [
+    (3, "inconclusive-at-bound", True),
+    (4, "inconclusive-at-bound", True),
+    (5, "pass", False)])
+def test_fiber_boundedness_homology_at_the_bound(tmp_path, capsys, N,
+                                                 verdict, cut):
+    # the stage-0 fiber of Q[x,y,z]/(x^2,y^2,z^2) has homology up to the
+    # codimension 3; below N = 5 the box holds no trailing window past it
+    path = write_job(tmp_path, "field Q\nbase x 1\nbase y 1\nbase z 1\n"
+                     "relation x^2\nrelation y^2\nrelation z^2\n"
+                     f"bounds {N} 6\ntask verify --statement "
+                     "fiber-boundedness\n")
+    jpath = tmp_path / "out.json"
+    assert run_cli([path, "--json", str(jpath)]) == 0
+    report = json.loads(jpath.read_text())["report"]
+    assert report["verdict"] == verdict
+    stage0 = report["comparisons"][0]
+    assert stage0["stage"] == 0
+    assert stage0["top_nonzero_homology"] == min(3, N - 1)
+    assert stage0.get("window_cut_at_N", False) == cut
+    assert len(report["notes"]) == int(cut)
+
+
 def test_certification_error_exit_code(tmp_path, capsys, monkeypatch):
     # a resolution that fails its minimality certificate is reported with
     # exit 3 and a message, not a traceback

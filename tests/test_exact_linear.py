@@ -221,3 +221,28 @@ def test_quotient_matches_reference(m):
         for n, v in nf.items():
             diff[keep[n]] = F.sub(diff.get(keep[n], F.zero), v)
         assert ref_rank(p, nrows, span + [diff]) == rank
+
+
+def recomputed_index(basis):
+    """Row -> pivots of the basis columns nonzero there, off their pivot."""
+    index = {}
+    for q, col in basis.items():
+        for r in col:
+            if r != q:
+                index.setdefault(r, set()).add(q)
+    return index
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_insert_keeps_the_row_index(m):
+    # the index may keep a row whose set has emptied; nothing else differs
+    p, nrows, cols = m
+    F = FIELDS[p]
+    basis, index = {}, {}
+    for c in cols:
+        col = la._reduce(F, basis, {r: F.from_int(v) for r, v in c.items()})
+        if col:
+            la._insert(F, basis, index, col)
+            assert {r: s for r, s in index.items() if s} == \
+                recomputed_index(basis)

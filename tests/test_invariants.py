@@ -55,6 +55,24 @@ def test_poincare_incomplete_flag():
     assert not s.complete
 
 
+@pytest.mark.parametrize("table, N, D, order, coefficients, complete", [
+    ({(1, 1): 3, (2, 2): 3}, 6, 6, 9,
+     [1, 3, 6, 10, 15, 21, 28, 36, 45, 55], False),
+    ({(1, 1): 2, (2, 2): 2, (3, 3): 1, (4, 4): 2, (5, 5): 4}, 5, 8, 12,
+     [1, 2, 3, 5, 9, 17, 25, 35, 52, 77, 108, 142, 188], False),
+    ({(1, 1): 2, (2, 2): 1, (2, 3): 1, (3, 4): 1, (4, 4): 5, (6, 6): 3,
+      (7, 8): 2}, 8, 10, 8, [1, 2, 3, 5, 12, 19, 29, 46, 78], True),
+])
+def test_poincare_matches_the_fraction_expansion(table, N, D, order,
+                                                 coefficients, complete):
+    # coefficients frozen from the expansion that divided by 1 - t^i in
+    # Fractions
+    s = inv.poincare_from_deviations(inv.DeviationTable(table, N, D), order)
+    assert s.coefficients == coefficients
+    assert all(type(c) is int for c in s.coefficients)
+    assert s.complete == complete
+
+
 def test_betti_numbers_match_series():
     A = golod(QQ, N=6, D=10)
     dev = inv.deviations(A, 6, 10)

@@ -1,8 +1,10 @@
 """Minimal semifree resolutions of modules over dg-algebras."""
 
 from dgkernel import QQ, GF
+from dgkernel import homology as hml
 from dgkernel.homology import ResidueField
-from dgkernel.module_resolution import PresentedModule, resolve_module
+from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
+                                        resolve_module)
 from _fixtures import (hypersurface, complete_intersection, golod,
                        two_even_generators)
 from _oracle import betti_of_k
@@ -92,3 +94,26 @@ def test_resolution_ranks_match_closure_free_ranks():
         for key in set(free) | set(beta):
             if key[0] <= 5:  # top degree of the closure table is uncertified
                 assert free.get(key, 0) == beta.get(key, 0), key
+
+
+def test_kept_bases_match_a_fresh_resolution():
+    # extend keeps the basis slices below the new generators' degree; each
+    # must equal the slice of a resolution built afresh on the same
+    # generators
+    A = golod(GF(101), N=6, D=8)
+    B = hypersurface(QQ, N=5, D=6)
+    cases = [(A, ResidueField(A.field), 6, 8),
+             (B, PresentedModule(B, gens=[1], relations=[{0: {(1,): 1}}]),
+              5, 6)]
+    for alg, M, N, D in cases:
+        res = SemifreeResolution(alg, M, N, D)
+        kept_any = False
+        for n in range(M.hmin, N + 1):
+            res = hml.kill_homology(res, M, n, N + 1, D)
+            fresh = SemifreeResolution(alg, M, N, D)
+            fresh.generators = list(res.generators)
+            for (i, j), labels in res._bases.items():
+                assert i < n
+                assert labels == fresh.basis(i, j), (n, i, j)
+                kept_any = kept_any or bool(labels)
+        assert kept_any

@@ -50,3 +50,21 @@ def test_no_module_level_mutable_state():
                             and not re.fullmatch(r"__\w+__", name.id)):
                         found.append(f"{path.name}:{node.lineno} {name.id}")
     assert not found, found
+
+
+def test_fractions_imported_only_in_fields():
+    # a Q scalar is an int when integral and a Fraction only when the
+    # field made it one; the rest of the package works through the field
+    found = []
+    for path, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "fractions" in names and path.name != "fields.py":
+                found.append(f"{path.name}:{node.lineno}")
+    assert ROOT.joinpath("fields.py").exists()
+    assert not found, found
