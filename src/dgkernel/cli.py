@@ -27,6 +27,7 @@ import sys
 from . import invariants as inv
 from . import model_builder as mb
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
+from .exact_linear import axpy
 from .errors import (AdmissibilityError, BoundExceededError,
                      CertificationError, HomogeneityError, NotCycleError,
                      ParityError)
@@ -159,13 +160,7 @@ def parse_expression(text, line, names):
 def _terms_to_poly(terms, field, line):
     poly = {}
     for coeff, exps in terms:
-        c = field.from_int(coeff)
-        prev = poly.get(exps, field.zero)
-        s = field.add(prev, c)
-        if field.is_zero(s):
-            poly.pop(exps, None)
-        else:
-            poly[exps] = s
+        axpy(field, poly, field.from_int(coeff), {exps: field.one})
     if not poly:
         raise JobError("expression reduces to zero", line)
     return poly
@@ -374,7 +369,6 @@ def _evaluate_in_algebra(A, expr, line, base_names, hdeg, intdeg):
     terms = parse_expression(expr, line, names)
     nb = len(base_names)
     total = A.zero(hdeg, intdeg)
-    F = A.field
     p = A.base.presentation
     for coeff, exps in terms:
         factor = A.one()
@@ -392,15 +386,7 @@ def _evaluate_in_algebra(A, expr, line, base_names, hdeg, intdeg):
             raise JobError(
                 f"term has bidegree ({factor.hdeg},{factor.intdeg}), "
                 f"expected ({hdeg},{intdeg})", line)
-        scaled = {key: F.mul(c, F.from_int(coeff))
-                  for key, c in factor.terms.items()}
-        for key, c in scaled.items():
-            prev = total.terms.get(key, F.zero)
-            s = F.add(prev, c)
-            if F.is_zero(s):
-                total.terms.pop(key, None)
-            else:
-                total.terms[key] = s
+        total = A.add(total, A.scale(A.field.from_int(coeff), factor))
     return total
 
 
@@ -440,13 +426,6 @@ def _json_default(obj):
     return str(obj)
 
 
-def _header_lines(job, command):
-    N, D, _ = job.bounds
-    return [f"task      {command}",
-            f"field     {job.field[0]}",
-            f"bounds    max_hdeg={N} max_intdeg={D}"]
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -464,42 +443,40 @@ def run(job):
         "classify": _run_classify,
         "verify": _run_verify,
     }[command]
-    return handler(job, A, N, D, params)
+    report = handler(job, A, N, D, params)
+    # every report opens with the task, the field and the bounds
+    data = {"task": command, "field": job.field[0],
+            "bounds": {"max_hdeg": N, "max_intdeg": D}, **report.data}
+    lines = [f"task      {command}",
+             f"field     {job.field[0]}",
+             f"bounds    max_hdeg={N} max_intdeg={D}"] + report.text_lines
+    return Report(data, lines, report.failed_verification)
 
 
 def _run_deviations(job, A, N, D, params):
     dev = inv.deviations(A, N, D)
-    data = {"task": "deviations", "field": job.field[0],
-            "bounds": {"max_hdeg": N, "max_intdeg": D},
-            "complete_through_hdeg": N,
-            "eps": dev.as_dict()}
-    lines = _header_lines(job, "deviations")
-    lines.append(f"complete  through homological degree {N}")
-    lines.append("")
+    data = {"complete_through_hdeg": N, "eps": dev.as_dict()}
+    lines = [f"complete  through homological degree {N}", ""]
     lines += _fmt_table(_bigraded_rows(dev.table), ["i", "j", "eps"])
     lines.append("")
     lines.append("marginals " + " ".join(str(x) for x in dev.marginals()))
     return Report(data, lines)
 
 
-def _model_report(job, model, N, D, label):
+def _model_report(model, N, D):
     ok_min, witness = model.is_minimal()
     ok_qi, bad = model.check_quasi_iso()
     rows = [[v.name, v.hdeg, v.intdeg, v.kind, v.family]
             for v in model.adjoined_variables()]
-    data = {"task": label, "field": job.field[0],
-            "bounds": {"max_hdeg": N, "max_intdeg": D},
-            "variables": [{"name": r[0], "hdeg": r[1], "intdeg": r[2],
+    data = {"variables": [{"name": r[0], "hdeg": r[1], "intdeg": r[2],
                            "kind": r[3], "family": r[4]} for r in rows],
             "n": inv.CountTable(model.n_table, N, D, "n").as_dict(),
             "eps": inv.CountTable(model.eps_table, N, D, "eps").as_dict(),
             "minimal": ok_min,
             "quasi_isomorphism_certified": ok_qi}
-    lines = _header_lines(job, label)
-    lines.append(f"minimal   {str(ok_min).lower()}")
-    lines.append(f"certified {str(ok_qi).lower()}"
-                 + ("" if ok_qi else f" (cone homology at {bad})"))
-    lines.append("")
+    lines = [f"minimal   {str(ok_min).lower()}",
+             f"certified {str(ok_qi).lower()}"
+             + ("" if ok_qi else f" (cone homology at {bad})"), ""]
     lines += _fmt_table(rows, ["name", "hdeg", "intdeg", "kind", "family"])
     if not ok_min:
         lines.append(f"non-minimal witness: {witness}")
@@ -508,7 +485,7 @@ def _model_report(job, model, N, D, label):
 
 def _run_closure(job, A, N, D, params):
     model = mb.acyclic_closure(A, N, D)
-    return _model_report(job, model, N, D, "acyclic-closure")
+    return _model_report(model, N, D)
 
 
 def _run_model(job, A, N, D, params):
@@ -525,7 +502,7 @@ def _run_model(job, A, N, D, params):
                            job.task[2])
     spec = mb.residue_field_spec(A, N, D, switching_degree=switch)
     model = mb.build_model(spec)
-    return _model_report(job, model, N, D, "minimal-model")
+    return _model_report(model, N, D)
 
 
 def _parse_module(A, spec_text, job):
@@ -551,15 +528,9 @@ def _run_betti(job, A, N, D, params):
     res = resolve_module(A, M, N, D)
     ok_min, _ = res.is_minimal()
     table = inv.BettiTable(res.betti_table(), N, D)
-    data = {"task": "betti", "field": job.field[0],
-            "bounds": {"max_hdeg": N, "max_intdeg": D},
-            "module": params.get("module", "residue-field"),
-            "minimal": ok_min,
-            "beta": table.as_dict()}
-    lines = _header_lines(job, "betti")
-    lines.append(f"module    {params.get('module', 'residue-field')}")
-    lines.append(f"minimal   {str(ok_min).lower()}")
-    lines.append("")
+    module = params.get("module", "residue-field")
+    data = {"module": module, "minimal": ok_min, "beta": table.as_dict()}
+    lines = [f"module    {module}", f"minimal   {str(ok_min).lower()}", ""]
     lines += _fmt_table(_bigraded_rows(table.table), ["i", "j", "beta"])
     lines.append("")
     lines.append("marginals " + " ".join(str(x) for x in table.marginals()))
@@ -575,30 +546,21 @@ def _run_poincare(job, A, N, D, params):
         raise JobError("--order takes a nonnegative integer", job.task[2])
     dev = inv.deviations(A, N, D)
     series = inv.poincare_from_deviations(dev, order)
-    data = {"task": "poincare", "field": job.field[0],
-            "bounds": {"max_hdeg": N, "max_intdeg": D},
-            "series": series.as_dict()}
-    lines = _header_lines(job, "poincare")
-    lines.append(f"order     {order}")
-    lines.append(f"complete  {str(series.complete).lower()}"
-                 + ("" if series.complete else
-                    f" (deviations certified only through {N})"))
-    lines.append("")
-    lines.append("coefficients "
-                 + " ".join(str(c) for c in series.coefficients))
-    return Report(data, lines)
+    lines = [f"order     {order}",
+             f"complete  {str(series.complete).lower()}"
+             + ("" if series.complete else
+                f" (deviations certified only through {N})"),
+             "",
+             "coefficients " + " ".join(str(c) for c in series.coefficients)]
+    return Report({"series": series.as_dict()}, lines)
 
 
 def _run_classify(job, A, N, D, params):
     verdict = inv.classify_growth(A, N, D)
-    data = {"task": "classify", "field": job.field[0],
-            "bounds": {"max_hdeg": N, "max_intdeg": D},
-            "result": verdict.as_dict()}
-    lines = _header_lines(job, "classify")
-    lines.append(f"verdict   {verdict.verdict}")
+    lines = [f"verdict   {verdict.verdict}"]
     for key in sorted(verdict.detail):
         lines.append(f"{key}: {verdict.detail[key]}")
-    return Report(data, lines)
+    return Report({"result": verdict.as_dict()}, lines)
 
 
 def _run_verify(job, A, N, D, params):
@@ -606,18 +568,13 @@ def _run_verify(job, A, N, D, params):
     if not statement:
         raise JobError("verify requires --statement <id>", job.task[2])
     report = inv.verify(statement, A, N, D)
-    data = {"task": "verify", "field": job.field[0],
-            "bounds": {"max_hdeg": N, "max_intdeg": D},
-            "report": report.as_dict()}
-    lines = _header_lines(job, "verify")
-    lines.append(f"statement {statement}")
-    lines.append(f"verdict   {report.verdict}")
+    lines = [f"statement {statement}", f"verdict   {report.verdict}"]
     for note in report.notes:
         lines.append(f"note      {note}")
     lines.append("")
     for c in report.comparisons:
         lines.append("  " + " ".join(f"{k}={v}" for k, v in c.items()))
-    return Report(data, lines,
+    return Report({"report": report.as_dict()}, lines,
                   failed_verification=(report.verdict == "fail"))
 
 

@@ -15,6 +15,7 @@ merge.
 from math import comb
 
 from .errors import BoundExceededError, NotCycleError, ParityError
+from .exact_linear import ExactMatrix, axpy
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -160,15 +161,9 @@ class DgAlgebra:
     def add(self, u, v):
         if (u.hdeg, u.intdeg) != (v.hdeg, v.intdeg):
             raise ValueError("bidegree mismatch in addition")
-        F = self.field
-        terms = dict(u.terms)
-        for k, c in v.terms.items():
-            s = F.add(terms.get(k, F.zero), c)
-            if F.is_zero(s):
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return DgElement(u.hdeg, u.intdeg, terms)
+        return DgElement(u.hdeg, u.intdeg,
+                         axpy(self.field, dict(u.terms), self.field.one,
+                              v.terms))
 
     def scale(self, c, u):
         F = self.field
@@ -179,13 +174,14 @@ class DgAlgebra:
 
     # --- multiplication ----------------------------------------------------
 
-    def _merge_monomials(self, m1, m2):
-        """Returns (int_coefficient, Monomial) or None when the product
-        vanishes (repeated odd variable, or a divided-power binomial that is
-        zero in the field is handled by the caller via the int coefficient)."""
-        common_odd = set(m1.odds) & set(m2.odds)
-        if common_odd:
-            return None
+    def _label_product(self, k1, k2):
+        """Terms of the product of the basis labels k1 = (j1, i1, m1) and
+        k2: the sign of the odd merge times the divided-power binomials,
+        times the base product.  Empty when the product vanishes (a
+        repeated odd variable, or a binomial that is zero in the field)."""
+        (j1, i1, m1), (j2, i2, m2) = k1, k2
+        if set(m1.odds) & set(m2.odds):
+            return {}
         # inversion count of the odd merge
         inv = 0
         for a in m1.odds:
@@ -203,8 +199,13 @@ class DgAlgebra:
                 evens[vid] = a + e
             else:
                 evens[vid] = e
-        sign = -1 if inv % 2 else 1
-        return sign * coeff, Monomial(tuple(evens.items()), odds)
+        F = self.field
+        c = F.from_int(-coeff if inv % 2 else coeff)
+        if F.is_zero(c):
+            return {}
+        mon = Monomial(tuple(evens.items()), odds)
+        return {(j1 + j2, i3, mon): F.mul(c, c3)
+                for i3, c3 in self.base.mult_basis(j1, i1, j2, i2).items()}
 
     def multiply(self, u, v):
         hdeg = u.hdeg + v.hdeg
@@ -215,37 +216,18 @@ class DgAlgebra:
                 f"({self.max_hdeg},{self.max_intdeg})")
         F = self.field
         out = {}
-        for (j1, i1, m1), c1 in u.terms.items():
-            for (j2, i2, m2), c2 in v.terms.items():
-                merged = self._merge_monomials(m1, m2)
-                if merged is None:
-                    continue
-                icoeff, mon = merged
-                c = F.mul(c1, F.mul(c2, F.from_int(icoeff)))
-                if F.is_zero(c):
-                    continue
-                for i3, c3 in self.base.mult_basis(j1, i1, j2, i2).items():
-                    key = (j1 + j2, i3, mon)
-                    s = F.add(out.get(key, F.zero), F.mul(c, c3))
-                    if F.is_zero(s):
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+        for k1, c1 in u.terms.items():
+            for k2, c2 in v.terms.items():
+                axpy(F, out, F.mul(c1, c2), self._label_product(k1, k2))
         return DgElement(hdeg, intdeg, out)
 
     # --- differential ------------------------------------------------------
 
     def differential(self, u):
-        F = self.field
         out = {}
         if u.hdeg > 0:
             for key, c in u.terms.items():
-                for k, v in self._label_differential(key).items():
-                    s = F.add(out.get(k, F.zero), F.mul(c, v))
-                    if F.is_zero(s):
-                        out.pop(k, None)
-                    else:
-                        out[k] = s
+                axpy(self.field, out, c, self._label_differential(key))
         return DgElement(u.hdeg - 1, u.intdeg, out)
 
     def _label_differential(self, key):
@@ -289,35 +271,26 @@ class DgAlgebra:
         is replaced by its boundary, with the Koszul sign of the odd
         factors to its left."""
         F = self.field
-        hdeg = (sum(self.variables[v].hdeg * e for v, e in mon.evens)
-                + sum(self.variables[v].hdeg for v in mon.odds))
-        intdeg = (sum(self.variables[v].intdeg * e for v, e in mon.evens)
-                  + sum(self.variables[v].intdeg for v in mon.odds))
-        result = DgElement(hdeg - 1, intdeg)
+        factors = []
         for vid, e in mon.evens:
-            var = self.variables[vid]
-            if var.boundary.is_zero():
-                continue
-            c = F.from_int(e if var.kind == POLYNOMIAL else 1)
-            if F.is_zero(c):
-                continue
-            rest_evens = tuple((w, x) if w != vid else (w, e - 1)
-                               for w, x in mon.evens if w != vid or e > 1)
-            rest = DgElement(hdeg - var.hdeg, intdeg - var.intdeg,
-                             {(0, 0, Monomial(rest_evens, mon.odds)): c})
-            result = self.add(result, self.multiply(var.boundary, rest))
+            c = F.from_int(e if self.variables[vid].kind == POLYNOMIAL else 1)
+            rest = tuple((w, x) if w != vid else (w, e - 1)
+                         for w, x in mon.evens if w != vid or e > 1)
+            factors.append((vid, c, Monomial(rest, mon.odds)))
         for k, vid in enumerate(mon.odds):
-            var = self.variables[vid]
-            if var.boundary.is_zero():
-                continue
             # even-variable factors to the left are of even homological
             # degree; only the k earlier odd factors sign
             sign = F.neg(F.one) if k % 2 == 1 else F.one
-            rest_odds = mon.odds[:k] + mon.odds[k + 1:]
-            rest = DgElement(hdeg - var.hdeg, intdeg - var.intdeg,
-                             {(0, 0, Monomial(mon.evens, rest_odds)): sign})
-            result = self.add(result, self.multiply(var.boundary, rest))
-        return result.terms
+            rest = mon.odds[:k] + mon.odds[k + 1:]
+            factors.append((vid, sign, Monomial(mon.evens, rest)))
+        out = {}
+        for vid, c, rest in factors:
+            if F.is_zero(c):
+                continue
+            for key, b in self.variables[vid].boundary.terms.items():
+                axpy(F, out, F.mul(b, c),
+                     self._label_product(key, (0, 0, rest)))
+        return out
 
     # --- monomial bases ----------------------------------------------------
 
@@ -382,7 +355,6 @@ class DgAlgebra:
 
     def diff_matrix(self, i, j):
         """Matrix of the differential from bidegree (i, j) to (i-1, j)."""
-        from .exact_linear import ExactMatrix
         cols = self.basis_of_bidegree(i, j)
         if i == 0:
             return ExactMatrix.zero(self.field, 0, len(cols))
@@ -398,7 +370,6 @@ class DgAlgebra:
         """Matrix of left multiplication by the degree-(0, d) base basis
         element bidx, from bidegree (i, j) to (i, j + d).  The base element
         must be homologically degree 0 (it lies in A_0)."""
-        from .exact_linear import ExactMatrix
         if self.base.basis_hdeg(d, bidx) != 0:
             raise ValueError("A0-action requires a homological-degree-0 element")
         cols = self.basis_of_bidegree(i, j)

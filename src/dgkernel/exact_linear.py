@@ -1,15 +1,17 @@
-"""Sparse exact matrices and one incremental echelon engine.
+"""Sparse exact matrices, one sparse accumulation (axpy, used by every
+layer) and one incremental echelon engine.
 
 Everything downstream (quotient rings, homology, minimal generators)
 reduces to rank / kernel / independence modulo a span / normal forms in
 a quotient over an exact field.  All of it runs on one engine: a basis
 of columns (dicts row -> scalar) keyed by pivot row, in which every
-column is 1 at its own pivot row and 0 at every other pivot row.
-_reduce brings a column to 0 at every pivot row in one pass; _insert
-adds a reduced nonzero column, pivoting on its largest row.  Beside the
-basis the engine keeps an index from each non-pivot row to the pivots
-of the basis columns nonzero there, so _insert back-substitutes into
-exactly the columns that need it.
+column is -1 at its own pivot row and 0 at every other pivot row, so
+that clearing an entry c at a pivot row adds c times its column and
+needs no negation.  _reduce brings a column to 0 at every pivot row in
+one pass; _insert adds a reduced nonzero column, pivoting on its
+largest row.  Beside the basis the engine keeps an index from each
+non-pivot row to the pivots of the basis columns nonzero there, so
+_insert back-substitutes into exactly the columns that need it.
 
 Every public answer is canonical: pivot columns are the greedy
 independent columns, kernel vectors are 1 at their own dependent column
@@ -105,34 +107,37 @@ class ExactMatrix:
         return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _subtract(F, col, f, other):
-    """col -= f * other, in place, dropping entries that become zero."""
-    for r, v in other.items():
-        s = F.sub(col.get(r, F.zero), F.mul(f, v))
+def axpy(F, out, c, terms):
+    """out += c * terms, in place, dropping entries that become zero: a
+    sparse vector holds nonzero scalars only.  Returns out."""
+    for k, v in terms.items():
+        s = F.add(out.get(k, F.zero), F.mul(c, v))
         if F.is_zero(s):
-            col.pop(r, None)
+            out.pop(k, None)
         else:
-            col[r] = s
+            out[k] = s
+    return out
 
 
 def _reduce(F, basis, col):
     """Reduce col in place against basis; returns col, now 0 at every
-    pivot row.  Subtracting one basis column leaves col unchanged at the
-    other pivot rows, so one pass over col's pivot rows suffices."""
+    pivot row.  Adding a multiple of one basis column leaves col
+    unchanged at the other pivot rows, so one pass over col's pivot rows
+    suffices."""
     for p in [r for r in col if r in basis]:
-        _subtract(F, col, col[p], basis[p])
+        axpy(F, col, col[p], basis[p])
     return col
 
 
 def _insert(F, basis, index, col):
     """Add a reduced nonzero column to basis.  It pivots on its largest
-    row, is scaled to 1 there, and that row is cleared from every other
+    row, is scaled to -1 there, and that row is cleared from every other
     basis column, so each basis column keeps its largest row as pivot.
     index maps each non-pivot row r to the set of pivots q with
     basis[q][r] != 0; the columns to clear are index.pop(p), and the
     index follows every entry that appears or vanishes."""
     p = max(col)
-    inv = F.inv(col[p])
+    inv = F.div(F.neg(F.one), col[p])
     col = {r: F.mul(inv, v) for r, v in col.items()}
     zero = F.zero
     for q in index.pop(p, ()):
@@ -141,7 +146,7 @@ def _insert(F, basis, index, col):
         for r, v in col.items():
             if r == p:
                 continue
-            s = F.sub(other.get(r, zero), F.mul(f, v))
+            s = F.add(other.get(r, zero), F.mul(f, v))
             if F.is_zero(s):
                 del other[r]
                 index[r].discard(q)
@@ -235,8 +240,8 @@ def quotient(field, nrows, span):
     unit vectors complete span to the whole space, chosen greedily by
     smallest index: the rows that are no basis column's pivot.
     normal_forms[r] gives the class of unit vector r as coordinates over
-    keep ({index into keep: scalar}); for a pivot row r it is minus the
-    rest of basis column r."""
+    keep ({index into keep: scalar}); for a pivot row r it is the rest of
+    basis column r."""
     basis, _ = _echelon(field, nrows, span)
     keep = [r for r in range(nrows) if r not in basis]
     pos = {r: n for n, r in enumerate(keep)}
@@ -246,6 +251,6 @@ def quotient(field, nrows, span):
         if col is None:
             normal_forms.append({pos[r]: field.one})
         else:
-            normal_forms.append({pos[q]: field.neg(col[q])
+            normal_forms.append({pos[q]: col[q]
                                  for q in sorted(col) if q != r})
     return keep, normal_forms

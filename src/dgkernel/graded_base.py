@@ -13,7 +13,7 @@ graded-commutative algebras concentrated in even homological degrees,
 e.g. k[x0]/(x0^m) with |x0| = d.  The differential is always zero here.
 """
 
-from .errors import BoundExceededError, HomogeneityError
+from .errors import AdmissibilityError, BoundExceededError, HomogeneityError
 from . import exact_linear as la
 
 
@@ -78,14 +78,13 @@ class BasePresentation:
     def mono_hdeg(self, exps):
         return sum(e * v.hdeg for e, v in zip(exps, self.variables))
 
-    def relations_in_square(self):
-        """True when every relation lies in the square of the irrelevant
-        ideal, i.e. no relation has a term that is a bare generator."""
-        for g in self.relations:
-            for exps in g:
-                if sum(exps) < 2:
-                    return False
-        return True
+    def require_minimal(self):
+        """Raise AdmissibilityError unless every relation lies in the
+        square of the irrelevant ideal (no term is a bare generator), so
+        the generators minimally generate the maximal ideal."""
+        if any(sum(exps) < 2 for g in self.relations for exps in g):
+            raise AdmissibilityError(
+                "presentation is not minimal: a relation has a linear term")
 
     def monomials_of_intdeg(self, j):
         """All exponent tuples of internal degree j, in deterministic
@@ -196,31 +195,17 @@ class TruncatedBase:
         out = {}
         for i1, c1 in a.items():
             for i2, c2 in b.items():
-                c = F.mul(c1, c2)
-                if F.is_zero(c):
-                    continue
-                for i3, c3 in self.mult_basis(j1, i1, j2, i2).items():
-                    s = F.add(out.get(i3, F.zero), F.mul(c, c3))
-                    if F.is_zero(s):
-                        out.pop(i3, None)
-                    else:
-                        out[i3] = s
+                la.axpy(F, out, F.mul(c1, c2), self.mult_basis(j1, i1, j2, i2))
         return out
 
     def reduce_poly(self, poly):
         """Normal form of a homogeneous exponent-dict polynomial as
         (intdeg, {basis_index: scalar})."""
-        F = self.field
         degs = {self.presentation.mono_intdeg(e) for e in poly}
         if len(degs) != 1:
             raise HomogeneityError("non-homogeneous polynomial")
         (j,) = degs
         out = {}
         for exps, c in poly.items():
-            for b, v in self.normal_form(j, exps).items():
-                s = F.add(out.get(b, F.zero), F.mul(c, v))
-                if F.is_zero(s):
-                    out.pop(b, None)
-                else:
-                    out[b] = s
+            la.axpy(self.field, out, c, self.normal_form(j, exps))
         return j, out

@@ -358,10 +358,7 @@ def model_over_cover(tbase, max_hdeg, max_intdeg, switching_degree=INFINITY,
     """Model of the graded quotient (as a dg-algebra with zero
     differential) over its polynomial cover S.  For switching degree
     infinity this computes the counts n_i^S."""
-    p = tbase.presentation
-    if not p.relations_in_square():
-        raise AdmissibilityError(
-            "presentation is not minimal: a relation has a linear term")
+    tbase.presentation.require_minimal()
     S = cover_algebra(tbase, max_hdeg, max_intdeg)
     spec = ModelSpec(S, RingTarget(tbase, S.base), switching_degree,
                      max_hdeg, max_intdeg, {})
@@ -385,8 +382,10 @@ def koszul_complex(A, elements, names=None):
 
 def koszul_on_maximal_ideal(A):
     """K(m_{A0}, A): Koszul complex on the degree-0 generators of the
-    irrelevant maximal ideal (one per homological-degree-0 base generator)."""
+    irrelevant maximal ideal (one per homological-degree-0 base generator,
+    so the presentation must be minimal)."""
     p = A.base.presentation
+    p.require_minimal()
     elements = []
     names = []
     for v in p.variables:

@@ -28,7 +28,6 @@ class PresentedModule:
         self.hmin = shift
         self.gens = list(gens)
         base = algebra.base
-        P = base.presentation
         D = base.D
         # reduce relation components to base coordinates and find degrees
         self._rels = []
@@ -59,17 +58,12 @@ class PresentedModule:
             for t, comps in self._rels:
                 if t > j:
                     continue
+                # components on distinct generators never share a label
                 for r in base.a0_basis(j - t):
-                    col = {}
-                    for g, (jr, coeffs) in comps.items():
-                        prod = base.multiply(j - t, {r: self.field.one},
-                                             jr, coeffs)
-                        for b, c in prod.items():
-                            key = pos[(g, b)]
-                            col[key] = self.field.add(
-                                col.get(key, self.field.zero), c)
-                    span.append({k: v for k, v in col.items()
-                                 if not self.field.is_zero(v)})
+                    span.append({
+                        pos[(g, b)]: c for g, (jr, coeffs) in comps.items()
+                        for b, c in base.multiply(
+                            j - t, {r: self.field.one}, jr, coeffs).items()})
             keep, nfs = la.quotient(self.field, len(free), span)
             self._bases[j] = [free[i] for i in keep]
             self._nf[j] = dict(zip(free, nfs))
@@ -89,18 +83,12 @@ class PresentedModule:
         base basis element (d, bidx)."""
         F = self.field
         base = self.algebra.base
-        pos = {lab: n for n, lab in enumerate(self._bases[j + d])}
         out = {}
         for n, c in coords.items():
             g, b = self._bases[j][n]
             prod = base.mult_basis(d, bidx, j - self.gens[g], b)
             for b2, c2 in prod.items():
-                for b3, c3 in self._nf[j + d][(g, b2)].items():
-                    s = F.add(out.get(b3, F.zero), F.mul(c, F.mul(c2, c3)))
-                    if F.is_zero(s):
-                        out.pop(b3, None)
-                    else:
-                        out[b3] = s
+                la.axpy(F, out, F.mul(c, c2), self._nf[j + d][(g, b2)])
         return out
 
     def act_matrix(self, d, bidx, i, j):
@@ -116,21 +104,13 @@ class PresentedModule:
         """Action of a homogeneous algebra element on coords at (i, j).
         Only the A0-part acts; higher homological degrees act as zero on a
         module concentrated in one degree."""
-        F = self.field
         if a.hdeg != 0 or not coords:
             return {}
         out = {}
         for (jb, ib, mon), c in a.terms.items():
-            if not mon.is_trivial():
-                continue
-            prod = self._mult_by_base(jb, ib, j, coords) if jb else {
-                k: v for k, v in coords.items()}
-            for r, v in prod.items():
-                s = F.add(out.get(r, F.zero), F.mul(c, v))
-                if F.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
+            if mon.is_trivial():
+                la.axpy(self.field, out, c, self._mult_by_base(
+                    jb, ib, j, coords) if jb else coords)
         return out
 
 
@@ -176,39 +156,27 @@ class SemifreeResolution:
             e.terms[akey] = c
         return comps
 
-    def diff_components(self, g, akey, i, j):
-        """Boundary of the basis element a*g as components {g': DgElement}:
-        da*g + (-1)^|a| a*dg."""
+    def diff_matrix(self, i, j):
+        """Column of the basis element a*g: d(a*g) = da*g + (-1)^|a| a*dg.
+        dg lies on generators older than g, so the components of the two
+        summands never meet."""
         A = self.algebra
         F = A.field
-        h, d, bnd, _ = self.generators[g]
-        a = DgElement(i - h, j - d, {akey: F.one})
-        out = {}
-        da = A.differential(a)
-        if not da.is_zero():
-            out[g] = da
-        sign = F.neg(F.one) if (i - h) % 2 == 1 else F.one
-        for g2, e in bnd.items():
-            prod = A.multiply(a, e)
-            if prod.is_zero():
-                continue
-            prod = A.scale(sign, prod)
-            if g2 in out:
-                out[g2] = A.add(out[g2], prod)
-            else:
-                out[g2] = prod
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    def diff_matrix(self, i, j):
         cols = self.basis(i, j)
-        rows = self.basis(i - 1, j)
-        pos = {lab: n for n, lab in enumerate(rows)}
+        pos = {lab: n for n, lab in enumerate(self.basis(i - 1, j))}
         entries = {}
         for cidx, (g, akey) in enumerate(cols):
-            for g2, e in self.diff_components(g, akey, i, j).items():
-                for akey2, c in e.terms.items():
+            h, _, bnd, _ = self.generators[g]
+            for akey2, c in A._label_differential(akey).items():
+                entries[(pos[(g, akey2)], cidx)] = c
+            sign = F.neg(F.one) if (i - h) % 2 == 1 else F.one
+            for g2, e in bnd.items():
+                prod = {}
+                for k, c in e.terms.items():
+                    la.axpy(F, prod, F.mul(sign, c), A._label_product(akey, k))
+                for akey2, c in prod.items():
                     entries[(pos[(g2, akey2)], cidx)] = c
-        return la.ExactMatrix(self.algebra.field, len(rows), len(cols), entries)
+        return la.ExactMatrix(F, len(pos), len(cols), entries)
 
     def complex(self, hmax, dmax):
         hmin = min((h for h, _, _, _ in self.generators), default=0)
@@ -232,15 +200,8 @@ class SemifreeResolution:
         F = self.algebra.field
         out = {}
         for g, e in self.coords_to_components(i, j, fcoords).items():
-            _, _, _, qimg = self.generators[g]
-            img = self.module.act(e, self.generators[g][0],
-                                  self.generators[g][1], qimg)
-            for r, v in img.items():
-                s = F.add(out.get(r, F.zero), v)
-                if F.is_zero(s):
-                    out.pop(r, None)
-                else:
-                    out[r] = s
+            h, d, _, qimg = self.generators[g]
+            la.axpy(F, out, F.one, self.module.act(e, h, d, qimg))
         return out
 
     def q_block(self, i, j):
@@ -261,8 +222,9 @@ class SemifreeResolution:
                for j, x, t in stage]
         self.generators.extend(new)
         # a basis of homological degree < n has no label on the new
-        # generators, so only the slices of degree >= n are stale
-        self._bases = {k: v for k, v in self._bases.items() if k[0] < n}
+        # generators, so only the slices of degree >= n are stale; of the
+        # rest, stage n + 1 reads only degree n - 1 again
+        self._bases = {k: v for k, v in self._bases.items() if k[0] == n - 1}
         return self
 
     # --- reporting -----------------------------------------------------------

@@ -345,6 +345,23 @@ task verify --statement halperin
     assert "computation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, relation", [
+    ("Q", "x^2 - y"), ("Fp:2", "x^2 + y")])
+def test_deviations_compare_rejects_a_non_minimal_presentation(
+        tmp_path, capsys, field, relation):
+    # y = x^2 is not a minimal generator, so the Koszul complex on the
+    # base generators is not K(m_{A0}, A): an admissibility error (exit 2)
+    # like quasi-fibers and switching-compare, not a failed comparison
+    path = write_job(tmp_path, f"field {field}\nbase x 1\nbase y 2\n"
+                     f"relation {relation}\nrelation y^2\nbounds 6 8\n"
+                     "task verify --statement deviations-compare\n")
+    assert run_cli([path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("computation error: presentation is not "
+                            "minimal: a relation has a linear term\n")
+
+
 def test_console_script_entry_point(tmp_path):
     path = write_job(tmp_path, HYP.format(task="deviations"))
     proc = subprocess.run([sys.executable, "-m", "dgkernel.cli", path],

@@ -4,7 +4,7 @@ checked against a dense textbook reference."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dgkernel import QQ, GF
 from dgkernel import exact_linear as la
@@ -246,3 +246,47 @@ def test_insert_keeps_the_row_index(m):
             la._insert(F, basis, index, col)
             assert {r: s for r, s in index.items() if s} == \
                 recomputed_index(basis)
+
+
+QQ_SCALARS = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def axpy_cases(draw):
+    """A field, a sparse vector, a scalar and sparse terms on a few keys;
+    the terms are often minus c^-1 times the vector, so whole entries
+    cancel."""
+    F = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    scalar = (st.builds(QQ, QQ_SCALARS) if F is QQ
+              else st.integers(0, F.p - 1))
+    keys = st.sampled_from(["a", "b", (0, 1), 3])
+    out = {k: v for k, v in draw(st.dictionaries(keys, scalar)).items()
+           if not F.is_zero(v)}
+    c = draw(scalar)
+    if not F.is_zero(c) and draw(st.booleans()):
+        terms = {k: F.neg(F.div(v, c)) for k, v in out.items()}
+    else:
+        terms = {k: v for k, v in draw(st.dictionaries(keys, scalar)).items()
+                 if not F.is_zero(v)}
+    return F, out, c, terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(axpy_cases())
+@example((QQ, {"a": Fraction(1, 3)}, 0, {"a": 5, "b": Fraction(-2, 7)}))
+@example((QQ, {"a": Fraction(1, 3), 3: 2}, Fraction(2, 3),
+          {"a": Fraction(-1, 2), 3: -3}))
+@example((GF(2), {"a": 1, "b": 1}, 1, {"a": 1, "b": 1}))
+@example((GF(101), {(0, 1): 7}, 50, {(0, 1): 1, 3: 2}))
+def test_axpy_matches_sum_then_drop_zeros(case):
+    F, out, c, terms = case
+    want = dict(out)
+    for k, v in terms.items():
+        want[k] = F.add(want.get(k, F.zero), F.mul(c, v))
+    want = {k: v for k, v in want.items() if not F.is_zero(v)}
+    got = dict(out)
+    assert la.axpy(F, got, c, terms) is got
+    assert got == want
+    assert all(type(v) is type(want[k]) for k, v in got.items())

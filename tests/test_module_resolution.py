@@ -1,12 +1,12 @@
 """Minimal semifree resolutions of modules over dg-algebras."""
 
-from dgkernel import QQ, GF
+from dgkernel import QQ, GF, EXTERIOR
 from dgkernel import homology as hml
 from dgkernel.homology import ResidueField
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
                                         resolve_module)
 from _fixtures import (hypersurface, complete_intersection, golod,
-                       two_even_generators)
+                       ring_algebra, two_even_generators)
 from _oracle import betti_of_k
 
 
@@ -97,9 +97,9 @@ def test_resolution_ranks_match_closure_free_ranks():
 
 
 def test_kept_bases_match_a_fresh_resolution():
-    # extend keeps the basis slices below the new generators' degree; each
-    # must equal the slice of a resolution built afresh on the same
-    # generators
+    # extend keeps the basis slices of degree n - 1, the only kept degree
+    # the next stage reads; each must equal the slice of a resolution
+    # built afresh on the same generators
     A = golod(GF(101), N=6, D=8)
     B = hypersurface(QQ, N=5, D=6)
     cases = [(A, ResidueField(A.field), 6, 8),
@@ -113,7 +113,23 @@ def test_kept_bases_match_a_fresh_resolution():
             fresh = SemifreeResolution(alg, M, N, D)
             fresh.generators = list(res.generators)
             for (i, j), labels in res._bases.items():
-                assert i < n
+                assert i == n - 1
                 assert labels == fresh.basis(i, j), (n, i, j)
                 kept_any = kept_any or bool(labels)
         assert kept_any
+
+
+def test_resolution_over_a_dg_algebra_with_a_differential():
+    # A = Q[x,y]/(x^2) with de = y is quasi-isomorphic to Q[x]/(x^2), so k
+    # has one Betti number per degree over it; d(a*g) = da*g +
+    # (-1)^|a| a*dg, and a wrong sign there breaks d^2 = 0 and the table
+    N, D = 5, 6
+    B = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1}], N, D)
+    y = B.base_element(1, B.base.normal_form(1, (0, 1)))
+    A = B.adjoin_variable(y, EXTERIOR)
+    res = resolve_module(A, ResidueField(QQ), N, D)
+    assert res.betti_table() == {(i, i): 1 for i in range(N + 1)}
+    C = res.complex(N, D)
+    assert all(C.check_dd_zero(i, j)
+               for i in range(1, N + 1) for j in range(D + 1))
+    assert res.check_resolves(N - 1) == (True, None)

@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import sys
 
 import dgkernel
 
@@ -67,4 +68,23 @@ def test_fractions_imported_only_in_fields():
             if "fractions" in names and path.name != "fields.py":
                 found.append(f"{path.name}:{node.lineno}")
     assert ROOT.joinpath("fields.py").exists()
+    assert not found, found
+
+
+def test_package_imports_only_stdlib():
+    # the kernel has zero runtime dependencies: every absolute import is
+    # of the standard library (relative imports stay inside the package)
+    found = []
+    for path, tree in modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert ROOT.joinpath("cli.py").exists()
     assert not found, found
