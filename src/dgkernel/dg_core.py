@@ -360,11 +360,13 @@ class DgAlgebra:
             return ExactMatrix.zero(self.field, 0, len(cols))
         rows = self.basis_of_bidegree(i - 1, j)
         pos = {k: n for n, k in enumerate(rows)}
-        entries = {}
-        for cidx, key in enumerate(cols):
+        columns = []
+        for key in cols:
+            col = {}
             for k, c in self._label_differential(key).items():
-                entries[(pos[k], cidx)] = c
-        return ExactMatrix(self.field, len(rows), len(cols), entries)
+                col[pos[k]] = c
+            columns.append(col)
+        return ExactMatrix(self.field, len(rows), columns)
 
     def act_matrix(self, d, bidx, i, j):
         """Matrix of left multiplication by the degree-(0, d) base basis
@@ -375,11 +377,13 @@ class DgAlgebra:
         cols = self.basis_of_bidegree(i, j)
         rows = self.basis_of_bidegree(i, j + d)
         pos = {k: n for n, k in enumerate(rows)}
-        entries = {}
-        for cidx, key in enumerate(cols):
+        columns = []
+        for key in cols:
+            col = {}
             for k, c in self._act_label(d, bidx, key):
-                entries[(pos[k], cidx)] = c
-        return ExactMatrix(self.field, len(rows), len(cols), entries)
+                col[pos[k]] = c
+            columns.append(col)
+        return ExactMatrix(self.field, len(rows), columns)
 
     def _act_label(self, d, bidx, key):
         """(label, scalar) pairs of the A0 basis element (d, bidx) times

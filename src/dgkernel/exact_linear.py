@@ -1,6 +1,9 @@
 """Sparse exact matrices, one sparse accumulation (axpy, used by every
 layer) and one incremental echelon engine.
 
+A matrix is its list of columns, each a dict row -> nonzero scalar: the
+format every layer builds and the engine reduces.
+
 Everything downstream (quotient rings, homology, minimal generators)
 reduces to rank / kernel / independence modulo a span / normal forms in
 a quotient over an exact field.  All of it runs on one engine: a basis
@@ -23,88 +26,58 @@ normal forms unique once it is fixed.  So repeated runs agree exactly.
 
 
 class ExactMatrix:
-    """Immutable sparse matrix; entries maps (row, col) -> nonzero scalar."""
+    """Immutable sparse matrix: columns is its list of columns, each a
+    dict row -> nonzero scalar.  Columns are never mutated, so matrices
+    may share them; the engine copies a column before reducing it."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "columns")
 
-    def __init__(self, field, rows, cols, entries=None):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        clean = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-                if not field.is_zero(v):
-                    clean[(r, c)] = v
-        self.entries = clean
-
-    @classmethod
-    def from_rows(cls, field, row_lists):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(row_lists):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                fv = field.from_int(v) if isinstance(v, int) else v
-                if not field.is_zero(fv):
-                    entries[(r, c)] = fv
-        return cls(field, rows, cols, entries)
-
-    @classmethod
-    def from_columns(cls, field, rows, columns):
-        """columns: list of dicts row -> scalar."""
-        entries = {}
+    def __init__(self, field, rows, columns):
+        is_zero = field.is_zero
         for c, col in enumerate(columns):
             for r, v in col.items():
-                if not field.is_zero(v):
-                    entries[(r, c)] = v
-        return cls(field, rows, len(columns), entries)
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, n, n, {(i, i): field.one for i in range(n)})
+                if not 0 <= r < rows:
+                    raise IndexError(
+                        f"entry ({r},{c}) outside {rows}x{len(columns)}")
+                if is_zero(v):
+                    raise ValueError(f"entry ({r},{c}) stores a zero")
+        self.field = field
+        self.rows = rows
+        self.cols = len(columns)
+        self.columns = columns
 
     @classmethod
     def zero(cls, field, rows, cols):
-        return cls(field, rows, cols, {})
+        return cls(field, rows, [{}] * cols)
 
-    def columns(self):
-        cols = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
+    @property
+    def entries(self):
+        """The nonzero entries, flattened to (row, col) -> scalar: a view
+        for readers outside the package (bench/tracer.py counts it)."""
+        return {(r, c): v for c, col in enumerate(self.columns)
+                for r, v in col.items()}
 
     def matmul(self, other):
+        """Column c of the product is the sum of other[k, c] times
+        column k of self."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         F = self.field
-        out = {}
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                s = F.add(out.get((r, c), F.zero), F.mul(v, w))
-                if F.is_zero(s):
-                    out.pop((r, c), None)
-                else:
-                    out[(r, c)] = s
-        return ExactMatrix(F, self.rows, other.cols, out)
+        left = self.columns
+        out = []
+        for col in other.columns:
+            acc = {}
+            for k, w in col.items():
+                axpy(F, acc, w, left[k])
+            out.append(acc)
+        return ExactMatrix(F, self.rows, out)
 
     def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        return (isinstance(other, ExactMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries
-                and self.field == other.field)
+        return not any(self.columns)
 
     def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        nnz = sum(map(len, self.columns))
+        return f"ExactMatrix({self.rows}x{self.cols}, {nnz} entries)"
 
 
 def axpy(F, out, c, terms):
@@ -181,10 +154,11 @@ def rank_and_pivots(M):
     basis = {}
     index = {}
     pivots = []
-    for c, col in enumerate(M.columns()):
+    for c, col in enumerate(M.columns):
         if len(basis) == M.rows:
             break
-        if _reduce(F, basis, col):
+        col = _reduce(F, basis, dict(col))
+        if col:
             _insert(F, basis, index, col)
             pivots.append(c)
     return len(pivots), pivots
@@ -195,24 +169,24 @@ def kernel_basis(M):
     equal to 1 at c and 0 at the other dependent columns.
 
     Column c carries a tag row -1 - c, below M's rows; a column that
-    reduces to tag rows only spells out its kernel vector."""
+    reduces to tag rows only is its kernel vector, tag row -1 - r read
+    as row r."""
     F = M.field
     basis = {}
     index = {}
-    entries = {}
-    n = 0
-    for c, col in enumerate(M.columns()):
+    kernel = []
+    for c, col in enumerate(M.columns):
+        col = dict(col)
         col[-1 - c] = F.one
         _reduce(F, basis, col)
         if max(col) >= 0:
             _insert(F, basis, index, col)
             continue
-        entries[(c, n)] = F.one
+        vec = {c: col.pop(-1 - c)}
         for r in sorted(col, reverse=True):
-            if r != -1 - c:
-                entries[(-1 - r, n)] = col[r]
-        n += 1
-    return ExactMatrix(F, M.cols, n, entries)
+            vec[-1 - r] = col[r]
+        kernel.append(vec)
+    return ExactMatrix(F, M.cols, kernel)
 
 
 def pick_new_generators(field, nrows, base_cols, cand_cols, reverse=False):

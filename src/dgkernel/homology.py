@@ -79,36 +79,17 @@ def algebra_complex(A, hmax=None):
         A.field, A.basis_of_bidegree, A.diff_matrix, 0, hmax, A.max_intdeg)
 
 
-class ChainMap:
-    """f: source -> target of homological degree 0, given blockwise."""
-
-    def __init__(self, source, target, block_fn):
-        self.source = source
-        self.target = target
-        self._block_fn = block_fn
-        self._blocks = {}
-
-    def block(self, i, j):
-        key = (i, j)
-        if key not in self._blocks:
-            m = self.target.dim(i, j)
-            n = self.source.dim(i, j)
-            if m == 0 or n == 0:
-                M = la.ExactMatrix.zero(self.source.field, m, n)
-            else:
-                M = self._block_fn(i, j)
-            self._blocks[key] = M
-        return self._blocks[key]
-
-
-def cone(f):
-    """Mapping cone of a chain map f: C -> D, as the sum C[-1] (+) D with
-    block differential ((-dC, 0), (-f, dD)).
+def cone(C, D, block):
+    """Mapping cone of the chain map f: C -> D of homological degree 0
+    with blocks block(i, j): C_(i, j) -> D_(i, j), asked for only when
+    both slices are nonempty: the sum C[-1] (+) D with block
+    differential ((dC, 0), (f, -dD)).  That is minus the usual one, with
+    the same cycles and boundaries, so a column of C with no image under
+    f is shared with C's differential, not copied.
 
     Slice (n, j) is C_(n-1, j) labels tagged "src" followed by D_(n, j)
     labels tagged "tgt".
     """
-    C, D = f.source, f.target
     F = C.field
 
     def basis(n, j):
@@ -116,17 +97,23 @@ def cone(f):
                 + [("tgt", lbl) for lbl in D.basis(n, j)])
 
     def diff(n, j):
-        nc = C.dim(n - 1, j)
-        nd = D.dim(n, j)
+        neg = F.neg
         mc = C.dim(n - 2, j)
-        entries = {}
-        for (r, c), v in C.diff(n - 1, j).entries.items():
-            entries[(r, c)] = F.neg(v)
-        for (r, c), v in f.block(n - 1, j).entries.items():
-            entries[(mc + r, c)] = F.neg(v)
-        for (r, c), v in D.diff(n, j).entries.items():
-            entries[(mc + r, nc + c)] = v
-        return la.ExactMatrix(F, mc + D.dim(n - 1, j), nc + nd, entries)
+        f = (block(n - 1, j).columns
+             if C.dim(n - 1, j) and D.dim(n - 1, j) else None)
+        columns = []
+        for k, col in enumerate(C.diff(n - 1, j).columns):
+            if f is not None and f[k]:
+                col = dict(col)
+                for r, v in f[k].items():
+                    col[mc + r] = v
+            columns.append(col)
+        for col in D.diff(n, j).columns:
+            out = {}
+            for r, v in col.items():
+                out[mc + r] = neg(v)
+            columns.append(out)
+        return la.ExactMatrix(F, mc + D.dim(n - 1, j), columns)
 
     return BigradedComplex(
         F, basis, diff,
@@ -176,16 +163,16 @@ def minimal_generators(C, i, actions, dmax=None, reverse=False):
     kernels = {}
     gens = []
     for j in range(dmax + 1):
-        Z = la.kernel_basis(C.diff(i, j)).columns()
+        Z = la.kernel_basis(C.diff(i, j)).columns
         kernels[j] = Z
-        W = C.diff(i + 1, j).columns()
+        W = list(C.diff(i + 1, j).columns)
         for d, act_at in actions.items():
             lower = kernels.get(j - d)
             if not lower:
                 continue
-            Zl = la.ExactMatrix.from_columns(F, C.dim(i, j - d), lower)
+            Zl = la.ExactMatrix(F, C.dim(i, j - d), lower)
             for act in act_at(j - d):
-                W.extend(col for col in act.matmul(Zl).columns() if col)
+                W.extend(col for col in act.matmul(Zl).columns if col)
         sel = la.pick_new_generators(F, C.dim(i, j), W, Z, reverse=reverse)
         for k in sel:
             gens.append((j, Z[k]))
@@ -267,8 +254,8 @@ class ResidueField:
 def cone_of(built, target, hmax, dmax):
     """Mapping cone of the comparison map q: X -> T of an object under
     construction (see kill_homology)."""
-    return cone(ChainMap(built.complex(hmax, dmax),
-                         target.complex(hmax, dmax), built.q_block))
+    return cone(built.complex(hmax, dmax), target.complex(hmax, dmax),
+                built.q_block)
 
 
 def kill_homology(built, target, n, hmax, dmax, reverse=False):
@@ -287,7 +274,7 @@ def kill_homology(built, target, n, hmax, dmax, reverse=False):
     act_matrix(d, bidx, i, j).
     """
     X = built.complex(hmax, dmax)
-    C = cone(ChainMap(X, target.complex(hmax, dmax), built.q_block))
+    C = cone(X, target.complex(hmax, dmax), built.q_block)
     base = built.algebra.base
     F = C.field
 
@@ -296,11 +283,13 @@ def kill_homology(built, target, n, hmax, dmax, reverse=False):
         for bidx in base.a0_basis(d):
             mx = built.act_matrix(d, bidx, n - 1, j)
             mt = target.act_matrix(d, bidx, n, j)
-            entries = dict(mx.entries)
-            for (r, c), v in mt.entries.items():
-                entries[(mx.rows + r, mx.cols + c)] = v
-            mats.append(la.ExactMatrix(F, mx.rows + mt.rows,
-                                       mx.cols + mt.cols, entries))
+            columns = list(mx.columns)
+            for col in mt.columns:
+                out = {}
+                for r, v in col.items():
+                    out[mx.rows + r] = v
+                columns.append(out)
+            mats.append(la.ExactMatrix(F, mx.rows + mt.rows, columns))
         return mats
 
     degrees = sorted({v.intdeg for v in base.presentation.variables

@@ -11,7 +11,6 @@ certified inside the computed box.
 from . import exact_linear as la
 from . import homology as hml
 from . import model_builder as mb
-from .dg_core import DgElement
 from .errors import AdmissibilityError, CertificationError
 from .module_resolution import resolve_module
 
@@ -34,11 +33,6 @@ class CountTable:
 
     def marginals(self):
         return [self.marginal(i) for i in range(self.max_hdeg + 1)]
-
-    def complete(self, i):
-        """A homological degree is certified when it lies inside the
-        computed box; internal degrees are certified up to max_intdeg."""
-        return 0 <= i <= self.max_hdeg
 
     def as_dict(self):
         return {
@@ -151,8 +145,7 @@ def _embedding_dimension(A, D, relations=None):
                         span.append(col)
         if relations is not None:
             span += relations(d, pos)
-        M = la.ExactMatrix.from_columns(A.field, len(cand), span)
-        rank, _ = la.rank_and_pivots(M)
+        rank, _ = la.rank_and_pivots(la.ExactMatrix(A.field, len(cand), span))
         total += len(cand) - rank
     return total
 
@@ -170,7 +163,7 @@ def embedding_dimension_h0(A):
             if mon.is_trivial() and ib in pos:
                 rowpos[n] = pos[ib]
         span = []
-        for col in A.diff_matrix(1, d).columns():
+        for col in A.diff_matrix(1, d).columns:
             c2 = {rowpos[r]: v for r, v in col.items() if r in rowpos}
             if c2:
                 span.append(c2)
@@ -272,8 +265,14 @@ class VerificationReport:
                 "comparisons": self.comparisons, "notes": self.notes}
 
 
-def _report(statement, comparisons, N, D, notes=None):
-    verdict = "pass" if all(c.get("ok", True) for c in comparisons) else "fail"
+def _report(statement, comparisons, N, D, notes=None, cut=None):
+    """pass when every row is ok; inconclusive-at-bound when every failing
+    row carries the key cut (the bound cut the data it was read from);
+    fail otherwise."""
+    failed = [c for c in comparisons if not c.get("ok", True)]
+    verdict = "pass" if not failed else "fail"
+    if failed and cut and all(c.get(cut) for c in failed):
+        verdict = "inconclusive-at-bound"
     return VerificationReport(statement, verdict, comparisons, N, D, notes)
 
 
@@ -467,12 +466,8 @@ def _verify_vanishing_pattern(A, N, D):
             row["window_cut_at_D"] = True
             notes.append(f"t = {t}: window n_{t + 1}..n_{t + s + 1} = 0 "
                          f"read from a table cut at internal degree {D}")
-    failed = [c for c in comparisons if not c["ok"]]
-    verdict = "pass" if not failed else "fail"
-    if failed and all(c.get("window_cut_at_D") for c in failed):
-        verdict = "inconclusive-at-bound"
-    return VerificationReport("vanishing-pattern", verdict, comparisons,
-                              N, D, notes)
+    return _report("vanishing-pattern", comparisons, N, D, notes,
+                   cut="window_cut_at_D")
 
 
 def _verify_halperin(A, N, D):
@@ -493,13 +488,13 @@ def _verify_halperin(A, N, D):
     # degree at or above one where the table reaches D
     reach = min((h for (h, d), c in dev.table.items() if c and d == D),
                 default=None)
+    notes = []
     if not row["ok"] and reach is not None and zeros[0] >= reach:
         row["zero_cut_at_D"] = True
-        return VerificationReport(
-            "halperin", "inconclusive-at-bound", [row], N, D,
-            [f"eps_t = 0 for t in {zeros} read from a table that reaches "
-             f"internal degree {D} in homological degree {reach}"])
-    return _report("halperin", [row], N, D)
+        notes.append(f"eps_t = 0 for t in {zeros} read from a table that "
+                     f"reaches internal degree {D} in homological degree "
+                     f"{reach}")
+    return _report("halperin", [row], N, D, notes, cut="zero_cut_at_D")
 
 
 def _verify_uniqueness(A, N, D):
@@ -556,16 +551,16 @@ def _fiber_complex(model, i):
         return [k for k in V.basis_of_bidegree(n, j) if keep(k)]
 
     def diff(n, j):
-        cols = basis(n, j)
         rows = basis(n - 1, j)
         pos = {k: m for m, k in enumerate(rows)}
-        entries = {}
-        for cidx, key in enumerate(cols):
-            du = V.differential(DgElement(n, j, {key: F.one}))
-            for k, c in du.terms.items():
+        columns = []
+        for key in basis(n, j):
+            col = {}
+            for k, c in V._label_differential(key).items():
                 if k in pos:
-                    entries[(pos[k], cidx)] = c
-        return la.ExactMatrix(F, len(rows), len(cols), entries)
+                    col[pos[k]] = c
+            columns.append(col)
+        return la.ExactMatrix(F, len(rows), columns)
 
     return hml.BigradedComplex(F, basis, diff, 0, V.max_hdeg, V.max_intdeg)
 
@@ -597,7 +592,5 @@ def _verify_fiber_boundedness(A, N, D):
             notes.append(f"stage {i}: homology in degree {top} >= N - 1 = "
                          f"{N - 1} leaves no trailing window in the box")
         comparisons.append(row)
-    if notes:
-        return VerificationReport("fiber-boundedness", "inconclusive-at-bound",
-                                  comparisons, N, D, notes)
-    return _report("fiber-boundedness", comparisons, N, D)
+    return _report("fiber-boundedness", comparisons, N, D, notes,
+                   cut="window_cut_at_N")

@@ -104,13 +104,11 @@ class RingTarget:
         F = self.field
         elem = self.base_image(d, bidx)
         n, m = self.dim(i, j), self.dim(i, j + d)
-        entries = {}
-        if m and not elem.is_zero():
-            for cidx in range(n):
-                prod = self.multiply(elem, TargetElement(i, j, {cidx: F.one}))
-                for r, v in prod.coords.items():
-                    entries[(r, cidx)] = v
-        return la.ExactMatrix(F, m, n, entries)
+        if not m or elem.is_zero():
+            return la.ExactMatrix.zero(F, m, n)
+        return la.ExactMatrix(F, m, [
+            self.multiply(elem, TargetElement(i, j, {cidx: F.one})).coords
+            for cidx in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +250,15 @@ class Model:
         its factors."""
         U = self.algebra
         T = self.spec.target
-        cols = U.basis_of_bidegree(i, j)
-        entries = {}
-        for cidx, key in enumerate(cols):
+        columns = []
+        for key in U.basis_of_bidegree(i, j):
             img = None
             for factor in self._factor_images(key):
                 img = factor if img is None else T.multiply(img, factor)
                 if img.is_zero():
                     break
-            for r, v in img.coords.items():
-                entries[(r, cidx)] = v
-        return la.ExactMatrix(U.field, T.dim(i, j), len(cols), entries)
+            columns.append(img.coords)
+        return la.ExactMatrix(U.field, T.dim(i, j), columns)
 
     def extend(self, n, stage):
         """The model with one variable of homological degree n per cycle
@@ -332,15 +328,10 @@ def acyclic_closure(A, max_hdeg, max_intdeg, reverse=False):
                        reverse=reverse)
 
 
-def minimal_model(spec_or_A, max_hdeg=None, max_intdeg=None, reverse=False):
-    """Minimal model (switching degree infinity).  Accepts a full ModelSpec
-    or a source algebra (then the target is the residue field)."""
-    if isinstance(spec_or_A, ModelSpec):
-        spec = spec_or_A
-        spec.switching_degree = INFINITY
-    else:
-        spec = residue_field_spec(spec_or_A, max_hdeg, max_intdeg, INFINITY)
-    return build_model(spec, reverse=reverse)
+def minimal_model(A, max_hdeg, max_intdeg, reverse=False):
+    """Minimal model of k over A (switching degree infinity)."""
+    return build_model(residue_field_spec(A, max_hdeg, max_intdeg, INFINITY),
+                       reverse=reverse)
 
 
 def cover_algebra(tbase, max_hdeg, max_intdeg):

@@ -92,13 +92,10 @@ class PresentedModule:
         return out
 
     def act_matrix(self, d, bidx, i, j):
-        n = self.dim(i, j)
-        entries = {}
-        for cidx in range(n):
-            for r, v in self._mult_by_base(
-                    d, bidx, j, {cidx: self.field.one}).items():
-                entries[(r, cidx)] = v
-        return la.ExactMatrix(self.field, self.dim(i, j + d), n, entries)
+        one = self.field.one
+        return la.ExactMatrix(self.field, self.dim(i, j + d), [
+            self._mult_by_base(d, bidx, j, {cidx: one})
+            for cidx in range(self.dim(i, j))])
 
     def act(self, a, i, j, coords):
         """Action of a homogeneous algebra element on coords at (i, j).
@@ -164,19 +161,21 @@ class SemifreeResolution:
         F = A.field
         cols = self.basis(i, j)
         pos = {lab: n for n, lab in enumerate(self.basis(i - 1, j))}
-        entries = {}
-        for cidx, (g, akey) in enumerate(cols):
+        columns = []
+        for g, akey in cols:
             h, _, bnd, _ = self.generators[g]
+            col = {}
             for akey2, c in A._label_differential(akey).items():
-                entries[(pos[(g, akey2)], cidx)] = c
+                col[pos[(g, akey2)]] = c
             sign = F.neg(F.one) if (i - h) % 2 == 1 else F.one
             for g2, e in bnd.items():
                 prod = {}
                 for k, c in e.terms.items():
                     la.axpy(F, prod, F.mul(sign, c), A._label_product(akey, k))
                 for akey2, c in prod.items():
-                    entries[(pos[(g2, akey2)], cidx)] = c
-        return la.ExactMatrix(F, len(pos), len(cols), entries)
+                    col[pos[(g2, akey2)]] = c
+            columns.append(col)
+        return la.ExactMatrix(F, len(pos), columns)
 
     def complex(self, hmax, dmax):
         hmin = min((h for h, _, _, _ in self.generators), default=0)
@@ -187,11 +186,13 @@ class SemifreeResolution:
         A = self.algebra
         cols = self.basis(i, j)
         pos = {lab: n for n, lab in enumerate(self.basis(i, j + d))}
-        entries = {}
-        for cidx, (g, akey) in enumerate(cols):
+        columns = []
+        for g, akey in cols:
+            col = {}
             for akey2, c in A._act_label(d, bidx, akey):
-                entries[(pos[(g, akey2)], cidx)] = c
-        return la.ExactMatrix(A.field, len(pos), len(cols), entries)
+                col[pos[(g, akey2)]] = c
+            columns.append(col)
+        return la.ExactMatrix(A.field, len(pos), columns)
 
     # --- the comparison map -------------------------------------------------
 
@@ -205,13 +206,10 @@ class SemifreeResolution:
         return out
 
     def q_block(self, i, j):
-        cols = self.basis(i, j)
-        m = self.module.dim(i, j)
-        entries = {}
-        for cidx in range(len(cols)):
-            for r, v in self.q_coords(i, j, {cidx: self.algebra.field.one}).items():
-                entries[(r, cidx)] = v
-        return la.ExactMatrix(self.algebra.field, m, len(cols), entries)
+        one = self.algebra.field.one
+        return la.ExactMatrix(self.algebra.field, self.module.dim(i, j), [
+            self.q_coords(i, j, {cidx: one})
+            for cidx in range(self.dim(i, j))])
 
     def extend(self, n, stage):
         """Add one free generator of homological degree n per cycle of the

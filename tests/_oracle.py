@@ -49,22 +49,24 @@ class OracleResolution:
         cols = basis_cache.setdefault((i, j), self.basis(i, j))
         rows = basis_cache.setdefault((i - 1, j), self.basis(i - 1, j))
         pos = {lab: n for n, lab in enumerate(rows)}
-        entries = {}
-        for cidx, (g, b) in enumerate(cols):
+        columns = []
+        for g, b in cols:
             h, d, bnd = self.generators[g]
+            col = {}
             for g2, comp in bnd.items():
                 h2, d2, _ = self.generators[g2]
                 for b2, c2 in comp.items():
                     prod = self.R.mult_basis(j - d, b, d - d2, b2)
                     for b3, c3 in prod.items():
-                        key = (pos[(g2, b3)], cidx)
-                        s = self.F.add(entries.get(key, self.F.zero),
+                        key = pos[(g2, b3)]
+                        s = self.F.add(col.get(key, self.F.zero),
                                        self.F.mul(c2, c3))
                         if self.F.is_zero(s):
-                            entries.pop(key, None)
+                            col.pop(key, None)
                         else:
-                            entries[key] = s
-        return la.ExactMatrix(self.F, len(rows), len(cols), entries)
+                            col[key] = s
+            columns.append(col)
+        return la.ExactMatrix(self.F, len(rows), columns)
 
     # --- construction ---------------------------------------------------------
 
@@ -77,7 +79,7 @@ class OracleResolution:
             cache = {}
             for j in range(self.D + 1):
                 M = self.diff_matrix(i - 1, j, cache)
-                Z = [] if (i - 1, j) == (0, 0) else la.kernel_basis(M).columns()
+                Z = [] if (i - 1, j) == (0, 0) else la.kernel_basis(M).columns
                 kernels[(i - 1, j)] = (Z, cache[(i - 1, j)])
             new_gens = []
             for j in range(self.D + 1):

@@ -171,9 +171,9 @@ def test_sibling_extensions_keep_their_own_differential(order):
     for k in order:
         exts[k] = A.adjoin_variable(gens[k], EXTERIOR, name="ef"[k])
         expected = {ib: c for (_, ib, _), c in gens[k].terms.items()}
-        assert exts[k].diff_matrix(1, 1).columns() == [expected]
+        assert exts[k].diff_matrix(1, 1).columns == [expected]
     for k in order:
         fresh = DgAlgebra(A.base, exts[k].variables, 4, 4)
         for i, j in ((1, 1), (1, 2), (1, 3)):
-            assert (exts[k].diff_matrix(i, j).entries
-                    == fresh.diff_matrix(i, j).entries), (k, i, j)
+            assert (exts[k].diff_matrix(i, j).columns
+                    == fresh.diff_matrix(i, j).columns), (k, i, j)

@@ -4,6 +4,7 @@ checked against a dense textbook reference."""
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dgkernel import QQ, GF
@@ -11,23 +12,23 @@ from dgkernel import exact_linear as la
 
 
 def dense(M):
-    return [[M.entries.get((r, c), M.field.zero) for c in range(M.cols)]
+    return [[col.get(r, M.field.zero) for col in M.columns]
             for r in range(M.rows)]
 
 
 def random_matrix(field, rows, cols, rng, density=0.5):
-    entries = {}
+    columns = [{} for _ in range(cols)]
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
                 v = field.from_int(rng.randint(-4, 4))
                 if not field.is_zero(v):
-                    entries[(r, c)] = v
-    return la.ExactMatrix(field, rows, cols, entries)
+                    columns[c][r] = v
+    return la.ExactMatrix(field, rows, columns)
 
 
 def test_identity_rank():
-    I = la.ExactMatrix.identity(QQ, 5)
+    I = la.ExactMatrix(QQ, 5, [{c: QQ.one} for c in range(5)])
     rank, pivots = la.rank_and_pivots(I)
     assert rank == 5
     assert pivots == [0, 1, 2, 3, 4]
@@ -35,7 +36,8 @@ def test_identity_rank():
 
 
 def test_kernel_annihilates():
-    M = la.ExactMatrix.from_rows(QQ, [[1, 2, 3], [2, 4, 6]])
+    # the rows (1, 2, 3) and (2, 4, 6)
+    M = la.ExactMatrix(QQ, 2, [{0: 1, 1: 2}, {0: 2, 1: 4}, {0: 3, 1: 6}])
     K = la.kernel_basis(M)
     assert K.cols == 2
     prod = M.matmul(K)
@@ -102,7 +104,7 @@ def test_rank_nullity_random(seed, p):
 def test_rref_deterministic(seed):
     rng = random.Random(seed)
     M = random_matrix(GF(3), rng.randint(1, 5), rng.randint(1, 5), rng)
-    assert la.kernel_basis(M).entries == la.kernel_basis(M).entries
+    assert la.kernel_basis(M).columns == la.kernel_basis(M).columns
     assert la.rank_and_pivots(M) == la.rank_and_pivots(M)
 
 
@@ -141,10 +143,13 @@ FIELDS = {0: QQ, 2: GF(2), 3: GF(3), 101: GF(101)}
 
 
 @st.composite
-def small_matrices(draw):
-    """(p, rows, columns as int dicts): sparse entries, up to 6 x 7."""
-    p = draw(st.sampled_from(sorted(FIELDS)))
-    nrows = draw(st.integers(1, 6))
+def small_matrices(draw, p=None, nrows=None):
+    """(p, rows, columns as int dicts): sparse entries, up to 6 x 7; p and
+    the number of rows are drawn unless given."""
+    if p is None:
+        p = draw(st.sampled_from(sorted(FIELDS)))
+    if nrows is None:
+        nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(0, 7))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
     cols = [{r: v for r in range(nrows) if (v := draw(entry)) % (p or 7)}
@@ -154,7 +159,7 @@ def small_matrices(draw):
 
 def engine_matrix(p, nrows, cols):
     F = FIELDS[p]
-    return la.ExactMatrix.from_columns(
+    return la.ExactMatrix(
         F, nrows, [{r: F.from_int(v) for r, v in c.items()} for c in cols])
 
 
@@ -168,15 +173,57 @@ def test_rank_pivots_and_kernel_match_reference(m):
     assert la.rank_and_pivots(M) == (len(pivots), pivots)
     # canonical kernel: 1 at a free column, minus the RREF column at pivots
     free = [c for c in range(len(cols)) if c not in pivots]
-    expect = {}
-    for n, f in enumerate(free):
-        expect[(f, n)] = 1
+    expect = []
+    for f in free:
+        vec = {f: 1}
         for row, pc in zip(R, pivots):
             if row[f]:
-                expect[(pc, n)] = -row[f] if p == 0 else (-row[f]) % p
+                vec[pc] = -row[f] if p == 0 else (-row[f]) % p
+        expect.append(vec)
     K = la.kernel_basis(M)
     assert (K.rows, K.cols) == (len(cols), len(free))
-    assert K.entries == expect
+    assert K.columns == expect
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(p, L, R) with L of shape m x k and R of shape k x n over F_p (Q
+    for p = 0), so that L R is defined."""
+    p, nrows, left = draw(small_matrices())
+    _, _, right = draw(small_matrices(p, len(left)))
+    return p, engine_matrix(p, nrows, left), engine_matrix(p, len(left), right)
+
+
+def ref_product(p, left, right, ncols):
+    """Dense textbook product of the dense rows left (m x k) and right
+    (k x ncols)."""
+    out = [[sum(Fraction(row[t] * right[t][c]) for t in range(len(right)))
+            for c in range(ncols)] for row in left]
+    return out if p == 0 else [[x % p for x in row] for row in out]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix_pairs())
+@example((0, la.ExactMatrix(QQ, 2, [{0: 1, 1: 2}, {1: QQ(1, 3)}]),
+          la.ExactMatrix(QQ, 2, [{0: 3, 1: -6}, {}, {1: 3}])))
+@example((2, la.ExactMatrix(GF(2), 1, [{0: 1}, {0: 1}]),
+          la.ExactMatrix(GF(2), 2, [{0: 1, 1: 1}, {1: 1}])))
+def test_matmul_matches_dense_product(case):
+    p, L, R = case
+    P = L.matmul(R)
+    assert (P.rows, P.cols) == (L.rows, R.cols)
+    assert dense(P) == ref_product(p, dense(L), dense(R), R.cols)
+
+
+def test_matrix_rejects_rows_out_of_range_and_stored_zeros():
+    with pytest.raises(IndexError, match=r"entry \(2,0\) outside 2x1"):
+        la.ExactMatrix(QQ, 2, [{2: QQ.one}])
+    with pytest.raises(IndexError, match=r"entry \(-1,1\) outside 2x2"):
+        la.ExactMatrix(QQ, 2, [{}, {-1: QQ.one}])
+    with pytest.raises(ValueError, match=r"entry \(0,0\) stores a zero"):
+        la.ExactMatrix(QQ, 2, [{0: QQ.zero}])
+    with pytest.raises(ValueError, match=r"entry \(1,1\) stores a zero"):
+        la.ExactMatrix(GF(3), 2, [{0: 1}, {1: 3}])
 
 
 @settings(max_examples=150, deadline=None)

@@ -219,6 +219,19 @@ def test_halperin_zero_cut_at_internal_bound():
                for n in report.notes)
 
 
+@pytest.mark.parametrize("rows,cut,verdict", [
+    ([{"ok": True}, {"note": "no ok"}], "cut", "pass"),
+    ([{"ok": True}, {"ok": False, "cut": True}], "cut", "inconclusive-at-bound"),
+    ([{"ok": False, "cut": True}, {"ok": False}], "cut", "fail"),
+    ([{"ok": False, "cut": True}], "other", "fail"),
+    ([{"ok": False, "cut": True}], None, "fail"),
+])
+def test_report_is_inconclusive_only_when_the_bound_cut_every_failure(
+        rows, cut, verdict):
+    report = inv._report("s", rows, 3, 4, cut=cut)
+    assert (report.verdict, report.notes) == (verdict, [])
+
+
 @pytest.mark.parametrize("make", [complete_intersection, golod])
 def test_halperin_passes_at_small_bounds(make):
     report = inv.verify("halperin", make(QQ, N=5, D=6), 5, 6)

@@ -88,3 +88,17 @@ def test_package_imports_only_stdlib():
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert ROOT.joinpath("cli.py").exists()
     assert not found, found
+
+
+def test_matrix_storage_stays_in_exact_linear():
+    # a matrix is its list of sparse columns; the flattened entries view
+    # is for outside readers, and no other module of the package reads it
+    found = []
+    for path, tree in modules():
+        if path.name == "exact_linear.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "entries":
+                found.append(f"{path.name}:{node.lineno}")
+    assert ROOT.joinpath("exact_linear.py").exists()
+    assert not found, found
