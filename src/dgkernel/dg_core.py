@@ -180,6 +180,14 @@ class DgAlgebra:
         times the base product.  Empty when the product vanishes (a
         repeated odd variable, or a binomial that is zero in the field)."""
         (j1, i1, m1), (j2, i2, m2) = k1, k2
+        # a trivial monomial (tested by content: _leibniz builds its own)
+        # leaves the other one as it is: no sign, binomial or new Monomial
+        if not (m1.evens or m1.odds):
+            return {(j1 + j2, i3, m2): c3 for i3, c3
+                    in self.base.mult_basis(j1, i1, j2, i2).items()}
+        if not (m2.evens or m2.odds):
+            return {(j1 + j2, i3, m1): c3 for i3, c3
+                    in self.base.mult_basis(j1, i1, j2, i2).items()}
         if set(m1.odds) & set(m2.odds):
             return {}
         # inversion count of the odd merge
@@ -241,13 +249,11 @@ class DgAlgebra:
         mult = self.base.mult_basis
         out = {}
         for (j2, i2, m2), c in dm.items():
-            for i3, c3 in mult(jb, ib, j2, i2).items():
-                k = (jb + j2, i3, m2)
-                s = F.add(out.get(k, F.zero), F.mul(c, c3))
-                if F.is_zero(s):
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+            prod = mult(jb, ib, j2, i2)
+            # skip a base product that vanishes, as most do on monomial rings
+            if prod:
+                axpy(F, out, c, {(jb + j2, i3, m2): c3
+                                 for i3, c3 in prod.items()})
         return out
 
     def _monomial_differential(self, mon):

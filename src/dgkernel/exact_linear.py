@@ -82,13 +82,30 @@ class ExactMatrix:
 
 def axpy(F, out, c, terms):
     """out += c * terms, in place, dropping entries that become zero: a
-    sparse vector holds nonzero scalars only.  Returns out."""
-    for k, v in terms.items():
-        s = F.add(out.get(k, F.zero), F.mul(c, v))
-        if F.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
+    sparse vector holds nonzero scalars only.  Returns out.
+
+    The field's rule is picked once per call: over F_p the sum of reduced
+    ints is reduced mod p; over Q it is an int when it is integral (the
+    scalar convention of fields.RationalField) and a Fraction otherwise."""
+    get = out.get
+    pop = out.pop
+    p = F.characteristic
+    if p:
+        for k, v in terms.items():
+            s = (get(k, 0) + c * v) % p
+            if s:
+                out[k] = s
+            else:
+                pop(k, None)
+    else:
+        for k, v in terms.items():
+            s = get(k, 0) + c * v
+            if s.__class__ is not int and s.denominator == 1:
+                s = s.numerator
+            if s:
+                out[k] = s
+            else:
+                pop(k, None)
     return out
 
 
@@ -110,23 +127,20 @@ def _insert(F, basis, index, col):
     basis[q][r] != 0; the columns to clear are index.pop(p), and the
     index follows every entry that appears or vanishes."""
     p = max(col)
-    inv = F.div(F.neg(F.one), col[p])
-    col = {r: F.mul(inv, v) for r, v in col.items()}
-    zero = F.zero
+    col = axpy(F, {}, F.div(F.neg(F.one), col[p]), col)
+    rows = col.keys()
     for q in index.pop(p, ()):
         other = basis[q]
-        f = other.pop(p)
-        for r, v in col.items():
-            if r == p:
-                continue
-            s = F.add(other.get(r, zero), F.mul(f, v))
-            if F.is_zero(s):
-                del other[r]
+        # every row of col but p is a non-pivot row: those other lacks
+        # gain an entry, and of those it has, the ones missing after the
+        # update (p among them, as col[p] = -1) cancelled
+        gained = rows - other.keys()
+        axpy(F, other, other[p], col)
+        for r in gained:
+            index.setdefault(r, set()).add(q)
+        for r in rows - other.keys():
+            if r != p:
                 index[r].discard(q)
-            else:
-                if r not in other:
-                    index.setdefault(r, set()).add(q)
-                other[r] = s
     for r in col:
         if r != p:
             index.setdefault(r, set()).add(p)

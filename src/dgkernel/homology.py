@@ -69,7 +69,17 @@ class BigradedComplex:
         return self._ranks[key]
 
     def check_dd_zero(self, i, j):
-        return self.diff(i - 1, j).matmul(self.diff(i, j)).is_zero()
+        """d_(i-1) d_i = 0 at internal degree j, found one column of the
+        product at a time: False at the first nonzero one."""
+        F = self.field
+        left = self.diff(i - 1, j).columns
+        for col in self.diff(i, j).columns:
+            acc = {}
+            for k, w in col.items():
+                la.axpy(F, acc, w, left[k])
+            if acc:
+                return False
+        return True
 
 
 def algebra_complex(A, hmax=None):
@@ -160,6 +170,9 @@ def minimal_generators(C, i, actions, dmax=None, reverse=False):
     if dmax is None:
         dmax = C.dmax
     F = C.field
+    # degree j reads kernels[j - d] for d in actions, so after degree j no
+    # later one reads kernels[j - top]
+    top = max(actions, default=0)
     kernels = {}
     gens = []
     for j in range(dmax + 1):
@@ -176,6 +189,7 @@ def minimal_generators(C, i, actions, dmax=None, reverse=False):
         sel = la.pick_new_generators(F, C.dim(i, j), W, Z, reverse=reverse)
         for k in sel:
             gens.append((j, Z[k]))
+        kernels.pop(j - top, None)
     return gens
 
 

@@ -123,20 +123,40 @@ class SemifreeResolution:
         # generators: (hdeg, intdeg, boundary {g: DgElement}, qimg coords)
         self.generators = []
         self._bases = {}
+        # _generator_runs of the first _runs_of generators
+        self._runs = []
+        self._runs_of = 0
 
     # --- the underlying complex -------------------------------------------
 
+    def _generator_runs(self):
+        """The generators as runs (h, d, first, stop) of consecutive
+        indices sharing the bidegree (h, d), in order."""
+        if self._runs_of != len(self.generators):
+            runs = []
+            for g, (h, d, _, _) in enumerate(self.generators):
+                if runs and runs[-1][:2] == (h, d):
+                    runs[-1] = (h, d, runs[-1][2], g + 1)
+                else:
+                    runs.append((h, d, g, g + 1))
+            self._runs = runs
+            self._runs_of = len(self.generators)
+        return self._runs
+
     def basis(self, i, j):
+        """Labels (g, algebra label) of slice (i, j): generator by
+        generator, each with the algebra basis of bidegree (i, j) - |g|,
+        looked up once per run of generators of one bidegree."""
         key = (i, j)
         hit = self._bases.get(key)
         if hit is not None:
             return hit
         out = []
-        for g, (h, d, _, _) in enumerate(self.generators):
+        for h, d, first, stop in self._generator_runs():
             if h > i or d > j or i - h > self.algebra.max_hdeg:
                 continue
-            for akey in self.algebra.basis_of_bidegree(i - h, j - d):
-                out.append((g, akey))
+            labels = self.algebra.basis_of_bidegree(i - h, j - d)
+            out += [(g, akey) for g in range(first, stop) for akey in labels]
         self._bases[key] = out
         return out
 

@@ -8,6 +8,7 @@ import pytest
 
 from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
                       DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
+from dgkernel.dg_core import TRIVIAL_MONOMIAL
 from dgkernel import acyclic_closure
 from _fixtures import hypersurface, complete_intersection, golod
 
@@ -177,3 +178,76 @@ def test_sibling_extensions_keep_their_own_differential(order):
         for i, j in ((1, 1), (1, 2), (1, 3)):
             assert (exts[k].diff_matrix(i, j).columns
                     == fresh.diff_matrix(i, j).columns), (k, i, j)
+
+
+def merged_label_product(U, k1, k2):
+    """The general label product, written out: odd-merge sign times
+    divided-power binomials times the base product, on a new Monomial."""
+    (j1, i1, m1), (j2, i2, m2) = k1, k2
+    F = U.field
+    if set(m1.odds) & set(m2.odds):
+        return {}
+    inv = sum(1 for a in m1.odds for b in m2.odds if a > b)
+    evens = dict(m1.evens)
+    coeff = 1
+    for vid, e in m2.evens:
+        a = evens.get(vid, 0)
+        if a and U.variables[vid].kind == DIVIDED_POWER:
+            coeff *= math.comb(a + e, a)
+        evens[vid] = a + e
+    c = F.from_int(-coeff if inv % 2 else coeff)
+    if F.is_zero(c):
+        return {}
+    mon = Monomial(tuple(evens.items()), tuple(sorted(m1.odds + m2.odds)))
+    return {(j1 + j2, i3, mon): F.mul(c, c3)
+            for i3, c3 in U.base.mult_basis(j1, i1, j2, i2).items()}
+
+
+def hypersurface_with_even_variables(field, kind, N=6, D=6):
+    """k[x]/(x^2) with e, de = x, and an even variable t of the given
+    kind with dt = x*e."""
+    A = hypersurface(field, N=N, D=D)
+    x = A.base_element(1, A.base.normal_form(1, (1,)))
+    A1 = A.adjoin_variable(x, EXTERIOR, name="e")
+    return A1.adjoin_variable(A1.multiply(x, A1.var_element(0)), kind,
+                              name="t")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2)])
+@pytest.mark.parametrize("make", [
+    closure_algebra,
+    lambda F: hypersurface_with_even_variables(F, POLYNOMIAL),
+    lambda F: hypersurface_with_even_variables(F, DIVIDED_POWER),
+])
+def test_label_product_with_a_trivial_monomial_is_the_merge(field, make):
+    # the fast path for a trivial side must give the general merge on a
+    # Monomial object it was given, and recognise a trivial monomial by
+    # content: a fresh Monomial() is not TRIVIAL_MONOMIAL
+    U = make(field)
+    labels = [k for i in range(U.max_hdeg + 1)
+              for j in range(U.max_intdeg + 1)
+              for k in U.basis_of_bidegree(i, j)]
+    kinds = {U.variables[vid].kind for k in labels
+             for vid in [v for v, _ in k[2].evens] + list(k[2].odds)}
+    assert EXTERIOR in kinds and len(kinds) == 2
+    fresh = Monomial()
+    assert fresh is not TRIVIAL_MONOMIAL
+    trivial = [k for k in labels if k[2].is_trivial()]
+    trivial += [(jb, ib, fresh) for jb, ib, _ in trivial]
+    checked = 0
+    for t in trivial:
+        for k in labels:
+            if t[0] + k[0] > U.base.D:
+                continue
+            for a, b in ((t, k), (k, t)):
+                got = U._label_product(a, b)
+                assert got == merged_label_product(U, a, b), (a, b)
+                assert all(m is a[2] or m is b[2] for _, _, m in got)
+            checked += 1
+    assert checked > 50
+    # the written-out merge is the general product too
+    rng = random.Random(23)
+    for _ in range(200):
+        a, b = rng.choice(labels), rng.choice(labels)
+        if a[0] + b[0] <= U.base.D:
+            assert U._label_product(a, b) == merged_label_product(U, a, b)

@@ -224,6 +224,11 @@ def test_matrix_rejects_rows_out_of_range_and_stored_zeros():
         la.ExactMatrix(QQ, 2, [{0: QQ.zero}])
     with pytest.raises(ValueError, match=r"entry \(1,1\) stores a zero"):
         la.ExactMatrix(GF(3), 2, [{0: 1}, {1: 3}])
+    # an unreduced multiple of p is zero in F_p, and a Fraction zero in Q
+    with pytest.raises(ValueError, match=r"entry \(0,1\) stores a zero"):
+        la.ExactMatrix(GF(101), 1, [{0: 100}, {0: 101}])
+    with pytest.raises(ValueError, match=r"entry \(1,0\) stores a zero"):
+        la.ExactMatrix(QQ, 2, [{0: Fraction(1, 2), 1: Fraction(0)}])
 
 
 @settings(max_examples=150, deadline=None)

@@ -81,6 +81,21 @@ def test_homology_rejects_d_squared_nonzero():
         hml.homology(C, 1, 0)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3)])
+def test_check_dd_zero_reads_every_column_of_the_product(field):
+    # d_1 d_2 is zero on every column but the last, and zero once that
+    # column of d_2 is dropped: the check matches the whole product
+    one, two, minus = field.one, field.from_int(2), field.from_int(-1)
+    d1 = la.ExactMatrix(field, 1, [{0: one}, {0: two}])
+    for last, expect in (({1: one}, False), ({0: two, 1: minus}, True)):
+        d2 = la.ExactMatrix(field, 2, [{0: two, 1: minus}, {}, last])
+        C = hml.BigradedComplex(
+            field, lambda i, j: ["e"] * (i + 1), lambda i, j: (d1, d2)[i - 1],
+            0, 2, 0)
+        assert C.check_dd_zero(2, 0) is expect
+        assert d1.matmul(d2).is_zero() is expect
+
+
 # ---------------------------------------------------------------------------
 # minimal_generators acts only in the degrees of A0's generators
 # ---------------------------------------------------------------------------

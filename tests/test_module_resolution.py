@@ -1,6 +1,6 @@
 """Minimal semifree resolutions of modules over dg-algebras."""
 
-from dgkernel import QQ, GF, EXTERIOR
+from dgkernel import QQ, GF, EXTERIOR, DgAlgebra, Monomial
 from dgkernel import homology as hml
 from dgkernel.homology import ResidueField
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
@@ -133,3 +133,50 @@ def test_resolution_over_a_dg_algebra_with_a_differential():
     assert all(C.check_dd_zero(i, j)
                for i in range(1, N + 1) for j in range(D + 1))
     assert res.check_resolves(N - 1) == (True, None)
+
+
+def generator_runs(generators):
+    """Number of runs of consecutive generators of one bidegree."""
+    degrees = [(h, d) for h, d, _, _ in generators]
+    return sum(1 for g, hd in enumerate(degrees)
+               if g == 0 or degrees[g - 1] != hd)
+
+
+def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
+        monkeypatch):
+    # a slice of the resolution asks the algebra for one basis per run of
+    # generators of one bidegree, not one per generator, and over an
+    # algebra with no variables every label product keeps its monomial
+    A = golod(GF(101), N=6, D=8)
+    counts = {"lookups": 0, "monomials": 0, "runs": 0, "slices": 0}
+
+    lookup = DgAlgebra.basis_of_bidegree
+
+    def counted_lookup(self, i, j):
+        counts["lookups"] += 1
+        return lookup(self, i, j)
+
+    monomial_init = Monomial.__init__
+
+    def counted_init(self, *args, **kwargs):
+        counts["monomials"] += 1
+        monomial_init(self, *args, **kwargs)
+
+    basis = SemifreeResolution.basis
+
+    def counted_basis(self, i, j):
+        if (i, j) not in self._bases:
+            counts["slices"] += 1
+            counts["runs"] += generator_runs(self.generators)
+        return basis(self, i, j)
+
+    monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
+    monkeypatch.setattr(Monomial, "__init__", counted_init)
+    monkeypatch.setattr(SemifreeResolution, "basis", counted_basis)
+    res = resolve_module(A, ResidueField(A.field), 6, 8)
+    assert betti_marginals(res, 6) == [1, 2, 3, 5, 8, 13, 21]
+    assert counts["slices"] > 0
+    assert counts["lookups"] <= counts["runs"]
+    assert counts["lookups"] <= generator_runs(res.generators) * \
+        counts["slices"]
+    assert counts["monomials"] == 0

@@ -102,3 +102,22 @@ def test_matrix_storage_stays_in_exact_linear():
                 found.append(f"{path.name}:{node.lineno}")
     assert ROOT.joinpath("exact_linear.py").exists()
     assert not found, found
+
+
+def test_sparse_kernels_pick_the_field_rule_once():
+    # axpy and the engine's back-substitution are the inner loops of every
+    # layer: they pick the field's arithmetic once per call and never
+    # dispatch F.add / F.mul / F.is_zero per entry
+    tree = ast.parse(ROOT.joinpath("exact_linear.py").read_text())
+    bodies = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef)}
+    found = []
+    for name in ("axpy", "_insert"):
+        for node in ast.walk(bodies[name]):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "F"
+                    and node.func.attr in ("add", "mul", "is_zero")):
+                found.append(f"{name}:{node.lineno} F.{node.func.attr}")
+    assert not found, found
