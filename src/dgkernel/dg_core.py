@@ -424,6 +424,8 @@ class DgAlgebra:
                         self.max_hdeg, self.max_intdeg)
         ext._dcache[:vid] = self._dcache
         ext._interned = self._interned
+        # every label with the new variable has homological degree >= hdeg
+        ext._bases = {k: v for k, v in self._bases.items() if k[0] < hdeg}
         return ext
 
     # --- minimality --------------------------------------------------------

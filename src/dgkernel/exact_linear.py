@@ -33,13 +33,15 @@ class ExactMatrix:
     __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field, rows, columns):
-        is_zero = field.is_zero
+        # the field's zero rule, picked once: a multiple of p over F_p, a
+        # zero int or Fraction over Q
+        p = field.characteristic
         for c, col in enumerate(columns):
             for r, v in col.items():
                 if not 0 <= r < rows:
                     raise IndexError(
                         f"entry ({r},{c}) outside {rows}x{len(columns)}")
-                if is_zero(v):
+                if not (v % p if p else v):
                     raise ValueError(f"entry ({r},{c}) stores a zero")
         self.field = field
         self.rows = rows

@@ -1,10 +1,12 @@
 """Bigraded complexes, mapping cones, homology, and the staged
 construction that kills homology one degree at a time.
 
-Complexes are lazy: bases and differential blocks are produced on demand
-from callables and cached, since the model-building loop only ever looks
-at a few homological degrees per stage.  The differential preserves
-internal degree, so each (i, j) slice is finite and exact.
+Complexes are lazy: dimensions and differential blocks are produced on
+demand from callables and cached, since each stage of the construction
+looks at a few homological degrees only, and an object under
+construction keeps one complex and one cone for all of its stages.  The
+differential preserves internal degree, so each (i, j) slice is finite
+and exact.
 """
 
 from functools import partial
@@ -17,33 +19,31 @@ from .errors import CertificationError
 class BigradedComplex:
     """Chain complex indexed by (homological, internal) bidegree.
 
-    basis_fn(i, j) -> ordered list of labels, diff_fn(i, j) -> ExactMatrix
-    from slice (i, j) to (i-1, j), or diff_fn None for the zero
-    differential.  Valid for hmin <= i <= hmax and 0 <= j <= dmax; outside
-    that range dimensions read as 0.
+    dim_fn(i, j) -> dimension of slice (i, j), diff_fn(i, j) ->
+    ExactMatrix from slice (i, j) to (i-1, j), or diff_fn None for the
+    zero differential.  Valid for hmin <= i <= hmax and 0 <= j <= dmax;
+    outside that range dimensions read as 0.  Dimensions, differentials
+    and ranks are cached per slice until forget drops them.
     """
 
-    def __init__(self, field, basis_fn, diff_fn, hmin, hmax, dmax):
+    def __init__(self, field, dim_fn, diff_fn, hmin, hmax, dmax):
         self.field = field
-        self._basis_fn = basis_fn
+        self._dim_fn = dim_fn
         self._diff_fn = diff_fn
         self.hmin = hmin
         self.hmax = hmax
         self.dmax = dmax
-        self._bases = {}
+        self._dims = {}
         self._diffs = {}
         self._ranks = {}
 
-    def basis(self, i, j):
-        if not (self.hmin <= i <= self.hmax and 0 <= j <= self.dmax):
-            return []
-        key = (i, j)
-        if key not in self._bases:
-            self._bases[key] = list(self._basis_fn(i, j))
-        return self._bases[key]
-
     def dim(self, i, j):
-        return len(self.basis(i, j))
+        if not (self.hmin <= i <= self.hmax and 0 <= j <= self.dmax):
+            return 0
+        key = (i, j)
+        if key not in self._dims:
+            self._dims[key] = self._dim_fn(i, j)
+        return self._dims[key]
 
     def diff(self, i, j):
         key = (i, j)
@@ -68,6 +68,13 @@ class BigradedComplex:
             self._ranks[key] = la.rank_and_pivots(self.diff(i, j))[0]
         return self._ranks[key]
 
+    def forget(self, n):
+        """Drop the cached slices of homological degree >= n: the
+        differential out of slice i reads slices i and i - 1 only."""
+        for cache in (self._dims, self._diffs, self._ranks):
+            for key in [k for k in cache if k[0] >= n]:
+                del cache[key]
+
     def check_dd_zero(self, i, j):
         """d_(i-1) d_i = 0 at internal degree j, found one column of the
         product at a time: False at the first nonzero one."""
@@ -82,11 +89,11 @@ class BigradedComplex:
         return True
 
 
-def algebra_complex(A, hmax=None):
+def algebra_complex(A):
     """The underlying complex of a DgAlgebra."""
-    hmax = A.max_hdeg if hmax is None else min(hmax, A.max_hdeg)
     return BigradedComplex(
-        A.field, A.basis_of_bidegree, A.diff_matrix, 0, hmax, A.max_intdeg)
+        A.field, lambda i, j: len(A.basis_of_bidegree(i, j)), A.diff_matrix,
+        0, A.max_hdeg, A.max_intdeg)
 
 
 def cone(C, D, block):
@@ -97,14 +104,12 @@ def cone(C, D, block):
     the same cycles and boundaries, so a column of C with no image under
     f is shared with C's differential, not copied.
 
-    Slice (n, j) is C_(n-1, j) labels tagged "src" followed by D_(n, j)
-    labels tagged "tgt".
+    Slice (n, j) is C_(n-1, j) followed by D_(n, j).
     """
     F = C.field
 
-    def basis(n, j):
-        return ([("src", lbl) for lbl in C.basis(n - 1, j)]
-                + [("tgt", lbl) for lbl in D.basis(n, j)])
+    def dim(n, j):
+        return C.dim(n - 1, j) + D.dim(n, j)
 
     def diff(n, j):
         neg = F.neg
@@ -126,7 +131,7 @@ def cone(C, D, block):
         return la.ExactMatrix(F, mc + D.dim(n - 1, j), columns)
 
     return BigradedComplex(
-        F, basis, diff,
+        F, dim, diff,
         min(C.hmin + 1, D.hmin), min(C.hmax + 1, D.hmax), min(C.dmax, D.dmax))
 
 
@@ -143,8 +148,9 @@ def homology(C, i, j):
 def first_nonzero_homology(C, hdegs, dmax):
     """The first (i, j), for i in hdegs and then 0 <= j <= dmax, with
     H_i of C nonzero in internal degree j, or None.  On the cone of a
-    comparison map q (cone_of) this is the exactness certificate: None
-    over hdegs 0..n means H_i(q) is bijective for i < n and onto at n."""
+    comparison map q (see kill_homology) this is the exactness
+    certificate: None over hdegs 0..n means H_i(q) is bijective for
+    i < n and onto at n."""
     for i in hdegs:
         for j in range(dmax + 1):
             if homology(C, i, j):
@@ -152,7 +158,7 @@ def first_nonzero_homology(C, hdegs, dmax):
     return None
 
 
-def minimal_generators(C, i, actions, dmax=None, reverse=False):
+def minimal_generators(C, i, actions, reverse=False):
     """Cycles descending to minimal A0-module generators of H_i(C), found
     degreewise: in internal degree j, kill boundaries and the image of the
     irrelevant maximal ideal m acting on lower-internal-degree cycles, then
@@ -167,15 +173,13 @@ def minimal_generators(C, i, actions, dmax=None, reverse=False):
     the A0_d * Z_(j-d).  Returns a list of (intdeg, column dict) in
     selection order.
     """
-    if dmax is None:
-        dmax = C.dmax
     F = C.field
     # degree j reads kernels[j - d] for d in actions, so after degree j no
     # later one reads kernels[j - top]
     top = max(actions, default=0)
     kernels = {}
     gens = []
-    for j in range(dmax + 1):
+    for j in range(C.dmax + 1):
         Z = la.kernel_basis(C.diff(i, j)).columns
         kernels[j] = Z
         W = list(C.diff(i + 1, j).columns)
@@ -227,14 +231,11 @@ class ResidueField:
         self.shift = shift
         self.hmin = shift
 
-    def basis(self, i, j):
-        return ["1"] if (i, j) == (self.shift, 0) else []
-
     def dim(self, i, j):
-        return len(self.basis(i, j))
+        return 1 if (i, j) == (self.shift, 0) else 0
 
     def complex(self, hmax, dmax):
-        return BigradedComplex(self.field, self.basis, None,
+        return BigradedComplex(self.field, self.dim, None,
                                self.shift, hmax, dmax)
 
     def act_matrix(self, d, bidx, i, j):
@@ -265,30 +266,30 @@ class ResidueField:
                                                       v.coords[0])})
 
 
-def cone_of(built, target, hmax, dmax):
-    """Mapping cone of the comparison map q: X -> T of an object under
-    construction (see kill_homology)."""
-    return cone(built.complex(hmax, dmax), target.complex(hmax, dmax),
-                built.q_block)
-
-
-def kill_homology(built, target, n, hmax, dmax, reverse=False):
+def kill_homology(built, n, reverse=False):
     """Stage n of the construction shared by models and resolutions:
     cycles of cone(q: X -> T) that descend to minimal A0-generators of
     H_n become new variables or free generators of degree n, and the
     extended object is returned.
 
-    built (a model or a semifree resolution) has complex(hmax, dmax) for
-    X, q_block(i, j) for q, act_matrix(d, bidx, i, j) for the action of
-    the base element (d, bidx) of A0 = built.algebra.base (asked for only
-    in the degrees d of A0's generators, see minimal_generators), and
-    extend(n, stage), which adjoins the whole stage at once; stage lists
-    (intdeg, X coords at (n-1, intdeg), T coords at (n, intdeg)) per
-    selected cycle.  target has complex(hmax, dmax), dim(i, j) and
-    act_matrix(d, bidx, i, j).
+    built (a model or a semifree resolution) is the object under
+    construction, one for all stages.  It has:
+    - complex, the complex of X, and cone, the complex of cone(q: X ->
+      T), both made once in its __init__ (cone slice m is X_(m-1)
+      followed by T_m);
+    - target, the T of q, with act_matrix(d, bidx, i, j);
+    - act_matrix(d, bidx, i, j), the action on X of the base element
+      (d, bidx) of A0 = built.algebra.base, asked for only in the
+      degrees d of A0's generators (see minimal_generators);
+    - extend(n, stage), which adjoins the whole stage in place, drops
+      the cached slices of X of degree >= n and of the cone of degree
+      >= n + 1 (the only ones the stage changes) and returns built.
+    stage lists (intdeg, X coords at (n-1, intdeg), T coords at (n,
+    intdeg)) per selected cycle.
     """
-    X = built.complex(hmax, dmax)
-    C = cone(X, target.complex(hmax, dmax), built.q_block)
+    X = built.complex
+    C = built.cone
+    target = built.target
     base = built.algebra.base
     F = C.field
 
@@ -310,8 +311,7 @@ def kill_homology(built, target, n, hmax, dmax, reverse=False):
                       if v.hdeg == 0})
     actions = {d: partial(action, d) for d in degrees}
     stage = []
-    for j, col in minimal_generators(C, n, actions, dmax=dmax,
-                                     reverse=reverse):
+    for j, col in minimal_generators(C, n, actions, reverse=reverse):
         nx = X.dim(n - 1, j)
         stage.append((j, {r: v for r, v in col.items() if r < nx},
                       {r - nx: v for r, v in col.items() if r >= nx}))

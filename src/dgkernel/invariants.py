@@ -562,7 +562,8 @@ def _fiber_complex(model, i):
             columns.append(col)
         return la.ExactMatrix(F, len(rows), columns)
 
-    return hml.BigradedComplex(F, basis, diff, 0, V.max_hdeg, V.max_intdeg)
+    return hml.BigradedComplex(F, lambda n, j: len(basis(n, j)), diff,
+                               0, V.max_hdeg, V.max_intdeg)
 
 
 def _verify_fiber_boundedness(A, N, D):

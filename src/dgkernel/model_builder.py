@@ -61,7 +61,7 @@ class RingTarget:
         return len(self.basis(i, j))
 
     def complex(self, hmax, dmax):
-        return hml.BigradedComplex(self.field, self.basis, None,
+        return hml.BigradedComplex(self.field, self.dim, None,
                                    0, hmax, min(dmax, self.tbase.D))
 
     def element_from_ring(self, j, ring_coeffs):
@@ -135,22 +135,31 @@ class ModelSpec:
 
 
 class Model:
-    """The extension U with the multiplicative comparison map q: U ->
-    target (the image of every variable), bigraded variable counts, and
-    certification bounds.  build_model grows it one stage at a time
-    through hml.kill_homology."""
+    """The extension U of the source with the multiplicative comparison
+    map q: U -> target (the image of every variable), bigraded variable
+    counts, and certification bounds.  build_model grows it in place,
+    one stage at a time, through hml.kill_homology.
 
-    def __init__(self, spec, algebra, images, source_nvars):
+    complex is U as a complex and cone the cone of q, both made once:
+    every stage, the H0 check and check_quasi_iso read the same cone,
+    and extend drops only the slices a stage changes."""
+
+    def __init__(self, spec, algebra):
         self.spec = spec
+        self.target = spec.target
         self.algebra = algebra
-        self.images = images
-        self.source_nvars = source_nvars
+        self.images = dict(spec.var_images)
+        self.source_nvars = len(algebra.variables)
         self.n_table = {}
         self.eps_table = {}
-        for v in algebra.variables[source_nvars:]:
-            table = self.n_table if v.family == "X" else self.eps_table
-            key = (v.hdeg, v.intdeg)
-            table[key] = table.get(key, 0) + 1
+        N, D = spec.max_hdeg, spec.max_intdeg
+        self.complex = hml.BigradedComplex(
+            algebra.field,
+            lambda i, j: len(self.algebra.basis_of_bidegree(i, j)),
+            lambda i, j: self.algebra.diff_matrix(i, j),
+            0, min(N + 1, algebra.max_hdeg), algebra.max_intdeg)
+        self.cone = hml.cone(self.complex, self.target.complex(N + 1, D),
+                             self.q_block)
 
     @property
     def max_hdeg(self):
@@ -169,9 +178,6 @@ class Model:
     def eps_marginal(self, i):
         return sum(c for (h, _), c in self.eps_table.items() if h == i)
 
-    def count_marginal(self, i):
-        return self.n_marginal(i) + self.eps_marginal(i)
-
     def is_minimal(self):
         return self.algebra.is_minimal(over=self.source_nvars)
 
@@ -179,35 +185,11 @@ class Model:
         """Exactness of the cone in homological degrees 0..through (so
         H_i(q) is an isomorphism for i < through and surjective at it)."""
         through = self.max_hdeg - 1 if through_hdeg is None else through_hdeg
-        bad = hml.first_nonzero_homology(
-            hml.cone_of(self, self.spec.target, self.max_hdeg,
-                        self.max_intdeg), range(through + 1), self.max_intdeg)
+        bad = hml.first_nonzero_homology(self.cone, range(through + 1),
+                                         self.max_intdeg)
         return bad is None, bad
 
-    def free_rank_table(self):
-        """Ranks of the underlying free module over the source: monomials
-        in the adjoined variables only, counted per bidegree."""
-        table = {(0, 0): 1}
-        N, D = self.max_hdeg, self.max_intdeg
-        for v in self.adjoined_variables():
-            add = {}
-            for (h, d), cnt in table.items():
-                emax = 1 if v.hdeg % 2 == 1 else 10 ** 9
-                e = 1
-                while e <= emax:
-                    h2, d2 = h + e * v.hdeg, d + e * v.intdeg
-                    if h2 > N or d2 > D:
-                        break
-                    add[(h2, d2)] = add.get((h2, d2), 0) + cnt
-                    e += 1
-            for k, c in add.items():
-                table[k] = table.get(k, 0) + c
-        return table
-
     # --- the object under construction, for hml.kill_homology ------------
-
-    def complex(self, hmax, dmax):
-        return hml.algebra_complex(self.algebra, hmax)
 
     def act_matrix(self, d, bidx, i, j):
         return self.algebra.act_matrix(d, bidx, i, j)
@@ -221,7 +203,7 @@ class Model:
             return TargetElement(var.hdeg * e, var.intdeg * e)
         p = img
         for _ in range(e - 1):
-            p = self.spec.target.multiply(p, img)
+            p = self.target.multiply(p, img)
         if var.kind == DIVIDED_POWER:
             F = self.algebra.field
             fact = F.one
@@ -238,7 +220,7 @@ class Model:
 
     def _factor_images(self, key):
         jb, ib, mon = key
-        yield self.spec.target.base_image(jb, ib)
+        yield self.target.base_image(jb, ib)
         for vid, e in mon.evens:
             yield self._power_image(vid, e)
         for vid in mon.odds:
@@ -249,7 +231,7 @@ class Model:
         target: each basis monomial goes to the product of the images of
         its factors."""
         U = self.algebra
-        T = self.spec.target
+        T = self.target
         columns = []
         for key in U.basis_of_bidegree(i, j):
             img = None
@@ -261,8 +243,8 @@ class Model:
         return la.ExactMatrix(U.field, T.dim(i, j), columns)
 
     def extend(self, n, stage):
-        """The model with one variable of homological degree n per cycle
-        of the stage.  Below the switching degree the variables are
+        """Adjoin one variable of homological degree n per cycle of the
+        stage, in place.  Below the switching degree the variables are
         polynomial/exterior (family X), from it on divided-power/exterior
         (family Y)."""
         s = self.spec.switching_degree
@@ -276,12 +258,17 @@ class Model:
         # adjoining variables of degree n leaves the degree-(n-1) bases
         # unchanged, so every cycle is read off the pre-stage algebra
         cycles = [U.element_from_coords(n - 1, j, x) for j, x, _ in stage]
-        images = dict(self.images)
+        table = self.n_table if family == "X" else self.eps_table
         for z, (j, _, t) in zip(cycles, stage):
             name = f"{prefix}{n}_{len(U.variables) - self.source_nvars}"
             U = U.adjoin_variable(z, kind, name=name, family=family)
-            images[len(U.variables) - 1] = TargetElement(n, j, t)
-        return Model(self.spec, U, images, self.source_nvars)
+            self.images[len(U.variables) - 1] = TargetElement(n, j, t)
+            table[(n, j)] = table.get((n, j), 0) + 1
+        self.algebra = U
+        # cone slice m holds U_(m-1) and q on it
+        self.complex.forget(n)
+        self.cone.forget(n + 1)
+        return self
 
 
 def build_model(spec, reverse=False):
@@ -295,19 +282,14 @@ def build_model(spec, reverse=False):
     for v in U.variables:
         if v.id not in spec.var_images:
             raise ValueError(f"missing target image for source variable {v.name}")
-    N, D = spec.max_hdeg, spec.max_intdeg
-    model = Model(spec, U, dict(spec.var_images), len(U.variables))
-
-    bad = hml.first_nonzero_homology(
-        hml.cone_of(model, spec.target, N + 1, D), [0], D)
+    model = Model(spec, U)
+    bad = hml.first_nonzero_homology(model.cone, [0], spec.max_intdeg)
     if bad is not None:
         raise AdmissibilityError(
             "H0 of the map is not surjective (cone H0 nonzero at intdeg "
             f"{bad[1]})")
-
-    for n in range(1, N + 1):
-        model = hml.kill_homology(model, spec.target, n, N + 1, D,
-                                  reverse=reverse)
+    for n in range(1, spec.max_hdeg + 1):
+        hml.kill_homology(model, n, reverse=reverse)
     return model
 
 

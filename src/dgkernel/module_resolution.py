@@ -75,7 +75,7 @@ class PresentedModule:
         return len(self.basis(i, j))
 
     def complex(self, hmax, dmax):
-        return hml.BigradedComplex(self.field, self.basis, None,
+        return hml.BigradedComplex(self.field, self.dim, None,
                                    self.shift, hmax, dmax)
 
     def _mult_by_base(self, d, bidx, j, coords):
@@ -112,12 +112,17 @@ class PresentedModule:
 
 
 class SemifreeResolution:
-    """Free dg-A-module on generators with prescribed boundaries, built to
-    resolve a module M; carries the comparison map q and the Betti table."""
+    """Free dg-A-module F on generators with prescribed boundaries, built
+    to resolve a module M (its target); carries the comparison map q and
+    the Betti table.
+
+    complex is F as a complex and cone the cone of q: F -> M, both made
+    once: every stage and check_resolves read the same cone, and extend
+    drops only the slices a stage changes."""
 
     def __init__(self, algebra, module, max_hdeg, max_intdeg):
         self.algebra = algebra
-        self.module = module
+        self.target = module
         self.max_hdeg = max_hdeg
         self.max_intdeg = max_intdeg
         # generators: (hdeg, intdeg, boundary {g: DgElement}, qimg coords)
@@ -126,6 +131,12 @@ class SemifreeResolution:
         # _generator_runs of the first _runs_of generators
         self._runs = []
         self._runs_of = 0
+        self.complex = hml.BigradedComplex(
+            algebra.field, self.dim, self.diff_matrix,
+            0, max_hdeg + 1, max_intdeg)
+        self.cone = hml.cone(self.complex,
+                             module.complex(max_hdeg + 1, max_intdeg),
+                             self.q_block)
 
     # --- the underlying complex -------------------------------------------
 
@@ -197,11 +208,6 @@ class SemifreeResolution:
             columns.append(col)
         return la.ExactMatrix(F, len(pos), columns)
 
-    def complex(self, hmax, dmax):
-        hmin = min((h for h, _, _, _ in self.generators), default=0)
-        return hml.BigradedComplex(self.algebra.field, self.basis,
-                                   self.diff_matrix, hmin, hmax, dmax)
-
     def act_matrix(self, d, bidx, i, j):
         A = self.algebra
         cols = self.basis(i, j)
@@ -222,18 +228,18 @@ class SemifreeResolution:
         out = {}
         for g, e in self.coords_to_components(i, j, fcoords).items():
             h, d, _, qimg = self.generators[g]
-            la.axpy(F, out, F.one, self.module.act(e, h, d, qimg))
+            la.axpy(F, out, F.one, self.target.act(e, h, d, qimg))
         return out
 
     def q_block(self, i, j):
         one = self.algebra.field.one
-        return la.ExactMatrix(self.algebra.field, self.module.dim(i, j), [
+        return la.ExactMatrix(self.algebra.field, self.target.dim(i, j), [
             self.q_coords(i, j, {cidx: one})
             for cidx in range(self.dim(i, j))])
 
     def extend(self, n, stage):
         """Add one free generator of homological degree n per cycle of the
-        stage, with its boundary and its image in the module."""
+        stage, with its boundary and its image in the module, in place."""
         # generators of degree n leave the degree-(n-1) basis unchanged, so
         # every boundary is read off the pre-stage basis
         new = [(n, j, self.coords_to_components(n - 1, j, x), t)
@@ -243,6 +249,9 @@ class SemifreeResolution:
         # generators, so only the slices of degree >= n are stale; of the
         # rest, stage n + 1 reads only degree n - 1 again
         self._bases = {k: v for k, v in self._bases.items() if k[0] == n - 1}
+        # cone slice m holds F_(m-1) and q on it
+        self.complex.forget(n)
+        self.cone.forget(n + 1)
         return self
 
     # --- reporting -----------------------------------------------------------
@@ -269,8 +278,8 @@ class SemifreeResolution:
     def check_resolves(self, through_hdeg):
         """Cone of q is exact in homological degrees <= through_hdeg."""
         bad = hml.first_nonzero_homology(
-            hml.cone_of(self, self.module, self.max_hdeg + 1, self.max_intdeg),
-            range(self.module.hmin, through_hdeg + 1), self.max_intdeg)
+            self.cone, range(self.target.hmin, through_hdeg + 1),
+            self.max_intdeg)
         return bad is None, bad
 
 
@@ -278,6 +287,5 @@ def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):
     """Minimal semifree resolution of M over A up to the given bounds."""
     res = SemifreeResolution(A, M, max_hdeg, max_intdeg)
     for n in range(M.hmin, max_hdeg + 1):
-        res = hml.kill_homology(res, M, n, max_hdeg + 1, max_intdeg,
-                                reverse=reverse)
+        hml.kill_homology(res, n, reverse=reverse)
     return res

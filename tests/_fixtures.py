@@ -51,3 +51,29 @@ def two_even_generators(field=QQ, N=12, D=12):
     vars = [BaseVariable("x1", 1, 2), BaseVariable("x2", 1, 6)]
     tb = TruncatedBase(BasePresentation(field, vars, []), D)
     return DgAlgebra(tb, max_hdeg=N, max_intdeg=D)
+
+
+def count_marginal(model, i):
+    """Number of variables of homological degree i a model adjoined."""
+    return model.n_marginal(i) + model.eps_marginal(i)
+
+
+def free_rank_table(model):
+    """Ranks of the underlying free module of a model over its source:
+    monomials in the adjoined variables only, counted per bidegree."""
+    table = {(0, 0): 1}
+    N, D = model.max_hdeg, model.max_intdeg
+    for v in model.adjoined_variables():
+        add = {}
+        for (h, d), cnt in table.items():
+            emax = 1 if v.hdeg % 2 == 1 else 10 ** 9
+            e = 1
+            while e <= emax:
+                h2, d2 = h + e * v.hdeg, d + e * v.intdeg
+                if h2 > N or d2 > D:
+                    break
+                add[(h2, d2)] = add.get((h2, d2), 0) + cnt
+                e += 1
+        for k, c in add.items():
+            table[k] = table.get(k, 0) + c
+    return table

@@ -18,8 +18,9 @@ from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
 from dgkernel.homology import ResidueField
 from dgkernel.module_resolution import resolve_module
-from _fixtures import (hypersurface, complete_intersection, golod,
-                       truncated_even, two_even_generators)
+from _fixtures import (count_marginal, free_rank_table, hypersurface,
+                       complete_intersection, golod, truncated_even,
+                       two_even_generators)
 from _oracle import OracleResolution, betti_of_k, deviations_from_betti
 
 
@@ -48,7 +49,7 @@ def test_criterion_1_truncated_even_models():
             N = m * d + 4
             B = truncated_even(d, m, N=N, D=N + 4)
             model = model_over_cover(B.base, N, N + 4)
-            counts = [model.count_marginal(i) for i in range(N + 1)]
+            counts = [count_marginal(model, i) for i in range(N + 1)]
             expect = [0] * (N + 1)
             expect[d] = 1
             expect[m * d + 1] = 1
@@ -116,7 +117,7 @@ def test_criterion_5_closure_equals_minimal_resolution():
             A = make(QQ, N=N, D=D)
             closure = acyclic_closure(A, N, D)
             res = resolve_module(A, ResidueField(A.field), N, D)
-            free = closure.free_rank_table()
+            free = free_rank_table(closure)
             beta = res.betti_table()
             keys = {k for k in set(free) | set(beta) if k[0] < N}
             for key in sorted(keys):

@@ -518,6 +518,26 @@ def test_homology_reports_match_frozen_digests(tmp_path, capsys):
                          HOMOLOGY_DIGESTS)
 
 
+# The paper's dg example Q[x,y,z]/(x^2, y^2, xz, yz)<e | de = z>: the
+# model, the resolution and the classification over an algebra whose
+# adjoined variable kills a ring element.
+DG_RINGS = {
+    "paper-dg-Q": "field Q\nbase x 1\nbase y 1\nbase z 1\nrelation x^2\n"
+                  "relation y^2\nrelation x*z\nrelation y*z\n"
+                  "dgvar e 1 1 exterior z\nbounds 5 7\n",
+}
+
+DG_DIGESTS = {
+    "paper-dg-Q": [("betti", "14f862fe8779e8ce"),
+                   ("minimal-model", "0de2ca0b1f25e614"),
+                   ("classify", "259ca74ea3eb8400")],
+}
+
+
+def test_dg_example_reports_match_frozen_digests(tmp_path, capsys):
+    check_frozen_digests(tmp_path, capsys, DG_RINGS, DG_DIGESTS)
+
+
 def test_reports_do_not_depend_on_earlier_jobs(tmp_path, capsys):
     # nothing a job computes may outlive it and change a later report
     ring = MIXED_RINGS["mixed-Q"]

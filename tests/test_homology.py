@@ -75,7 +75,7 @@ def test_dd_zero_across_grid():
 def test_homology_rejects_d_squared_nonzero():
     # k in degrees 0, 1, 2 with every differential the identity
     C = hml.BigradedComplex(
-        QQ, lambda i, j: ["e"], lambda i, j: identity(QQ, 1),
+        QQ, lambda i, j: 1, lambda i, j: identity(QQ, 1),
         0, 2, 0)
     with pytest.raises(CertificationError, match="d o d != 0"):
         hml.homology(C, 1, 0)
@@ -90,7 +90,7 @@ def test_check_dd_zero_reads_every_column_of_the_product(field):
     for last, expect in (({1: one}, False), ({0: two, 1: minus}, True)):
         d2 = la.ExactMatrix(field, 2, [{0: two, 1: minus}, {}, last])
         C = hml.BigradedComplex(
-            field, lambda i, j: ["e"] * (i + 1), lambda i, j: (d1, d2)[i - 1],
+            field, lambda i, j: i + 1, lambda i, j: (d1, d2)[i - 1],
             0, 2, 0)
         assert C.check_dd_zero(2, 0) is expect
         assert d1.matmul(d2).is_zero() is expect
@@ -199,12 +199,12 @@ def test_generator_degree_action_matches_full_action(monkeypatch, construct,
     kill_homology = hml.kill_homology
     minimal_generators = hml.minimal_generators
 
-    def checked_kill(built, target, n, hmax, dmax, reverse=False):
-        C = hml.cone_of(built, target, hmax, dmax)
-        ref = reference_generators(C, n, full_action(built, target, n),
-                                   dmax, reverse)
+    def checked_kill(built, n, reverse=False):
+        ref = reference_generators(
+            built.cone, n, full_action(built, built.target, n),
+            built.max_intdeg, reverse)
         stages.append([ref])
-        return kill_homology(built, target, n, hmax, dmax, reverse=reverse)
+        return kill_homology(built, n, reverse=reverse)
 
     def recorded(*args, **kwargs):
         gens = minimal_generators(*args, **kwargs)
@@ -366,9 +366,9 @@ def test_cached_differential_and_action_match_general_product(monkeypatch,
     kill_homology = hml.kill_homology
     checked = []
 
-    def checked_kill(built, target, n, hmax, dmax, reverse=False):
+    def checked_kill(built, n, reverse=False):
         checked.append(check_against_reference(built, n))
-        out = kill_homology(built, target, n, hmax, dmax, reverse=reverse)
+        out = kill_homology(built, n, reverse=reverse)
         checked.append(check_against_reference(out, n + 1))
         return out
 
@@ -433,14 +433,14 @@ def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
     kill_homology = hml.kill_homology
     checked = []
 
-    def checked_kill(built, target, n, hmax, dmax, reverse=False):
-        C = hml.cone_of(built, target, hmax, dmax)
+    def checked_kill(built, n, reverse=False):
+        C = built.cone
         for i in range(max(C.hmin, n - 1), min(n + 1, C.hmax) + 1):
-            for j in range(dmax + 1):
+            for j in range(built.max_intdeg + 1):
                 got = hml.homology(C, i, j)
                 assert got == reference_homology(C, i, j), (n, i, j)
                 checked.append(got)
-        return kill_homology(built, target, n, hmax, dmax, reverse=reverse)
+        return kill_homology(built, n, reverse=reverse)
 
     monkeypatch.setattr(hml, "kill_homology", checked_kill)
     construct(False)
@@ -449,19 +449,17 @@ def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
 
 def closure_through(A, N, D, last):
     """The acyclic closure of k over A built through stage last only."""
-    spec = mb.residue_field_spec(A, N, D)
-    model = mb.Model(spec, A, dict(spec.var_images), len(A.variables))
+    model = mb.Model(mb.residue_field_spec(A, N, D), A)
     for n in range(1, last + 1):
-        model = hml.kill_homology(model, spec.target, n, N + 1, D)
+        hml.kill_homology(model, n)
     return model
 
 
 def resolution_through(A, N, D, last):
     """The minimal resolution of k over A built through stage last only."""
-    M = hml.ResidueField(A.field)
-    res = SemifreeResolution(A, M, N, D)
+    res = SemifreeResolution(A, hml.ResidueField(A.field), N, D)
     for n in range(last + 1):
-        res = hml.kill_homology(res, M, n, N + 1, D)
+        hml.kill_homology(res, n)
     return res
 
 
@@ -507,3 +505,124 @@ def test_build_model_rejects_a_map_not_onto_h0():
     with pytest.raises(AdmissibilityError, match=r"^H0 of the map is not "
                        r"surjective \(cone H0 nonzero at intdeg 0\)$"):
         mb.build_model(spec)
+
+
+# ---------------------------------------------------------------------------
+# One cone per object under construction: the slices it keeps are the
+# slices a fresh object makes, and the certificate rebuilds none of them
+# ---------------------------------------------------------------------------
+
+def paper_dg_algebra(field, N, D):
+    """k[x,y,z]/(x^2, y^2, xz, yz)<e | de = z>: an algebra with a
+    variable of its own."""
+    A = ring_algebra(field, [("x", 1), ("y", 1), ("z", 1)],
+                     [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(1, 0, 1): 1},
+                      {(0, 1, 1): 1}], N, D)
+    z = A.base_element(1, A.base.normal_form(1, (0, 0, 1)))
+    return A.adjoin_variable(z, EXTERIOR, name="e")
+
+
+def fresh_twin(built):
+    """An object under construction with the same variables or
+    generators as built, on an algebra with no cached slice."""
+    A = built.algebra
+    plain = DgAlgebra(A.base, A.variables, A.max_hdeg, A.max_intdeg)
+    if isinstance(built, SemifreeResolution):
+        twin = SemifreeResolution(plain, built.target, built.max_hdeg,
+                                  built.max_intdeg)
+        twin.generators = list(built.generators)
+    else:
+        twin = mb.Model(built.spec, plain)
+        twin.images = dict(built.images)
+    return twin
+
+
+@pytest.mark.parametrize("construct", [
+    closure(QQ, mixed_degree_algebra),
+    closure(GF(3), hdeg_two_algebra),
+    closure(QQ, paper_dg_algebra),
+    lambda reverse: minimal_model_switch_2(GF(3), mixed_degree_algebra)(),
+    betti_of(GF(3), mixed_degree_algebra),
+    betti_of(QQ, paper_dg_algebra),
+    betti_of(QQ, hdeg_two_algebra, cyclic={(1, 0, 0): 1}),
+    over_cover(QQ, mixed_degree_algebra),
+], ids=["closure-Q", "hdeg2-closure-F3", "dg-closure-Q", "switch2-F3",
+        "betti-F3", "dg-betti-Q", "hdeg2-cyclic-x-Q", "cover-Q"])
+def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
+    # after each stage, every slice the one cone keeps and every basis an
+    # algebra hands on to its extension equal those of an object built
+    # afresh on the same variables or generators
+    kill_homology = hml.kill_homology
+    kept = {"cone": 0, "models": 0, "bases": 0}
+
+    def checked_kill(built, n, reverse=False):
+        out = kill_homology(built, n, reverse=reverse)
+        twin = fresh_twin(out)
+        C, T = out.cone, twin.cone
+        for (i, j), M in C._diffs.items():
+            ref = T.diff(i, j)
+            assert (M.rows, M.columns) == (ref.rows, ref.columns), (n, i, j)
+            kept["cone"] += bool(M.columns)
+        assert {k: T.dim(*k) for k in C._dims} == C._dims, n
+        assert {k: T.rank(*k) for k in C._ranks} == C._ranks, n
+        if not isinstance(out, SemifreeResolution):
+            kept["models"] += 1
+            for (i, j), labels in out.algebra._bases.items():
+                assert labels == twin.algebra.basis_of_bidegree(i, j), \
+                    (n, i, j)
+                kept["bases"] += bool(labels)
+        return out
+
+    monkeypatch.setattr(hml, "kill_homology", checked_kill)
+    construct(False)
+    assert kept["cone"] > 10
+    assert kept["bases"] or not kept["models"]
+
+
+def counted(monkeypatch, counts, cls, name):
+    """Count the calls of the method cls.name in counts[name]."""
+    method = getattr(cls, name)
+
+    def wrapper(self, *args):
+        counts[name] = counts.get(name, 0) + 1
+        return method(self, *args)
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+@pytest.mark.parametrize("build, certify", [
+    (lambda: acyclic_closure(golod(QQ, 5, 8), 5, 8),
+     lambda model: model.check_quasi_iso()),
+    (lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
+     lambda model: model.check_quasi_iso()),
+    (lambda: mb.minimal_model(hdeg_two_algebra(GF(3), 5, 8), 5, 8),
+     lambda model: model.check_quasi_iso()),
+    (lambda: model_over_cover(mixed_degree_algebra(QQ, 5, 8).base, 5, 8),
+     lambda model: model.check_quasi_iso()),
+    (lambda: betti_of(GF(3), mixed_degree_algebra)(False),
+     lambda res: res.check_resolves(4)),
+    (lambda: resolve_module(paper_dg_algebra(QQ, 5, 7), hml.ResidueField(QQ),
+                            5, 7),
+     lambda res: res.check_resolves(4)),
+], ids=["closure-golod-Q", "closure-dg-Q", "minimal-hdeg2-F3", "cover-Q",
+        "betti-F3", "betti-dg-Q"])
+def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build,
+                                                     certify):
+    # check_quasi_iso and check_resolves read the cone every stage read:
+    # no differential or q block is built again, and no basis slice
+    counts = {}
+    for cls, name in ((DgAlgebra, "diff_matrix"), (mb.Model, "q_block"),
+                      (SemifreeResolution, "diff_matrix"),
+                      (SemifreeResolution, "q_block")):
+        counted(monkeypatch, counts, cls, name)
+    lookup = DgAlgebra.basis_of_bidegree
+
+    def counted_lookup(self, i, j):
+        if (i, j) not in self._bases:
+            counts["new basis"] = counts.get("new basis", 0) + 1
+        return lookup(self, i, j)
+    monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
+    built = build()
+    after_build = dict(counts)
+    assert {"diff_matrix", "q_block", "new basis"} <= after_build.keys()
+    assert certify(built) == (True, None)
+    assert counts == after_build

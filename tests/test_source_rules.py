@@ -121,3 +121,30 @@ def test_sparse_kernels_pick_the_field_rule_once():
                     and node.func.attr in ("add", "mul", "is_zero")):
                 found.append(f"{name}:{node.lineno} F.{node.func.attr}")
     assert not found, found
+
+
+def calls_by_scope(node, scope=()):
+    """(enclosing class and def names, call) for every call under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from calls_by_scope(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Call):
+            yield scope, child
+        yield from calls_by_scope(child, scope)
+
+
+def test_cones_are_made_only_by_objects_under_construction():
+    # a model or a resolution makes its one cone of q in __init__, and
+    # every stage and the certificate read that cone: no other code
+    # builds a cone of its own
+    found = set()
+    for path, tree in modules():
+        for scope, call in calls_by_scope(tree):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", None)
+            if name == "cone":
+                found.add(f"{path.name}:{'.'.join(scope)}")
+    assert found == {"model_builder.py:Model.__init__",
+                     "module_resolution.py:SemifreeResolution.__init__"}
