@@ -465,7 +465,7 @@ def _run_deviations(job, A, N, D, params):
 
 def _model_report(model, N, D):
     ok_min, witness = model.is_minimal()
-    ok_qi, bad = model.check_quasi_iso()
+    ok_qi, bad = model.certify()
     rows = [[v.name, v.hdeg, v.intdeg, v.kind, v.family]
             for v in model.adjoined_variables()]
     data = {"variables": [{"name": r[0], "hdeg": r[1], "intdeg": r[2],
@@ -527,7 +527,7 @@ def _run_betti(job, A, N, D, params):
     M = _parse_module(A, params.get("module"), job)
     res = resolve_module(A, M, N, D)
     ok_min, _ = res.is_minimal()
-    table = inv.BettiTable(res.betti_table(), N, D)
+    table = inv.CountTable(res.betti_table(), N, D, "beta")
     module = params.get("module", "residue-field")
     data = {"module": module, "minimal": ok_min, "beta": table.as_dict()}
     lines = [f"module    {module}", f"minimal   {str(ok_min).lower()}", ""]

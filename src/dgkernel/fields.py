@@ -41,13 +41,9 @@ class RationalField:
     zero = 0
     one = 1
 
-    # add, sub and mul inline _q: they are the engine's inner loop
+    # add and mul inline _q: they are the engine's inner loop
     def add(self, a, b):
         s = a + b
-        return s if s.__class__ is int or s.denominator != 1 else s.numerator
-
-    def sub(self, a, b):
-        s = a - b
         return s if s.__class__ is int or s.denominator != 1 else s.numerator
 
     def mul(self, a, b):
@@ -98,9 +94,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return (a * b) % self.p

@@ -219,8 +219,8 @@ class TargetElement:
 class ResidueField:
     """The residue field k, concentrated in bidegree (shift, 0).
 
-    As a target it has dim(i, j), complex(hmax, dmax) and act_matrix(d,
-    bidx, i, j); the maximal ideal of A0 acts as zero.  As the module a
+    As a target it has hmin, dim(i, j) and act_matrix(d, bidx, i, j);
+    the maximal ideal of A0 acts as zero.  As the module a
     resolution resolves, A acts through the scalar part of its elements
     (act).  As the target of a model of k (shift 0), it is the algebra k
     reached by the augmentation (base_image, multiply).
@@ -233,10 +233,6 @@ class ResidueField:
 
     def dim(self, i, j):
         return 1 if (i, j) == (self.shift, 0) else 0
-
-    def complex(self, hmax, dmax):
-        return BigradedComplex(self.field, self.dim, None,
-                               self.shift, hmax, dmax)
 
     def act_matrix(self, d, bidx, i, j):
         return la.ExactMatrix.zero(self.field, self.dim(i, j + d),
@@ -266,26 +262,65 @@ class ResidueField:
                                                       v.coords[0])})
 
 
-def kill_homology(built, n, reverse=False):
-    """Stage n of the construction shared by models and resolutions:
-    cycles of cone(q: X -> T) that descend to minimal A0-generators of
-    H_n become new variables or free generators of degree n, and the
-    extended object is returned.
+class Construction:
+    """An object under construction: X (a model or a semifree resolution)
+    with the comparison map q: X -> target, built in the box of
+    homological degrees <= max_hdeg and internal degrees <= max_intdeg
+    by the stages of kill_homology.
 
-    built (a model or a semifree resolution) is the object under
-    construction, one for all stages.  It has:
-    - complex, the complex of X, and cone, the complex of cone(q: X ->
-      T), both made once in its __init__ (cone slice m is X_(m-1)
-      followed by T_m);
-    - target, the T of q, with act_matrix(d, bidx, i, j);
-    - act_matrix(d, bidx, i, j), the action on X of the base element
-      (d, bidx) of A0 = built.algebra.base, asked for only in the
-      degrees d of A0's generators (see minimal_generators);
-    - extend(n, stage), which adjoins the whole stage in place, drops
-      the cached slices of X of degree >= n and of the cone of degree
-      >= n + 1 (the only ones the stage changes) and returns built.
+    A subclass gives X through dim(i, j) and diff_matrix(i, j), q
+    through q_block(i, j), the action of A0 = algebra.base on X through
+    act_matrix(d, bidx, i, j), and adjoin(n, stage), which adds the
+    variables or generators of one stage in place.  The target has
+    hmin, dim(i, j) and act_matrix(d, bidx, i, j).
+
+    complex (X) and cone (cone of q, slice m is X_(m-1) followed by
+    T_m) are made once, here: every stage and the certificate read the
+    same kept slices.
+    """
+
+    def __init__(self, algebra, target, max_hdeg, max_intdeg):
+        self.algebra = algebra
+        self.target = target
+        self.max_hdeg = max_hdeg
+        self.max_intdeg = max_intdeg
+        F = algebra.field
+        self.complex = BigradedComplex(F, self.dim, self.diff_matrix,
+                                       0, max_hdeg, max_intdeg)
+        self.cone = cone(
+            self.complex,
+            BigradedComplex(F, target.dim, None, target.hmin,
+                            max_hdeg + 1, max_intdeg),
+            self.q_block)
+
+    def build(self, first, reverse=False):
+        """Run the stages first..max_hdeg and return self."""
+        for n in range(first, self.max_hdeg + 1):
+            kill_homology(self, n, reverse=reverse)
+        return self
+
+    def certify(self, through_hdeg=None):
+        """(ok, bad): the cone of q is exact in homological degrees
+        target.hmin..through (default max_hdeg - 1), so H_i(q) is an
+        isomorphism below through and onto at it; bad is the first
+        bidegree with cone homology, or None."""
+        through = self.max_hdeg - 1 if through_hdeg is None else through_hdeg
+        bad = first_nonzero_homology(
+            self.cone, range(self.target.hmin, through + 1), self.max_intdeg)
+        return bad is None, bad
+
+
+def kill_homology(built, n, reverse=False):
+    """Stage n of a Construction: cycles of cone(q: X -> T) that descend
+    to minimal A0-generators of H_n become new variables or free
+    generators of degree n, adjoined in place by built.adjoin(n, stage),
+    and built is returned.
+
     stage lists (intdeg, X coords at (n-1, intdeg), T coords at (n,
-    intdeg)) per selected cycle.
+    intdeg)) per selected cycle.  The action of A0 is asked for only in
+    the degrees of A0's generators (see minimal_generators).  A stage
+    changes only the slices of X of degree >= n and of the cone of
+    degree >= n + 1, so only those are forgotten.
     """
     X = built.complex
     C = built.cone
@@ -315,4 +350,7 @@ def kill_homology(built, n, reverse=False):
         nx = X.dim(n - 1, j)
         stage.append((j, {r: v for r, v in col.items() if r < nx},
                       {r - nx: v for r, v in col.items() if r >= nx}))
-    return built.extend(n, stage)
+    built.adjoin(n, stage)
+    X.forget(n)
+    C.forget(n + 1)
+    return built

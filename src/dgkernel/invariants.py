@@ -45,16 +45,6 @@ class CountTable:
         }
 
 
-class DeviationTable(CountTable):
-    def __init__(self, table, max_hdeg, max_intdeg):
-        super().__init__(table, max_hdeg, max_intdeg, "eps")
-
-
-class BettiTable(CountTable):
-    def __init__(self, table, max_hdeg, max_intdeg):
-        super().__init__(table, max_hdeg, max_intdeg, "beta")
-
-
 class PowerSeries:
     """Exact integer coefficients c_0..c_order."""
 
@@ -75,7 +65,7 @@ class PowerSeries:
 def deviations(A, max_hdeg, max_intdeg, reverse=False):
     """Deviations of A: variable counts of the acyclic closure of k."""
     model = mb.acyclic_closure(A, max_hdeg, max_intdeg, reverse=reverse)
-    return DeviationTable(model.eps_table, max_hdeg, max_intdeg)
+    return CountTable(model.eps_table, max_hdeg, max_intdeg, "eps")
 
 
 def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
@@ -101,7 +91,7 @@ def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
     if not ok:
         raise CertificationError(
             f"resolution not minimal at generator {witness}")
-    return BettiTable(res.betti_table(), max_hdeg, max_intdeg), res
+    return CountTable(res.betti_table(), max_hdeg, max_intdeg, "beta"), res
 
 
 def poincare_from_deviations(dev, order):

@@ -34,6 +34,8 @@ class RingTarget:
     The source base S acts through the surjection S -> R that sends each
     generator of S to the generator of R of the same name."""
 
+    hmin = 0
+
     def __init__(self, tbase, source_base):
         self.tbase = tbase
         self.field = tbase.field
@@ -59,10 +61,6 @@ class RingTarget:
 
     def dim(self, i, j):
         return len(self.basis(i, j))
-
-    def complex(self, hmax, dmax):
-        return hml.BigradedComplex(self.field, self.dim, None,
-                                   0, hmax, min(dmax, self.tbase.D))
 
     def element_from_ring(self, j, ring_coeffs):
         """TargetElement from {ring_basis_index: scalar} in internal degree
@@ -134,62 +132,34 @@ class ModelSpec:
         self.var_images = dict(var_images or {})
 
 
-class Model:
+class Model(hml.Construction):
     """The extension U of the source with the multiplicative comparison
     map q: U -> target (the image of every variable), bigraded variable
     counts, and certification bounds.  build_model grows it in place,
-    one stage at a time, through hml.kill_homology.
-
-    complex is U as a complex and cone the cone of q, both made once:
-    every stage, the H0 check and check_quasi_iso read the same cone,
-    and extend drops only the slices a stage changes."""
+    one stage at a time, through hml.kill_homology."""
 
     def __init__(self, spec, algebra):
         self.spec = spec
-        self.target = spec.target
-        self.algebra = algebra
         self.images = dict(spec.var_images)
         self.source_nvars = len(algebra.variables)
         self.n_table = {}
         self.eps_table = {}
-        N, D = spec.max_hdeg, spec.max_intdeg
-        self.complex = hml.BigradedComplex(
-            algebra.field,
-            lambda i, j: len(self.algebra.basis_of_bidegree(i, j)),
-            lambda i, j: self.algebra.diff_matrix(i, j),
-            0, min(N + 1, algebra.max_hdeg), algebra.max_intdeg)
-        self.cone = hml.cone(self.complex, self.target.complex(N + 1, D),
-                             self.q_block)
-
-    @property
-    def max_hdeg(self):
-        return self.spec.max_hdeg
-
-    @property
-    def max_intdeg(self):
-        return self.spec.max_intdeg
+        super().__init__(algebra, spec.target, spec.max_hdeg,
+                         spec.max_intdeg)
 
     def adjoined_variables(self):
         return self.algebra.variables[self.source_nvars:]
 
-    def n_marginal(self, i):
-        return sum(c for (h, _), c in self.n_table.items() if h == i)
-
-    def eps_marginal(self, i):
-        return sum(c for (h, _), c in self.eps_table.items() if h == i)
-
     def is_minimal(self):
         return self.algebra.is_minimal(over=self.source_nvars)
 
-    def check_quasi_iso(self, through_hdeg=None):
-        """Exactness of the cone in homological degrees 0..through (so
-        H_i(q) is an isomorphism for i < through and surjective at it)."""
-        through = self.max_hdeg - 1 if through_hdeg is None else through_hdeg
-        bad = hml.first_nonzero_homology(self.cone, range(through + 1),
-                                         self.max_intdeg)
-        return bad is None, bad
-
     # --- the object under construction, for hml.kill_homology ------------
+
+    def dim(self, i, j):
+        return len(self.algebra.basis_of_bidegree(i, j))
+
+    def diff_matrix(self, i, j):
+        return self.algebra.diff_matrix(i, j)
 
     def act_matrix(self, d, bidx, i, j):
         return self.algebra.act_matrix(d, bidx, i, j)
@@ -242,7 +212,7 @@ class Model:
             columns.append(img.coords)
         return la.ExactMatrix(U.field, T.dim(i, j), columns)
 
-    def extend(self, n, stage):
+    def adjoin(self, n, stage):
         """Adjoin one variable of homological degree n per cycle of the
         stage, in place.  Below the switching degree the variables are
         polynomial/exterior (family X), from it on divided-power/exterior
@@ -265,10 +235,6 @@ class Model:
             self.images[len(U.variables) - 1] = TargetElement(n, j, t)
             table[(n, j)] = table.get((n, j), 0) + 1
         self.algebra = U
-        # cone slice m holds U_(m-1) and q on it
-        self.complex.forget(n)
-        self.cone.forget(n + 1)
-        return self
 
 
 def build_model(spec, reverse=False):
@@ -283,14 +249,12 @@ def build_model(spec, reverse=False):
         if v.id not in spec.var_images:
             raise ValueError(f"missing target image for source variable {v.name}")
     model = Model(spec, U)
-    bad = hml.first_nonzero_homology(model.cone, [0], spec.max_intdeg)
-    if bad is not None:
+    ok, bad = model.certify(0)
+    if not ok:
         raise AdmissibilityError(
             "H0 of the map is not surjective (cone H0 nonzero at intdeg "
             f"{bad[1]})")
-    for n in range(1, spec.max_hdeg + 1):
-        hml.kill_homology(model, n, reverse=reverse)
-    return model
+    return model.build(1, reverse)
 
 
 # ---------------------------------------------------------------------------

@@ -74,10 +74,6 @@ class PresentedModule:
     def dim(self, i, j):
         return len(self.basis(i, j))
 
-    def complex(self, hmax, dmax):
-        return hml.BigradedComplex(self.field, self.dim, None,
-                                   self.shift, hmax, dmax)
-
     def _mult_by_base(self, d, bidx, j, coords):
         """coords in degree j -> coords in degree j + d, multiplication by
         base basis element (d, bidx)."""
@@ -111,32 +107,19 @@ class PresentedModule:
         return out
 
 
-class SemifreeResolution:
+class SemifreeResolution(hml.Construction):
     """Free dg-A-module F on generators with prescribed boundaries, built
     to resolve a module M (its target); carries the comparison map q and
-    the Betti table.
-
-    complex is F as a complex and cone the cone of q: F -> M, both made
-    once: every stage and check_resolves read the same cone, and extend
-    drops only the slices a stage changes."""
+    the Betti table."""
 
     def __init__(self, algebra, module, max_hdeg, max_intdeg):
-        self.algebra = algebra
-        self.target = module
-        self.max_hdeg = max_hdeg
-        self.max_intdeg = max_intdeg
         # generators: (hdeg, intdeg, boundary {g: DgElement}, qimg coords)
         self.generators = []
         self._bases = {}
         # _generator_runs of the first _runs_of generators
         self._runs = []
         self._runs_of = 0
-        self.complex = hml.BigradedComplex(
-            algebra.field, self.dim, self.diff_matrix,
-            0, max_hdeg + 1, max_intdeg)
-        self.cone = hml.cone(self.complex,
-                             module.complex(max_hdeg + 1, max_intdeg),
-                             self.q_block)
+        super().__init__(algebra, module, max_hdeg, max_intdeg)
 
     # --- the underlying complex -------------------------------------------
 
@@ -237,7 +220,7 @@ class SemifreeResolution:
             self.q_coords(i, j, {cidx: one})
             for cidx in range(self.dim(i, j))])
 
-    def extend(self, n, stage):
+    def adjoin(self, n, stage):
         """Add one free generator of homological degree n per cycle of the
         stage, with its boundary and its image in the module, in place."""
         # generators of degree n leave the degree-(n-1) basis unchanged, so
@@ -249,10 +232,6 @@ class SemifreeResolution:
         # generators, so only the slices of degree >= n are stale; of the
         # rest, stage n + 1 reads only degree n - 1 again
         self._bases = {k: v for k, v in self._bases.items() if k[0] == n - 1}
-        # cone slice m holds F_(m-1) and q on it
-        self.complex.forget(n)
-        self.cone.forget(n + 1)
-        return self
 
     # --- reporting -----------------------------------------------------------
 
@@ -261,9 +240,6 @@ class SemifreeResolution:
         for h, d, _, _ in self.generators:
             table[(h, d)] = table.get((h, d), 0) + 1
         return table
-
-    def betti(self, i):
-        return sum(c for (h, _), c in self.betti_table().items() if h == i)
 
     def is_minimal(self):
         """Every boundary entry lies in the maximal ideal: no component of
@@ -275,17 +251,8 @@ class SemifreeResolution:
                     return False, g
         return True, None
 
-    def check_resolves(self, through_hdeg):
-        """Cone of q is exact in homological degrees <= through_hdeg."""
-        bad = hml.first_nonzero_homology(
-            self.cone, range(self.target.hmin, through_hdeg + 1),
-            self.max_intdeg)
-        return bad is None, bad
-
 
 def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):
     """Minimal semifree resolution of M over A up to the given bounds."""
     res = SemifreeResolution(A, M, max_hdeg, max_intdeg)
-    for n in range(M.hmin, max_hdeg + 1):
-        hml.kill_homology(res, n, reverse=reverse)
-    return res
+    return res.build(M.hmin, reverse)

@@ -53,9 +53,19 @@ def two_even_generators(field=QQ, N=12, D=12):
     return DgAlgebra(tb, max_hdeg=N, max_intdeg=D)
 
 
+def marginal(table, i):
+    """Sum of a bigraded count table {(h, j): count} over h = i."""
+    return sum(c for (h, _), c in table.items() if h == i)
+
+
+def marginals(table, N):
+    """The marginals 0..N of a bigraded count table."""
+    return [marginal(table, i) for i in range(N + 1)]
+
+
 def count_marginal(model, i):
     """Number of variables of homological degree i a model adjoined."""
-    return model.n_marginal(i) + model.eps_marginal(i)
+    return marginal(model.n_table, i) + marginal(model.eps_table, i)
 
 
 def free_rank_table(model):

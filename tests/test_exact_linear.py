@@ -271,7 +271,7 @@ def test_quotient_matches_reference(m):
         # e_r - nf(r) lies in the span
         diff = {r: F.one}
         for n, v in nf.items():
-            diff[keep[n]] = F.sub(diff.get(keep[n], F.zero), v)
+            diff[keep[n]] = F.add(diff.get(keep[n], F.zero), F.neg(v))
         assert ref_rank(p, nrows, span + [diff]) == rank
 
 

@@ -479,18 +479,18 @@ def test_cone_certificate_names_the_frozen_witness(algebra, closure_at,
     closure_stop = max(v.hdeg for v in acyclic_closure(A, 5, 8)
                        .adjoined_variables() if v.hdeg < 5)
     model = closure_through(algebra(), 5, 8, closure_stop - 1)
-    assert model.check_quasi_iso() == (False, closure_at)
+    assert model.certify() == (False, closure_at)
     resolution_stop = max(h for h, _, _, _ in resolve_module(
         A, hml.ResidueField(A.field), 5, 8).generators if h < 5)
     res = resolution_through(algebra(), 5, 8, resolution_stop - 1)
-    assert res.check_resolves(4) == (False, resolution_at)
+    assert res.certify(4) == (False, resolution_at)
 
 
 def test_cone_certificate_scans_homological_degree_first():
     # after stage 1 the cone has homology in degrees 2 and 3, at (3, 2)
     # below the internal degree of (2, 5)
     model = closure_through(hdeg_two_algebra(GF(3), 5, 8), 5, 8, 1)
-    assert model.check_quasi_iso() == (False, (2, 5))
+    assert model.certify() == (False, (2, 5))
 
 
 class UnitToZero(hml.ResidueField):
@@ -591,23 +591,23 @@ def counted(monkeypatch, counts, cls, name):
 
 @pytest.mark.parametrize("build, certify", [
     (lambda: acyclic_closure(golod(QQ, 5, 8), 5, 8),
-     lambda model: model.check_quasi_iso()),
+     lambda model: model.certify()),
     (lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
-     lambda model: model.check_quasi_iso()),
+     lambda model: model.certify()),
     (lambda: mb.minimal_model(hdeg_two_algebra(GF(3), 5, 8), 5, 8),
-     lambda model: model.check_quasi_iso()),
+     lambda model: model.certify()),
     (lambda: model_over_cover(mixed_degree_algebra(QQ, 5, 8).base, 5, 8),
-     lambda model: model.check_quasi_iso()),
+     lambda model: model.certify()),
     (lambda: betti_of(GF(3), mixed_degree_algebra)(False),
-     lambda res: res.check_resolves(4)),
+     lambda res: res.certify(4)),
     (lambda: resolve_module(paper_dg_algebra(QQ, 5, 7), hml.ResidueField(QQ),
                             5, 7),
-     lambda res: res.check_resolves(4)),
+     lambda res: res.certify(4)),
 ], ids=["closure-golod-Q", "closure-dg-Q", "minimal-hdeg2-F3", "cover-Q",
         "betti-F3", "betti-dg-Q"])
 def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build,
                                                      certify):
-    # check_quasi_iso and check_resolves read the cone every stage read:
+    # certify reads the cone every stage read:
     # no differential or q block is built again, and no basis slice
     counts = {}
     for cls, name in ((DgAlgebra, "diff_matrix"), (mb.Model, "q_block"),

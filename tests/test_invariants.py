@@ -31,26 +31,26 @@ def test_deviations_of_truncated_even():
 
 
 def test_poincare_geometric():
-    dev = inv.DeviationTable({(1, 1): 1, (2, 2): 1}, 8, 8)
+    dev = inv.CountTable({(1, 1): 1, (2, 2): 1}, 8, 8, "eps")
     s = inv.poincare_from_deviations(dev, 8)
     assert s.coefficients == [1] * 9
     assert s.complete
 
 
 def test_poincare_binomial():
-    dev = inv.DeviationTable({(1, 1): 2, (2, 2): 2}, 9, 9)
+    dev = inv.CountTable({(1, 1): 2, (2, 2): 2}, 9, 9, "eps")
     s = inv.poincare_from_deviations(dev, 9)
     assert s.coefficients == [i + 1 for i in range(10)]
 
 
 def test_poincare_telescoping():
-    dev = inv.DeviationTable({(3, 1): 1, (6, 2): 1}, 12, 12)
+    dev = inv.CountTable({(3, 1): 1, (6, 2): 1}, 12, 12, "eps")
     s = inv.poincare_from_deviations(dev, 12)
     assert s.coefficients == [1 if i % 3 == 0 else 0 for i in range(13)]
 
 
 def test_poincare_incomplete_flag():
-    dev = inv.DeviationTable({(1, 1): 1}, 4, 4)
+    dev = inv.CountTable({(1, 1): 1}, 4, 4, "eps")
     s = inv.poincare_from_deviations(dev, 8)
     assert not s.complete
 
@@ -67,7 +67,7 @@ def test_poincare_matches_the_fraction_expansion(table, N, D, order,
                                                  coefficients, complete):
     # coefficients frozen from the expansion that divided by 1 - t^i in
     # Fractions
-    s = inv.poincare_from_deviations(inv.DeviationTable(table, N, D), order)
+    s = inv.poincare_from_deviations(inv.CountTable(table, N, D, "eps"), order)
     assert s.coefficients == coefficients
     assert all(type(c) is int for c in s.coefficients)
     assert s.complete == complete
@@ -173,7 +173,7 @@ def test_product_formula_compares_bigraded_rows(monkeypatch):
     table = dict(btab.table)
     table[(2, 3)] = table.pop((2, 2))
     monkeypatch.setattr(inv, "betti_numbers", lambda *a: (
-        inv.BettiTable(table, 4, 6), res))
+        inv.CountTable(table, 4, 6, "beta"), res))
     report = inv.verify("product-formula", A, 4, 6)
     assert report.verdict == "fail"
     assert [c["i"] for c in report.comparisons if not c["ok"]] == [2]
@@ -248,7 +248,7 @@ def test_halperin_fails_only_below_the_bound(monkeypatch, table, verdict):
     # eps_3 = 0 with eps_4 > 0: the zero decides, and it is certified
     # unless the table reaches D = 8 at or below homological degree 3
     monkeypatch.setattr(inv, "deviations", lambda A, N, D: (
-        inv.DeviationTable(table, N, D)))
+        inv.CountTable(table, N, D, "eps")))
     A = complete_intersection(QQ, N=5, D=8)
     assert inv.verify("halperin", A, 5, 8).verdict == verdict
 

@@ -6,12 +6,12 @@ from dgkernel.homology import ResidueField
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
                                         resolve_module)
 from _fixtures import (free_rank_table, hypersurface, complete_intersection,
-                       golod, ring_algebra, two_even_generators)
+                       golod, marginals, ring_algebra, two_even_generators)
 from _oracle import betti_of_k
 
 
 def betti_marginals(res, N):
-    return [res.betti(i) for i in range(N + 1)]
+    return marginals(res.betti_table(), N)
 
 
 def test_hypersurface_betti():
@@ -19,7 +19,7 @@ def test_hypersurface_betti():
     res = resolve_module(A, ResidueField(A.field), 8, 8)
     assert betti_marginals(res, 8) == [1] * 9
     assert res.is_minimal()[0]
-    assert res.check_resolves(7)[0]
+    assert res.certify(7)[0]
 
 
 def test_ci_betti():
@@ -132,7 +132,7 @@ def test_resolution_over_a_dg_algebra_with_a_differential():
     C = res.complex
     assert all(C.check_dd_zero(i, j)
                for i in range(1, N + 1) for j in range(D + 1))
-    assert res.check_resolves(N - 1) == (True, None)
+    assert res.certify(N - 1) == (True, None)
 
 
 def generator_runs(generators):

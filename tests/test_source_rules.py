@@ -134,17 +134,59 @@ def calls_by_scope(node, scope=()):
         yield from calls_by_scope(child, scope)
 
 
-def test_cones_are_made_only_by_objects_under_construction():
-    # a model or a resolution makes its one cone of q in __init__, and
-    # every stage and the certificate read that cone: no other code
-    # builds a cone of its own
+def callers_of(name):
+    """"file:scope" of every call of a function or method called name."""
     found = set()
     for path, tree in modules():
         for scope, call in calls_by_scope(tree):
             func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(
+            called = func.id if isinstance(func, ast.Name) else getattr(
                 func, "attr", None)
-            if name == "cone":
+            if called == name:
                 found.add(f"{path.name}:{'.'.join(scope)}")
-    assert found == {"model_builder.py:Model.__init__",
-                     "module_resolution.py:SemifreeResolution.__init__"}
+    return found
+
+
+def test_cones_are_made_only_by_objects_under_construction():
+    # a Construction (a model or a resolution) makes its one cone of q in
+    # __init__, and every stage and the certificate read that cone: no
+    # other code builds a cone of its own
+    assert callers_of("cone") == {"homology.py:Construction.__init__"}
+
+
+def test_slices_are_forgotten_only_by_kill_homology():
+    # the cache rule (after stage n, forget X from degree n and the cone
+    # from degree n + 1) is written once, in the stage driver
+    assert callers_of("forget") == {"homology.py:kill_homology"}
+
+
+# Public names read only from outside the package: the flattened storage
+# view that the benchmark's tracer counts nonzeros with.
+USED_OUTSIDE = {"ExactMatrix.entries"}
+
+
+def test_no_unused_public_api():
+    # every public function, method or class of the package is referenced
+    # somewhere in it (as a name, an attribute or an imported name) or is
+    # exported by __init__; dunders and _private names are exempt
+    defined = []
+    referenced = set()
+    for path, tree in modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(path.name, f"{node.name}.{item.name}", item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    found = [f"{file}:{qualname}" for file, qualname, name in defined
+             if not name.startswith("_") and name not in referenced
+             and qualname not in USED_OUTSIDE]
+    assert not found, found
