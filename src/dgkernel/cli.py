@@ -34,7 +34,7 @@ from .errors import (AdmissibilityError, BoundExceededError,
 from .fields import parse_field
 from .graded_base import BasePresentation, BaseVariable, TruncatedBase
 from .homology import ResidueField
-from .module_resolution import PresentedModule, resolve_module
+from .module_resolution import PresentedModule
 
 # command -> the task options it takes
 COMMANDS = {"deviations": (), "acyclic-closure": (),
@@ -349,10 +349,10 @@ def build_algebra(job):
         z = _evaluate_in_algebra(A, boundary, n, base_names,
                                  hdeg - 1, intdeg)
         try:
-            A = A.adjoin_variable(z, KINDS[kind], name=name)
+            var = A.adjoin_variable(z, KINDS[kind], name=name)
         except (ParityError, NotCycleError, ValueError) as e:
             raise JobError(str(e), n)
-        if A.variables[-1].hdeg != hdeg:
+        if var.hdeg != hdeg:
             raise JobError(
                 f"boundary has homological degree {z.hdeg}, so the "
                 f"variable gets degree {z.hdeg + 1}, not {hdeg}", n)
@@ -500,9 +500,7 @@ def _run_model(job, A, N, D, params):
         if switch < 0:
             raise JobError("--switch takes a nonnegative integer or 'inf'",
                            job.task[2])
-    spec = mb.residue_field_spec(A, N, D, switching_degree=switch)
-    model = mb.build_model(spec)
-    return _model_report(model, N, D)
+    return _model_report(mb.residue_field_model(A, N, D, switch), N, D)
 
 
 def _parse_module(A, spec_text, job):
@@ -525,7 +523,7 @@ def _parse_module(A, spec_text, job):
 
 def _run_betti(job, A, N, D, params):
     M = _parse_module(A, params.get("module"), job)
-    res = resolve_module(A, M, N, D)
+    res = inv.certified_resolution(A, M, N, D)
     ok_min, _ = res.is_minimal()
     table = inv.CountTable(res.betti_table(), N, D, "beta")
     module = params.get("module", "residue-field")

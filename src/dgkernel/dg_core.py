@@ -117,12 +117,12 @@ class DgAlgebra:
             raise ValueError("max_intdeg exceeds the base truncation bound")
         self.max_hdeg = self.max_intdeg if max_hdeg is None else max_hdeg
         self._bases = {}
-        self._vmons = None
-        # d(1*m) per variable monomial m, one dict per top variable id of
-        # m: adjoin_variable hands the dicts of the older variables on to
-        # the extension, whose new variable gets a fresh one, so sibling
-        # extensions of one algebra never share entries
-        self._dcache = [{} for _ in self.variables]
+        # the monomial table of the first _vmons_of variables
+        self._vmons = {(0, 0): [TRIVIAL_MONOMIAL]}
+        self._vmons_of = 0
+        # d(1*m) per variable monomial m: adjoining a variable changes no
+        # cached entry, so the cache grows with the algebra
+        self._dcache = {}
         # one Monomial object per monomial in the cached differentials
         self._interned = {}
 
@@ -258,18 +258,15 @@ class DgAlgebra:
 
     def _monomial_differential(self, mon):
         """Terms of d(1*mon), by the Leibniz rule on first use and from
-        the chain's cache after that.  Do not mutate the result."""
+        the cache after that.  Do not mutate the result."""
         if mon.is_trivial():
             return {}
-        top = max(mon.evens[-1][0] if mon.evens else -1,
-                  mon.odds[-1] if mon.odds else -1)
-        cache = self._dcache[top]
-        hit = cache.get(mon)
+        hit = self._dcache.get(mon)
         if hit is None:
             intern = self._interned.setdefault
             hit = {(jb, ib, intern(m, m)): c
                    for (jb, ib, m), c in self._leibniz(mon).items()}
-            cache[intern(mon, mon)] = hit
+            self._dcache[intern(mon, mon)] = hit
         return hit
 
     def _leibniz(self, mon):
@@ -301,12 +298,12 @@ class DgAlgebra:
     # --- monomial bases ----------------------------------------------------
 
     def _variable_monomials(self):
-        """dict (hdeg, intdeg) -> ordered list of Monomials within bounds."""
-        if self._vmons is not None:
-            return self._vmons
-        table = {(0, 0): [TRIVIAL_MONOMIAL]}
+        """dict (hdeg, intdeg) -> ordered list of Monomials within bounds.
+        The table grows by the variables adjoined since its last read."""
+        table = self._vmons
         N, D = self.max_hdeg, self.max_intdeg
-        for v in self.variables:
+        grown = set()
+        for v in self.variables[self._vmons_of:]:
             new = {}
             for (h, d), mons in table.items():
                 emax = 1 if v.hdeg % 2 == 1 else 10 ** 9
@@ -324,9 +321,10 @@ class DgAlgebra:
                     e += 1
             for k, ms in new.items():
                 table.setdefault(k, []).extend(ms)
-        for ms in table.values():
-            ms.sort(key=lambda m: m.key())
-        self._vmons = table
+            grown.update(new)
+        for k in grown:
+            table[k].sort(key=lambda m: m.key())
+        self._vmons_of = len(self.variables)
         return table
 
     def basis_of_bidegree(self, i, j):
@@ -402,8 +400,9 @@ class DgAlgebra:
     # --- adjunction --------------------------------------------------------
 
     def adjoin_variable(self, z, kind, name=None, family=None):
-        """Adjoin one variable of bidegree (|z|+1, intdeg z) with boundary z.
-        z must be a cycle; kind must match the parity of |z|+1."""
+        """Adjoin, in place, one variable of bidegree (|z|+1, intdeg z)
+        with boundary z, and return it.  z must be a cycle; kind must
+        match the parity of |z|+1."""
         hdeg = z.hdeg + 1
         odd = hdeg % 2 == 1
         if odd and kind != EXTERIOR:
@@ -420,13 +419,11 @@ class DgAlgebra:
         vid = len(self.variables)
         var = DgVariable(vid, name or f"v{vid}", hdeg, z.intdeg, kind, z,
                          family=family)
-        ext = DgAlgebra(self.base, self.variables + (var,),
-                        self.max_hdeg, self.max_intdeg)
-        ext._dcache[:vid] = self._dcache
-        ext._interned = self._interned
+        self.variables += (var,)
         # every label with the new variable has homological degree >= hdeg
-        ext._bases = {k: v for k, v in self._bases.items() if k[0] < hdeg}
-        return ext
+        for key in [k for k in self._bases if k[0] >= hdeg]:
+            del self._bases[key]
+        return var
 
     # --- minimality --------------------------------------------------------
 

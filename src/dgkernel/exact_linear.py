@@ -149,34 +149,26 @@ def _insert(F, basis, index, col):
     basis[p] = col
 
 
-def _echelon(F, nrows, cols):
-    """A basis, as above, of the span of cols (dicts, left as they are)
-    in F^nrows, with its index."""
-    basis = {}
-    index = {}
-    for col in cols:
+def _echelon(F, nrows, basis, index, cols):
+    """Extend basis, as above, with its index by the columns of cols
+    (dicts, left as they are) in F^nrows, in order.  Returns the
+    positions in cols of the columns it inserted: those independent of
+    the basis and of the columns before them."""
+    inserted = []
+    for k, col in enumerate(cols):
         if len(basis) == nrows:
             break
         col = _reduce(F, basis, dict(col))
         if col:
             _insert(F, basis, index, col)
-    return basis, index
+            inserted.append(k)
+    return inserted
 
 
 def rank_and_pivots(M):
     """Rank and the pivot columns: the columns independent of those to
     their left."""
-    F = M.field
-    basis = {}
-    index = {}
-    pivots = []
-    for c, col in enumerate(M.columns):
-        if len(basis) == M.rows:
-            break
-        col = _reduce(F, basis, dict(col))
-        if col:
-            _insert(F, basis, index, col)
-            pivots.append(c)
+    pivots = _echelon(M.field, M.rows, {}, {}, M.columns)
     return len(pivots), pivots
 
 
@@ -210,17 +202,14 @@ def pick_new_generators(field, nrows, base_cols, cand_cols, reverse=False):
     of base_cols, all of length nrows.  Returns the list of selected
     candidate indices, in the deterministic processing order (ascending,
     or descending if reverse)."""
-    basis, index = _echelon(field, nrows, base_cols)
+    basis, index = {}, {}
+    _echelon(field, nrows, basis, index, base_cols)
     order = range(len(cand_cols))
-    sel = []
-    for k in (reversed(order) if reverse else order):
-        if len(basis) == nrows:
-            break
-        col = _reduce(field, basis, dict(cand_cols[k]))
-        if col:
-            _insert(field, basis, index, col)
-            sel.append(k)
-    return sel
+    if reverse:
+        order = order[::-1]
+    picked = _echelon(field, nrows, basis, index,
+                      [cand_cols[k] for k in order])
+    return [order[p] for p in picked]
 
 
 def quotient(field, nrows, span):
@@ -232,7 +221,8 @@ def quotient(field, nrows, span):
     normal_forms[r] gives the class of unit vector r as coordinates over
     keep ({index into keep: scalar}); for a pivot row r it is the rest of
     basis column r."""
-    basis, _ = _echelon(field, nrows, span)
+    basis = {}
+    _echelon(field, nrows, basis, {}, span)
     keep = [r for r in range(nrows) if r not in basis]
     pos = {r: n for n, r in enumerate(keep)}
     normal_forms = []

@@ -68,6 +68,14 @@ class BigradedComplex:
             self._ranks[key] = la.rank_and_pivots(self.diff(i, j))[0]
         return self._ranks[key]
 
+    def kernel(self, i, j):
+        """la.kernel_basis of the differential out of slice (i, j); its
+        rank, cols - dim ker, is cached as rank(i, j)."""
+        M = self.diff(i, j)
+        Z = la.kernel_basis(M)
+        self._ranks[(i, j)] = M.cols - Z.cols
+        return Z
+
     def forget(self, n):
         """Drop the cached slices of homological degree >= n: the
         differential out of slice i reads slices i and i - 1 only."""
@@ -180,7 +188,7 @@ def minimal_generators(C, i, actions, reverse=False):
     kernels = {}
     gens = []
     for j in range(C.dmax + 1):
-        Z = la.kernel_basis(C.diff(i, j)).columns
+        Z = C.kernel(i, j).columns
         kernels[j] = Z
         W = list(C.diff(i + 1, j).columns)
         for d, act_at in actions.items():

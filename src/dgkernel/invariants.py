@@ -83,10 +83,21 @@ def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
     return CountTable(table, max_hdeg, max_intdeg, "n"), model
 
 
+def certified_resolution(A, M, max_hdeg, max_intdeg, reverse=False):
+    """The minimal resolution of M over A with its cone certificate: a
+    CertificationError unless cone(q: F -> M) is exact below max_hdeg."""
+    res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
+    ok, bad = res.certify()
+    if not ok:
+        raise CertificationError(
+            f"resolution not exact: cone homology at {bad}")
+    return res
+
+
 def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
     """Betti table of a module (default: the residue field)."""
     M = module if module is not None else hml.ResidueField(A.field)
-    res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
+    res = certified_resolution(A, M, max_hdeg, max_intdeg, reverse=reverse)
     ok, witness = res.is_minimal()
     if not ok:
         raise CertificationError(
@@ -202,6 +213,12 @@ def classify_growth(A, max_hdeg, max_intdeg):
     deviation (in degree >= 3 certified range) forces the complete
     intersection pattern.  Otherwise verdicts carry bound qualifiers.
     """
+    return _classify(A, max_hdeg, max_intdeg)[0]
+
+
+def _classify(A, max_hdeg, max_intdeg):
+    """classify_growth's verdict and the model over the cover it read, or
+    None when the verdict needed none."""
     dev = deviations(A, max_hdeg, max_intdeg)
     eps = dev.marginals()
     N = max_hdeg
@@ -213,26 +230,28 @@ def classify_growth(A, max_hdeg, max_intdeg):
         # complete intersection, in which case all higher deviations vanish
         if N < 3:
             return GrowthVerdict("inconclusive-at-bound", N, max_intdeg,
-                                 detail)
+                                 detail), None
         if eps[3] != 0:
             return GrowthVerdict("not-DCI-within-bound", N, max_intdeg,
-                                 detail)
+                                 detail), None
     else:
         last_nonzero = max((i for i in range(1, N + 1) if eps[i]), default=0)
         if last_nonzero == N:
             return GrowthVerdict("inconclusive-at-bound", N, max_intdeg,
-                                 detail)
+                                 detail), None
 
     # derived complete intersection pattern: check whether the minimal
     # model over the cover is purely polynomial (perfect residue field)
+    model = None
     if not A.variables:
-        ntab, _ = n_table_over_cover(A, max_hdeg, max_intdeg)
+        ntab, model = n_table_over_cover(A, max_hdeg, max_intdeg)
         detail["n"] = ntab.marginals()
         if not any(h % 2 == 1 for (h, d), c in ntab.table.items() if c):
             return GrowthVerdict("perfect-residue-field", N, max_intdeg,
-                                 detail)
+                                 detail), model
     detail["polynomial_degree"] = even_sum - 1
-    return GrowthVerdict("derived-CI-up-to-bound", N, max_intdeg, detail)
+    return GrowthVerdict("derived-CI-up-to-bound", N, max_intdeg,
+                         detail), model
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +584,12 @@ def _verify_fiber_boundedness(A, N, D):
         raise AdmissibilityError(
             "fiber-boundedness is supported for algebras without adjoined "
             "variables")
-    verdict = classify_growth(A, N, D)
+    verdict, model = _classify(A, N, D)
     if verdict.verdict not in ("derived-CI-up-to-bound",
                                "perfect-residue-field"):
         raise AdmissibilityError(
             f"fiber-boundedness requires a derived complete intersection "
             f"(classification: {verdict.verdict})")
-    _, model = n_table_over_cover(A, N, D)
     stages = sorted({v.hdeg for v in model.adjoined_variables()})
     comparisons = []
     notes = []

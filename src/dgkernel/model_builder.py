@@ -113,39 +113,32 @@ class RingTarget:
 # The model construction
 # ---------------------------------------------------------------------------
 
-class ModelSpec:
-    """Input of build_model.  switching_degree: 0 = acyclic closure,
-    math.inf = minimal model.  The target provides base_image, the image
-    of each basis element of the source's base."""
+class Model(hml.Construction):
+    """The extension U of the source with the multiplicative comparison
+    map q: U -> target (the image of every variable; var_images for the
+    source's), bigraded variable counts, and certification bounds.
+    switching_degree: 0 = acyclic closure, math.inf = minimal model.  U
+    is an algebra of its own on the source's variables: build_model
+    grows it in place, one stage at a time, through hml.kill_homology."""
 
-    def __init__(self, source, target, switching_degree,
-                 max_hdeg, max_intdeg, var_images=None):
+    def __init__(self, source, target, switching_degree, max_hdeg,
+                 max_intdeg, var_images=None):
         if switching_degree != INFINITY and switching_degree < 0:
             raise ValueError("switching degree must be >= 0 or infinity")
         if max_hdeg < 1 or max_intdeg < 0:
             raise ValueError("bounds must be positive")
-        self.source = source
-        self.target = target
+        algebra = DgAlgebra(source.base, source.variables, max_hdeg,
+                            max_intdeg)
+        self.images = dict(var_images or {})
+        for v in algebra.variables:
+            if v.id not in self.images:
+                raise ValueError(
+                    f"missing target image for source variable {v.name}")
         self.switching_degree = switching_degree
-        self.max_hdeg = max_hdeg
-        self.max_intdeg = max_intdeg
-        self.var_images = dict(var_images or {})
-
-
-class Model(hml.Construction):
-    """The extension U of the source with the multiplicative comparison
-    map q: U -> target (the image of every variable), bigraded variable
-    counts, and certification bounds.  build_model grows it in place,
-    one stage at a time, through hml.kill_homology."""
-
-    def __init__(self, spec, algebra):
-        self.spec = spec
-        self.images = dict(spec.var_images)
         self.source_nvars = len(algebra.variables)
         self.n_table = {}
         self.eps_table = {}
-        super().__init__(algebra, spec.target, spec.max_hdeg,
-                         spec.max_intdeg)
+        super().__init__(algebra, target, max_hdeg, max_intdeg)
 
     def adjoined_variables(self):
         return self.algebra.variables[self.source_nvars:]
@@ -217,7 +210,7 @@ class Model(hml.Construction):
         stage, in place.  Below the switching degree the variables are
         polynomial/exterior (family X), from it on divided-power/exterior
         (family Y)."""
-        s = self.spec.switching_degree
+        s = self.switching_degree
         if n % 2 == 1:
             kind = EXTERIOR
         else:
@@ -226,29 +219,25 @@ class Model(hml.Construction):
         prefix = "x" if family == "X" else "y"
         U = self.algebra
         # adjoining variables of degree n leaves the degree-(n-1) bases
-        # unchanged, so every cycle is read off the pre-stage algebra
+        # unchanged, so every cycle is read before the first adjunction
         cycles = [U.element_from_coords(n - 1, j, x) for j, x, _ in stage]
         table = self.n_table if family == "X" else self.eps_table
         for z, (j, _, t) in zip(cycles, stage):
             name = f"{prefix}{n}_{len(U.variables) - self.source_nvars}"
-            U = U.adjoin_variable(z, kind, name=name, family=family)
-            self.images[len(U.variables) - 1] = TargetElement(n, j, t)
+            var = U.adjoin_variable(z, kind, name=name, family=family)
+            self.images[var.id] = TargetElement(n, j, t)
             table[(n, j)] = table.get((n, j), 0) + 1
-        self.algebra = U
 
 
-def build_model(spec, reverse=False):
-    """Construct the minimal model with the prescribed switching degree.
+def build_model(source, target, switching_degree, max_hdeg, max_intdeg,
+                var_images=None, reverse=False):
+    """Construct the minimal model of the map from source (its variables
+    sent to var_images) to target, with the prescribed switching degree.
 
     Requires H_0 of the induced map to be surjective (checked).  Raises
     AdmissibilityError otherwise."""
-    U = spec.source
-    if U.max_hdeg < spec.max_hdeg or U.max_intdeg < spec.max_intdeg:
-        U = DgAlgebra(U.base, U.variables, spec.max_hdeg, spec.max_intdeg)
-    for v in U.variables:
-        if v.id not in spec.var_images:
-            raise ValueError(f"missing target image for source variable {v.name}")
-    model = Model(spec, U)
+    model = Model(source, target, switching_degree, max_hdeg, max_intdeg,
+                  var_images)
     ok, bad = model.certify(0)
     if not ok:
         raise AdmissibilityError(
@@ -261,23 +250,22 @@ def build_model(spec, reverse=False):
 # Specializations
 # ---------------------------------------------------------------------------
 
-def residue_field_spec(A, max_hdeg, max_intdeg, switching_degree=0):
-    """ModelSpec for a model of k over A along the augmentation."""
+def residue_field_model(A, max_hdeg, max_intdeg, switching_degree,
+                        reverse=False):
+    """Model of k over A along the augmentation."""
     var_images = {v.id: TargetElement(v.hdeg, v.intdeg) for v in A.variables}
-    return ModelSpec(A, ResidueField(A.field), switching_degree,
-                     max_hdeg, max_intdeg, var_images)
+    return build_model(A, ResidueField(A.field), switching_degree,
+                       max_hdeg, max_intdeg, var_images, reverse)
 
 
 def acyclic_closure(A, max_hdeg, max_intdeg, reverse=False):
     """Acyclic closure of k over A (switching degree 0)."""
-    return build_model(residue_field_spec(A, max_hdeg, max_intdeg, 0),
-                       reverse=reverse)
+    return residue_field_model(A, max_hdeg, max_intdeg, 0, reverse)
 
 
 def minimal_model(A, max_hdeg, max_intdeg, reverse=False):
     """Minimal model of k over A (switching degree infinity)."""
-    return build_model(residue_field_spec(A, max_hdeg, max_intdeg, INFINITY),
-                       reverse=reverse)
+    return residue_field_model(A, max_hdeg, max_intdeg, INFINITY, reverse)
 
 
 def cover_algebra(tbase, max_hdeg, max_intdeg):
@@ -297,15 +285,15 @@ def model_over_cover(tbase, max_hdeg, max_intdeg, switching_degree=INFINITY,
     infinity this computes the counts n_i^S."""
     tbase.presentation.require_minimal()
     S = cover_algebra(tbase, max_hdeg, max_intdeg)
-    spec = ModelSpec(S, RingTarget(tbase, S.base), switching_degree,
-                     max_hdeg, max_intdeg, {})
-    return build_model(spec, reverse=reverse)
+    return build_model(S, RingTarget(tbase, S.base), switching_degree,
+                       max_hdeg, max_intdeg, reverse=reverse)
 
 
 def koszul_complex(A, elements, names=None):
     """Adjoin one exterior variable per degree-0 cycle: the Koszul complex
-    on the given base elements (each is (intdeg, {basis_index: scalar}))."""
-    out = A
+    on the given base elements (each is (intdeg, {basis_index: scalar})),
+    adjoined to a copy of A."""
+    out = DgAlgebra(A.base, A.variables, A.max_hdeg, A.max_intdeg)
     for k, (j, coeffs) in enumerate(elements):
         if j < 1:
             raise AdmissibilityError("Koszul input must lie in the maximal ideal")
@@ -313,7 +301,7 @@ def koszul_complex(A, elements, names=None):
         if z.hdeg != 0:
             raise AdmissibilityError("Koszul input must have homological degree 0")
         name = names[k] if names else f"e{k}"
-        out = out.adjoin_variable(z, EXTERIOR, name=name)
+        out.adjoin_variable(z, EXTERIOR, name=name)
     return out
 
 

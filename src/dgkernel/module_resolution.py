@@ -244,9 +244,8 @@ class SemifreeResolution(hml.Construction):
     def is_minimal(self):
         """Every boundary entry lies in the maximal ideal: no component of
         any generator's boundary has a scalar (bidegree (0,0)) term."""
-        for g, (h, d, bnd, _) in enumerate(self.generators):
-            for g2, e in bnd.items():
-                h2, d2, _, _ = self.generators[g2]
+        for g, (_, _, bnd, _) in enumerate(self.generators):
+            for e in bnd.values():
                 if (e.hdeg, e.intdeg) == (0, 0) and not e.is_zero():
                     return False, g
         return True, None

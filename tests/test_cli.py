@@ -331,6 +331,51 @@ def test_certification_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+DG_BETTI = """\
+field Q
+base x 1
+base y 1
+relation x^2
+dgvar e 1 1 exterior y
+bounds 5 6
+task betti
+"""
+
+
+def test_betti_certifies_its_resolution(tmp_path, capsys, monkeypatch):
+    # Q[x,y]/(x^2)<e | de = y> is quasi-isomorphic to Q[x]/(x^2), so k has
+    # one Betti number per degree; a resolution differential that drops
+    # the sign (-1)^|a| of a*dg gives a larger table, and betti's cone
+    # certificate stops it with exit 3 instead of printing that table
+    from dgkernel import exact_linear as la
+    from dgkernel.module_resolution import SemifreeResolution
+
+    path = write_job(tmp_path, DG_BETTI)
+    assert run_cli([path]) == 0
+    assert "marginals 1 1 1 1 1 1" in capsys.readouterr().out
+    signed = SemifreeResolution.diff_matrix
+
+    def unsigned(self, i, j):
+        M = signed(self, i, j)
+        F = self.algebra.field
+        rows = self.basis(i - 1, j)
+        columns = []
+        for (g, _), col in zip(self.basis(i, j), M.columns):
+            # entries of a*dg lie on generators other than g
+            if (i - self.generators[g][0]) % 2:
+                col = {r: v if rows[r][0] == g else F.neg(v)
+                       for r, v in col.items()}
+            columns.append(col)
+        return la.ExactMatrix(F, M.rows, columns)
+
+    monkeypatch.setattr(SemifreeResolution, "diff_matrix", unsigned)
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification error: d o d != 0 from bidegree "
+                            "(3,2) to (1,2)\n")
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     # halperin on a non-ring fixture is inadmissible -> exit 2
     job = """\
@@ -481,9 +526,9 @@ def test_mixed_degree_reports_match_frozen_digests(tmp_path, capsys):
     check_frozen_digests(tmp_path, capsys, MIXED_RINGS, MIXED_DIGESTS)
 
 
-# verify uniqueness runs its forward and reversed constructions on the
-# job's own DgAlgebra (its bounds are the job's), so they extend one
-# algebra side by side; a dgvar gives that algebra a variable of its own.
+# verify uniqueness runs its forward and reversed constructions side by
+# side, each on its own copy of the job's DgAlgebra; a dgvar gives that
+# algebra a variable of its own.
 UNIQUENESS_RINGS = dict(
     MIXED_RINGS,
     **{"dgvar-Q": "field Q\nbase x 1\nbase y 1\nrelation x^2\n"
@@ -536,6 +581,21 @@ DG_DIGESTS = {
 
 def test_dg_example_reports_match_frozen_digests(tmp_path, capsys):
     check_frozen_digests(tmp_path, capsys, DG_RINGS, DG_DIGESTS)
+
+
+def test_betti_over_a_module_the_differential_does_not_kill(tmp_path,
+                                                            capsys):
+    # k[x,y,z]/(x) is no dg-module over the paper's dg example: z = de
+    # must act as zero on a module in one degree, and it does not, so
+    # q: F -> M is no chain map and betti's cone certificate exits 3
+    # where no table is certified
+    path = write_job(tmp_path, DG_RINGS["paper-dg-Q"]
+                     + "task betti --module cyclic:x\n")
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification error: d o d != 0 from bidegree "
+                            "(2,1) to (0,1)\n")
 
 
 def test_reports_do_not_depend_on_earlier_jobs(tmp_path, capsys):

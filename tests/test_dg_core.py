@@ -120,20 +120,21 @@ def test_adjoin_parity_enforced():
     x = A.base_element(1, A.base.normal_form(1, (1,)))
     with pytest.raises(ParityError):
         A.adjoin_variable(x, POLYNOMIAL)
-    A1 = A.adjoin_variable(x, EXTERIOR, name="e")
-    e = A1.var_element(0)
+    assert not A.variables
+    A.adjoin_variable(x, EXTERIOR, name="e")
+    e = A.var_element(0)
     with pytest.raises(ParityError):
-        A1.adjoin_variable(A1.multiply(
-            A1.base_element(1, A1.base.normal_form(1, (1,))), e), EXTERIOR)
+        A.adjoin_variable(A.multiply(
+            A.base_element(1, A.base.normal_form(1, (1,))), e), EXTERIOR)
 
 
 def test_adjoin_requires_cycle():
     A = hypersurface(QQ, N=6, D=6)
     x = A.base_element(1, A.base.normal_form(1, (1,)))
-    A1 = A.adjoin_variable(x, EXTERIOR, name="e")
-    e = A1.var_element(0)  # d(e) = x != 0
+    A.adjoin_variable(x, EXTERIOR, name="e")
+    e = A.var_element(0)  # d(e) = x != 0
     with pytest.raises(NotCycleError):
-        A1.adjoin_variable(e, POLYNOMIAL)
+        A.adjoin_variable(e, POLYNOMIAL)
 
 
 def test_differential_lowers_degree_and_preserves_intdeg():
@@ -163,14 +164,15 @@ def test_monomial_rejects_non_normal_form(evens, odds):
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_sibling_extensions_keep_their_own_differential(order):
-    # e with d e = x and f with d f = y extend the same parent, so both new
-    # variables get id 0; each must keep its own differential
+    # e with d e = x and f with d f = y extend two copies of one algebra,
+    # so both new variables get id 0; each must keep its own differential
     A = complete_intersection(QQ, N=4, D=4)
     gens = [A.base_element(1, A.base.normal_form(1, exps))
             for exps in ((1, 0), (0, 1))]
     exts = {}
     for k in order:
-        exts[k] = A.adjoin_variable(gens[k], EXTERIOR, name="ef"[k])
+        exts[k] = DgAlgebra(A.base, A.variables, 4, 4)
+        exts[k].adjoin_variable(gens[k], EXTERIOR, name="ef"[k])
         expected = {ib: c for (_, ib, _), c in gens[k].terms.items()}
         assert exts[k].diff_matrix(1, 1).columns == [expected]
     for k in order:
@@ -208,9 +210,9 @@ def hypersurface_with_even_variables(field, kind, N=6, D=6):
     kind with dt = x*e."""
     A = hypersurface(field, N=N, D=D)
     x = A.base_element(1, A.base.normal_form(1, (1,)))
-    A1 = A.adjoin_variable(x, EXTERIOR, name="e")
-    return A1.adjoin_variable(A1.multiply(x, A1.var_element(0)), kind,
-                              name="t")
+    A.adjoin_variable(x, EXTERIOR, name="e")
+    A.adjoin_variable(A.multiply(x, A.var_element(0)), kind, name="t")
+    return A
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2)])

@@ -29,8 +29,8 @@ def test_ring_complex_homology_is_the_ring():
 def test_koszul_on_hypersurface_has_h1():
     A = hypersurface(QQ, N=6, D=6)
     x = A.base_element(1, A.base.normal_form(1, (1,)))
-    K = A.adjoin_variable(x, EXTERIOR, name="e")
-    C = hml.algebra_complex(K)
+    A.adjoin_variable(x, EXTERIOR, name="e")
+    C = hml.algebra_complex(A)
     # H_0 = k, H_1 = k*(x e) in internal degree 2
     assert hml.homology(C, 0, 0) == 1
     assert hml.homology(C, 0, 1) == 0
@@ -41,8 +41,8 @@ def test_koszul_on_hypersurface_has_h1():
 def test_koszul_on_regular_element_is_exact():
     A = ring_algebra(QQ, [("x", 1)], [{(5,): 1}], 6, 6)
     x = A.base_element(1, A.base.normal_form(1, (1,)))
-    K = A.adjoin_variable(x, EXTERIOR, name="e")
-    C = hml.algebra_complex(K)
+    A.adjoin_variable(x, EXTERIOR, name="e")
+    C = hml.algebra_complex(A)
     # x is a nonzerodivisor until degree 4, so H_1 vanishes below the
     # truncation-induced top
     for j in range(5):
@@ -65,8 +65,8 @@ def test_cone_of_identity_is_exact():
 def test_dd_zero_across_grid():
     A = hypersurface(QQ, N=5, D=5)
     x = A.base_element(1, A.base.normal_form(1, (1,)))
-    K = A.adjoin_variable(x, EXTERIOR, name="e")
-    C = hml.algebra_complex(K)
+    A.adjoin_variable(x, EXTERIOR, name="e")
+    C = hml.algebra_complex(A)
     for i in range(2, 5):
         for j in range(6):
             assert C.check_dd_zero(i, j)
@@ -337,8 +337,7 @@ def check_against_reference(built, n):
 
 
 def minimal_model_switch_2(field, algebra):
-    return lambda: mb.build_model(mb.residue_field_spec(
-        algebra(field, 5, 8), 5, 8, switching_degree=2))
+    return lambda: mb.residue_field_model(algebra(field, 5, 8), 5, 8, 2)
 
 
 def minimal_model_of_k(field, algebra):
@@ -449,7 +448,7 @@ def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
 
 def closure_through(A, N, D, last):
     """The acyclic closure of k over A built through stage last only."""
-    model = mb.Model(mb.residue_field_spec(A, N, D), A)
+    model = mb.Model(A, hml.ResidueField(A.field), 0, N, D)
     for n in range(1, last + 1):
         hml.kill_homology(model, n)
     return model
@@ -501,10 +500,9 @@ class UnitToZero(hml.ResidueField):
 
 
 def test_build_model_rejects_a_map_not_onto_h0():
-    spec = mb.ModelSpec(golod(QQ, 3, 4), UnitToZero(QQ), 0, 3, 4, {})
     with pytest.raises(AdmissibilityError, match=r"^H0 of the map is not "
                        r"surjective \(cone H0 nonzero at intdeg 0\)$"):
-        mb.build_model(spec)
+        mb.build_model(golod(QQ, 3, 4), UnitToZero(QQ), 0, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +517,23 @@ def paper_dg_algebra(field, N, D):
                      [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(1, 0, 1): 1},
                       {(0, 1, 1): 1}], N, D)
     z = A.base_element(1, A.base.normal_form(1, (0, 0, 1)))
-    return A.adjoin_variable(z, EXTERIOR, name="e")
+    A.adjoin_variable(z, EXTERIOR, name="e")
+    return A
 
 
 def fresh_twin(built):
     """An object under construction with the same variables or
     generators as built, on an algebra with no cached slice."""
     A = built.algebra
-    plain = DgAlgebra(A.base, A.variables, A.max_hdeg, A.max_intdeg)
     if isinstance(built, SemifreeResolution):
+        plain = DgAlgebra(A.base, A.variables, A.max_hdeg, A.max_intdeg)
         twin = SemifreeResolution(plain, built.target, built.max_hdeg,
                                   built.max_intdeg)
         twin.generators = list(built.generators)
     else:
-        twin = mb.Model(built.spec, plain)
-        twin.images = dict(built.images)
+        # a Model makes its own algebra on the variables of A
+        twin = mb.Model(A, built.target, built.switching_degree,
+                        built.max_hdeg, built.max_intdeg, built.images)
     return twin
 
 
@@ -579,14 +579,15 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
     assert kept["bases"] or not kept["models"]
 
 
-def counted(monkeypatch, counts, cls, name):
-    """Count the calls of the method cls.name in counts[name]."""
-    method = getattr(cls, name)
+def counted(monkeypatch, counts, owner, name):
+    """Count the calls of the method or module function owner.name in
+    counts[name]."""
+    method = getattr(owner, name)
 
-    def wrapper(self, *args):
+    def wrapper(*args):
         counts[name] = counts.get(name, 0) + 1
-        return method(self, *args)
-    monkeypatch.setattr(cls, name, wrapper)
+        return method(*args)
+    monkeypatch.setattr(owner, name, wrapper)
 
 
 @pytest.mark.parametrize("build, certify", [
@@ -607,13 +608,15 @@ def counted(monkeypatch, counts, cls, name):
         "betti-F3", "betti-dg-Q"])
 def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build,
                                                      certify):
-    # certify reads the cone every stage read:
-    # no differential or q block is built again, and no basis slice
+    # certify reads the cone every stage read: no differential or q block
+    # is built again, and no basis slice; and the stages left the rank of
+    # every slice it reads, so it eliminates no matrix either
     counts = {}
-    for cls, name in ((DgAlgebra, "diff_matrix"), (mb.Model, "q_block"),
-                      (SemifreeResolution, "diff_matrix"),
-                      (SemifreeResolution, "q_block")):
-        counted(monkeypatch, counts, cls, name)
+    for owner, name in ((DgAlgebra, "diff_matrix"), (mb.Model, "q_block"),
+                        (SemifreeResolution, "diff_matrix"),
+                        (SemifreeResolution, "q_block"),
+                        (la, "rank_and_pivots")):
+        counted(monkeypatch, counts, owner, name)
     lookup = DgAlgebra.basis_of_bidegree
 
     def counted_lookup(self, i, j):

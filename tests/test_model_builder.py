@@ -3,9 +3,10 @@ degrees, Koszul complexes, and their certification."""
 
 import pytest
 
-from dgkernel import QQ, GF, AdmissibilityError
+from dgkernel import QQ, GF, EXTERIOR, AdmissibilityError
 from dgkernel import model_builder as mb
 from dgkernel import acyclic_closure, model_over_cover, INFINITY
+from dgkernel.invariants import deviations
 from _fixtures import (count_marginal, free_rank_table, hypersurface,
                        complete_intersection, golod, marginals,
                        truncated_even)
@@ -95,8 +96,7 @@ def test_model_over_cover_of_golod_grows():
 
 def test_switching_degree_splits_families():
     A = complete_intersection(QQ, N=6, D=8)
-    spec = mb.residue_field_spec(A, 6, 8, switching_degree=2)
-    model = mb.build_model(spec)
+    model = mb.residue_field_model(A, 6, 8, 2)
     for v in model.adjoined_variables():
         if v.hdeg < 2:
             assert v.family == "X"
@@ -144,3 +144,22 @@ def test_cover_relations_must_be_in_square():
     R = ring_base(QQ, [("x", 1), ("z", 1)], [{(0, 2): 1, (2, 0): -1}], 6)
     model = model_over_cover(R, 4, 6)  # x^2 = z^2 is fine (in m^2)
     assert model.certify()[0]
+
+
+@pytest.mark.parametrize("construct", [
+    lambda A: acyclic_closure(A, 5, 8),
+    lambda A: mb.minimal_model(A, 5, 8),
+    lambda A: model_over_cover(A.base, 5, 8),
+    lambda A: mb.koszul_complex(A, [(1, {0: A.field.one})]),
+], ids=["acyclic-closure", "minimal-model", "over-cover", "koszul"])
+def test_constructions_leave_their_source_unchanged(construct):
+    # each grows an algebra of its own: the one it was given keeps its
+    # variables and its deviations
+    A = golod(QQ, 5, 8)
+    y = A.base_element(1, A.base.normal_form(1, (0, 1)))
+    A.adjoin_variable(y, EXTERIOR, name="e")
+    variables = A.variables
+    eps = deviations(A, 5, 8).table
+    construct(A)
+    assert A.variables == variables
+    assert deviations(A, 5, 8).table == eps

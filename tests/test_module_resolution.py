@@ -124,9 +124,9 @@ def test_resolution_over_a_dg_algebra_with_a_differential():
     # has one Betti number per degree over it; d(a*g) = da*g +
     # (-1)^|a| a*dg, and a wrong sign there breaks d^2 = 0 and the table
     N, D = 5, 6
-    B = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1}], N, D)
-    y = B.base_element(1, B.base.normal_form(1, (0, 1)))
-    A = B.adjoin_variable(y, EXTERIOR)
+    A = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1}], N, D)
+    y = A.base_element(1, A.base.normal_form(1, (0, 1)))
+    A.adjoin_variable(y, EXTERIOR)
     res = resolve_module(A, ResidueField(QQ), N, D)
     assert res.betti_table() == {(i, i): 1 for i in range(N + 1)}
     C = res.complex

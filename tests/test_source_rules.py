@@ -31,7 +31,7 @@ def test_no_assert_statements_in_package():
 
 def test_no_module_level_mutable_state():
     # caches live on the objects they belong to (the differential cache on
-    # a DgAlgebra's chain), never in a module-level container that one job
+    # a DgAlgebra), never in a module-level container that one job
     # leaves behind for the next; UPPER_CASE names are read-only tables
     found = []
     for path, tree in modules():
@@ -158,6 +158,15 @@ def test_slices_are_forgotten_only_by_kill_homology():
     # the cache rule (after stage n, forget X from degree n and the cone
     # from degree n + 1) is written once, in the stage driver
     assert callers_of("forget") == {"homology.py:kill_homology"}
+
+
+def test_algebras_are_grown_only_by_the_code_that_made_them():
+    # adjoin_variable grows an algebra in place, so it is called only on
+    # an algebra the caller made itself: a model's own algebra, the copy a
+    # Koszul complex extends, and the algebra of a job file
+    assert callers_of("adjoin_variable") == {
+        "model_builder.py:Model.adjoin", "model_builder.py:koszul_complex",
+        "cli.py:build_algebra"}
 
 
 # Public names read only from outside the package: the flattened storage
