@@ -33,8 +33,7 @@ from .errors import (AdmissibilityError, BoundExceededError,
                      ParityError)
 from .fields import parse_field
 from .graded_base import BasePresentation, BaseVariable, TruncatedBase
-from .homology import ResidueField
-from .module_resolution import PresentedModule
+from .module_resolution import PresentedModule, residue_field
 
 # command -> the task options it takes
 COMMANDS = {"deviations": (), "acyclic-closure": (),
@@ -506,7 +505,7 @@ def _run_model(job, A, N, D, params):
 def _parse_module(A, spec_text, job):
     line = job.task[2]
     if spec_text in (None, "residue-field"):
-        return ResidueField(A.field)
+        return residue_field(A)
     if spec_text.startswith("cyclic:"):
         base_names = [v.name for v in A.base.presentation.variables]
         rels = []

@@ -12,7 +12,6 @@ and exact.
 from functools import partial
 
 from . import exact_linear as la
-from .dg_core import TRIVIAL_MONOMIAL
 from .errors import CertificationError
 
 
@@ -209,67 +208,6 @@ def minimal_generators(C, i, actions, reverse=False):
 # The staged construction
 # ---------------------------------------------------------------------------
 
-class TargetElement:
-    """Homogeneous element of a target, in coordinates of the target's own
-    bidegree basis."""
-
-    __slots__ = ("hdeg", "intdeg", "coords")
-
-    def __init__(self, hdeg, intdeg, coords=None):
-        self.hdeg = hdeg
-        self.intdeg = intdeg
-        self.coords = dict(coords) if coords else {}
-
-    def is_zero(self):
-        return not self.coords
-
-
-class ResidueField:
-    """The residue field k, concentrated in bidegree (shift, 0).
-
-    As a target it has hmin, dim(i, j) and act_matrix(d, bidx, i, j);
-    the maximal ideal of A0 acts as zero.  As the module a
-    resolution resolves, A acts through the scalar part of its elements
-    (act).  As the target of a model of k (shift 0), it is the algebra k
-    reached by the augmentation (base_image, multiply).
-    """
-
-    def __init__(self, field, shift=0):
-        self.field = field
-        self.shift = shift
-        self.hmin = shift
-
-    def dim(self, i, j):
-        return 1 if (i, j) == (self.shift, 0) else 0
-
-    def act_matrix(self, d, bidx, i, j):
-        return la.ExactMatrix.zero(self.field, self.dim(i, j + d),
-                                   self.dim(i, j))
-
-    def act(self, a, i, j, coords):
-        """Coordinates of a times the element with coords at (i, j)."""
-        F = self.field
-        out = {}
-        if a.hdeg == 0 and a.intdeg == 0 and coords:
-            c = a.terms.get((0, 0, TRIVIAL_MONOMIAL))
-            if c is not None:
-                for r, v in coords.items():
-                    out[r] = F.mul(c, v)
-        return out
-
-    def base_image(self, jb, ib):
-        """Augmentation: the unit goes to 1, positive degrees to 0."""
-        if jb == 0:
-            return TargetElement(0, 0, {0: self.field.one})
-        return TargetElement(0, jb)
-
-    def multiply(self, u, v):
-        if u.is_zero() or v.is_zero():
-            return TargetElement(u.hdeg + v.hdeg, u.intdeg + v.intdeg)
-        return TargetElement(0, 0, {0: self.field.mul(u.coords[0],
-                                                      v.coords[0])})
-
-
 class Construction:
     """An object under construction: X (a model or a semifree resolution)
     with the comparison map q: X -> target, built in the box of
@@ -307,14 +245,14 @@ class Construction:
             kill_homology(self, n, reverse=reverse)
         return self
 
-    def certify(self, through_hdeg=None):
+    def certify(self):
         """(ok, bad): the cone of q is exact in homological degrees
-        target.hmin..through (default max_hdeg - 1), so H_i(q) is an
-        isomorphism below through and onto at it; bad is the first
-        bidegree with cone homology, or None."""
-        through = self.max_hdeg - 1 if through_hdeg is None else through_hdeg
+        target.hmin..max_hdeg - 1, so H_i(q) is an isomorphism below
+        max_hdeg - 1 and onto at it; bad is the first bidegree with cone
+        homology, or None."""
         bad = first_nonzero_homology(
-            self.cone, range(self.target.hmin, through + 1), self.max_intdeg)
+            self.cone, range(self.target.hmin, self.max_hdeg),
+            self.max_intdeg)
         return bad is None, bad
 
 

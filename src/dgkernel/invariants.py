@@ -12,7 +12,7 @@ from . import exact_linear as la
 from . import homology as hml
 from . import model_builder as mb
 from .errors import AdmissibilityError, CertificationError
-from .module_resolution import resolve_module
+from .module_resolution import residue_field, resolve_module
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def certified_resolution(A, M, max_hdeg, max_intdeg, reverse=False):
 
 def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
     """Betti table of a module (default: the residue field)."""
-    M = module if module is not None else hml.ResidueField(A.field)
+    M = module if module is not None else residue_field(A)
     res = certified_resolution(A, M, max_hdeg, max_intdeg, reverse=reverse)
     ok, witness = res.is_minimal()
     if not ok:

@@ -18,7 +18,6 @@ from . import homology as hml
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
 from .errors import AdmissibilityError, BoundExceededError
 from .graded_base import BasePresentation, TruncatedBase
-from .homology import ResidueField, TargetElement
 
 INFINITY = math.inf
 
@@ -27,12 +26,28 @@ INFINITY = math.inf
 # Targets
 # ---------------------------------------------------------------------------
 
+class TargetElement:
+    """Homogeneous element of a target, in coordinates of the target's own
+    bidegree basis."""
+
+    __slots__ = ("hdeg", "intdeg", "coords")
+
+    def __init__(self, hdeg, intdeg, coords=None):
+        self.hdeg = hdeg
+        self.intdeg = intdeg
+        self.coords = dict(coords) if coords else {}
+
+    def is_zero(self):
+        return not self.coords
+
+
 class RingTarget:
     """A truncated graded quotient ring R as a dg-algebra with zero
     differential.  Generators may carry even homological degrees, so this
     covers both ordinary rings and algebras like k[x0]/(x0^m), |x0| = d.
-    The source base S acts through the surjection S -> R that sends each
-    generator of S to the generator of R of the same name."""
+    The source base S acts through the map S -> R that sends each
+    generator of S to the generator of R of the same name, and to 0 when
+    R has none: with no generators, R is k and the map the augmentation."""
 
     hmin = 0
 
@@ -41,11 +56,9 @@ class RingTarget:
         self.field = tbase.field
         self.source_base = source_base
         tnames = [v.name for v in tbase.presentation.variables]
-        self._cols = []
-        for v in source_base.presentation.variables:
-            if v.name not in tnames:
-                raise ValueError(f"source generator {v.name} missing from target")
-            self._cols.append(tnames.index(v.name))
+        # target position of each source generator, None if it maps to 0
+        self._cols = [tnames.index(v.name) if v.name in tnames else None
+                      for v in source_base.presentation.variables]
         self._bases = {}
 
     def basis(self, i, j):
@@ -87,11 +100,14 @@ class RingTarget:
 
     def base_image(self, jb, ib):
         """Image of the source basis monomial (jb, ib): its normal form in
-        the target ring."""
+        the target ring, or 0 when it has a generator that maps to 0."""
         tp = self.tbase.presentation
         texps = [0] * len(tp.variables)
         for e, c in zip(self.source_base.basis(jb)[ib], self._cols):
-            texps[c] = e
+            if c is not None:
+                texps[c] = e
+            elif e:
+                return TargetElement(self.source_base.basis_hdeg(jb, ib), jb)
         nf = self.tbase.normal_form(jb, tuple(texps))
         return self.element_from_ring(jb, nf) if nf else TargetElement(
             tp.mono_hdeg(tuple(texps)), jb)
@@ -238,8 +254,8 @@ def build_model(source, target, switching_degree, max_hdeg, max_intdeg,
     AdmissibilityError otherwise."""
     model = Model(source, target, switching_degree, max_hdeg, max_intdeg,
                   var_images)
-    ok, bad = model.certify(0)
-    if not ok:
+    bad = hml.first_nonzero_homology(model.cone, [0], max_intdeg)
+    if bad is not None:
         raise AdmissibilityError(
             "H0 of the map is not surjective (cone H0 nonzero at intdeg "
             f"{bad[1]})")
@@ -252,9 +268,11 @@ def build_model(source, target, switching_degree, max_hdeg, max_intdeg,
 
 def residue_field_model(A, max_hdeg, max_intdeg, switching_degree,
                         reverse=False):
-    """Model of k over A along the augmentation."""
+    """Model of k over A along the augmentation: the map to the ring
+    with no generators."""
+    k = TruncatedBase(BasePresentation(A.field, ()), max_intdeg)
     var_images = {v.id: TargetElement(v.hdeg, v.intdeg) for v in A.variables}
-    return build_model(A, ResidueField(A.field), switching_degree,
+    return build_model(A, RingTarget(k, A.base), switching_degree,
                        max_hdeg, max_intdeg, var_images, reverse)
 
 

@@ -1,11 +1,12 @@
 """Minimal semifree resolutions of dg-modules and their Betti numbers.
 
-Admissible modules: the residue field k and its homological shifts
-(homology.ResidueField), and graded A0-modules given by a finite
-homogeneous presentation.  The resolution is built by the same staged
-cone construction as the models (homology.kill_homology): at stage n,
-cycles in cone(q: F -> M) that descend to minimal A0-generators of H_n
-become new free summands.
+Admissible modules: graded A0-modules given by a finite homogeneous
+presentation, concentrated in one homological degree, on which every
+boundary of A acts as zero.  The residue field k and its homological
+shifts are the cyclic ones A0/m (residue_field).  The resolution is
+built by the same staged cone construction as the models
+(homology.kill_homology): at stage n, cycles in cone(q: F -> M) that
+descend to minimal A0-generators of H_n become new free summands.
 """
 
 from . import exact_linear as la
@@ -19,7 +20,8 @@ class PresentedModule:
     homological degree (shift).  gens: list of internal degrees.  Each
     relation: dict gen_index -> homogeneous polynomial {exponent_tuple:
     scalar} over the base presentation; all components of one relation
-    must give it a single internal degree."""
+    must give it a single internal degree.  A boundary of A (the image
+    of d: A_1 -> A_0) must act as zero on it (AdmissibilityError)."""
 
     def __init__(self, algebra, gens, relations=(), shift=0):
         self.algebra = algebra
@@ -67,6 +69,19 @@ class PresentedModule:
             keep, nfs = la.quotient(self.field, len(free), span)
             self._bases[j] = [free[i] for i in keep]
             self._nf[j] = dict(zip(free, nfs))
+        # q: F -> M is a chain map only if every boundary of A, a column
+        # of d: A_1 -> A_0, acts as zero on M
+        one = self.field.one
+        top = algebra.max_intdeg if algebra.max_hdeg >= 1 else 0
+        for e in range(1, top + 1):
+            for col in algebra.diff_matrix(1, e).columns:
+                z = algebra.element_from_coords(0, e, col)
+                for j in range(D - e + 1):
+                    if any(self.act(z, shift, j, {n: one})
+                           for n in range(len(self._bases[j]))):
+                        raise AdmissibilityError(
+                            f"a boundary of internal degree {e} acts "
+                            "nonzero on the module")
 
     def basis(self, i, j):
         return self._bases[j] if i == self.shift else []
@@ -249,6 +264,22 @@ class SemifreeResolution(hml.Construction):
                 if (e.hdeg, e.intdeg) == (0, 0) and not e.is_zero():
                     return False, g
         return True, None
+
+
+def residue_field(A, shift=0):
+    """k = A0/m in homological degree shift: the cyclic module with one
+    relation per homological-degree-0 generator of the base that lies in
+    the bound and is nonzero in A."""
+    base = A.base
+    p = base.presentation
+    rels = []
+    for v in p.variables:
+        if v.hdeg != 0 or v.intdeg > base.D:
+            continue
+        x = tuple(1 if w is v else 0 for w in p.variables)
+        if base.normal_form(v.intdeg, x):
+            rels.append({0: {x: A.field.one}})
+    return PresentedModule(A, [0], rels, shift)
 
 
 def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):

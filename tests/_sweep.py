@@ -1,0 +1,103 @@
+"""Byte-identity sweep of the command line (not collected by pytest).
+
+    python tests/_sweep.py SRC
+
+imports dgkernel from the directory SRC (e.g. `src` of a checkout), runs
+every job of a fixed grid through `cli.main` in this process and prints
+one line per job: the ring, the field, the bounds, the task, the exit
+code and the first 16 hex digits of the sha256 of its exit code, stdout,
+stderr and `--json` report.  Run it on two checkouts and diff the outputs to see
+which reports a change moved:
+
+    python tests/_sweep.py old/src > old.txt
+    python tests/_sweep.py src > new.txt
+    diff old.txt new.txt
+
+The grid is 10 rings x {Q, F_2, F_101} x 18 task forms x the boxes
+(4,5) and (5,7): 1,080 jobs.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+RINGS = {
+    "golod": "base x 1\nbase y 1\nrelation x^2\nrelation x*y\n",
+    "ci": "base x 1\nbase y 1\nrelation x^2\nrelation y^2\n",
+    "hypersurface": "base x 1\nrelation x^3\n",
+    "mixed": "base x 1\nbase y 2\nbase w 3\nrelation x^2*y - w*x\n"
+             "relation y^3\nrelation x*w - y^2\n",
+    "hdeg-2": "base x 2\nbase u 2 hdeg 2\nbase y 3\nrelation x^3\n"
+              "relation x*y\nrelation u^2\n",
+    "non-minimal": "base x 1\nbase y 2\nrelation y - x^2\nrelation x^3\n",
+    "vanishing": "base x 1\nbase y 2\nrelation y\nrelation x^2\n",
+    "above-bound": "base x 1\nbase w 9\nrelation x^3\n",
+    "paper-dg": "base x 1\nbase y 1\nbase z 1\nrelation x^2\nrelation y^2\n"
+                "relation x*z\nrelation y*z\ndgvar e 1 1 exterior z\n",
+    "dgvar": "base x 1\nbase y 1\nrelation x^2\nrelation y^2\n"
+             "dgvar e 1 1 exterior y\n",
+}
+
+FIELDS = ("Q", "Fp:2", "Fp:101")
+
+TASKS = (
+    "deviations", "acyclic-closure", "minimal-model",
+    "minimal-model --switch 2", "betti", "betti --module cyclic:x",
+    "poincare", "classify",
+    *(f"verify --statement {s}" for s in (
+        "koszul-shift", "deviations-compare", "quasi-fibers",
+        "product-formula", "switching-compare", "vanishing-pattern",
+        "halperin", "uniqueness", "odd-to-even", "fiber-boundedness")),
+)
+
+BOXES = ((4, 5), (5, 7))
+
+
+def run_job(cli, workdir, text):
+    """Exit code of one job and the sha256 digest of its exit code,
+    stdout, stderr and JSON."""
+    path = os.path.join(workdir, "job.txt")
+    jpath = os.path.join(workdir, "out.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if os.path.exists(jpath):
+        os.unlink(jpath)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main([path, "--json", jpath])
+        except Exception as e:  # a traceback is a result too
+            code = f"raised {type(e).__name__}: {e}"
+    report = ""
+    if os.path.exists(jpath):
+        with open(jpath, encoding="utf-8") as fh:
+            report = fh.read()
+    blob = f"{code}\n{out.getvalue()}\n{err.getvalue()}\n{report}"
+    return code, hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tests/_sweep.py SRC", file=sys.stderr)
+        return 1
+    sys.path.insert(0, os.path.abspath(argv[1]))
+    from dgkernel import cli
+
+    with tempfile.TemporaryDirectory() as workdir:
+        for ring, body in RINGS.items():
+            for field in FIELDS:
+                for N, D in BOXES:
+                    for task in TASKS:
+                        text = (f"field {field}\n{body}bounds {N} {D}\n"
+                                f"task {task}\n")
+                        code, digest = run_job(cli, workdir, text)
+                        print(f"{ring} {field} {N},{D} {task}: "
+                              f"exit {code} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

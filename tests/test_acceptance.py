@@ -16,8 +16,7 @@ from dgkernel import (QQ, GF, acyclic_closure, model_over_cover,
                       DIVIDED_POWER)
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
-from dgkernel.homology import ResidueField
-from dgkernel.module_resolution import resolve_module
+from dgkernel.module_resolution import residue_field, resolve_module
 from _fixtures import (count_marginal, free_rank_table, hypersurface,
                        complete_intersection, golod, marginals,
                        truncated_even, two_even_generators)
@@ -66,7 +65,7 @@ def test_criterion_2_product_formula():
         start = time.perf_counter()
         for name, make, D in RING_FIXTURES:
             A = make(QQ, N=8, D=D)
-            res = resolve_module(A, ResidueField(A.field), 8, D)
+            res = resolve_module(A, residue_field(A), 8, D)
             dev = inv.deviations(A, 8, D)
             series = inv.poincare_from_deviations(dev, 8)
             beta = marginals(res.betti_table(), 8)
@@ -81,7 +80,7 @@ def test_criterion_3_complete_intersection_tables():
         A = complete_intersection(QQ, N=8, D=8)
         eps = inv.deviations(A, 8, 8).marginals()
         assert eps[1:7] == [2, 2, 0, 0, 0, 0]
-        res = resolve_module(A, ResidueField(A.field), 8, 8)
+        res = resolve_module(A, residue_field(A), 8, 8)
         beta = marginals(res.betti_table(), 8)
         assert beta == [i + 1 for i in range(9)]
         oracle = OracleResolution(A.base, 8, 8)
@@ -116,7 +115,7 @@ def test_criterion_5_closure_equals_minimal_resolution():
             N = 6
             A = make(QQ, N=N, D=D)
             closure = acyclic_closure(A, N, D)
-            res = resolve_module(A, ResidueField(A.field), N, D)
+            res = resolve_module(A, residue_field(A), N, D)
             free = free_rank_table(closure)
             beta = res.betti_table()
             keys = {k for k in set(free) | set(beta) if k[0] < N}
@@ -207,7 +206,7 @@ def test_criterion_7_structure_laws_and_characteristic():
         # characteristic test: over F2 the closure still certifies and
         # the Betti numbers of k over k[x]/(x^2) stay 1
         A2 = hypersurface(GF(2), N=8, D=8)
-        res = resolve_module(A2, ResidueField(A2.field), 8, 8)
+        res = resolve_module(A2, residue_field(A2), 8, 8)
         beta = marginals(res.betti_table(), 8)
         assert beta == [1] * 9
         oracle = [OracleResolution(A2.base, 8, 8).betti(i) for i in range(9)]
@@ -244,7 +243,7 @@ def test_criterion_10_two_even_generators():
     with criterion(10, "free algebra on even generators of degrees 2 and "
                        "6: beta_i nonzero exactly at {0,3,7,10} up to 12"):
         A = two_even_generators(QQ, N=12, D=12)
-        res = resolve_module(A, ResidueField(A.field), 12, 12)
+        res = resolve_module(A, residue_field(A), 12, 12)
         beta = marginals(res.betti_table(), 12)
         assert beta == [1 if i in (0, 3, 7, 10) else 0 for i in range(13)]
         assert all(b <= 1 for b in beta)

@@ -583,19 +583,54 @@ def test_dg_example_reports_match_frozen_digests(tmp_path, capsys):
     check_frozen_digests(tmp_path, capsys, DG_RINGS, DG_DIGESTS)
 
 
+# Rings whose residue field k = A0/m has a presentation with fewer
+# relations than base generators: one generator is killed by a relation,
+# one lies above the internal bound, and one is a base generator of
+# homological degree 2; and a presentation that is not minimal.
+RESIDUE_RINGS = {
+    "killed-Q": "field Q\nbase x 1\nbase y 2\nrelation y\nrelation x^3\n"
+                "bounds 5 7\n",
+    "above-bound-F2": "field Fp:2\nbase x 1\nbase y 1\nbase w 9\n"
+                      "relation x^2\nrelation x*y\nbounds 5 7\n",
+    "hdeg-2-F101": "field Fp:101\nbase x 1\nbase u 2 hdeg 2\nbase y 2\n"
+                   "relation x^3\nrelation x*y\nrelation u^2\nbounds 5 7\n",
+    "linear-Q": "field Q\nbase x 1\nbase y 2\nrelation y - x^2\n"
+                "relation x^2*y\nbounds 5 7\n",
+}
+
+RESIDUE_DIGESTS = {
+    "killed-Q": [("betti", "12f768e052152501"),
+                 ("acyclic-closure", "10d849d4acfdf307"),
+                 ("deviations", "5198227aa2e39aa4")],
+    "above-bound-F2": [("betti", "73f04da5f0acb39f"),
+                       ("acyclic-closure", "6598aaba11d936b2"),
+                       ("deviations", "a27c447c32e86664")],
+    "hdeg-2-F101": [("betti", "7e3842d3015f9a6a"),
+                    ("acyclic-closure", "1ea339e12f9b372b"),
+                    ("deviations", "5ceb795cfce0a6d9")],
+    "linear-Q": [("betti", "b8be4a9b09f98f7b"),
+                 ("acyclic-closure", "8901062eed8c77b3"),
+                 ("deviations", "bfcd4a3380ba478d")],
+}
+
+
+def test_residue_field_reports_match_frozen_digests(tmp_path, capsys):
+    check_frozen_digests(tmp_path, capsys, RESIDUE_RINGS, RESIDUE_DIGESTS)
+
+
 def test_betti_over_a_module_the_differential_does_not_kill(tmp_path,
                                                             capsys):
     # k[x,y,z]/(x) is no dg-module over the paper's dg example: z = de
     # must act as zero on a module in one degree, and it does not, so
-    # q: F -> M is no chain map and betti's cone certificate exits 3
-    # where no table is certified
+    # q: F -> M would be no chain map; the module is refused where the
+    # task declares it
     path = write_job(tmp_path, DG_RINGS["paper-dg-Q"]
                      + "task betti --module cyclic:x\n")
-    assert run_cli([path]) == 3
+    assert run_cli([path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("certification error: d o d != 0 from bidegree "
-                            "(2,1) to (0,1)\n")
+    assert captured.err == ("error: a boundary of internal degree 1 acts "
+                            "nonzero on the module at line 11\n")
 
 
 def test_reports_do_not_depend_on_earlier_jobs(tmp_path, capsys):

@@ -12,7 +12,7 @@ from dgkernel import exact_linear as la
 from dgkernel import model_builder as mb
 from dgkernel.dg_core import DgElement, POLYNOMIAL
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
-                                        resolve_module)
+                                        residue_field, resolve_module)
 from _fixtures import (complete_intersection, golod, hypersurface,
                        ring_algebra)
 
@@ -170,7 +170,7 @@ def closure(field, algebra):
 def betti_of(field, algebra, cyclic=None):
     def run(reverse):
         A = algebra(field, 5, 8)
-        M = (hml.ResidueField(field) if cyclic is None else
+        M = (residue_field(A) if cyclic is None else
              PresentedModule(A, gens=[0], relations=[{0: cyclic}]))
         return resolve_module(A, M, 5, 8, reverse=reverse)
     return run
@@ -446,9 +446,19 @@ def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
     assert any(checked)
 
 
+def residue_target(A, D):
+    """k as the ring with no generators, reached by the augmentation."""
+    return mb.RingTarget(TruncatedBase(BasePresentation(A.field, ()), D),
+                         A.base)
+
+
+def resolve_k(A, N, D):
+    return resolve_module(A, residue_field(A), N, D)
+
+
 def closure_through(A, N, D, last):
     """The acyclic closure of k over A built through stage last only."""
-    model = mb.Model(A, hml.ResidueField(A.field), 0, N, D)
+    model = mb.Model(A, residue_target(A, D), 0, N, D)
     for n in range(1, last + 1):
         hml.kill_homology(model, n)
     return model
@@ -456,7 +466,7 @@ def closure_through(A, N, D, last):
 
 def resolution_through(A, N, D, last):
     """The minimal resolution of k over A built through stage last only."""
-    res = SemifreeResolution(A, hml.ResidueField(A.field), N, D)
+    res = SemifreeResolution(A, residue_field(A), N, D)
     for n in range(last + 1):
         hml.kill_homology(res, n)
     return res
@@ -479,10 +489,10 @@ def test_cone_certificate_names_the_frozen_witness(algebra, closure_at,
                        .adjoined_variables() if v.hdeg < 5)
     model = closure_through(algebra(), 5, 8, closure_stop - 1)
     assert model.certify() == (False, closure_at)
-    resolution_stop = max(h for h, _, _, _ in resolve_module(
-        A, hml.ResidueField(A.field), 5, 8).generators if h < 5)
+    resolution_stop = max(h for h, _, _, _ in resolve_k(A, 5, 8).generators
+                          if h < 5)
     res = resolution_through(algebra(), 5, 8, resolution_stop - 1)
-    assert res.certify(4) == (False, resolution_at)
+    assert res.certify() == (False, resolution_at)
 
 
 def test_cone_certificate_scans_homological_degree_first():
@@ -492,17 +502,19 @@ def test_cone_certificate_scans_homological_degree_first():
     assert model.certify() == (False, (2, 5))
 
 
-class UnitToZero(hml.ResidueField):
+class UnitToZero(mb.RingTarget):
     """k as a target that the unit of the source does not reach."""
 
     def base_image(self, jb, ib):
-        return hml.TargetElement(0, jb)
+        return mb.TargetElement(0, jb)
 
 
 def test_build_model_rejects_a_map_not_onto_h0():
+    A = golod(QQ, 3, 4)
+    k = TruncatedBase(BasePresentation(QQ, ()), 4)
     with pytest.raises(AdmissibilityError, match=r"^H0 of the map is not "
                        r"surjective \(cone H0 nonzero at intdeg 0\)$"):
-        mb.build_model(golod(QQ, 3, 4), UnitToZero(QQ), 0, 3, 4)
+        mb.build_model(A, UnitToZero(k, A.base), 0, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +612,9 @@ def counted(monkeypatch, counts, owner, name):
     (lambda: model_over_cover(mixed_degree_algebra(QQ, 5, 8).base, 5, 8),
      lambda model: model.certify()),
     (lambda: betti_of(GF(3), mixed_degree_algebra)(False),
-     lambda res: res.certify(4)),
-    (lambda: resolve_module(paper_dg_algebra(QQ, 5, 7), hml.ResidueField(QQ),
-                            5, 7),
-     lambda res: res.certify(4)),
+     lambda res: res.certify()),
+    (lambda: resolve_k(paper_dg_algebra(QQ, 5, 7), 5, 7),
+     lambda res: res.certify()),
 ], ids=["closure-golod-Q", "closure-dg-Q", "minimal-hdeg2-F3", "cover-Q",
         "betti-F3", "betti-dg-Q"])
 def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build,

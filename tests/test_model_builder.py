@@ -3,7 +3,8 @@ degrees, Koszul complexes, and their certification."""
 
 import pytest
 
-from dgkernel import QQ, GF, EXTERIOR, AdmissibilityError
+from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError, BaseVariable,
+                      BasePresentation, TruncatedBase)
 from dgkernel import model_builder as mb
 from dgkernel import acyclic_closure, model_over_cover, INFINITY
 from dgkernel.invariants import deviations
@@ -163,3 +164,22 @@ def test_constructions_leave_their_source_unchanged(construct):
     construct(A)
     assert A.variables == variables
     assert deviations(A, 5, 8).table == eps
+
+
+def test_ring_target_sends_the_generators_it_lacks_to_zero():
+    # the source k[x,y]/(x^2, y^2) maps to k[y]/(y^2), which lacks x, and
+    # to k, which lacks both: x and xy go to 0, y to y where it exists,
+    # and the unit to 1
+    A = complete_intersection(QQ, N=4, D=4)
+    S = A.base
+    x, y = S.basis(1).index((1, 0)), S.basis(1).index((0, 1))
+    xy = S.basis(2).index((1, 1))
+    ky = TruncatedBase(BasePresentation(
+        QQ, [BaseVariable("y", 1)], [{(2,): 1}]), 4)
+    k = TruncatedBase(BasePresentation(QQ, ()), 4)
+    for tbase, y_image in ((ky, {0: QQ.one}), (k, {})):
+        T = mb.RingTarget(tbase, S)
+        assert T.base_image(0, 0).coords == {0: QQ.one}
+        assert T.base_image(1, x).is_zero()
+        assert T.base_image(2, xy).is_zero()
+        assert T.base_image(1, y).coords == y_image

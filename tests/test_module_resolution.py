@@ -1,10 +1,12 @@
 """Minimal semifree resolutions of modules over dg-algebras."""
 
-from dgkernel import QQ, GF, EXTERIOR, DgAlgebra, Monomial
+import pytest
+
+from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError, BaseVariable,
+                      BasePresentation, TruncatedBase, DgAlgebra, Monomial)
 from dgkernel import homology as hml
-from dgkernel.homology import ResidueField
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
-                                        resolve_module)
+                                        residue_field, resolve_module)
 from _fixtures import (free_rank_table, hypersurface, complete_intersection,
                        golod, marginals, ring_algebra, two_even_generators)
 from _oracle import betti_of_k
@@ -16,29 +18,29 @@ def betti_marginals(res, N):
 
 def test_hypersurface_betti():
     A = hypersurface(QQ, N=8, D=8)
-    res = resolve_module(A, ResidueField(A.field), 8, 8)
+    res = resolve_module(A, residue_field(A), 8, 8)
     assert betti_marginals(res, 8) == [1] * 9
     assert res.is_minimal()[0]
-    assert res.certify(7)[0]
+    assert res.certify()[0]
 
 
 def test_ci_betti():
     A = complete_intersection(QQ, N=8, D=8)
-    res = resolve_module(A, ResidueField(A.field), 8, 8)
+    res = resolve_module(A, residue_field(A), 8, 8)
     assert betti_marginals(res, 8) == [i + 1 for i in range(9)]
     assert res.is_minimal()[0]
 
 
 def test_golod_betti_fibonacci():
     A = golod(QQ, N=8, D=14)
-    res = resolve_module(A, ResidueField(A.field), 8, 14)
+    res = resolve_module(A, residue_field(A), 8, 14)
     assert betti_marginals(res, 8) == [1, 2, 3, 5, 8, 13, 21, 34, 55]
     assert res.is_minimal()[0]
 
 
 def test_betti_matches_oracle_bigraded():
     A = golod(QQ, N=6, D=10)
-    res = resolve_module(A, ResidueField(A.field), 6, 10)
+    res = resolve_module(A, residue_field(A), 6, 10)
     oracle = betti_of_k(A.base, 6, 10)
     ours = {k: c for k, c in res.betti_table().items()}
     assert ours == oracle
@@ -46,13 +48,13 @@ def test_betti_matches_oracle_bigraded():
 
 def test_characteristic_two_betti():
     A = hypersurface(GF(2), N=8, D=8)
-    res = resolve_module(A, ResidueField(A.field), 8, 8)
+    res = resolve_module(A, residue_field(A), 8, 8)
     assert betti_marginals(res, 8) == [1] * 9
 
 
 def test_two_even_generators_betti_support():
     A = two_even_generators(QQ, N=12, D=12)
-    res = resolve_module(A, ResidueField(A.field), 12, 12)
+    res = resolve_module(A, residue_field(A), 12, 12)
     marg = betti_marginals(res, 12)
     assert marg == [1 if i in (0, 3, 7, 10) else 0 for i in range(13)]
 
@@ -76,7 +78,7 @@ def test_free_module_resolves_instantly():
 
 def test_shifted_residue_field():
     A = hypersurface(QQ, N=6, D=6)
-    res = resolve_module(A, ResidueField(A.field, shift=2), 6, 6)
+    res = resolve_module(A, residue_field(A, shift=2), 6, 6)
     marg = betti_marginals(res, 6)
     assert marg == [0, 0, 1, 1, 1, 1, 1]
 
@@ -86,7 +88,7 @@ def test_resolution_ranks_match_closure_free_ranks():
     from dgkernel import acyclic_closure
     for make in (hypersurface, complete_intersection):
         A = make(QQ, N=6, D=6)
-        res = resolve_module(A, ResidueField(A.field), 6, 6)
+        res = resolve_module(A, residue_field(A), 6, 6)
         closure = acyclic_closure(A, 6, 6)
         free = {k: c for k, c in free_rank_table(closure).items()
                 if k[0] <= 6}
@@ -102,7 +104,7 @@ def test_kept_bases_match_a_fresh_resolution():
     # built afresh on the same generators
     A = golod(GF(101), N=6, D=8)
     B = hypersurface(QQ, N=5, D=6)
-    cases = [(A, ResidueField(A.field), 6, 8),
+    cases = [(A, residue_field(A), 6, 8),
              (B, PresentedModule(B, gens=[1], relations=[{0: {(1,): 1}}]),
               5, 6)]
     for alg, M, N, D in cases:
@@ -127,12 +129,12 @@ def test_resolution_over_a_dg_algebra_with_a_differential():
     A = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1}], N, D)
     y = A.base_element(1, A.base.normal_form(1, (0, 1)))
     A.adjoin_variable(y, EXTERIOR)
-    res = resolve_module(A, ResidueField(QQ), N, D)
+    res = resolve_module(A, residue_field(A), N, D)
     assert res.betti_table() == {(i, i): 1 for i in range(N + 1)}
     C = res.complex
     assert all(C.check_dd_zero(i, j)
                for i in range(1, N + 1) for j in range(D + 1))
-    assert res.certify(N - 1) == (True, None)
+    assert res.certify() == (True, None)
 
 
 def generator_runs(generators):
@@ -173,10 +175,58 @@ def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
     monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
     monkeypatch.setattr(Monomial, "__init__", counted_init)
     monkeypatch.setattr(SemifreeResolution, "basis", counted_basis)
-    res = resolve_module(A, ResidueField(A.field), 6, 8)
+    res = resolve_module(A, residue_field(A), 6, 8)
     assert betti_marginals(res, 6) == [1, 2, 3, 5, 8, 13, 21]
     assert counts["slices"] > 0
     assert counts["lookups"] <= counts["runs"]
     assert counts["lookups"] <= generator_runs(res.generators) * \
         counts["slices"]
     assert counts["monomials"] == 0
+
+
+# Rings whose residue field has fewer relations than base generators: a
+# generator killed by a relation (|y| = 2), one above the internal bound
+# D = 7, one of homological degree 2, and a presentation that is not
+# minimal.  Each is (generators (name, intdeg, hdeg), relations).
+RESIDUE_RINGS = {
+    "killed": ([("x", 1, 0), ("y", 2, 0)], [{(0, 1): 1}, {(3, 0): 1}]),
+    "above-bound": ([("x", 1, 0), ("y", 1, 0), ("w", 9, 0)],
+                    [{(2, 0, 0): 1}, {(1, 1, 0): 1}]),
+    "hdeg-2": ([("x", 1, 0), ("u", 2, 2), ("y", 2, 0)],
+               [{(3, 0, 0): 1}, {(1, 0, 1): 1}, {(0, 2, 0): 1}]),
+    "linear": ([("x", 1, 0), ("y", 2, 0)],
+               [{(0, 1): 1, (2, 0): -1}, {(2, 1): 1}]),
+}
+
+
+def residue_ring(name, field=QQ, N=5, D=7):
+    gens, relations = RESIDUE_RINGS[name]
+    pres = BasePresentation(field, [BaseVariable(*g) for g in gens],
+                            relations)
+    return DgAlgebra(TruncatedBase(pres, D), max_hdeg=N, max_intdeg=D)
+
+
+@pytest.mark.parametrize("name", sorted(RESIDUE_RINGS))
+def test_residue_field_is_k_and_resolves_like_the_oracle(name):
+    A = residue_ring(name)
+    for shift in (0, 2):
+        k = residue_field(A, shift)
+        assert {(i, j): k.dim(i, j) for i in range(4) for j in range(8)
+                if k.dim(i, j)} == {(shift, 0): 1}
+    res = resolve_module(A, residue_field(A), 5, 7)
+    assert res.certify() == (True, None)
+    assert res.betti_table() == betti_of_k(A.base, 5, 7)
+
+
+def test_a_module_a_boundary_acts_on_is_refused():
+    # over Q[x,y]/(x^2, y^2)<e | de = y>, y is a boundary, so it must act
+    # as zero on a module concentrated in one degree: k[x,y]/(x) is no
+    # dg-module there, k[x,y]/(y) is one
+    A = complete_intersection(QQ, N=4, D=5)
+    A.adjoin_variable(A.base_element(1, A.base.normal_form(1, (0, 1))),
+                      EXTERIOR)
+    with pytest.raises(AdmissibilityError, match=r"^a boundary of internal "
+                       r"degree 1 acts nonzero on the module$"):
+        PresentedModule(A, gens=[0], relations=[{0: {(1, 0): 1}}])
+    M = PresentedModule(A, gens=[0], relations=[{0: {(0, 1): 1}}])
+    assert resolve_module(A, M, 4, 5).certify() == (True, None)

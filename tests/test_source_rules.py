@@ -160,6 +160,27 @@ def test_slices_are_forgotten_only_by_kill_homology():
     assert callers_of("forget") == {"homology.py:kill_homology"}
 
 
+def test_homology_knows_no_target():
+    # homology holds complexes, cones, homology, generator selection and
+    # the Construction; k is an ordinary target, a cyclic PresentedModule
+    # for resolutions and a RingTarget with no generators for models
+    tree = ast.parse(ROOT.joinpath("homology.py").read_text())
+    imported = set()
+    targets = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module else
+                         {alias.name for alias in node.names})
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef)
+                and item.name == "act_matrix" for item in node.body):
+            targets.append(node.name)
+    assert imported <= {"exact_linear", "errors"}, imported
+    assert not targets, targets
+    assert not [path.name for path, _ in modules()
+                if "ResidueField" in path.read_text()]
+
+
 def test_algebras_are_grown_only_by_the_code_that_made_them():
     # adjoin_variable grows an algebra in place, so it is called only on
     # an algebra the caller made itself: a model's own algebra, the copy a
