@@ -425,6 +425,27 @@ class DgAlgebra:
             del self._bases[key]
         return var
 
+    def reduce_mod(self, field):
+        """This algebra over the prime field `field`, in the same bounds:
+        the base reduced (TruncatedBase.reduce_mod) and the variables
+        adjoined in order, each with its boundary reduced.  Labels and
+        variable ids are unchanged, so bidegree bases agree, and every
+        structure constant (base constants times integers) reduces.
+        Raises ReductionError when a coefficient has no residue."""
+        out = DgAlgebra(self.base.reduce_mod(field), (), self.max_hdeg,
+                        self.max_intdeg)
+        red = field.reduce
+        for v in self.variables:
+            z = v.boundary
+            terms = {}
+            for key, c in z.terms.items():
+                r = red(c)
+                if r:
+                    terms[key] = r
+            out.adjoin_variable(DgElement(z.hdeg, z.intdeg, terms), v.kind,
+                                name=v.name, family=v.family)
+        return out
+
     # --- minimality --------------------------------------------------------
 
     def is_minimal(self, over=0):

@@ -28,3 +28,9 @@ class AdmissibilityError(ValueError):
 class CertificationError(Exception):
     """A runtime certificate failed: a computed object does not satisfy
     an identity the kernel relies on (d o d = 0, minimality)."""
+
+
+class ReductionError(ArithmeticError):
+    """An object over Q has no reduction mod p, or an object over F_p no
+    lift to Q: a denominator divisible by p, a quotient ring whose basis
+    changes mod p, or a residue with no small rational preimage."""

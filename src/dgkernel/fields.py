@@ -4,19 +4,46 @@ Scalars are plain Python objects: for Q an int when the value is
 integral and a Fraction otherwise, for F_p reduced ints.  The field
 object supplies the arithmetic so the linear algebra and all algebra
 layers stay field-agnostic.
+
+A prime field also reduces Q scalars mod p and lifts residues back to Q
+by rational reconstruction, for computations over Q run through F_p.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
+
+from .errors import ReductionError
+
+# Miller-Rabin with these bases is exact for every n below PRIMALITY_BOUND
+# (Sorenson and Webster, 2015): the least strong pseudoprime to all of
+# them is PRIMALITY_BOUND itself.
+PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIMALITY_BOUND = 3317044064679887385961981
 
 
-def _is_prime(p):
-    if p < 2:
+def _is_prime(n):
+    """Whether n is prime, for n < PRIMALITY_BOUND: Miller-Rabin with
+    the bases PRIMALITY_BASES, which no composite below the bound
+    passes."""
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in PRIMALITY_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIMALITY_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -81,6 +108,9 @@ class PrimeField:
     """Integers mod p with canonical representatives 0..p-1."""
 
     def __init__(self, p):
+        if p >= PRIMALITY_BOUND:
+            raise ValueError(
+                f"{p} is too large: primes below {PRIMALITY_BOUND} only")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -115,6 +145,34 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def reduce(self, x):
+        """The residue of the Q scalar x (an int or a Fraction).  Raises
+        ReductionError when p divides its denominator."""
+        p = self.p
+        if x.__class__ is int:
+            return x % p
+        d = x.denominator % p
+        if not d:
+            raise ReductionError(f"{x} has no residue mod {p}")
+        return x.numerator * pow(d, -1, p) % p
+
+    def lift(self, c):
+        """The Q scalar r/s with |r|, s <= isqrt(p // 2) whose residue
+        is c, or None when there is none (rational reconstruction: Wang,
+        1981).  Two such fractions with one residue are equal, as
+        2 * isqrt(p // 2)^2 < p, so the answer is unique."""
+        p = self.p
+        bound = isqrt(p // 2)
+        r0, r1 = p, c % p
+        s0, s1 = 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+            return None
+        return _q(Fraction(r1, s1))
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -13,7 +13,8 @@ graded-commutative algebras concentrated in even homological degrees,
 e.g. k[x0]/(x0^m) with |x0| = d.  The differential is always zero here.
 """
 
-from .errors import AdmissibilityError, BoundExceededError, HomogeneityError
+from .errors import (AdmissibilityError, BoundExceededError,
+                     HomogeneityError, ReductionError)
 from . import exact_linear as la
 
 
@@ -168,6 +169,35 @@ class TruncatedBase:
         if not (0 <= j <= self.D):
             raise BoundExceededError(f"internal degree {j} outside [0, {self.D}]")
         return self._nf[j][exps]
+
+    def reduce_mod(self, field):
+        """This base over the prime field `field`: the relations reduced
+        mod p and materialized to the same bound D.  Raises
+        ReductionError unless the result is the reduction of this base:
+        the same basis in every degree, and the reduction of every
+        normal form equal to the new one, so that every structure
+        constant reduces."""
+        P = self.presentation
+        red = field.reduce
+        out = TruncatedBase(BasePresentation(
+            field, P.variables,
+            [{e: red(c) for e, c in g.items()} for g in P.relations]),
+            self.D)
+        for j in range(self.D + 1):
+            if out._basis[j] != self._basis[j]:
+                raise ReductionError(
+                    f"the degree-{j} basis changes mod {field.p}")
+            nfs = out._nf[j]
+            for m, nf in self._nf[j].items():
+                reduced = {}
+                for i, c in nf.items():
+                    r = red(c)
+                    if r:
+                        reduced[i] = r
+                if reduced != nfs[m]:
+                    raise ReductionError(
+                        f"a degree-{j} normal form changes mod {field.p}")
+        return out
 
     # --- arithmetic -------------------------------------------------------
 

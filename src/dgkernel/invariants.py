@@ -11,7 +11,8 @@ certified inside the computed box.
 from . import exact_linear as la
 from . import homology as hml
 from . import model_builder as mb
-from .errors import AdmissibilityError, CertificationError
+from .errors import (AdmissibilityError, BoundExceededError,
+                     CertificationError)
 from .module_resolution import residue_field, resolve_module
 
 
@@ -62,8 +63,27 @@ class PowerSeries:
 # Core invariants
 # ---------------------------------------------------------------------------
 
+# The primes, tried in turn, through which deviations over Q are computed.
+PRIMES = (2**61 - 1,)
+
+
 def deviations(A, max_hdeg, max_intdeg, reverse=False):
-    """Deviations of A: variable counts of the acyclic closure of k."""
+    """Deviations of A: variable counts of the acyclic closure of k.
+
+    Over Q the closure is built mod a prime of PRIMES and its lift is
+    certified over Q (mb.lifted_acyclic_closure), which skips Fraction
+    arithmetic; when no prime gives a certified lift, the closure is
+    built over Q.  Minimal acyclic closures are unique, so both give the
+    same counts."""
+    if A.field.characteristic == 0:
+        for p in PRIMES:
+            try:
+                model = mb.lifted_acyclic_closure(A, max_hdeg, max_intdeg, p,
+                                                  reverse)
+            except (ArithmeticError, ValueError, BoundExceededError,
+                    CertificationError):
+                continue
+            return CountTable(model.eps_table, max_hdeg, max_intdeg, "eps")
     model = mb.acyclic_closure(A, max_hdeg, max_intdeg, reverse=reverse)
     return CountTable(model.eps_table, max_hdeg, max_intdeg, "eps")
 

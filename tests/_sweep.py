@@ -13,8 +13,8 @@ which reports a change moved:
     python tests/_sweep.py src > new.txt
     diff old.txt new.txt
 
-The grid is 10 rings x {Q, F_2, F_101} x 18 task forms x the boxes
-(4,5) and (5,7): 1,080 jobs.
+The grid is 11 rings x {Q, F_2, F_101} x 18 task forms x the boxes
+(4,5) and (5,7): 1,188 jobs.
 """
 
 import contextlib
@@ -39,6 +39,14 @@ RINGS = {
                 "relation x*z\nrelation y*z\ndgvar e 1 1 exterior z\n",
     "dgvar": "base x 1\nbase y 1\nrelation x^2\nrelation y^2\n"
              "dgvar e 1 1 exterior y\n",
+    # Q[x,y,z]/(x^2, y^2, xz, yz) after a linear change of coordinates:
+    # normal forms with non-unit coefficients, adjoined boundaries with
+    # numerators and denominators up to 56,699 at (6,8)
+    "dense": "base x 1\nbase y 1\nbase z 1\n"
+             "relation x^2 + 6*x*y + 9*y^2\n"
+             "relation y^2 + 4*y*z + 4*z^2\n"
+             "relation -5*x^2 - 15*x*y + x*z + 3*y*z\n"
+             "relation -5*x*y - 10*x*z + y*z + 2*z^2\n",
 }
 
 FIELDS = ("Q", "Fp:2", "Fp:101")

@@ -5,6 +5,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -421,6 +422,32 @@ def test_fp_field(tmp_path, capsys):
     assert run_cli([path]) == 0
     out = capsys.readouterr().out
     assert "marginals 0 1 1 0 0 0 0 0 0" in out
+
+
+def test_word_size_prime_field_is_fast(tmp_path, capsys):
+    # primality of 2^61 - 1 is proven by Miller-Rabin, not trial division
+    job = HYP.format(task="deviations").replace(
+        "field Q", f"field Fp:{2**61 - 1}")
+    path = write_job(tmp_path, job)
+    start = time.perf_counter()
+    assert run_cli([path]) == 0
+    assert time.perf_counter() - start < 1
+    assert "marginals 0 1 1 0 0 0 0 0 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("p, message", [
+    (561, "561 is not prime"),
+    (3215031751, "3215031751 is not prime"),
+    (3317044064679887385961981, "is too large"),
+    (2**89 - 1, "is too large"),
+])
+def test_field_line_refuses_non_primes_and_large_primes(tmp_path, capsys,
+                                                        p, message):
+    job = HYP.format(task="deviations").replace("field Q", f"field Fp:{p}")
+    path = write_job(tmp_path, job)
+    assert run_cli([path]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "line 1" in err, err
 
 
 GOLDEN_RINGS = {

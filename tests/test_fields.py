@@ -1,11 +1,16 @@
 """Coefficient fields: Q scalars are ints when integral, Fractions
-otherwise, with the arithmetic of Fraction."""
+otherwise, with the arithmetic of Fraction; prime fields with exact
+primality, reduction of Q scalars and rational reconstruction."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgkernel import QQ
+from dgkernel import QQ, GF
+from dgkernel.errors import ReductionError
+from dgkernel.fields import PRIMALITY_BOUND, _is_prime
 
 SCALARS = st.one_of(
     st.integers(-12, 12),
@@ -45,3 +50,97 @@ def test_rational_field_constructors(n, d):
 def test_rational_field_constants_are_ints():
     assert type(QQ.zero) is int and QQ.zero == 0
     assert type(QQ.one) is int and QQ.one == 1
+
+
+def trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == \
+        [n for n in range(10**5) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [
+    561,                 # a Carmichael number
+    3215031751,          # strong pseudoprime to the bases 2, 3, 5 and 7
+    2**61 + 1,
+    (2**31 - 1) ** 2,
+])
+def test_primality_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+    with pytest.raises(ValueError, match="not prime"):
+        GF(n)
+
+
+def test_primality_accepts_large_primes():
+    for p in (2**31 - 1, 2**61 - 1, 2**89 - 1):
+        assert _is_prime(p)
+    assert GF(2**61 - 1).p == 2**61 - 1
+
+
+def test_prime_field_refuses_p_beyond_the_proven_bound():
+    # the bound is a strong pseudoprime to all twelve bases: no
+    # primality answer is given at or above it
+    assert _is_prime(PRIMALITY_BOUND)
+    for p in (PRIMALITY_BOUND, 2**127 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            GF(p)
+
+
+def test_reduction_of_rationals():
+    F = GF(7)
+    assert F.reduce(-1) == 6
+    assert F.reduce(Fraction(1, 3)) == 5
+    assert F.reduce(Fraction(14, 3)) == 0
+    with pytest.raises(ReductionError):
+        F.reduce(Fraction(1, 7))
+
+
+def test_reconstruction_is_exact_within_the_bound():
+    # p = 101: bound isqrt(50) = 7.  A residue lifts exactly when some
+    # r/s with |r|, s <= 7 reduces to it, and then to that fraction
+    F = GF(101)
+    small = {}
+    for r in range(-7, 8):
+        for s in range(1, 8):
+            if gcd(r, s) == 1:
+                small.setdefault(F.reduce(Fraction(r, s)), set()).add(
+                    Fraction(r, s))
+    assert all(len(v) == 1 for v in small.values())
+    for c in range(101):
+        got = F.lift(c)
+        if c in small:
+            assert {got} == small[c]
+            assert type(got) is (int if got.denominator == 1 else Fraction)
+        else:
+            assert got is None
+
+
+P61 = 2**61 - 1
+B61 = isqrt(P61 // 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-B61, B61), st.integers(1, B61))
+def test_reconstruction_round_trip(r, s):
+    F = GF(P61)
+    x = Fraction(r, s)
+    if x.denominator <= B61:
+        assert F.lift(F.reduce(x)) == x
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(B61 + 1, P61 // 2), st.integers(1, 3))
+def test_reconstruction_refuses_beyond_the_bound(r, s):
+    # r/s with r past the bound lifts to None or to a different fraction
+    # within the bound, never to itself
+    F = GF(P61)
+    x = Fraction(r, s)
+    got = F.lift(F.reduce(x))
+    if x.numerator > B61:
+        assert got != x
+    if got is not None:
+        got = Fraction(got)
+        assert abs(got.numerator) <= B61 and got.denominator <= B61
+    assert F.lift(B61 + 1) is None

@@ -184,10 +184,11 @@ def test_homology_knows_no_target():
 def test_algebras_are_grown_only_by_the_code_that_made_them():
     # adjoin_variable grows an algebra in place, so it is called only on
     # an algebra the caller made itself: a model's own algebra, the copy a
-    # Koszul complex extends, and the algebra of a job file
+    # Koszul complex extends, the reduction mod p of an algebra, and the
+    # algebra of a job file
     assert callers_of("adjoin_variable") == {
         "model_builder.py:Model.adjoin", "model_builder.py:koszul_complex",
-        "cli.py:build_algebra"}
+        "dg_core.py:DgAlgebra.reduce_mod", "cli.py:build_algebra"}
 
 
 # Public names read only from outside the package: the flattened storage
