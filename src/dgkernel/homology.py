@@ -10,6 +10,7 @@ and exact.
 """
 
 from functools import partial
+from weakref import WeakMethod
 
 from . import exact_linear as la
 from .errors import CertificationError
@@ -222,7 +223,9 @@ class Construction:
 
     complex (X) and cone (cone of q, slice m is X_(m-1) followed by
     T_m) are made once, here: every stage and the certificate read the
-    same kept slices.
+    same kept slices.  They call the object's methods through weak
+    references, so the object is freed at its last reference, not by
+    the cyclic garbage collector.
     """
 
     def __init__(self, algebra, target, max_hdeg, max_intdeg):
@@ -231,13 +234,14 @@ class Construction:
         self.max_hdeg = max_hdeg
         self.max_intdeg = max_intdeg
         F = algebra.field
-        self.complex = BigradedComplex(F, self.dim, self.diff_matrix,
+        self.complex = BigradedComplex(F, _weak(self.dim),
+                                       _weak(self.diff_matrix),
                                        0, max_hdeg, max_intdeg)
         self.cone = cone(
             self.complex,
             BigradedComplex(F, target.dim, None, target.hmin,
                             max_hdeg + 1, max_intdeg),
-            self.q_block)
+            _weak(self.q_block))
 
     def build(self, first, reverse=False):
         """Run the stages first..max_hdeg and return self."""
@@ -254,6 +258,12 @@ class Construction:
             self.cone, range(self.target.hmin, self.max_hdeg),
             self.max_intdeg)
         return bad is None, bad
+
+
+def _weak(method):
+    """method, called through a weak reference to its object."""
+    ref = WeakMethod(method)
+    return lambda i, j: ref()(i, j)
 
 
 def kill_homology(built, n, reverse=False):

@@ -13,7 +13,8 @@ from . import homology as hml
 from . import model_builder as mb
 from .errors import (AdmissibilityError, BoundExceededError,
                      CertificationError)
-from .module_resolution import residue_field, resolve_module
+from .fields import GF
+from .module_resolution import first_non_cycle, residue_field, resolve_module
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +69,87 @@ PRIMES = (2**61 - 1,)
 
 
 def deviations(A, max_hdeg, max_intdeg, reverse=False):
-    """Deviations of A: variable counts of the acyclic closure of k.
+    """Deviations of A, read off the certified Betti table of k.
 
-    Over Q the closure is built mod a prime of PRIMES and its lift is
-    certified over Q (mb.lifted_acyclic_closure), which skips Fraction
-    arithmetic; when no prime gives a certified lift, the closure is
-    built over Q.  Minimal acyclic closures are unique, so both give the
-    same counts."""
+    The acyclic closure of k is its minimal semifree resolution, so the
+    Betti table of k is the product-formula expansion of the deviations,
+    and _deviations_from_betti inverts it inside the box.  Over F_p the
+    table is betti_numbers' (cone certificate and minimality).  Over Q
+    it is that of the resolution mod a prime of PRIMES, lifted and
+    certified over Q (lifted_betti_table), which runs no elimination
+    over Q; when no prime gives a certified lift, the resolution is
+    built over Q."""
+    beta = None
     if A.field.characteristic == 0:
         for p in PRIMES:
             try:
-                model = mb.lifted_acyclic_closure(A, max_hdeg, max_intdeg, p,
-                                                  reverse)
+                beta = lifted_betti_table(A, max_hdeg, max_intdeg, p,
+                                          reverse)
             except (ArithmeticError, ValueError, BoundExceededError,
                     CertificationError):
                 continue
-            return CountTable(model.eps_table, max_hdeg, max_intdeg, "eps")
-    model = mb.acyclic_closure(A, max_hdeg, max_intdeg, reverse=reverse)
-    return CountTable(model.eps_table, max_hdeg, max_intdeg, "eps")
+            break
+    if beta is None:
+        beta, _ = betti_numbers(A, max_hdeg, max_intdeg, reverse=reverse)
+    return _deviations_from_betti(beta, max_hdeg, max_intdeg)
+
+
+def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
+    """The Betti table of k over A, an algebra over Q, from the
+    resolution of k over A_p = A.reduce_mod(GF(p)) lifted to Q.  Raises
+    on any failure; a caller falls back to betti_numbers over Q.
+
+    The resolution over A_p must pass its cone certificate and be
+    minimal (betti_numbers); A_p must be the reduction of A
+    (ReductionError if not).  Its generators are lifted to integral
+    boundaries over A (SemifreeResolution.lift, ReductionError when a
+    residue has no lift).  The lift must be minimal and its differential
+    must square to zero over Q (first_non_cycle); else CertificationError.
+
+    Why a pass is exact: the lifted free module and its map to k reduce
+    mod p to the resolution over A_p, up to rescaling generators by
+    units, so the Q cone reduces slice by slice to the certified F_p
+    cone and rank over Q >= rank mod p in every slice.  Over F_p the
+    cone is exact through degree max_hdeg, and dim C_i = rank d_i +
+    rank d_(i+1) mod p forces H_i(C) = 0 over Q, as d o d = 0 there.  So
+    the lift is a minimal resolution of k over Q in the box, and its
+    Betti table is that of k."""
+    beta, res = betti_numbers(A.reduce_mod(GF(p)), max_hdeg, max_intdeg,
+                              reverse=reverse)
+    generators = res.lift(A)
+    del res
+    for g, (_, _, bnd) in enumerate(generators):
+        if any((e.hdeg, e.intdeg) == (0, 0) and e.terms
+               for e in bnd.values()):
+            raise CertificationError(f"lift not minimal at generator {g}")
+    g = first_non_cycle(A, generators)
+    if g is not None:
+        raise CertificationError(
+            f"lift: d o d != 0 on generator {g} over Q")
+    return beta
+
+
+def _deviations_from_betti(beta, N, D):
+    """The deviations whose product-formula expansion (see
+    _product_expansion) is the Betti table beta of k, inside the box.
+    A variable has homological degree >= 1, so the coefficient at (a, b)
+    is eps_ab plus that of the factors of degree < a: eps_ab = beta_ab -
+    c[a][b], with c the expansion of the deviations already found, row
+    by row.  A negative eps is a CertificationError."""
+    c = _product_expansion(CountTable({}, N, D, "eps"), N, D)
+    eps = {}
+    for a in range(1, N + 1):
+        for b in range(D + 1):
+            e = beta.table.get((a, b), 0) - c[a][b]
+            if e < 0:
+                raise CertificationError(
+                    f"Betti table of k needs deviation {e} at ({a},{b})")
+            if e:
+                eps[(a, b)] = e
+                # row 0 of c is 1 in degree 0, so this moves row a only
+                # at (a, b)
+                _times_factor(c, a, b, e)
+    return CountTable(eps, N, D, "eps")
 
 
 def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
@@ -404,24 +468,37 @@ def _product_expansion(dev, N, D):
     c = [[0] * (D + 1) for _ in range(N + 1)]
     c[0][0] = 1
     for (a, b), e in sorted(dev.table.items()):
-        if not 1 <= a <= N or b > D:
-            continue
-        # times 1 + x: new c[i] = c[i] + old c[i - a], so i descends;
-        # times 1/(1 - x): new c[i] = c[i] + new c[i - a], so i ascends
-        rows = range(N, a - 1, -1) if a % 2 else range(a, N + 1)
-        for _ in range(e):
-            for i in rows:
-                for j in range(b, D + 1):
-                    c[i][j] += c[i - a][j - b]
+        if 1 <= a <= N and b <= D:
+            _times_factor(c, a, b, e)
     return c
+
+
+def _times_factor(c, a, b, e):
+    """c times (1 + t^a u^b)^e [a odd] or 1/(1 - t^a u^b)^e [a even], in
+    place and cut at c's size."""
+    N, D = len(c) - 1, len(c[0]) - 1
+    # times 1 + x: new c[i] = c[i] + old c[i - a], so i descends;
+    # times 1/(1 - x): new c[i] = c[i] + new c[i - a], so i ascends
+    rows = range(N, a - 1, -1) if a % 2 else range(a, N + 1)
+    for _ in range(e):
+        for i in rows:
+            for j in range(b, D + 1):
+                c[i][j] += c[i - a][j - b]
 
 
 def _verify_product_formula(A, N, D):
     """Bigraded Betti numbers of k equal the product-formula expansion of
     the bigraded deviations, coefficient for coefficient, both cut at
-    internal degree D.  One row per homological degree i."""
-    dev = deviations(A, N, D)
-    c = _product_expansion(dev, N, D)
+    internal degree D.  One row per homological degree i.  The
+    deviations are the certified acyclic closure's, not deviations(),
+    which reads them off the Betti table itself."""
+    closure = mb.acyclic_closure(A, N, D)
+    ok, bad = closure.certify()
+    if not ok:
+        raise CertificationError(f"acyclic closure not exact at {bad}")
+    c = _product_expansion(
+        CountTable(closure.eps_table, N, D, "eps"), N, D)
+    del closure  # freed before the resolution is built
     btab, _ = betti_numbers(A, N, D)
     comparisons = []
     for i in range(N + 1):

@@ -1,5 +1,6 @@
 """Models with prescribed switching degree, acyclic closures, minimal
-models, Koszul complexes, and minimal semifree resolutions of modules.
+models, and Koszul complexes.  Minimal semifree resolutions of modules
+are in module_resolution.
 
 The construction is the staged one shared with module resolutions
 (homology.kill_homology): at stage i, cycles in the mapping cone of
@@ -9,6 +10,11 @@ degree s they are polynomial/exterior variables, at or above it they are
 divided-power/exterior variables.  Generator selection is deterministic
 (smallest internal degree first, then basis order), which makes the
 uniqueness-of-counts property directly testable by reversing the order.
+
+The deviations are read off the Betti table of k
+(invariants.deviations), so a model of k is built only where it is
+reported or compared: the acyclic-closure and minimal-model tasks and
+the uniqueness and product-formula statements.
 """
 
 import math
@@ -16,9 +22,7 @@ import math
 from . import exact_linear as la
 from . import homology as hml
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
-from .errors import (AdmissibilityError, BoundExceededError,
-                     CertificationError, ReductionError)
-from .fields import GF
+from .errors import AdmissibilityError, BoundExceededError
 from .graded_base import BasePresentation, TruncatedBase
 
 INFINITY = math.inf
@@ -270,83 +274,19 @@ def build_model(source, target, switching_degree, max_hdeg, max_intdeg,
 # Specializations
 # ---------------------------------------------------------------------------
 
-def _augmentation(A, max_intdeg):
-    """k as a target of A: the ring with no generators, and the images
-    (all 0) of A's variables."""
-    k = TruncatedBase(BasePresentation(A.field, ()), max_intdeg)
-    return (RingTarget(k, A.base),
-            {v.id: TargetElement(v.hdeg, v.intdeg) for v in A.variables})
-
-
 def residue_field_model(A, max_hdeg, max_intdeg, switching_degree,
                         reverse=False):
     """Model of k over A along the augmentation: the map to the ring
     with no generators."""
-    target, var_images = _augmentation(A, max_intdeg)
-    return build_model(A, target, switching_degree, max_hdeg, max_intdeg,
-                       var_images, reverse)
+    k = TruncatedBase(BasePresentation(A.field, ()), max_intdeg)
+    var_images = {v.id: TargetElement(v.hdeg, v.intdeg) for v in A.variables}
+    return build_model(A, RingTarget(k, A.base), switching_degree,
+                       max_hdeg, max_intdeg, var_images, reverse)
 
 
 def acyclic_closure(A, max_hdeg, max_intdeg, reverse=False):
     """Acyclic closure of k over A (switching degree 0)."""
     return residue_field_model(A, max_hdeg, max_intdeg, 0, reverse)
-
-
-def lifted_acyclic_closure(A, max_hdeg, max_intdeg, p, reverse=False):
-    """The acyclic closure of k over A, an algebra over Q, built over
-    GF(p) and lifted to Q.  Raises on any failure; a caller falls back
-    to acyclic_closure.
-
-    A_p = A.reduce_mod(GF(p)) is the reduction of A (ReductionError if
-    not).  Its acyclic closure must pass certify().  Each adjoined
-    boundary is lifted coefficientwise by GF(p).lift (ReductionError if
-    a residue has none) and adjoined over Q in the same stage through
-    Model.adjoin, so names, families and tables come from the same code;
-    adjoin_variable checks every lift is a Q-cycle (NotCycleError), so
-    the Q differential squares to 0.  The Q model must be minimal
-    (CertificationError).  Its complex and cone are never read.
-
-    Why a pass is exact: a lift has denominators below p and reduces to
-    the F_p boundary, so the Q cone reduces mod p to the F_p cone slice
-    by slice, and rank over Q >= rank mod p in every slice.  Over F_p the
-    cone is exact through degree max_hdeg (certify() checks the degrees
-    below it, and stage max_hdeg leaves none at max_hdeg), and
-    dim C_i = rank d_i + rank d_(i+1) mod p then forces H_i(C) = 0 over
-    Q.  So the lift is a minimal acyclic closure of k over Q in the box,
-    and by uniqueness its counts are those of the exact Q build."""
-    Fp = GF(p)
-    closure = acyclic_closure(A.reduce_mod(Fp), max_hdeg, max_intdeg,
-                              reverse)
-    ok, bad = closure.certify()
-    if not ok:
-        raise CertificationError(f"mod-{p} closure not exact at {bad}")
-    target, var_images = _augmentation(A, max_intdeg)
-    model = Model(A, target, 0, max_hdeg, max_intdeg, var_images)
-    U = model.algebra
-    boundaries = {}
-    for var in closure.adjoined_variables():
-        boundaries.setdefault(var.hdeg, []).append(var.boundary)
-    for n in range(1, max_hdeg + 1):
-        stage = []
-        positions = {}
-        for z in boundaries.get(n, ()):
-            if z.intdeg not in positions:
-                positions[z.intdeg] = {k: r for r, k in enumerate(
-                    U.basis_of_bidegree(n - 1, z.intdeg))}
-            pos = positions[z.intdeg]
-            x = {}
-            for k, c in z.terms.items():
-                q = Fp.lift(c)
-                if q is None:
-                    raise ReductionError(f"no rational lift of {c} mod {p}")
-                x[pos[k]] = q
-            # k is 0 in homological degree n >= 1: no target coordinates
-            stage.append((z.intdeg, x, {}))
-        model.adjoin(n, stage)
-    ok, witness = model.is_minimal()
-    if not ok:
-        raise CertificationError(f"lift not minimal at {witness}")
-    return model
 
 
 def minimal_model(A, max_hdeg, max_intdeg, reverse=False):

@@ -7,12 +7,16 @@ shifts are the cyclic ones A0/m (residue_field).  The resolution is
 built by the same staged cone construction as the models
 (homology.kill_homology): at stage n, cycles in cone(q: F -> M) that
 descend to minimal A0-generators of H_n become new free summands.
+A resolution over the reduction of A mod p lifts to A over Q
+(SemifreeResolution.lift, first_non_cycle).
 """
+
+from math import lcm
 
 from . import exact_linear as la
 from . import homology as hml
 from .dg_core import DgElement
-from .errors import AdmissibilityError, HomogeneityError
+from .errors import AdmissibilityError, HomogeneityError, ReductionError
 
 
 class PresentedModule:
@@ -264,6 +268,65 @@ class SemifreeResolution(hml.Construction):
                 if (e.hdeg, e.intdeg) == (0, 0) and not e.is_zero():
                     return False, g
         return True, None
+
+    def lift(self, A):
+        """The generators over A, an algebra over Q whose reduction mod p
+        is self.algebra, as (hdeg, intdeg, boundary) with the boundary
+        {older generator: DgElement of A}.  Each scalar is lifted by
+        GF(p).lift (ReductionError when a residue has none), and each
+        generator g is rescaled to L_g*g, L_g the lcm of the denominators
+        of its boundary written over the rescaled older generators, so
+        every lifted boundary is integral.  A lifted denominator is below
+        p, so every L_g is a unit mod p, and the lift reduces mod p to
+        this resolution up to that rescaling."""
+        Fp = self.algebra.field
+        F = A.field
+        scales = []
+        out = []
+        for h, d, bnd, _ in self.generators:
+            comps = {}
+            for g2, e in bnd.items():
+                terms = {}
+                for k, c in e.terms.items():
+                    r = Fp.lift(c)
+                    if r is None:
+                        raise ReductionError(
+                            f"no rational lift of {c} mod {Fp.p}")
+                    terms[k] = F.div(r, scales[g2]) if scales[g2] > 1 else r
+                comps[g2] = DgElement(e.hdeg, e.intdeg, terms)
+            L = lcm(*(c.denominator for e in comps.values()
+                      for c in e.terms.values()))
+            if L > 1:
+                for e in comps.values():
+                    e.terms = {k: F.mul(L, c) for k, c in e.terms.items()}
+            scales.append(L)
+            out.append((h, d, comps))
+        return out
+
+
+def first_non_cycle(A, generators):
+    """The first generator g with d(dg) != 0 on the free A-module with
+    the given generators ((hdeg, intdeg, boundary) as from
+    SemifreeResolution.lift), or None.  dg is a sum of e*g2, and
+    d(e*g2) = de*g2 + (-1)^|e| e*dg2.  As d(a*g) = da*g + (-1)^|a| a*dg
+    and d(da) = 0 in A, d(d(a*g)) = a*d(dg): so None means the
+    differential squares to zero."""
+    F = A.field
+    for g, (_, _, bnd) in enumerate(generators):
+        out = {}
+        for g2, e in bnd.items():
+            la.axpy(F, out.setdefault(g2, {}), F.one,
+                    A.differential(e).terms)
+            sign = F.neg(F.one) if e.hdeg % 2 else F.one
+            for g3, e3 in generators[g2][2].items():
+                acc = out.setdefault(g3, {})
+                for k, c in e.terms.items():
+                    c = F.mul(sign, c)
+                    for k3, c3 in e3.terms.items():
+                        la.axpy(F, acc, F.mul(c, c3), A._label_product(k, k3))
+        if any(out.values()):
+            return g
+    return None
 
 
 def residue_field(A, shift=0):

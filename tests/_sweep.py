@@ -14,7 +14,8 @@ which reports a change moved:
     diff old.txt new.txt
 
 The grid is 11 rings x {Q, F_2, F_101} x 18 task forms x the boxes
-(4,5) and (5,7): 1,188 jobs.
+(4,5) and (5,7), 1,188 jobs, and the same rings and fields x the
+`deviations` and `poincare` forms in the box (6,8), 66 jobs: 1,254 jobs.
 """
 
 import contextlib
@@ -61,7 +62,8 @@ TASKS = (
         "halperin", "uniqueness", "odd-to-even", "fiber-boundedness")),
 )
 
-BOXES = ((4, 5), (5, 7))
+# box -> the task forms run in it
+BOXES = {(4, 5): TASKS, (5, 7): TASKS, (6, 8): ("deviations", "poincare")}
 
 
 def run_job(cli, workdir, text):
@@ -97,8 +99,8 @@ def main(argv):
     with tempfile.TemporaryDirectory() as workdir:
         for ring, body in RINGS.items():
             for field in FIELDS:
-                for N, D in BOXES:
-                    for task in TASKS:
+                for (N, D), tasks in BOXES.items():
+                    for task in tasks:
                         text = (f"field {field}\n{body}bounds {N} {D}\n"
                                 f"task {task}\n")
                         code, digest = run_job(cli, workdir, text)

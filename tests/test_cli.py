@@ -343,17 +343,12 @@ task betti
 """
 
 
-def test_betti_certifies_its_resolution(tmp_path, capsys, monkeypatch):
-    # Q[x,y]/(x^2)<e | de = y> is quasi-isomorphic to Q[x]/(x^2), so k has
-    # one Betti number per degree; a resolution differential that drops
-    # the sign (-1)^|a| of a*dg gives a larger table, and betti's cone
-    # certificate stops it with exit 3 instead of printing that table
+def drop_the_sign_of_a_dg(monkeypatch):
+    """Make SemifreeResolution.diff_matrix drop the sign (-1)^|a| of a*dg
+    in d(a*g) = da*g + (-1)^|a| a*dg."""
     from dgkernel import exact_linear as la
     from dgkernel.module_resolution import SemifreeResolution
 
-    path = write_job(tmp_path, DG_BETTI)
-    assert run_cli([path]) == 0
-    assert "marginals 1 1 1 1 1 1" in capsys.readouterr().out
     signed = SemifreeResolution.diff_matrix
 
     def unsigned(self, i, j):
@@ -370,6 +365,34 @@ def test_betti_certifies_its_resolution(tmp_path, capsys, monkeypatch):
         return la.ExactMatrix(F, M.rows, columns)
 
     monkeypatch.setattr(SemifreeResolution, "diff_matrix", unsigned)
+
+
+def test_betti_certifies_its_resolution(tmp_path, capsys, monkeypatch):
+    # Q[x,y]/(x^2)<e | de = y> is quasi-isomorphic to Q[x]/(x^2), so k has
+    # one Betti number per degree; a resolution differential that drops
+    # the sign (-1)^|a| of a*dg gives a larger table, and betti's cone
+    # certificate stops it with exit 3 instead of printing that table
+    path = write_job(tmp_path, DG_BETTI)
+    assert run_cli([path]) == 0
+    assert "marginals 1 1 1 1 1 1" in capsys.readouterr().out
+    drop_the_sign_of_a_dg(monkeypatch)
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification error: d o d != 0 from bidegree "
+                            "(3,2) to (1,2)\n")
+
+
+def test_fp_deviations_certify_their_resolution(tmp_path, capsys,
+                                                monkeypatch):
+    # deviations over F_p are read off the Betti table of k, so the same
+    # sign mutant makes them exit 3 through the resolution's certificate
+    path = write_job(tmp_path, "field Fp:101\nbase x 1\nbase y 1\n"
+                     "relation x^2\nrelation y^2\ndgvar e 1 1 exterior y\n"
+                     "bounds 5 6\ntask deviations\n")
+    assert run_cli([path]) == 0
+    assert "marginals 0 1 2 0 0 0" in capsys.readouterr().out
+    drop_the_sign_of_a_dg(monkeypatch)
     assert run_cli([path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

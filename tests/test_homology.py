@@ -1,5 +1,8 @@
 """Bigraded complexes, cones, homology, and Nakayama generator picks."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -640,3 +643,21 @@ def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build,
     assert {"diff_matrix", "q_block", "new basis"} <= after_build.keys()
     assert certify(built) == (True, None)
     assert counts == after_build
+
+
+@pytest.mark.parametrize("build", [
+    lambda A: acyclic_closure(A, 5, 8),
+    lambda A: resolve_module(A, residue_field(A), 5, 8),
+], ids=["closure", "resolution"])
+def test_a_finished_construction_is_freed_at_its_last_reference(build):
+    # the kept complex and cone call the object through weak references,
+    # so no reference cycle waits for the cyclic garbage collector
+    A = golod(QQ, 5, 8)
+    gc.disable()
+    try:
+        built = build(A)
+        ref = weakref.ref(built)
+        del built
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dgkernel import QQ, GF, AdmissibilityError
+from dgkernel import QQ, GF, AdmissibilityError, CertificationError
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
 from _fixtures import (hypersurface, complete_intersection, golod,
@@ -251,6 +251,23 @@ def test_halperin_fails_only_below_the_bound(monkeypatch, table, verdict):
         inv.CountTable(table, N, D, "eps")))
     A = complete_intersection(QQ, N=5, D=8)
     assert inv.verify("halperin", A, 5, 8).verdict == verdict
+
+
+def test_product_formula_compares_the_closure_with_the_betti_table(
+        monkeypatch):
+    # deviations() reads its table off the Betti table of k, so the
+    # statement takes the deviations from the certified acyclic closure
+    def refuse(*args, **kwargs):
+        raise AssertionError("product-formula called deviations")
+    monkeypatch.setattr(inv, "deviations", refuse)
+    for A in (golod(QQ, N=5, D=7), complete_intersection(GF(101), N=5, D=7)):
+        report = inv.verify("product-formula", A, 5, 7)
+        assert report.verdict == "pass", report.comparisons
+    # and the closure passes its cone certificate first
+    monkeypatch.setattr(mb.Model, "certify", lambda self: (False, (2, 3)))
+    with pytest.raises(CertificationError,
+                       match=r"closure not exact at \(2, 3\)"):
+        inv.verify("product-formula", golod(QQ, N=5, D=7), 5, 7)
 
 
 def test_verify_koszul_shift_needs_h0_k():

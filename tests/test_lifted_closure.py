@@ -1,19 +1,25 @@
-"""Deviations over Q through a prime: the acyclic closure built mod p,
-lifted to Q and certified there, against the exact Q build; every
-fallback to the exact build, and the Q arithmetic the route leaves out."""
+"""Deviations from the certified Betti table of k: over Q the
+resolution of k built mod p, lifted to integral boundaries over Q and
+certified there.  The inverted tables are checked against the exact
+acyclic closure's counts; every fallback to the exact Q resolution is
+forced; the Q arithmetic the route leaves out is counted."""
 
+import gc
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgkernel import QQ, DgAlgebra, NotCycleError, CertificationError, cli
+from dgkernel import QQ, GF, DgAlgebra, CertificationError, cli
 from dgkernel import exact_linear as la
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
+from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgElement
 from dgkernel.errors import ReductionError
 from dgkernel.fields import PrimeField
+from dgkernel.module_resolution import SemifreeResolution
 from _fixtures import (complete_intersection, golod, hypersurface,
                        ring_algebra, truncated_even, two_even_generators)
 
@@ -73,20 +79,20 @@ def job_algebra(tmp_path, text):
 
 @pytest.fixture
 def q_builds(monkeypatch):
-    """The fields of the algebras acyclic_closure is called on."""
+    """The fields of the algebras betti_numbers resolves k over."""
     fields = []
-    closure = mb.acyclic_closure
+    betti = inv.betti_numbers
 
     def spy(A, *args, **kwargs):
         fields.append(A.field)
-        return closure(A, *args, **kwargs)
-    monkeypatch.setattr(mb, "acyclic_closure", spy)
+        return betti(A, *args, **kwargs)
+    monkeypatch.setattr(inv, "betti_numbers", spy)
     return fields
 
 
 def check_route(A, N, D, q_builds, lifted=True, reverses=(False, True)):
     """deviations equals the exact closure's table, forward and reversed,
-    and ran the exact Q build only when lifted is False."""
+    and resolved k over Q only when lifted is False."""
     for reverse in reverses:
         del q_builds[:]
         got = inv.deviations(A, N, D, reverse=reverse).table
@@ -113,20 +119,27 @@ def test_route_equals_exact_build_on_job_rings(tmp_path, text, q_builds):
     check_route(*job_algebra(tmp_path, text), q_builds)
 
 
-def test_lift_is_the_exact_model(tmp_path):
-    # on the dense ring the lifted boundaries are those of the Q build
+def test_lift_is_integral_and_reduces_to_the_resolution_mod_p(tmp_path):
+    # on the dense ring the resolution mod p has boundaries whose lifts
+    # have denominators; rescaled generators make every lifted boundary
+    # integral, and its g2-component reduces mod p to L_g / L_g2 times
+    # the one it was lifted from
     A, N, D = job_algebra(tmp_path, DENSE)
-    lifted = mb.lifted_acyclic_closure(A, N, D, P61)
-    exact = mb.acyclic_closure(A, N, D)
-    assert [(v.name, v.kind, v.family, v.boundary)
-            for v in lifted.adjoined_variables()] == \
-        [(v.name, v.kind, v.family, v.boundary)
-         for v in exact.adjoined_variables()]
-    assert lifted.eps_table == exact.eps_table
-    assert lifted.n_table == exact.n_table == {}
-    assert max(max(abs(Fraction(c).numerator), Fraction(c).denominator)
-               for v in lifted.adjoined_variables()
-               for c in v.boundary.terms.values()) == 16
+    Fp = GF(P61)
+    _, res = inv.betti_numbers(A.reduce_mod(Fp), N, D)
+    assert any(Fp.lift(c).__class__ is Fraction
+               for _, _, bnd, _ in res.generators
+               for e in bnd.values() for c in e.terms.values())
+    lifted = res.lift(A)
+    assert [(h, d) for h, d, _ in lifted] == \
+        [(h, d) for h, d, _, _ in res.generators]
+    for (_, _, bnd), (_, _, bndp, _) in zip(lifted, res.generators):
+        assert bnd.keys() == bndp.keys()
+        for g2, e in bnd.items():
+            assert e.terms.keys() == bndp[g2].terms.keys()
+            assert all(c.__class__ is int for c in e.terms.values())
+            assert len({Fp.div(Fp.reduce(c), bndp[g2].terms[k])
+                        for k, c in e.terms.items()}) == 1
 
 
 def test_route_equals_exact_build_on_a_koszul_complex(q_builds):
@@ -140,22 +153,46 @@ QUADRICS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1),
 
 @st.composite
 def quadric_rings(draw):
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
     n = draw(st.integers(1, 3))
     monomials = [m[:n] for m in QUADRICS if not any(m[n:])]
     relations = draw(st.lists(
         st.fixed_dictionaries({m: st.integers(-5, 5) for m in monomials}),
         min_size=1, max_size=3))
-    relations = [{m: c for m, c in g.items() if c} for g in relations]
-    return n, [g for g in relations if g]
+    relations = [{m: c for m, c in g.items() if field(c)} for g in relations]
+    return field, n, [g for g in relations if g]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(quadric_rings())
 def test_route_equals_exact_build_on_generated_rings(ring):
-    n, relations = ring
-    A = ring_algebra(QQ, [(name, 1) for name in "xyz"[:n]], relations, 4, 5)
+    field, n, relations = ring
+    A = ring_algebra(field, [(name, 1) for name in "xyz"[:n]], relations,
+                     4, 5)
     assert inv.deviations(A, 4, 5).table == \
         mb.acyclic_closure(A, 4, 5).eps_table
+
+
+# --- the inversion of the product formula -----------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 8), st.data())
+def test_inversion_round_trip(N, D, data):
+    # random deviations -> Betti table by the product formula -> back
+    eps = data.draw(st.dictionaries(
+        st.tuples(st.integers(1, N), st.integers(1, D)), st.integers(1, 3),
+        max_size=6))
+    c = inv._product_expansion(inv.CountTable(eps, N, D, "eps"), N, D)
+    beta = inv.CountTable({(i, j): c[i][j] for i in range(N + 1)
+                           for j in range(D + 1) if c[i][j]}, N, D, "beta")
+    assert inv._deviations_from_betti(beta, N, D).table == eps
+
+
+def test_inversion_refuses_a_negative_deviation():
+    # eps_(1,1) = 2 gives (1 + tu)^2, so beta_(2,2) >= 1
+    beta = inv.CountTable({(0, 0): 1, (1, 1): 2}, 2, 2, "beta")
+    with pytest.raises(CertificationError, match=r"-1 at \(2,2\)"):
+        inv._deviations_from_betti(beta, 2, 2)
 
 
 # --- every fallback ----------------------------------------------------------
@@ -164,7 +201,7 @@ def test_fallback_when_reconstruction_fails(tmp_path, monkeypatch, q_builds):
     # mod 5 only 0 and +-1 lift (isqrt(5 // 2) = 1)
     A, N, D = job_algebra(tmp_path, DENSE)
     with pytest.raises(ReductionError, match="no rational lift"):
-        mb.lifted_acyclic_closure(A, N, D, 5)
+        inv.lifted_betti_table(A, N, D, 5)
     monkeypatch.setattr(inv, "PRIMES", (5,))
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
@@ -175,7 +212,7 @@ def test_fallback_when_the_basis_changes_mod_p(monkeypatch, q_builds):
     A = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1, (1, 1): 3}],
                      5, 6)
     with pytest.raises(ReductionError, match="degree-2 basis"):
-        mb.lifted_acyclic_closure(A, 5, 6, 3)
+        inv.lifted_betti_table(A, 5, 6, 3)
     monkeypatch.setattr(inv, "PRIMES", (3,))
     check_route(A, 5, 6, q_builds, lifted=False)
 
@@ -184,7 +221,7 @@ def test_fallback_when_a_coefficient_has_no_residue(monkeypatch, q_builds):
     A = ring_algebra(QQ, [("x", 1), ("y", 1)],
                      [{(2, 0): 1, (1, 1): Fraction(1, 7)}, {(0, 2): 1}], 5, 6)
     with pytest.raises(ReductionError, match="no residue mod 7"):
-        mb.lifted_acyclic_closure(A, 5, 6, 7)
+        inv.lifted_betti_table(A, 5, 6, 7)
     monkeypatch.setattr(inv, "PRIMES", (7,))
     check_route(A, 5, 6, q_builds, lifted=False)
     monkeypatch.setattr(inv, "PRIMES", (7, P61))
@@ -198,35 +235,70 @@ def test_fallback_when_a_lift_is_no_cycle(tmp_path, monkeypatch, q_builds):
     def wrong(self, c):
         return lift(self, c) + 1
     monkeypatch.setattr(PrimeField, "lift", wrong)
-    with pytest.raises(NotCycleError):
-        mb.lifted_acyclic_closure(A, N, D, P61)
+    with pytest.raises(CertificationError, match="d o d != 0"):
+        inv.lifted_betti_table(A, N, D, P61)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
-def test_fallback_when_the_closure_mod_p_fails_its_certificate(
+def test_fallback_when_the_resolution_mod_p_fails_its_certificate(
         tmp_path, monkeypatch, q_builds):
     A, N, D = job_algebra(tmp_path, SMALL_DENSE)
-    monkeypatch.setattr(mb.Model, "certify", lambda self: (False, (1, 1)))
+    certify = SemifreeResolution.certify
+    monkeypatch.setattr(SemifreeResolution, "certify", lambda self: (
+        (False, (1, 1)) if self.algebra.field != QQ else certify(self)))
     with pytest.raises(CertificationError, match="not exact"):
-        mb.lifted_acyclic_closure(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D, P61)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
 def test_fallback_when_the_lift_is_not_minimal(tmp_path, monkeypatch,
                                                q_builds):
-    # deviations reads no minimality test of the exact build
+    # a generator of bidegree (2,1) whose boundary is 1 times the
+    # generator of bidegree (1,1): a unit in the differential
     A, N, D = job_algebra(tmp_path, SMALL_DENSE)
-    monkeypatch.setattr(mb.Model, "is_minimal", lambda self: (False, "x1_0"))
+    lift = SemifreeResolution.lift
+
+    def with_a_unit(self, A):
+        out = lift(self, A)
+        g = next(g for g, (h, d, _) in enumerate(out) if (h, d) == (1, 1))
+        unit = DgElement(0, 0, {(0, 0, TRIVIAL_MONOMIAL): 1})
+        return out + [(2, 1, {g: unit})]
+    monkeypatch.setattr(SemifreeResolution, "lift", with_a_unit)
     with pytest.raises(CertificationError, match="not minimal"):
-        mb.lifted_acyclic_closure(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D, P61)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
+
+
+def test_route_frees_the_resolution_mod_p_before_the_q_check(
+        tmp_path, monkeypatch):
+    A, N, D = job_algebra(tmp_path, SMALL_DENSE)
+    lift = SemifreeResolution.lift
+    check = inv.first_non_cycle
+    refs = []
+    live = []
+
+    def recorded_lift(self, A):
+        refs.append(weakref.ref(self))
+        return lift(self, A)
+
+    def recorded_check(A, generators):
+        live.append(refs[-1]() is not None)
+        return check(A, generators)
+    monkeypatch.setattr(SemifreeResolution, "lift", recorded_lift)
+    monkeypatch.setattr(inv, "first_non_cycle", recorded_check)
+    gc.disable()
+    try:
+        inv.lifted_betti_table(A, N, D, P61)
+    finally:
+        gc.enable()
+    assert live == [False]
 
 
 # --- the Q arithmetic the route leaves out -----------------------------------
 
 def test_route_runs_no_elimination_over_q(tmp_path, monkeypatch):
-    # of the engine only the quotients of TruncatedBase run over Q, and
-    # no differential matrix of a Q algebra is built
+    # no elimination and no differential matrix over Q: the route builds
+    # no Q base, module or resolution of its own
     A, N, D = job_algebra(tmp_path, DENSE)
     calls = []
 
@@ -244,10 +316,10 @@ def test_route_runs_no_elimination_over_q(tmp_path, monkeypatch):
     spy(la, "pick_new_generators", lambda F, *rest, **kw: F)
     spy(la, "quotient", lambda F, *rest: F)
     spy(DgAlgebra, "diff_matrix", lambda self, i, j: self.field)
+    spy(SemifreeResolution, "diff_matrix",
+        lambda self, i, j: self.algebra.field)
     dev = inv.deviations(A, N, D)
     assert dev.marginals() == [0, 3, 4, 3, 5, 11, 22]
-    over_q = {(name, caller) for name, F, caller in calls if F == QQ}
-    assert over_q == {("quotient", "dgkernel.graded_base")}
-    assert {name for name, F, _ in calls if F != QQ} == {
-        "rank_and_pivots", "kernel_basis", "pick_new_generators",
-        "quotient", "diff_matrix"}
+    assert not [call for call in calls if call[1] == QQ]
+    assert {name for name, _, _ in calls} == {
+        "kernel_basis", "pick_new_generators", "quotient", "diff_matrix"}
