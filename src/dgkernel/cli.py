@@ -504,7 +504,7 @@ def _run_model(job, A, N, D, params):
 
 def _parse_module(A, spec_text, job):
     line = job.task[2]
-    if spec_text in (None, "residue-field"):
+    if spec_text == "residue-field":
         return residue_field(A)
     if spec_text.startswith("cyclic:"):
         base_names = [v.name for v in A.base.presentation.variables]
@@ -521,11 +521,15 @@ def _parse_module(A, spec_text, job):
 
 
 def _run_betti(job, A, N, D, params):
-    M = _parse_module(A, params.get("module"), job)
-    res = inv.certified_resolution(A, M, N, D)
-    ok_min, _ = res.is_minimal()
-    table = inv.CountTable(res.betti_table(), N, D, "beta")
     module = params.get("module", "residue-field")
+    # k over Q: the certified lifted table, minimal by its certificate
+    table = inv.lifted_betti(A, N, D) if module == "residue-field" else None
+    ok_min = True
+    if table is None:
+        M = _parse_module(A, module, job)
+        res = inv.certified_resolution(A, M, N, D)
+        ok_min, _ = res.is_minimal()
+        table = inv.CountTable(res.betti_table(), N, D, "beta")
     data = {"module": module, "minimal": ok_min, "beta": table.as_dict()}
     lines = [f"module    {module}", f"minimal   {str(ok_min).lower()}", ""]
     lines += _fmt_table(_bigraded_rows(table.table), ["i", "j", "beta"])

@@ -61,6 +61,17 @@ class Monomial:
         return f"Monomial(evens={self.evens}, odds={self.odds})"
 
 
+def _monomial(evens, odds):
+    """The Monomial of tuples already in normal form, unchecked: for the
+    products and factors of normal-form monomials, which the Leibniz rule
+    and the basis tables build by the thousand."""
+    m = object.__new__(Monomial)
+    m.evens = evens
+    m.odds = odds
+    m._hash = hash((evens, odds))
+    return m
+
+
 TRIVIAL_MONOMIAL = Monomial()
 
 
@@ -211,7 +222,7 @@ class DgAlgebra:
         c = F.from_int(-coeff if inv % 2 else coeff)
         if F.is_zero(c):
             return {}
-        mon = Monomial(tuple(evens.items()), odds)
+        mon = _monomial(tuple(sorted(evens.items())), odds)
         return {(j1 + j2, i3, mon): F.mul(c, c3)
                 for i3, c3 in self.base.mult_basis(j1, i1, j2, i2).items()}
 
@@ -279,13 +290,13 @@ class DgAlgebra:
             c = F.from_int(e if self.variables[vid].kind == POLYNOMIAL else 1)
             rest = tuple((w, x) if w != vid else (w, e - 1)
                          for w, x in mon.evens if w != vid or e > 1)
-            factors.append((vid, c, Monomial(rest, mon.odds)))
+            factors.append((vid, c, _monomial(rest, mon.odds)))
         for k, vid in enumerate(mon.odds):
             # even-variable factors to the left are of even homological
             # degree; only the k earlier odd factors sign
             sign = F.neg(F.one) if k % 2 == 1 else F.one
             rest = mon.odds[:k] + mon.odds[k + 1:]
-            factors.append((vid, sign, Monomial(mon.evens, rest)))
+            factors.append((vid, sign, _monomial(mon.evens, rest)))
         out = {}
         for vid, c, rest in factors:
             if F.is_zero(c):
@@ -314,9 +325,9 @@ class DgAlgebra:
                         break
                     for m in mons:
                         if v.hdeg % 2 == 1:
-                            m2 = Monomial(m.evens, m.odds + (v.id,))
+                            m2 = _monomial(m.evens, m.odds + (v.id,))
                         else:
-                            m2 = Monomial(m.evens + ((v.id, e),), m.odds)
+                            m2 = _monomial(m.evens + ((v.id, e),), m.odds)
                         new.setdefault((h2, d2), []).append(m2)
                     e += 1
             for k, ms in new.items():

@@ -149,19 +149,23 @@ def _insert(F, basis, index, col):
     basis[p] = col
 
 
-def _echelon(F, nrows, basis, index, cols):
+def _echelon(F, limit, basis, index, cols):
     """Extend basis, as above, with its index by the columns of cols
-    (dicts, left as they are) in F^nrows, in order.  Returns the
-    positions in cols of the columns it inserted: those independent of
-    the basis and of the columns before them."""
+    (dicts, left as they are; any iterable), in order, until it holds
+    limit columns: no column is read after that, so a lazy cols is never
+    built past it.  Returns the positions in cols of the columns it
+    inserted: those independent of the basis and of the columns before
+    them."""
     inserted = []
+    if len(basis) >= limit:
+        return inserted
     for k, col in enumerate(cols):
-        if len(basis) == nrows:
-            break
         col = _reduce(F, basis, dict(col))
         if col:
             _insert(F, basis, index, col)
             inserted.append(k)
+            if len(basis) == limit:
+                break
     return inserted
 
 
@@ -197,17 +201,22 @@ def kernel_basis(M):
     return ExactMatrix(F, M.cols, kernel)
 
 
-def pick_new_generators(field, nrows, base_cols, cand_cols, reverse=False):
+def pick_new_generators(field, rank_bound, base_cols, cand_cols,
+                        reverse=False):
     """Greedy selection of candidate columns independent modulo the span
-    of base_cols, all of length nrows.  Returns the list of selected
-    candidate indices, in the deterministic processing order (ascending,
-    or descending if reverse)."""
+    of base_cols (any iterable).  Returns the list of selected candidate
+    indices, in the deterministic processing order (ascending, or
+    descending if reverse).
+
+    rank_bound bounds the rank of the whole span; the number of rows
+    always is one.  Both passes stop once the basis holds rank_bound
+    columns, and base_cols is read no further."""
     basis, index = {}, {}
-    _echelon(field, nrows, basis, index, base_cols)
+    _echelon(field, rank_bound, basis, index, base_cols)
     order = range(len(cand_cols))
     if reverse:
         order = order[::-1]
-    picked = _echelon(field, nrows, basis, index,
+    picked = _echelon(field, rank_bound, basis, index,
                       [cand_cols[k] for k in order])
     return [order[p] for p in picked]
 

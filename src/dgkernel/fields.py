@@ -86,6 +86,10 @@ class RationalField:
         return _q(1 / Fraction(a))
 
     def div(self, a, b):
+        # an int quotient of ints stays an int: the engine's pivot
+        # scale -1/c on a column with c = +-1 makes no Fraction
+        if a.__class__ is int and b.__class__ is int and not a % b:
+            return a // b
         return _q(Fraction(a) / b)
 
     def from_int(self, n):

@@ -174,14 +174,22 @@ def minimal_generators(C, i, actions, reverse=False):
 
     actions maps each internal degree d of the algebra generators of A0
     (its homological-degree-0 base variables) to a function of j that
-    yields the matrices of multiplication by the degree-d basis of A0,
-    mapping slice (i, j) to (i, j + d).  Those degrees suffice: generators
-    have degree >= 1, so m_e is the sum of A0_d * A0_(e-d) over them, and
-    A0-multiples of cycles are cycles, so m * Z in degree j is spanned by
-    the A0_d * Z_(j-d).  Returns a list of (intdeg, column dict) in
-    selection order.
+    yields, one at a time, the matrices of multiplication by the degree-d
+    basis of A0, mapping slice (i, j) to (i, j + d).  Those degrees
+    suffice: generators have degree >= 1, so m_e is the sum of
+    A0_d * A0_(e-d) over them, and A0-multiples of cycles are cycles, so
+    m * Z in degree j is spanned by the A0_d * Z_(j-d).  Returns a list
+    of (intdeg, column dict) in selection order.
+
+    W = boundaries + m * Z lies in the span of Z, as d o d = 0 and A0
+    acts by chain maps.  So its elimination stops at rank |Z|
+    (pick_new_generators' rank bound) with the same picks; were W not in that
+    span, the picks could only be fewer, and the cone homology they
+    leave is what the certificate reports.  W is built lazily,
+    boundaries first, so no action matrix is built once the columns
+    before it span Z, and a degree with no cycles builds no boundary
+    matrix.
     """
-    F = C.field
     # degree j reads kernels[j - d] for d in actions, so after degree j no
     # later one reads kernels[j - top]
     top = max(actions, default=0)
@@ -190,19 +198,29 @@ def minimal_generators(C, i, actions, reverse=False):
     for j in range(C.dmax + 1):
         Z = C.kernel(i, j).columns
         kernels[j] = Z
-        W = list(C.diff(i + 1, j).columns)
-        for d, act_at in actions.items():
-            lower = kernels.get(j - d)
-            if not lower:
-                continue
-            Zl = la.ExactMatrix(F, C.dim(i, j - d), lower)
-            for act in act_at(j - d):
-                W.extend(col for col in act.matmul(Zl).columns if col)
-        sel = la.pick_new_generators(F, C.dim(i, j), W, Z, reverse=reverse)
-        for k in sel:
-            gens.append((j, Z[k]))
+        if Z:
+            sel = la.pick_new_generators(
+                C.field, len(Z), _spanning_columns(C, i, j, actions, kernels),
+                Z, reverse)
+            gens += [(j, Z[k]) for k in sel]
         kernels.pop(j - top, None)
     return gens
+
+
+def _spanning_columns(C, i, j, actions, kernels):
+    """The columns of W in internal degree j, one at a time (see
+    minimal_generators): the boundaries into slice (i, j), then the
+    nonzero products A0_d * Z_(j-d), one action matrix at a time."""
+    yield from C.diff(i + 1, j).columns
+    for d, act_at in actions.items():
+        lower = kernels.get(j - d)
+        if not lower:
+            continue
+        Zl = la.ExactMatrix(C.field, C.dim(i, j - d), lower)
+        for act in act_at(j - d):
+            for col in act.matmul(Zl).columns:
+                if col:
+                    yield col
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +303,6 @@ def kill_homology(built, n, reverse=False):
     F = C.field
 
     def action(d, j):
-        mats = []
         for bidx in base.a0_basis(d):
             mx = built.act_matrix(d, bidx, n - 1, j)
             mt = target.act_matrix(d, bidx, n, j)
@@ -295,8 +312,7 @@ def kill_homology(built, n, reverse=False):
                 for r, v in col.items():
                     out[mx.rows + r] = v
                 columns.append(out)
-            mats.append(la.ExactMatrix(F, mx.rows + mt.rows, columns))
-        return mats
+            yield la.ExactMatrix(F, mx.rows + mt.rows, columns)
 
     degrees = sorted({v.intdeg for v in base.presentation.variables
                       if v.hdeg == 0})

@@ -79,19 +79,26 @@ def deviations(A, max_hdeg, max_intdeg, reverse=False):
     certified over Q (lifted_betti_table), which runs no elimination
     over Q; when no prime gives a certified lift, the resolution is
     built over Q."""
-    beta = None
-    if A.field.characteristic == 0:
-        for p in PRIMES:
-            try:
-                beta = lifted_betti_table(A, max_hdeg, max_intdeg, p,
-                                          reverse)
-            except (ArithmeticError, ValueError, BoundExceededError,
-                    CertificationError):
-                continue
-            break
+    beta = lifted_betti(A, max_hdeg, max_intdeg, reverse)
     if beta is None:
         beta, _ = betti_numbers(A, max_hdeg, max_intdeg, reverse=reverse)
     return _deviations_from_betti(beta, max_hdeg, max_intdeg)
+
+
+def lifted_betti(A, max_hdeg, max_intdeg, reverse=False):
+    """The Betti table of k over A, an algebra over Q, from the first
+    prime of PRIMES whose lifted resolution certifies
+    (lifted_betti_table), or None when none does or A is over F_p: the
+    caller then resolves k over A itself."""
+    if A.field.characteristic == 0:
+        for p in PRIMES:
+            try:
+                return lifted_betti_table(A, max_hdeg, max_intdeg, p,
+                                          reverse)
+            except (ArithmeticError, ValueError, BoundExceededError,
+                    CertificationError):
+                pass
+    return None
 
 
 def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
@@ -152,15 +159,26 @@ def _deviations_from_betti(beta, N, D):
     return CountTable(eps, N, D, "eps")
 
 
+def certified_model(model, what):
+    """model, after its cone certificate: a CertificationError unless
+    cone(q) is exact below max_hdeg.  what names it in the message."""
+    ok, bad = model.certify()
+    if not ok:
+        raise CertificationError(f"{what} not exact at {bad}")
+    return model
+
+
 def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
                        reverse=False):
-    """n_i^S counts: variables of the model of A over its polynomial cover."""
+    """n_i^S counts: variables of the certified model of A over its
+    polynomial cover."""
     if A.variables:
         raise AdmissibilityError(
             "models over the cover are supported for algebras without "
             "adjoined variables")
-    model = mb.model_over_cover(A.base, max_hdeg, max_intdeg,
-                                switching_degree, reverse=reverse)
+    model = certified_model(
+        mb.model_over_cover(A.base, max_hdeg, max_intdeg, switching_degree,
+                            reverse=reverse), "model over the cover")
     table = dict(model.n_table)
     for k, c in model.eps_table.items():
         table[k] = table.get(k, 0) + c
@@ -492,10 +510,7 @@ def _verify_product_formula(A, N, D):
     internal degree D.  One row per homological degree i.  The
     deviations are the certified acyclic closure's, not deviations(),
     which reads them off the Betti table itself."""
-    closure = mb.acyclic_closure(A, N, D)
-    ok, bad = closure.certify()
-    if not ok:
-        raise CertificationError(f"acyclic closure not exact at {bad}")
+    closure = certified_model(mb.acyclic_closure(A, N, D), "acyclic closure")
     c = _product_expansion(
         CountTable(closure.eps_table, N, D, "eps"), N, D)
     del closure  # freed before the resolution is built
@@ -606,8 +621,9 @@ def _verify_halperin(A, N, D):
 def _verify_uniqueness(A, N, D):
     """Count tables are identical across the two deterministic generator
     orderings (forward and reversed)."""
-    fwd = mb.acyclic_closure(A, N, D, reverse=False)
-    rev = mb.acyclic_closure(A, N, D, reverse=True)
+    fwd = certified_model(mb.acyclic_closure(A, N, D), "acyclic closure")
+    rev = certified_model(mb.acyclic_closure(A, N, D, reverse=True),
+                          "acyclic closure")
     comparisons = [{"table": "eps", "forward": sorted(fwd.eps_table.items()),
                     "reversed": sorted(rev.eps_table.items()),
                     "ok": fwd.eps_table == rev.eps_table}]

@@ -15,7 +15,8 @@ which reports a change moved:
 
 The grid is 11 rings x {Q, F_2, F_101} x 18 task forms x the boxes
 (4,5) and (5,7), 1,188 jobs, and the same rings and fields x the
-`deviations` and `poincare` forms in the box (6,8), 66 jobs: 1,254 jobs.
+`deviations`, `poincare` and `betti` forms in the box (6,8), 99 jobs:
+1,287 jobs.
 """
 
 import contextlib
@@ -63,7 +64,8 @@ TASKS = (
 )
 
 # box -> the task forms run in it
-BOXES = {(4, 5): TASKS, (5, 7): TASKS, (6, 8): ("deviations", "poincare")}
+BOXES = {(4, 5): TASKS, (5, 7): TASKS,
+         (6, 8): ("deviations", "poincare", "betti")}
 
 
 def run_job(cli, workdir, text):

@@ -400,6 +400,68 @@ def test_fp_deviations_certify_their_resolution(tmp_path, capsys,
                             "(3,2) to (1,2)\n")
 
 
+CI_COVER = """\
+field Q
+base x 1
+base y 1
+relation x^2
+relation y^2
+bounds 5 6
+task {task}
+"""
+
+
+def rotate_the_rows_of_a_model_differential(monkeypatch, which):
+    """Make Model.diff_matrix move every entry out of a slice of
+    homological degree >= 2 one row down, cyclically, on the models for
+    which which(model) holds.  The kernels, so the adjoined cycles, are
+    unchanged and the build completes, but d o d no longer vanishes."""
+    from dgkernel import exact_linear as la
+    from dgkernel.model_builder import Model
+
+    exact = Model.diff_matrix
+
+    def rotated(self, i, j):
+        M = exact(self, i, j)
+        if i < 2 or not which(self):
+            return M
+        return la.ExactMatrix(M.field, M.rows, [
+            {(r + 1) % M.rows: v for r, v in col.items()}
+            for col in M.columns])
+
+    monkeypatch.setattr(Model, "diff_matrix", rotated)
+
+
+@pytest.mark.parametrize("task", [
+    "classify", *(f"verify --statement {s}" for s in (
+        "quasi-fibers", "switching-compare", "vanishing-pattern",
+        "uniqueness", "fiber-boundedness"))])
+def test_reports_over_the_cover_certify_their_model(tmp_path, capsys,
+                                                    monkeypatch, task):
+    # Q[x,y]/(x^2,y^2) has eps_3 = 0, so classify reads the model over the
+    # cover too; a mutant of its differential exits 3 on the certificate
+    path = write_job(tmp_path, CI_COVER.format(task=task))
+    assert run_cli([path]) == 0
+    capsys.readouterr()
+    rotate_the_rows_of_a_model_differential(
+        monkeypatch, lambda model: model.switching_degree != 0)
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certification error: d o d != 0")
+
+
+def test_uniqueness_certifies_its_closures(tmp_path, capsys, monkeypatch):
+    path = write_job(tmp_path, CI_COVER.format(
+        task="verify --statement uniqueness"))
+    rotate_the_rows_of_a_model_differential(
+        monkeypatch, lambda model: model.switching_degree == 0)
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certification error: d o d != 0")
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     # halperin on a non-ring fixture is inadmissible -> exit 2
     job = """\

@@ -162,6 +162,36 @@ def test_monomial_rejects_non_normal_form(evens, odds):
         Monomial(evens, odds)
 
 
+@pytest.mark.parametrize("make, nvars", [
+    (lambda: acyclic_closure(golod(QQ, N=5, D=7), 5, 7).algebra, 2),
+    (lambda: hypersurface_with_even_variables(QQ, POLYNOMIAL), 1),
+    (lambda: hypersurface_with_even_variables(GF(3), DIVIDED_POWER), 1),
+], ids=["closure", "polynomial", "divided-power"])
+def test_unchecked_monomials_are_in_normal_form(make, nvars):
+    # basis tables, the Leibniz rule and label products build their
+    # monomials without the constructor's check: each must be one the
+    # public constructor accepts, with the same value and hash
+    U = make()
+    labels = [k for i in range(U.max_hdeg + 1)
+              for j in range(U.max_intdeg + 1)
+              for k in U.basis_of_bidegree(i, j)]
+    mons = {m for _, _, m in labels}
+    for key in labels:
+        mons.update(m for _, _, m in U._label_differential(key))
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = rng.choice(labels), rng.choice(labels)
+        if a[0] + b[0] <= U.base.D:
+            mons.update(m for _, _, m in U._label_product(a, b))
+    # nvars even and nvars odd variables in one monomial
+    assert any(len(m.evens) >= nvars and len(m.odds) >= nvars
+               for m in mons)
+    for m in mons:
+        checked = Monomial(m.evens, m.odds)
+        assert (checked.evens, checked.odds) == (m.evens, m.odds)
+        assert hash(checked) == hash(m)
+
+
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
 def test_sibling_extensions_keep_their_own_differential(order):
     # e with d e = x and f with d f = y extend two copies of one algebra,

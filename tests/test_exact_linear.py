@@ -247,6 +247,53 @@ def test_pick_new_generators_matches_reference(m, nbase, reverse):
     assert la.pick_new_generators(F, nrows, base, cand, reverse) == expect
 
 
+@st.composite
+def spanned_picks(draw):
+    """(p, nrows, base, cand): independent candidate columns, the greedy
+    independent ones of a drawn matrix, and base columns drawn from
+    their span."""
+    p, nrows, cols = draw(small_matrices())
+    F = FIELDS[p]
+    cand = []
+    for c in cols:
+        if ref_rank(p, nrows, cand + [c]) > len(cand):
+            cand.append(c)
+    cand = [{r: F.from_int(v) for r, v in c.items()} for c in cand]
+    coeff = st.sampled_from([0, 0, 1, -1, 2, 3])
+    base = []
+    for _ in range(draw(st.integers(0, 6))):
+        col = {}
+        for c in cand:
+            la.axpy(F, col, F.from_int(draw(coeff)), c)
+        base.append(col)
+    return p, nrows, base, cand
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(spanned_picks(), st.booleans())
+def test_pick_new_generators_stops_at_the_rank_of_the_span(case, reverse):
+    # with independent candidates and base columns in their span, the
+    # span has rank len(cand): that rank bound, with base_cols read
+    # lazily or not, picks what the bound nrows picks
+    p, nrows, base, cand = case
+    F = FIELDS[p]
+    want = la.pick_new_generators(F, nrows, base, cand, reverse)
+    assert la.pick_new_generators(F, len(cand), base, cand,
+                                  reverse) == want
+    read = []
+
+    def lazy():
+        for k, col in enumerate(base):
+            read.append(k)
+            yield col
+    assert la.pick_new_generators(F, len(cand), lazy(), cand,
+                                  reverse) == want
+    # no base column is read once the ones before it span the candidates
+    full = next((k for k in range(len(base) + 1)
+                 if ref_rank(p, nrows, base[:k]) == len(cand)), None)
+    assert len(read) == (len(base) if full is None else full)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrices())
 def test_quotient_matches_reference(m):

@@ -47,6 +47,18 @@ def test_rational_field_constructors(n, d):
     check(QQ.from_int(n), Fraction(n))
 
 
+@pytest.mark.parametrize("a, b", [
+    (-1, 1), (6, -3), (0, 5), (1, 2), (-3, 6), (-1, -1), (7, 7)])
+def test_rational_field_division_of_ints(a, b):
+    # an int quotient of ints is an int (the engine's pivot scale -1/c on
+    # a +-1 entry), any other is the Fraction
+    got = QQ.div(a, b)
+    assert got == Fraction(a, b)
+    assert (type(got) is int) == (a % b == 0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(a, 0)
+
+
 def test_rational_field_constants_are_ints():
     assert type(QQ.zero) is int and QQ.zero == 0
     assert type(QQ.one) is int and QQ.one == 1

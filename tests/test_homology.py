@@ -99,6 +99,36 @@ def test_check_dd_zero_reads_every_column_of_the_product(field):
         assert d1.matmul(d2).is_zero() is expect
 
 
+def test_minimal_generators_builds_only_what_can_gain_rank():
+    # slice 1 holds the cycle e in internal degree 0 and the boundary b in
+    # degree 1, where the boundaries alone span Z, so the action on e is
+    # never needed; in degree 2, d_1 is injective and Z is empty
+    one = QQ.one
+    dims = {(1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1, (0, 2): 1,
+            (1, 2): 1, (2, 2): 1}
+    blocks = {(1, 1): [{0: one}, {}], (2, 1): [{1: one}], (1, 2): [{0: one}],
+              (2, 2): [{}]}
+    built = []
+
+    def diff(i, j):
+        built.append((i, j))
+        return la.ExactMatrix(QQ, dims.get((i - 1, j), 0), blocks[(i, j)])
+
+    acted = []
+
+    def act_at(j):
+        # multiplication by one degree-1 element: e -> b -> 0
+        acted.append(j)
+        yield (la.ExactMatrix(QQ, 2, [{1: one}]) if j == 0 else
+               la.ExactMatrix(QQ, 1, [{0: one}, {}]))
+
+    C = hml.BigradedComplex(QQ, lambda i, j: dims.get((i, j), 0), diff,
+                            0, 2, 2)
+    assert hml.minimal_generators(C, 1, {1: act_at}) == [(0, {0: one})]
+    assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
+    assert acted == []
+
+
 # ---------------------------------------------------------------------------
 # minimal_generators acts only in the degrees of A0's generators
 # ---------------------------------------------------------------------------

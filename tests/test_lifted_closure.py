@@ -323,3 +323,114 @@ def test_route_runs_no_elimination_over_q(tmp_path, monkeypatch):
     assert not [call for call in calls if call[1] == QQ]
     assert {name for name, _, _ in calls} == {
         "kernel_basis", "pick_new_generators", "quotient", "diff_matrix"}
+
+
+# --- task betti over Q reads the same lifted table ----------------------------
+
+BETTI_RINGS = {
+    "dense": SMALL_DENSE.replace("task deviations", "task betti"),
+    "paper-dg": PAPER_DG.replace("task deviations", "task betti"),
+    "basis-changes-mod-3": "field Q\nbase x 1\nbase y 1\n"
+                           "relation x^2 + 3*x*y\nbounds 5 6\ntask betti\n",
+}
+
+
+@pytest.fixture
+def resolved_over(monkeypatch):
+    """The fields of the algebras certified_resolution resolves over."""
+    fields = []
+    certified = inv.certified_resolution
+
+    def spy(A, *args, **kwargs):
+        fields.append(A.field)
+        return certified(A, *args, **kwargs)
+    monkeypatch.setattr(inv, "certified_resolution", spy)
+    return fields
+
+
+def betti_report(tmp_path, capsys, text):
+    """Exit code, stdout and JSON report of a betti job."""
+    path, jpath = tmp_path / "betti.txt", tmp_path / "betti.json"
+    path.write_text(text)
+    code = cli.main([str(path), "--json", str(jpath)])
+    return code, capsys.readouterr().out, jpath.read_text()
+
+
+def exact_betti_report(tmp_path, capsys, monkeypatch, text):
+    """The betti report of the exact Q resolution: no prime to try."""
+    with monkeypatch.context() as m:
+        m.setattr(inv, "PRIMES", ())
+        return betti_report(tmp_path, capsys, text)
+
+
+@pytest.mark.parametrize("ring", ["dense", "paper-dg"])
+def test_betti_over_q_reads_the_lifted_table(tmp_path, capsys, monkeypatch,
+                                             resolved_over, ring):
+    text = BETTI_RINGS[ring]
+    want = exact_betti_report(tmp_path, capsys, monkeypatch, text)
+    assert want[0] == 0 and resolved_over == [QQ]
+    del resolved_over[:]
+    assert betti_report(tmp_path, capsys, text) == want
+    assert resolved_over == [GF(P61)]
+
+
+@pytest.mark.parametrize("text, field", [
+    (BETTI_RINGS["dense"].replace("task betti",
+                                  "task betti --module cyclic:x"), QQ),
+    (BETTI_RINGS["dense"].replace("field Q", "field Fp:101"), GF(101)),
+])
+def test_betti_of_a_cyclic_module_or_over_fp_resolves_it_directly(
+        tmp_path, capsys, resolved_over, text, field):
+    code, _, _ = betti_report(tmp_path, capsys, text)
+    assert code == 0
+    assert resolved_over == [field]
+
+
+def reconstruction_fails(monkeypatch):
+    # mod 5 only 0 and +-1 lift
+    monkeypatch.setattr(inv, "PRIMES", (5,))
+
+
+def basis_changes(monkeypatch):
+    monkeypatch.setattr(inv, "PRIMES", (3,))
+
+
+def lift_is_no_cycle(monkeypatch):
+    lift = PrimeField.lift
+    monkeypatch.setattr(PrimeField, "lift",
+                        lambda self, c: lift(self, c) + 1)
+
+
+def resolution_mod_p_fails_its_certificate(monkeypatch):
+    certify = SemifreeResolution.certify
+    monkeypatch.setattr(SemifreeResolution, "certify", lambda self: (
+        (False, (1, 1)) if self.algebra.field != QQ else certify(self)))
+
+
+def lift_is_not_minimal(monkeypatch):
+    lift = SemifreeResolution.lift
+
+    def with_a_unit(self, A):
+        out = lift(self, A)
+        g = next(g for g, (h, d, _) in enumerate(out) if (h, d) == (1, 1))
+        unit = DgElement(0, 0, {(0, 0, TRIVIAL_MONOMIAL): 1})
+        return out + [(2, 1, {g: unit})]
+    monkeypatch.setattr(SemifreeResolution, "lift", with_a_unit)
+
+
+@pytest.mark.parametrize("force, ring", [
+    (reconstruction_fails, "dense"),
+    (basis_changes, "basis-changes-mod-3"),
+    (lift_is_no_cycle, "dense"),
+    (resolution_mod_p_fails_its_certificate, "dense"),
+    (lift_is_not_minimal, "dense"),
+])
+def test_betti_falls_back_to_the_exact_resolution(tmp_path, capsys,
+                                                  monkeypatch, resolved_over,
+                                                  force, ring):
+    text = BETTI_RINGS[ring]
+    want = exact_betti_report(tmp_path, capsys, monkeypatch, text)
+    force(monkeypatch)
+    del resolved_over[:]
+    assert betti_report(tmp_path, capsys, text) == want
+    assert resolved_over[-1] == QQ
