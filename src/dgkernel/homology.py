@@ -3,17 +3,18 @@ construction that kills homology one degree at a time.
 
 Complexes are lazy: dimensions and differential blocks are produced on
 demand from callables and cached, since each stage of the construction
-looks at a few homological degrees only, and an object under
-construction keeps one complex and one cone for all of its stages.  The
-differential preserves internal degree, so each (i, j) slice is finite
-and exact.
+looks at a few homological degrees only.  An object under construction
+makes one complex and one cone for all of its stages, certifies each
+cone degree as soon as it is final, and then drops the differentials
+that no later stage reads.  The differential preserves internal degree,
+so each (i, j) slice is finite and exact.
 """
 
 from functools import partial
 from weakref import WeakMethod
 
 from . import exact_linear as la
-from .errors import CertificationError
+from .errors import AdmissibilityError, CertificationError
 
 
 class BigradedComplex:
@@ -83,6 +84,10 @@ class BigradedComplex:
             for key in [k for k in cache if k[0] >= n]:
                 del cache[key]
 
+    def release(self, n):
+        """Drop the cached differentials out of degrees < n only."""
+        self._diffs = {k: M for k, M in self._diffs.items() if k[0] >= n}
+
     def check_dd_zero(self, i, j):
         """d_(i-1) d_i = 0 at internal degree j, found one column of the
         product at a time: False at the first nonzero one."""
@@ -145,8 +150,10 @@ def cone(C, D, block):
 
 def homology(C, i, j):
     """dim H_i of C in internal degree j: dim C_(i,j) - rank d_i - rank
-    d_(i+1).  Raises CertificationError when the differential into slice
-    (i, j) does not square to zero there."""
+    d_(i+1), 0 on an empty slice.  Raises CertificationError when the
+    differential into slice (i, j) does not square to zero there."""
+    if not C.dim(i, j):
+        return 0
     if not C.check_dd_zero(i + 1, j):
         raise CertificationError(
             f"d o d != 0 from bidegree ({i + 1},{j}) to ({i - 1},{j})")
@@ -185,7 +192,7 @@ def minimal_generators(C, i, actions, reverse=False):
     acts by chain maps.  So its elimination stops at rank |Z|
     (pick_new_generators' rank bound) with the same picks; were W not in that
     span, the picks could only be fewer, and the cone homology they
-    leave is what the certificate reports.  W is built lazily,
+    leave is what the build's check reports.  W is built lazily,
     boundaries first, so no action matrix is built once the columns
     before it span Z, and a degree with no cycles builds no boundary
     matrix.
@@ -240,10 +247,10 @@ class Construction:
     hmin, dim(i, j) and act_matrix(d, bidx, i, j).
 
     complex (X) and cone (cone of q, slice m is X_(m-1) followed by
-    T_m) are made once, here: every stage and the certificate read the
-    same kept slices.  They call the object's methods through weak
-    references, so the object is freed at its last reference, not by
-    the cyclic garbage collector.
+    T_m) are made once, here, and every stage reads them; build keeps
+    only the slices a later stage or check reads.  They call the
+    object's methods through weak references, so the object is freed at
+    its last reference, not by the cyclic garbage collector.
     """
 
     def __init__(self, algebra, target, max_hdeg, max_intdeg):
@@ -262,20 +269,26 @@ class Construction:
             _weak(self.q_block))
 
     def build(self, first, reverse=False):
-        """Run the stages first..max_hdeg and return self."""
+        """Run the stages first..max_hdeg and return self, certified:
+        cone(q) is exact below max_hdeg, so H_i(q) is bijective below
+        max_hdeg - 1 and onto at it.  After stage n, cone degree n - 1
+        is final and the stages have cached the ranks its homology reads,
+        so it is checked with d o d and no elimination; no stage or
+        check reads a differential out of a degree < n again."""
         for n in range(first, self.max_hdeg + 1):
             kill_homology(self, n, reverse=reverse)
+            bad = first_nonzero_homology(self.cone, [n - 1], self.max_intdeg)
+            if bad is not None and bad[0] == first - 1:
+                # no stage adjoined anything in degree first - 1
+                raise AdmissibilityError(
+                    f"H{bad[0]} of the map is not surjective (cone "
+                    f"H{bad[0]} nonzero at intdeg {bad[1]})")
+            if bad is not None:
+                raise CertificationError(
+                    f"cone of q not exact: homology at {bad}")
+            self.complex.release(n)
+            self.cone.release(n)
         return self
-
-    def certify(self):
-        """(ok, bad): the cone of q is exact in homological degrees
-        target.hmin..max_hdeg - 1, so H_i(q) is an isomorphism below
-        max_hdeg - 1 and onto at it; bad is the first bidegree with cone
-        homology, or None."""
-        bad = first_nonzero_homology(
-            self.cone, range(self.target.hmin, self.max_hdeg),
-            self.max_intdeg)
-        return bad is None, bad
 
 
 def _weak(method):

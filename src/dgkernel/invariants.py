@@ -14,7 +14,8 @@ from . import model_builder as mb
 from .errors import (AdmissibilityError, BoundExceededError,
                      CertificationError)
 from .fields import GF
-from .module_resolution import first_non_cycle, residue_field, resolve_module
+from .module_resolution import (first_non_cycle, first_non_minimal,
+                                residue_field, resolve_module)
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +70,24 @@ PRIMES = (2**61 - 1,)
 
 
 def deviations(A, max_hdeg, max_intdeg, reverse=False):
-    """Deviations of A, read off the certified Betti table of k.
+    """Deviations of A, read off the certified Betti table of k
+    (betti_of_k).  The acyclic closure of k is its minimal semifree
+    resolution, so the Betti table of k is the product-formula expansion
+    of the deviations, and _deviations_from_betti inverts it inside the
+    box."""
+    return _deviations_from_betti(
+        betti_of_k(A, max_hdeg, max_intdeg, reverse), max_hdeg, max_intdeg)
 
-    The acyclic closure of k is its minimal semifree resolution, so the
-    Betti table of k is the product-formula expansion of the deviations,
-    and _deviations_from_betti inverts it inside the box.  Over F_p the
-    table is betti_numbers' (cone certificate and minimality).  Over Q
-    it is that of the resolution mod a prime of PRIMES, lifted and
-    certified over Q (lifted_betti_table), which runs no elimination
-    over Q; when no prime gives a certified lift, the resolution is
-    built over Q."""
+
+def betti_of_k(A, max_hdeg, max_intdeg, reverse=False):
+    """The certified Betti table of k over A.  Over Q, that of the
+    resolution mod a prime of PRIMES lifted and certified over Q
+    (lifted_betti), which runs no elimination over Q; over F_p, or when
+    no prime gives a certified lift, betti_numbers resolves k over A."""
     beta = lifted_betti(A, max_hdeg, max_intdeg, reverse)
     if beta is None:
         beta, _ = betti_numbers(A, max_hdeg, max_intdeg, reverse=reverse)
-    return _deviations_from_betti(beta, max_hdeg, max_intdeg)
+    return beta
 
 
 def lifted_betti(A, max_hdeg, max_intdeg, reverse=False):
@@ -125,10 +130,9 @@ def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
                               reverse=reverse)
     generators = res.lift(A)
     del res
-    for g, (_, _, bnd) in enumerate(generators):
-        if any((e.hdeg, e.intdeg) == (0, 0) and e.terms
-               for e in bnd.values()):
-            raise CertificationError(f"lift not minimal at generator {g}")
+    g = first_non_minimal(generators)
+    if g is not None:
+        raise CertificationError(f"lift not minimal at generator {g}")
     g = first_non_cycle(A, generators)
     if g is not None:
         raise CertificationError(
@@ -159,15 +163,6 @@ def _deviations_from_betti(beta, N, D):
     return CountTable(eps, N, D, "eps")
 
 
-def certified_model(model, what):
-    """model, after its cone certificate: a CertificationError unless
-    cone(q) is exact below max_hdeg.  what names it in the message."""
-    ok, bad = model.certify()
-    if not ok:
-        raise CertificationError(f"{what} not exact at {bad}")
-    return model
-
-
 def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
                        reverse=False):
     """n_i^S counts: variables of the certified model of A over its
@@ -176,30 +171,18 @@ def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
         raise AdmissibilityError(
             "models over the cover are supported for algebras without "
             "adjoined variables")
-    model = certified_model(
-        mb.model_over_cover(A.base, max_hdeg, max_intdeg, switching_degree,
-                            reverse=reverse), "model over the cover")
+    model = mb.model_over_cover(A.base, max_hdeg, max_intdeg,
+                                switching_degree, reverse=reverse)
     table = dict(model.n_table)
     for k, c in model.eps_table.items():
         table[k] = table.get(k, 0) + c
     return CountTable(table, max_hdeg, max_intdeg, "n"), model
 
 
-def certified_resolution(A, M, max_hdeg, max_intdeg, reverse=False):
-    """The minimal resolution of M over A with its cone certificate: a
-    CertificationError unless cone(q: F -> M) is exact below max_hdeg."""
-    res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
-    ok, bad = res.certify()
-    if not ok:
-        raise CertificationError(
-            f"resolution not exact: cone homology at {bad}")
-    return res
-
-
 def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
-    """Betti table of a module (default: the residue field)."""
+    """Betti table of a module (default: k) and its resolution."""
     M = module if module is not None else residue_field(A)
-    res = certified_resolution(A, M, max_hdeg, max_intdeg, reverse=reverse)
+    res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
     ok, witness = res.is_minimal()
     if not ok:
         raise CertificationError(
@@ -510,11 +493,11 @@ def _verify_product_formula(A, N, D):
     internal degree D.  One row per homological degree i.  The
     deviations are the certified acyclic closure's, not deviations(),
     which reads them off the Betti table itself."""
-    closure = certified_model(mb.acyclic_closure(A, N, D), "acyclic closure")
+    closure = mb.acyclic_closure(A, N, D)
     c = _product_expansion(
         CountTable(closure.eps_table, N, D, "eps"), N, D)
     del closure  # freed before the resolution is built
-    btab, _ = betti_numbers(A, N, D)
+    btab = betti_of_k(A, N, D)
     comparisons = []
     for i in range(N + 1):
         row = [btab.table.get((i, j), 0) for j in range(D + 1)]
@@ -621,9 +604,8 @@ def _verify_halperin(A, N, D):
 def _verify_uniqueness(A, N, D):
     """Count tables are identical across the two deterministic generator
     orderings (forward and reversed)."""
-    fwd = certified_model(mb.acyclic_closure(A, N, D), "acyclic closure")
-    rev = certified_model(mb.acyclic_closure(A, N, D, reverse=True),
-                          "acyclic closure")
+    fwd = mb.acyclic_closure(A, N, D)
+    rev = mb.acyclic_closure(A, N, D, reverse=True)
     comparisons = [{"table": "eps", "forward": sorted(fwd.eps_table.items()),
                     "reversed": sorted(rev.eps_table.items()),
                     "ok": fwd.eps_table == rev.eps_table}]

@@ -256,18 +256,11 @@ class Model(hml.Construction):
 def build_model(source, target, switching_degree, max_hdeg, max_intdeg,
                 var_images=None, reverse=False):
     """Construct the minimal model of the map from source (its variables
-    sent to var_images) to target, with the prescribed switching degree.
-
-    Requires H_0 of the induced map to be surjective (checked).  Raises
-    AdmissibilityError otherwise."""
-    model = Model(source, target, switching_degree, max_hdeg, max_intdeg,
-                  var_images)
-    bad = hml.first_nonzero_homology(model.cone, [0], max_intdeg)
-    if bad is not None:
-        raise AdmissibilityError(
-            "H0 of the map is not surjective (cone H0 nonzero at intdeg "
-            f"{bad[1]})")
-    return model.build(1, reverse)
+    sent to var_images) to target, with the prescribed switching degree,
+    certified as it is built.  Requires H_0 of the induced map to be
+    surjective (AdmissibilityError otherwise)."""
+    return Model(source, target, switching_degree, max_hdeg, max_intdeg,
+                 var_images).build(1, reverse)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ built by the same staged cone construction as the models
 (homology.kill_homology): at stage n, cycles in cone(q: F -> M) that
 descend to minimal A0-generators of H_n become new free summands.
 A resolution over the reduction of A mod p lifts to A over Q
-(SemifreeResolution.lift, first_non_cycle).
+(SemifreeResolution.lift, first_non_cycle, first_non_minimal).
 """
 
 from math import lcm
@@ -261,13 +261,10 @@ class SemifreeResolution(hml.Construction):
         return table
 
     def is_minimal(self):
-        """Every boundary entry lies in the maximal ideal: no component of
-        any generator's boundary has a scalar (bidegree (0,0)) term."""
-        for g, (_, _, bnd, _) in enumerate(self.generators):
-            for e in bnd.values():
-                if (e.hdeg, e.intdeg) == (0, 0) and not e.is_zero():
-                    return False, g
-        return True, None
+        """(ok, g): ok when every boundary entry lies in the maximal
+        ideal, else g is first_non_minimal's witness."""
+        g = first_non_minimal(self.generators)
+        return g is None, g
 
     def lift(self, A):
         """The generators over A, an algebra over Q whose reduction mod p
@@ -329,6 +326,17 @@ def first_non_cycle(A, generators):
     return None
 
 
+def first_non_minimal(generators):
+    """The first generator g (hdeg, intdeg, boundary, ...) whose
+    boundary has a nonzero scalar (bidegree (0,0)) component, or None:
+    every boundary entry lies in the maximal ideal."""
+    for g, gen in enumerate(generators):
+        for e in gen[2].values():
+            if (e.hdeg, e.intdeg) == (0, 0) and not e.is_zero():
+                return g
+    return None
+
+
 def residue_field(A, shift=0):
     """k = A0/m in homological degree shift: the cyclic module with one
     relation per homological-degree-0 generator of the base that lies in
@@ -346,6 +354,6 @@ def residue_field(A, shift=0):
 
 
 def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):
-    """Minimal semifree resolution of M over A up to the given bounds."""
+    """Certified minimal semifree resolution of M over A in the box."""
     res = SemifreeResolution(A, M, max_hdeg, max_intdeg)
     return res.build(M.hmin, reverse)

@@ -462,6 +462,55 @@ def test_uniqueness_certifies_its_closures(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("certification error: d o d != 0")
 
 
+GOLOD = """\
+field Q
+base x 1
+base y 1
+relation x^2
+relation x*y
+bounds 5 6
+task {task}
+"""
+
+
+def drop_the_last_pick_at_stage_3(monkeypatch):
+    """Make la.pick_new_generators drop the last of its picks at stage 3
+    of every build, so that stage leaves cone homology in degree 3."""
+    from dgkernel import exact_linear as la
+    from dgkernel import homology as hml
+
+    stage = [None]
+    kill_homology = hml.kill_homology
+    pick = la.pick_new_generators
+
+    def staged_kill(built, n, reverse=False):
+        stage[0] = n
+        return kill_homology(built, n, reverse=reverse)
+
+    def short_pick(*args):
+        picks = pick(*args)
+        return picks[:-1] if stage[0] == 3 else picks
+
+    monkeypatch.setattr(hml, "kill_homology", staged_kill)
+    monkeypatch.setattr(la, "pick_new_generators", short_pick)
+
+
+@pytest.mark.parametrize("task", ["acyclic-closure", "betti"])
+def test_a_build_that_leaves_cone_homology_exits_3(tmp_path, capsys,
+                                                   monkeypatch, task):
+    # the check after stage 4 finds the homology stage 3 left: the build
+    # raises, so no report is printed
+    path = write_job(tmp_path, GOLOD.format(task=task))
+    assert run_cli([path]) == 0
+    capsys.readouterr()
+    drop_the_last_pick_at_stage_3(monkeypatch)
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification error: cone of q not exact: "
+                            "homology at (3, 3)\n")
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     # halperin on a non-ring fixture is inadmissible -> exit 2
     job = """\

@@ -505,6 +505,14 @@ def resolution_through(A, N, D, last):
     return res
 
 
+def cone_witness(built):
+    """The first bidegree with cone homology in the degrees a finished
+    build certifies, target.hmin..max_hdeg - 1, or None."""
+    return hml.first_nonzero_homology(
+        built.cone, range(built.target.hmin, built.max_hdeg),
+        built.max_intdeg)
+
+
 # The first bidegree at which the cone is not exact, frozen from the
 # separate cone loops that first_nonzero_homology replaced.
 @pytest.mark.parametrize("algebra, closure_at, resolution_at", [
@@ -521,18 +529,18 @@ def test_cone_certificate_names_the_frozen_witness(algebra, closure_at,
     closure_stop = max(v.hdeg for v in acyclic_closure(A, 5, 8)
                        .adjoined_variables() if v.hdeg < 5)
     model = closure_through(algebra(), 5, 8, closure_stop - 1)
-    assert model.certify() == (False, closure_at)
+    assert cone_witness(model) == closure_at
     resolution_stop = max(h for h, _, _, _ in resolve_k(A, 5, 8).generators
                           if h < 5)
     res = resolution_through(algebra(), 5, 8, resolution_stop - 1)
-    assert res.certify() == (False, resolution_at)
+    assert cone_witness(res) == resolution_at
 
 
 def test_cone_certificate_scans_homological_degree_first():
     # after stage 1 the cone has homology in degrees 2 and 3, at (3, 2)
     # below the internal degree of (2, 5)
     model = closure_through(hdeg_two_algebra(GF(3), 5, 8), 5, 8, 1)
-    assert model.certify() == (False, (2, 5))
+    assert cone_witness(model) == (2, 5)
 
 
 class UnitToZero(mb.RingTarget):
@@ -552,7 +560,7 @@ def test_build_model_rejects_a_map_not_onto_h0():
 
 # ---------------------------------------------------------------------------
 # One cone per object under construction: the slices it keeps are the
-# slices a fresh object makes, and the certificate rebuilds none of them
+# slices a fresh object makes, and the check after each stage builds none
 # ---------------------------------------------------------------------------
 
 def paper_dg_algebra(field, N, D):
@@ -624,55 +632,75 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
     assert kept["bases"] or not kept["models"]
 
 
-def counted(monkeypatch, counts, owner, name):
-    """Count the calls of the method or module function owner.name in
-    counts[name]."""
-    method = getattr(owner, name)
-
-    def wrapper(*args):
-        counts[name] = counts.get(name, 0) + 1
-        return method(*args)
-    monkeypatch.setattr(owner, name, wrapper)
-
-
-@pytest.mark.parametrize("build, certify", [
-    (lambda: acyclic_closure(golod(QQ, 5, 8), 5, 8),
-     lambda model: model.certify()),
-    (lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
-     lambda model: model.certify()),
-    (lambda: mb.minimal_model(hdeg_two_algebra(GF(3), 5, 8), 5, 8),
-     lambda model: model.certify()),
-    (lambda: model_over_cover(mixed_degree_algebra(QQ, 5, 8).base, 5, 8),
-     lambda model: model.certify()),
-    (lambda: betti_of(GF(3), mixed_degree_algebra)(False),
-     lambda res: res.certify()),
-    (lambda: resolve_k(paper_dg_algebra(QQ, 5, 7), 5, 7),
-     lambda res: res.certify()),
+@pytest.mark.parametrize("build", [
+    lambda: acyclic_closure(golod(QQ, 5, 8), 5, 8),
+    lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
+    lambda: mb.minimal_model(hdeg_two_algebra(GF(3), 5, 8), 5, 8),
+    lambda: model_over_cover(mixed_degree_algebra(QQ, 5, 8).base, 5, 8),
+    lambda: betti_of(GF(3), mixed_degree_algebra)(False),
+    lambda: resolve_k(paper_dg_algebra(QQ, 5, 7), 5, 7),
 ], ids=["closure-golod-Q", "closure-dg-Q", "minimal-hdeg2-F3", "cover-Q",
         "betti-F3", "betti-dg-Q"])
-def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build,
-                                                     certify):
-    # certify reads the cone every stage read: no differential or q block
-    # is built again, and no basis slice; and the stages left the rank of
-    # every slice it reads, so it eliminates no matrix either
-    counts = {}
+def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build):
+    # the check after each stage reads the differentials and ranks the
+    # stage left: a build eliminates no nonempty matrix through
+    # rank_and_pivots, no stage builds a differential, a q block or a
+    # basis slice twice, and no check builds one at all
+    phase = [None]
+    events = []
+    eliminated = []
     for owner, name in ((DgAlgebra, "diff_matrix"), (mb.Model, "q_block"),
                         (SemifreeResolution, "diff_matrix"),
-                        (SemifreeResolution, "q_block"),
-                        (la, "rank_and_pivots")):
-        counted(monkeypatch, counts, owner, name)
+                        (SemifreeResolution, "q_block")):
+        def wrapper(self, i, j, method=getattr(owner, name), name=name):
+            events.append((phase[0], name, id(self), i, j))
+            return method(self, i, j)
+        monkeypatch.setattr(owner, name, wrapper)
     lookup = DgAlgebra.basis_of_bidegree
 
     def counted_lookup(self, i, j):
         if (i, j) not in self._bases:
-            counts["new basis"] = counts.get("new basis", 0) + 1
+            events.append((phase[0], "basis", id(self), i, j))
         return lookup(self, i, j)
     monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
-    built = build()
-    after_build = dict(counts)
-    assert {"diff_matrix", "q_block", "new basis"} <= after_build.keys()
-    assert certify(built) == (True, None)
-    assert counts == after_build
+    rank_and_pivots = la.rank_and_pivots
+
+    def counted_rank(M):
+        if M.rows and M.cols:
+            eliminated.append(phase[0])
+        return rank_and_pivots(M)
+    monkeypatch.setattr(la, "rank_and_pivots", counted_rank)
+    kill_homology = hml.kill_homology
+
+    def staged_kill(built, n, reverse=False):
+        phase[0] = ("stage", n)
+        out = kill_homology(built, n, reverse=reverse)
+        phase[0] = ("check", n)
+        return out
+    monkeypatch.setattr(hml, "kill_homology", staged_kill)
+    build()
+    stages = [e for e in events if e[0] and e[0][0] == "stage"]
+    assert {e[1] for e in stages} >= {"diff_matrix", "q_block", "basis"}
+    assert len(set(stages)) == len(stages)
+    assert [e for e in events if e[0] and e[0][0] == "check"] == []
+    assert eliminated == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda A, N, D: acyclic_closure(A, N, D),
+    lambda A, N, D: mb.minimal_model(A, N, D),
+    lambda A, N, D: model_over_cover(A.base, N, D),
+    lambda A, N, D: resolve_k(A, N, D),
+], ids=["closure", "minimal-model", "cover", "resolution"])
+def test_a_finished_build_keeps_only_the_last_cone_slices(build):
+    # after stage n no stage or check reads a differential out of degree
+    # < n, so a finished build keeps the cone's slices of degree N only
+    # (stage N's kernels) and no slice of X
+    A = mixed_degree_algebra(QQ, 5, 8)
+    built = build(A, 5, 8)
+    assert built.complex._diffs == {}
+    assert {i for i, _ in built.cone._diffs} == {5}
+    assert built.cone._ranks
 
 
 @pytest.mark.parametrize("build", [

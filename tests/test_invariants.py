@@ -3,6 +3,7 @@
 import pytest
 
 from dgkernel import QQ, GF, AdmissibilityError, CertificationError
+from dgkernel import homology as hml
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
 from _fixtures import (hypersurface, complete_intersection, golod,
@@ -169,11 +170,11 @@ def test_product_formula_cut_at_internal_bound(field, gens, relations, N, D):
 def test_product_formula_compares_bigraded_rows(monkeypatch):
     # same marginals, one Betti number moved to another internal degree
     A = hypersurface(QQ, N=4, D=6)
-    btab, res = inv.betti_numbers(A, 4, 6)
+    btab, _ = inv.betti_numbers(A, 4, 6)
     table = dict(btab.table)
     table[(2, 3)] = table.pop((2, 2))
-    monkeypatch.setattr(inv, "betti_numbers", lambda *a: (
-        inv.CountTable(table, 4, 6, "beta"), res))
+    monkeypatch.setattr(inv, "betti_of_k", lambda *a, **kw: (
+        inv.CountTable(table, 4, 6, "beta")))
     report = inv.verify("product-formula", A, 4, 6)
     assert report.verdict == "fail"
     assert [c["i"] for c in report.comparisons if not c["ok"]] == [2]
@@ -263,10 +264,19 @@ def test_product_formula_compares_the_closure_with_the_betti_table(
     for A in (golod(QQ, N=5, D=7), complete_intersection(GF(101), N=5, D=7)):
         report = inv.verify("product-formula", A, 5, 7)
         assert report.verdict == "pass", report.comparisons
-    # and the closure passes its cone certificate first
-    monkeypatch.setattr(mb.Model, "certify", lambda self: (False, (2, 3)))
+    # and the closure is certified as it is built: a check that finds
+    # cone homology after stage 3 of the closure stops the statement
+    closure = mb.acyclic_closure
+    check = hml.first_nonzero_homology
+
+    def failing_closure(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(hml, "first_nonzero_homology", lambda C, hdegs, D: (
+                (2, 3) if list(hdegs) == [2] else check(C, hdegs, D)))
+            return closure(*args, **kwargs)
+    monkeypatch.setattr(mb, "acyclic_closure", failing_closure)
     with pytest.raises(CertificationError,
-                       match=r"closure not exact at \(2, 3\)"):
+                       match=r"not exact: homology at \(2, 3\)$"):
         inv.verify("product-formula", golod(QQ, N=5, D=7), 5, 7)
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from dgkernel import QQ, GF, DgAlgebra, CertificationError, cli
 from dgkernel import exact_linear as la
+from dgkernel import homology as hml
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
 from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgElement
@@ -243,9 +244,7 @@ def test_fallback_when_a_lift_is_no_cycle(tmp_path, monkeypatch, q_builds):
 def test_fallback_when_the_resolution_mod_p_fails_its_certificate(
         tmp_path, monkeypatch, q_builds):
     A, N, D = job_algebra(tmp_path, SMALL_DENSE)
-    certify = SemifreeResolution.certify
-    monkeypatch.setattr(SemifreeResolution, "certify", lambda self: (
-        (False, (1, 1)) if self.algebra.field != QQ else certify(self)))
+    resolution_mod_p_fails_its_certificate(monkeypatch)
     with pytest.raises(CertificationError, match="not exact"):
         inv.lifted_betti_table(A, N, D, P61)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
@@ -337,14 +336,15 @@ BETTI_RINGS = {
 
 @pytest.fixture
 def resolved_over(monkeypatch):
-    """The fields of the algebras certified_resolution resolves over."""
+    """The fields of the algebras resolve_module resolves over."""
     fields = []
-    certified = inv.certified_resolution
+    resolve = inv.resolve_module
 
     def spy(A, *args, **kwargs):
         fields.append(A.field)
-        return certified(A, *args, **kwargs)
-    monkeypatch.setattr(inv, "certified_resolution", spy)
+        return resolve(A, *args, **kwargs)
+    for module in (inv, cli):
+        monkeypatch.setattr(module, "resolve_module", spy)
     return fields
 
 
@@ -402,9 +402,11 @@ def lift_is_no_cycle(monkeypatch):
 
 
 def resolution_mod_p_fails_its_certificate(monkeypatch):
-    certify = SemifreeResolution.certify
-    monkeypatch.setattr(SemifreeResolution, "certify", lambda self: (
-        (False, (1, 1)) if self.algebra.field != QQ else certify(self)))
+    # the check a build over F_p runs after stage 2 finds cone homology
+    check = hml.first_nonzero_homology
+    monkeypatch.setattr(hml, "first_nonzero_homology", lambda C, hdegs, D: (
+        (1, 1) if C.field != QQ and list(hdegs) == [1]
+        else check(C, hdegs, D)))
 
 
 def lift_is_not_minimal(monkeypatch):

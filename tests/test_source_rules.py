@@ -156,8 +156,22 @@ def test_cones_are_made_only_by_objects_under_construction():
 
 def test_slices_are_forgotten_only_by_kill_homology():
     # the cache rule (after stage n, forget X from degree n and the cone
-    # from degree n + 1) is written once, in the stage driver
+    # from degree n + 1) is written once, in the stage driver, and the
+    # differentials below degree n are released only after their check
     assert callers_of("forget") == {"homology.py:kill_homology"}
+    assert callers_of("release") == {"homology.py:Construction.build"}
+
+
+def test_only_homology_reads_a_cone():
+    # a build certifies itself and keeps only the cone slices a later
+    # stage or check reads, so no other module runs a stage or reads the
+    # cone after the build
+    found = [f"{path.name}:{node.lineno}" for path, tree in modules()
+             if path.name != "homology.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "cone"]
+    assert not found, found
+    assert {caller.split(":")[0]
+            for caller in callers_of("kill_homology")} == {"homology.py"}
 
 
 def test_homology_knows_no_target():
