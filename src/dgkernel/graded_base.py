@@ -13,6 +13,8 @@ graded-commutative algebras concentrated in even homological degrees,
 e.g. k[x0]/(x0^m) with |x0| = d.  The differential is always zero here.
 """
 
+from math import lcm
+
 from .errors import (AdmissibilityError, BoundExceededError,
                      HomogeneityError, ReductionError)
 from . import exact_linear as la
@@ -169,6 +171,13 @@ class TruncatedBase:
         if not (0 <= j <= self.D):
             raise BoundExceededError(f"internal degree {j} outside [0, {self.D}]")
         return self._nf[j][exps]
+
+    def denominator(self):
+        """The lcm of the denominators of the normal-form scalars: every
+        structure constant of the base (mult_basis) is a normal-form
+        scalar, so this times it is integral.  1 over F_p."""
+        return lcm(*(c.denominator for nfs in self._nf.values()
+                     for nf in nfs.values() for c in nf.values()))
 
     def reduce_mod(self, field):
         """This base over the prime field `field`: the relations reduced

@@ -121,11 +121,15 @@ def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
     Why a pass is exact: the lifted free module and its map to k reduce
     mod p to the resolution over A_p, up to rescaling generators by
     units, so the Q cone reduces slice by slice to the certified F_p
-    cone and rank over Q >= rank mod p in every slice.  Over F_p the
-    cone is exact through degree max_hdeg, and dim C_i = rank d_i +
-    rank d_(i+1) mod p forces H_i(C) = 0 over Q, as d o d = 0 there.  So
-    the lift is a minimal resolution of k over Q in the box, and its
-    Betti table is that of k."""
+    cone and rank over Q >= rank mod p in every slice.  The F_p build
+    checked its cone exact in every degree below max_hdeg
+    (Construction.build checks degree n - 1 after stage n), and there
+    dim C_i = rank d_i + rank d_(i+1) mod p forces H_i(C) = 0 over Q,
+    as d o d = 0 there.  So below max_hdeg the lift is a minimal
+    resolution of k over Q, and its Betti table is that of k.  The
+    Betti numbers of degree max_hdeg count the generators stage max_hdeg
+    picked to kill the cone's homology in that degree, which no check
+    reads: they rest on that pick, as in every build."""
     beta, res = betti_numbers(A.reduce_mod(GF(p)), max_hdeg, max_intdeg,
                               reverse=reverse)
     generators = res.lift(A)

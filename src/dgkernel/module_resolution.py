@@ -11,7 +11,7 @@ A resolution over the reduction of A mod p lifts to A over Q
 (SemifreeResolution.lift, first_non_cycle, first_non_minimal).
 """
 
-from math import lcm
+from math import gcd, lcm
 
 from . import exact_linear as la
 from . import homology as hml
@@ -275,29 +275,39 @@ class SemifreeResolution(hml.Construction):
         of its boundary written over the rescaled older generators, so
         every lifted boundary is integral.  A lifted denominator is below
         p, so every L_g is a unit mod p, and the lift reduces mod p to
-        this resolution up to that rescaling."""
+        this resolution up to that rescaling.  The rescaling runs on
+        reduced (numerator, denominator) pairs of ints."""
         Fp = self.algebra.field
-        F = A.field
+        # residue -> (numerator, denominator) of its lift
+        lifts = {}
         scales = []
         out = []
         for h, d, bnd, _ in self.generators:
-            comps = {}
+            pairs = []
             for g2, e in bnd.items():
+                L2 = scales[g2]
                 terms = {}
                 for k, c in e.terms.items():
-                    r = Fp.lift(c)
+                    r = lifts.get(c)
                     if r is None:
-                        raise ReductionError(
-                            f"no rational lift of {c} mod {Fp.p}")
-                    terms[k] = F.div(r, scales[g2]) if scales[g2] > 1 else r
-                comps[g2] = DgElement(e.hdeg, e.intdeg, terms)
-            L = lcm(*(c.denominator for e in comps.values()
-                      for c in e.terms.values()))
-            if L > 1:
-                for e in comps.values():
-                    e.terms = {k: F.mul(L, c) for k, c in e.terms.items()}
+                        q = Fp.lift(c)
+                        if q is None:
+                            raise ReductionError(
+                                f"no rational lift of {c} mod {Fp.p}")
+                        r = lifts[c] = (q.numerator, q.denominator)
+                    n, s = r
+                    if L2 > 1:
+                        s *= L2
+                        t = gcd(n, s)
+                        n, s = n // t, s // t
+                    terms[k] = (n, s)
+                pairs.append((g2, e, terms))
+            L = lcm(*(s for _, _, terms in pairs for _, s in terms.values()))
+            out.append((h, d, {
+                g2: DgElement(e.hdeg, e.intdeg, {
+                    k: n * (L // s) for k, (n, s) in terms.items()})
+                for g2, e, terms in pairs}))
             scales.append(L)
-            out.append((h, d, comps))
         return out
 
 
@@ -307,21 +317,79 @@ def first_non_cycle(A, generators):
     SemifreeResolution.lift), or None.  dg is a sum of e*g2, and
     d(e*g2) = de*g2 + (-1)^|e| e*dg2.  As d(a*g) = da*g + (-1)^|a| a*dg
     and d(da) = 0 in A, d(d(a*g)) = a*d(dg): so None means the
-    differential squares to zero."""
+    differential squares to zero.
+
+    The check runs in integers on integral boundaries.  Every label
+    product is an integer times base normal-form scalars, and every
+    label differential also carries one variable boundary coefficient,
+    so delta, the base's denominator times the lcm of the variables'
+    boundary denominators, makes each integral.  Each distinct one is
+    computed once and kept times delta (ArithmeticError if that is not
+    integral), and d(dg) = 0 exactly when delta * d(dg) = 0."""
     F = A.field
-    for g, (_, _, bnd) in enumerate(generators):
+    delta = A.base.denominator() * lcm(*(
+        c.denominator for v in A.variables for c in v.boundary.terms.values()))
+    # labels are numbered on first sight, so the sums below hash ints
+    number = {}
+    labels = []
+
+    def numbered(terms, scale=1):
         out = {}
-        for g2, e in bnd.items():
-            la.axpy(F, out.setdefault(g2, {}), F.one,
-                    A.differential(e).terms)
-            sign = F.neg(F.one) if e.hdeg % 2 else F.one
-            for g3, e3 in generators[g2][2].items():
+        for k, c in terms.items():
+            n = number.get(k)
+            if n is None:
+                n = number[k] = len(labels)
+                labels.append(k)
+            out[n] = c * scale
+        return out
+
+    def scaled(terms):
+        out = numbered(terms, delta)
+        for n, s in out.items():
+            if s.__class__ is not int:
+                if s.denominator != 1:
+                    raise ArithmeticError(
+                        f"{delta} times a structure constant is {s}, "
+                        "not an integer")
+                out[n] = s.numerator
+        return out
+
+    bnds = [[(g2, e.hdeg, numbered(e.terms)) for g2, e in bnd.items()]
+            for _, _, bnd in generators]
+    differentials = {}
+    # label number -> {label number: delta times their product}
+    products = {}
+    for g, bnd in enumerate(bnds):
+        out = {}
+        for g2, h, terms in bnd:
+            if h:
+                acc = out.setdefault(g2, {})
+                get = acc.get
+                for n, c in terms.items():
+                    dn = differentials.get(n)
+                    if dn is None:
+                        dn = differentials[n] = scaled(
+                            A._label_differential(labels[n]))
+                    for n2, v in dn.items():
+                        acc[n2] = get(n2, 0) + c * v
+            sign = -1 if h % 2 else 1
+            for g3, _, terms3 in bnds[g2]:
                 acc = out.setdefault(g3, {})
-                for k, c in e.terms.items():
-                    c = F.mul(sign, c)
-                    for k3, c3 in e3.terms.items():
-                        la.axpy(F, acc, F.mul(c, c3), A._label_product(k, k3))
-        if any(out.values()):
+                get = acc.get
+                for n, c in terms.items():
+                    c = sign * c
+                    row = products.get(n)
+                    if row is None:
+                        row = products[n] = {}
+                    for n3, c3 in terms3.items():
+                        prod = row.get(n3)
+                        if prod is None:
+                            prod = row[n3] = scaled(A._label_product(
+                                labels[n], labels[n3]))
+                        cc = c * c3
+                        for n4, v in prod.items():
+                            acc[n4] = get(n4, 0) + cc * v
+        if any(not F.is_zero(v) for acc in out.values() for v in acc.values()):
             return g
     return None
 

@@ -2,12 +2,14 @@
 resolution of k built mod p, lifted to integral boundaries over Q and
 certified there.  The inverted tables are checked against the exact
 acyclic closure's counts; every fallback to the exact Q resolution is
-forced; the Q arithmetic the route leaves out is counted."""
+forced; the Q arithmetic the route leaves out is counted; the integer
+lift and check equal their Fraction versions, kept here as oracles."""
 
 import gc
 import sys
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,11 @@ from dgkernel import model_builder as mb
 from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgElement
 from dgkernel.errors import ReductionError
 from dgkernel.fields import PrimeField
-from dgkernel.module_resolution import SemifreeResolution
+from dgkernel.graded_base import TruncatedBase
+from dgkernel.module_resolution import SemifreeResolution, first_non_cycle
 from _fixtures import (complete_intersection, golod, hypersurface,
                        ring_algebra, truncated_even, two_even_generators)
+from _sweep import RINGS
 
 P61 = 2**61 - 1
 
@@ -322,6 +326,161 @@ def test_route_runs_no_elimination_over_q(tmp_path, monkeypatch):
     assert not [call for call in calls if call[1] == QQ]
     assert {name for name, _, _ in calls} == {
         "kernel_basis", "pick_new_generators", "quotient", "diff_matrix"}
+
+
+# --- the integer check and the integer lift ---------------------------------
+
+def fraction_first_non_cycle(A, generators):
+    """first_non_cycle as it was written over Q's own arithmetic: each
+    term of d(dg) accumulated through the field, structure constant by
+    structure constant."""
+    F = A.field
+    for g, (_, _, bnd) in enumerate(generators):
+        out = {}
+        for g2, e in bnd.items():
+            la.axpy(F, out.setdefault(g2, {}), F.one,
+                    A.differential(e).terms)
+            sign = F.neg(F.one) if e.hdeg % 2 else F.one
+            for g3, e3 in generators[g2][2].items():
+                acc = out.setdefault(g3, {})
+                for k, c in e.terms.items():
+                    c = F.mul(sign, c)
+                    for k3, c3 in e3.terms.items():
+                        la.axpy(F, acc, F.mul(c, c3), A._label_product(k, k3))
+        if any(out.values()):
+            return g
+    return None
+
+
+def fraction_lift(res, A):
+    """SemifreeResolution.lift as it was written over Q's own
+    arithmetic, with the scales L_g: (generators, scales)."""
+    Fp = res.algebra.field
+    F = A.field
+    scales = []
+    out = []
+    for h, d, bnd, _ in res.generators:
+        comps = {}
+        for g2, e in bnd.items():
+            terms = {}
+            for k, c in e.terms.items():
+                r = Fp.lift(c)
+                terms[k] = F.div(r, scales[g2]) if scales[g2] > 1 else r
+            comps[g2] = DgElement(e.hdeg, e.intdeg, terms)
+        L = lcm(*(c.denominator for e in comps.values()
+                  for c in e.terms.values()))
+        for e in comps.values():
+            e.terms = {k: F.mul(L, c) for k, c in e.terms.items()}
+        scales.append(L)
+        out.append((h, d, comps))
+    return out, scales
+
+
+def sweep_ring(name):
+    return f"field Q\n{RINGS[name]}bounds 6 8\ntask deviations\n"
+
+
+CHECKED_RINGS = {"dense": DENSE, "paper-dg": PAPER_DG, "dgvar": DGVAR,
+                 "mixed": sweep_ring("mixed"), "hdeg-2": sweep_ring("hdeg-2")}
+
+
+def lifted_generators(tmp_path, text):
+    """A, its resolution of k mod P61 and that resolution's lift."""
+    A, N, D = job_algebra(tmp_path, text)
+    _, res = inv.betti_numbers(A.reduce_mod(GF(P61)), N, D)
+    return A, res, res.lift(A)
+
+
+def mutants(generators):
+    """The generators with one boundary coefficient moved, by + 1 and by
+    x 3/2, on every third generator with a boundary."""
+    for g in range(1, len(generators), 3):
+        h, d, bnd = generators[g]
+        if not bnd:
+            continue
+        g2, e = next(iter(bnd.items()))
+        k, c = next(iter(e.terms.items()))
+        for moved in (c + 1, c * Fraction(3, 2)):
+            terms = dict(e.terms)
+            terms[k] = moved
+            yield generators[:g] + [
+                (h, d, {**bnd, g2: DgElement(e.hdeg, e.intdeg, terms)})
+            ] + generators[g + 1:]
+
+
+@pytest.mark.parametrize("ring", list(CHECKED_RINGS))
+def test_integer_check_equals_the_fraction_check(tmp_path, ring):
+    A, _, generators = lifted_generators(tmp_path, CHECKED_RINGS[ring])
+    assert first_non_cycle(A, generators) is None
+    assert fraction_first_non_cycle(A, generators) is None
+    found = []
+    for moved in mutants(generators):
+        found.append(first_non_cycle(A, moved))
+        assert found[-1] == fraction_first_non_cycle(A, moved)
+    assert any(g is not None for g in found)
+
+
+def test_a_wrong_denominator_falls_back(tmp_path, monkeypatch, q_builds):
+    # the dense base has normal forms with denominators, so 1 times
+    # one of its structure constants is not an integer
+    A, N, D = job_algebra(tmp_path, SMALL_DENSE)
+    assert A.base.denominator() > 1
+    monkeypatch.setattr(TruncatedBase, "denominator", lambda self: 1)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        inv.lifted_betti_table(A, N, D, P61)
+    check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
+
+
+@pytest.mark.parametrize("ring", ["dense", "paper-dg"])
+def test_check_computes_each_structure_constant_once(tmp_path, monkeypatch,
+                                                     ring):
+    A, _, generators = lifted_generators(tmp_path, CHECKED_RINGS[ring])
+    calls = {"_label_product": [], "_label_differential": []}
+
+    def spy(name):
+        f = getattr(DgAlgebra, name)
+
+        def wrapped(self, *args):
+            # only the check's own calls, not the Leibniz rule's
+            if sys._getframe(1).f_code.co_name == "first_non_cycle":
+                calls[name].append(args)
+            return f(self, *args)
+        monkeypatch.setattr(DgAlgebra, name, wrapped)
+
+    spy("_label_product")
+    spy("_label_differential")
+    assert first_non_cycle(A, generators) is None
+    # the terms the check multiplies and differentiates, with repeats
+    pairs = [(k, k3) for _, _, bnd in generators for g2, e in bnd.items()
+             for e3 in generators[g2][2].values()
+             for k in e.terms for k3 in e3.terms]
+    labels = [(k,) for _, _, bnd in generators for e in bnd.values()
+              if e.hdeg for k in e.terms]
+    assert len(pairs) > 10 * len(set(pairs))
+    for name, want in (("_label_product", pairs),
+                       ("_label_differential", labels)):
+        assert len(calls[name]) == len(set(want))
+        assert set(calls[name]) == set(want)
+    # boundary terms of positive homological degree need A's variables
+    assert bool(labels) is (ring == "paper-dg")
+
+
+@pytest.mark.parametrize("ring", ["dense", "paper-dg"])
+def test_integer_lift_equals_the_fraction_lift(tmp_path, ring):
+    A, res, generators = lifted_generators(tmp_path, CHECKED_RINGS[ring])
+    want, scales = fraction_lift(res, A)
+    assert generators == want
+    # the dense ring's lifts have denominators, the paper's ring's not
+    assert any(L > 1 for L in scales) is (ring == "dense")
+    # each lifted coefficient is L_g / L_g2 times the lift of its residue
+    Fp = res.algebra.field
+    got = []
+    for (_, _, bnd), (_, _, bndp, _) in zip(generators, res.generators):
+        ratios = {Fraction(c) * got[g2] / Fp.lift(bndp[g2].terms[k])
+                  for g2, e in bnd.items() for k, c in e.terms.items()}
+        got.append(ratios.pop() if ratios else 1)
+        assert not ratios
+    assert got == scales
 
 
 # --- task betti over Q reads the same lifted table ----------------------------
