@@ -33,7 +33,7 @@ from .errors import (AdmissibilityError, BoundExceededError,
                      ParityError)
 from .fields import parse_field
 from .graded_base import BasePresentation, BaseVariable, TruncatedBase
-from .module_resolution import PresentedModule, residue_field, resolve_module
+from .module_resolution import PresentedModule
 
 # command -> the task options it takes
 COMMANDS = {"deviations": (), "acyclic-closure": (),
@@ -234,6 +234,8 @@ def parse_job(path):
                                "(use 0 for a cycle)", n)
             job.dgvars.append((parts[1], hdeg, intdeg, kind, boundary, n))
         elif key == "bounds":
+            if job.bounds is not None:
+                raise JobError("duplicate bounds directive", n)
             if len(parts) != 3:
                 raise JobError("usage: bounds <max_hdeg> <max_intdeg>", n)
             try:
@@ -463,21 +465,19 @@ def _run_deviations(job, A, N, D, params):
 
 
 def _model_report(model, N, D):
-    # the build certified q as a quasi-isomorphism in the box, or raised
-    ok_min, witness = model.is_minimal()
+    # the build certified the model minimal and q a quasi-isomorphism in
+    # the box, or raised
     rows = [[v.name, v.hdeg, v.intdeg, v.kind, v.family]
             for v in model.adjoined_variables()]
     data = {"variables": [{"name": r[0], "hdeg": r[1], "intdeg": r[2],
                            "kind": r[3], "family": r[4]} for r in rows],
             "n": inv.CountTable(model.n_table, N, D, "n").as_dict(),
             "eps": inv.CountTable(model.eps_table, N, D, "eps").as_dict(),
-            "minimal": ok_min,
+            "minimal": True,
             "quasi_isomorphism_certified": True}
-    lines = [f"minimal   {str(ok_min).lower()}", "certified true", ""]
+    lines = ["minimal   true", "certified true", ""]
     lines += _fmt_table(rows, ["name", "hdeg", "intdeg", "kind", "family"])
-    if not ok_min:
-        lines.append(f"non-minimal witness: {witness}")
-    return Report(data, lines, failed_verification=not ok_min)
+    return Report(data, lines)
 
 
 def _run_closure(job, A, N, D, params):
@@ -502,8 +502,6 @@ def _run_model(job, A, N, D, params):
 
 def _parse_module(A, spec_text, job):
     line = job.task[2]
-    if spec_text == "residue-field":
-        return residue_field(A)
     if spec_text.startswith("cyclic:"):
         base_names = [v.name for v in A.base.presentation.variables]
         rels = []
@@ -520,20 +518,17 @@ def _parse_module(A, spec_text, job):
 
 def _run_betti(job, A, N, D, params):
     module = params.get("module", "residue-field")
-    # k over Q: the certified lifted table, minimal by its certificate
-    table = inv.lifted_betti(A, N, D) if module == "residue-field" else None
-    ok_min = True
-    if table is None:
-        M = _parse_module(A, module, job)
-        res = resolve_module(A, M, N, D)
-        ok_min, _ = res.is_minimal()
-        table = inv.CountTable(res.betti_table(), N, D, "beta")
-    data = {"module": module, "minimal": ok_min, "beta": table.as_dict()}
-    lines = [f"module    {module}", f"minimal   {str(ok_min).lower()}", ""]
+    # the resolution is certified minimal by its build, or raised
+    if module == "residue-field":
+        table = inv.betti_of_k(A, N, D)
+    else:
+        table, _ = inv.betti_numbers(A, N, D, _parse_module(A, module, job))
+    data = {"module": module, "minimal": True, "beta": table.as_dict()}
+    lines = [f"module    {module}", "minimal   true", ""]
     lines += _fmt_table(_bigraded_rows(table.table), ["i", "j", "beta"])
     lines.append("")
     lines.append("marginals " + " ".join(str(x) for x in table.marginals()))
-    return Report(data, lines, failed_verification=not ok_min)
+    return Report(data, lines)
 
 
 def _run_poincare(job, A, N, D, params):
@@ -566,6 +561,9 @@ def _run_verify(job, A, N, D, params):
     statement = params.get("statement")
     if not statement:
         raise JobError("verify requires --statement <id>", job.task[2])
+    if statement not in inv.STATEMENTS:
+        raise JobError(f"unknown statement {statement!r}; choose from "
+                       + ", ".join(sorted(inv.STATEMENTS)), job.task[2])
     report = inv.verify(statement, A, N, D)
     lines = [f"statement {statement}", f"verdict   {report.verdict}"]
     for note in report.notes:

@@ -242,9 +242,10 @@ class Construction:
 
     A subclass gives X through dim(i, j) and diff_matrix(i, j), q
     through q_block(i, j), the action of A0 = algebra.base on X through
-    act_matrix(d, bidx, i, j), and adjoin(n, stage), which adds the
-    variables or generators of one stage in place.  The target has
-    hmin, dim(i, j) and act_matrix(d, bidx, i, j).
+    act_matrix(d, bidx, i, j), adjoin(n, stage), which adds the
+    variables or generators of one stage in place, and
+    non_minimal_witness(), a message naming where X is not minimal, or
+    None.  The target has hmin, dim(i, j) and act_matrix(d, bidx, i, j).
 
     complex (X) and cone (cone of q, slice m is X_(m-1) followed by
     T_m) are made once, here, and every stage reads them; build keeps
@@ -271,10 +272,12 @@ class Construction:
     def build(self, first, reverse=False):
         """Run the stages first..max_hdeg and return self, certified:
         cone(q) is exact below max_hdeg, so H_i(q) is bijective below
-        max_hdeg - 1 and onto at it.  After stage n, cone degree n - 1
-        is final and the stages have cached the ranks its homology reads,
-        so it is checked with d o d and no elimination; no stage or
-        check reads a differential out of a degree < n again."""
+        max_hdeg - 1 and onto at it, and X is minimal, so its counts
+        are those of the unique minimal object.  After stage n, cone
+        degree n - 1 is final and the stages have cached the ranks its
+        homology reads, so it is checked with d o d and no elimination;
+        no stage or check reads a differential out of a degree < n
+        again.  Minimality is checked once, after the last stage."""
         for n in range(first, self.max_hdeg + 1):
             kill_homology(self, n, reverse=reverse)
             bad = first_nonzero_homology(self.cone, [n - 1], self.max_intdeg)
@@ -288,6 +291,9 @@ class Construction:
                     f"cone of q not exact: homology at {bad}")
             self.complex.release(n)
             self.cone.release(n)
+        witness = self.non_minimal_witness()
+        if witness is not None:
+            raise CertificationError(witness)
         return self
 
 

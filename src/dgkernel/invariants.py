@@ -65,8 +65,8 @@ class PowerSeries:
 # Core invariants
 # ---------------------------------------------------------------------------
 
-# The primes, tried in turn, through which deviations over Q are computed.
-PRIMES = (2**61 - 1,)
+# The prime through which the Betti table of k over Q is computed.
+PRIME = 2**61 - 1
 
 
 def deviations(A, max_hdeg, max_intdeg, reverse=False):
@@ -80,30 +80,18 @@ def deviations(A, max_hdeg, max_intdeg, reverse=False):
 
 
 def betti_of_k(A, max_hdeg, max_intdeg, reverse=False):
-    """The certified Betti table of k over A.  Over Q, that of the
-    resolution mod a prime of PRIMES lifted and certified over Q
-    (lifted_betti), which runs no elimination over Q; over F_p, or when
-    no prime gives a certified lift, betti_numbers resolves k over A."""
-    beta = lifted_betti(A, max_hdeg, max_intdeg, reverse)
-    if beta is None:
-        beta, _ = betti_numbers(A, max_hdeg, max_intdeg, reverse=reverse)
-    return beta
-
-
-def lifted_betti(A, max_hdeg, max_intdeg, reverse=False):
-    """The Betti table of k over A, an algebra over Q, from the first
-    prime of PRIMES whose lifted resolution certifies
-    (lifted_betti_table), or None when none does or A is over F_p: the
-    caller then resolves k over A itself."""
+    """The certified Betti table of k over A, the one route to it.  Over
+    Q, that of the resolution mod PRIME lifted and certified over Q
+    (lifted_betti_table), which runs no elimination over Q; over F_p, or
+    when the lift fails, betti_numbers resolves k over A."""
     if A.field.characteristic == 0:
-        for p in PRIMES:
-            try:
-                return lifted_betti_table(A, max_hdeg, max_intdeg, p,
-                                          reverse)
-            except (ArithmeticError, ValueError, BoundExceededError,
-                    CertificationError):
-                pass
-    return None
+        try:
+            return lifted_betti_table(A, max_hdeg, max_intdeg, PRIME,
+                                      reverse)
+        except (ArithmeticError, ValueError, BoundExceededError,
+                CertificationError):
+            pass
+    return betti_numbers(A, max_hdeg, max_intdeg, reverse=reverse)[0]
 
 
 def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
@@ -111,9 +99,9 @@ def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
     resolution of k over A_p = A.reduce_mod(GF(p)) lifted to Q.  Raises
     on any failure; a caller falls back to betti_numbers over Q.
 
-    The resolution over A_p must pass its cone certificate and be
-    minimal (betti_numbers); A_p must be the reduction of A
-    (ReductionError if not).  Its generators are lifted to integral
+    The resolution over A_p must pass its build's certificate, cone
+    exactness and minimality (betti_numbers); A_p must be the reduction
+    of A (ReductionError if not).  Its generators are lifted to integral
     boundaries over A (SemifreeResolution.lift, ReductionError when a
     residue has no lift).  The lift must be minimal and its differential
     must square to zero over Q (first_non_cycle); else CertificationError.
@@ -184,13 +172,10 @@ def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
 
 
 def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
-    """Betti table of a module (default: k) and its resolution."""
+    """Betti table of a module (default: k) and its certified minimal
+    resolution."""
     M = module if module is not None else residue_field(A)
     res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
-    ok, witness = res.is_minimal()
-    if not ok:
-        raise CertificationError(
-            f"resolution not minimal at generator {witness}")
     return CountTable(res.betti_table(), max_hdeg, max_intdeg, "beta"), res
 
 
@@ -395,24 +380,13 @@ def _first_maximal_ideal_element(A):
 
 
 def verify(statement, A, max_hdeg, max_intdeg):
-    """Check one structural statement on a concrete algebra; returns a
-    VerificationReport with per-degree comparison data."""
-    handlers = {
-        "koszul-shift": _verify_koszul_shift,
-        "deviations-compare": _verify_deviations_compare,
-        "quasi-fibers": _verify_quasi_fibers,
-        "product-formula": _verify_product_formula,
-        "switching-compare": _verify_switching_compare,
-        "vanishing-pattern": _verify_vanishing_pattern,
-        "halperin": _verify_halperin,
-        "uniqueness": _verify_uniqueness,
-        "odd-to-even": _verify_odd_to_even,
-        "fiber-boundedness": _verify_fiber_boundedness,
-    }
-    if statement not in handlers:
+    """Check one structural statement of STATEMENTS on a concrete
+    algebra; returns a VerificationReport with per-degree comparison
+    data."""
+    if statement not in STATEMENTS:
         raise ValueError(f"unknown statement {statement!r}; choose from "
-                         + ", ".join(sorted(handlers)))
-    return handlers[statement](A, max_hdeg, max_intdeg)
+                         + ", ".join(sorted(STATEMENTS)))
+    return STATEMENTS[statement](A, max_hdeg, max_intdeg)
 
 
 def _verify_koszul_shift(A, N, D):
@@ -702,3 +676,18 @@ def _verify_fiber_boundedness(A, N, D):
         comparisons.append(row)
     return _report("fiber-boundedness", comparisons, N, D, notes,
                    cut="window_cut_at_N")
+
+
+# statement id -> its check (verify)
+STATEMENTS = {
+    "koszul-shift": _verify_koszul_shift,
+    "deviations-compare": _verify_deviations_compare,
+    "quasi-fibers": _verify_quasi_fibers,
+    "product-formula": _verify_product_formula,
+    "switching-compare": _verify_switching_compare,
+    "vanishing-pattern": _verify_vanishing_pattern,
+    "halperin": _verify_halperin,
+    "uniqueness": _verify_uniqueness,
+    "odd-to-even": _verify_odd_to_even,
+    "fiber-boundedness": _verify_fiber_boundedness,
+}

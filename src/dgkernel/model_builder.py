@@ -167,8 +167,9 @@ class Model(hml.Construction):
     def adjoined_variables(self):
         return self.algebra.variables[self.source_nvars:]
 
-    def is_minimal(self):
-        return self.algebra.is_minimal(over=self.source_nvars)
+    def non_minimal_witness(self):
+        ok, witness = self.algebra.is_minimal(over=self.source_nvars)
+        return None if ok else f"model not minimal at {witness}"
 
     # --- the object under construction, for hml.kill_homology ------------
 

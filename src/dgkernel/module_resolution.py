@@ -6,9 +6,10 @@ boundary of A acts as zero.  The residue field k and its homological
 shifts are the cyclic ones A0/m (residue_field).  The resolution is
 built by the same staged cone construction as the models
 (homology.kill_homology): at stage n, cycles in cone(q: F -> M) that
-descend to minimal A0-generators of H_n become new free summands.
-A resolution over the reduction of A mod p lifts to A over Q
-(SemifreeResolution.lift, first_non_cycle, first_non_minimal).
+descend to minimal A0-generators of H_n become new free summands,
+and the finished build checks that no boundary has a unit entry
+(first_non_minimal).  A resolution over the reduction of A mod p lifts
+to A over Q (SemifreeResolution.lift, first_non_cycle, first_non_minimal).
 """
 
 from math import gcd, lcm
@@ -260,11 +261,10 @@ class SemifreeResolution(hml.Construction):
             table[(h, d)] = table.get((h, d), 0) + 1
         return table
 
-    def is_minimal(self):
-        """(ok, g): ok when every boundary entry lies in the maximal
-        ideal, else g is first_non_minimal's witness."""
+    def non_minimal_witness(self):
         g = first_non_minimal(self.generators)
-        return g is None, g
+        return None if g is None else (
+            f"resolution not minimal at generator {g}")
 
     def lift(self, A):
         """The generators over A, an algebra over Q whose reduction mod p
@@ -422,6 +422,7 @@ def residue_field(A, shift=0):
 
 
 def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):
-    """Certified minimal semifree resolution of M over A in the box."""
+    """Minimal semifree resolution of M over A in the box, certified by
+    its build: exact below max_hdeg, and minimal."""
     res = SemifreeResolution(A, M, max_hdeg, max_intdeg)
     return res.build(M.hmin, reverse)

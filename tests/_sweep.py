@@ -20,8 +20,8 @@ The grid is 11 rings x {Q, F_2, F_101} x 18 task forms x the boxes
 
 At the end it prints one line on stderr, which the diff leaves out: how
 many Betti tables of k over Q the lifted route
-(`invariants.lifted_betti`) certified, and how many it left to the exact
-resolution over Q.  Identical reports cannot tell the two apart.
+(`invariants.lifted_betti_table`) certified, and how many it left to the
+exact resolution over Q.  Identical reports cannot tell the two apart.
 """
 
 import contextlib
@@ -97,18 +97,21 @@ def run_job(cli, workdir, text):
 
 
 def count_lifted_route(inv):
-    """Wrap inv.lifted_betti to count, over Q, the Betti tables of k that
-    the lifted route certified and the ones it left to the exact
-    resolution (None); returns the live counts."""
+    """Wrap inv.lifted_betti_table to count the Betti tables of k over Q
+    that the lifted route certified (a return) and the ones it left to
+    the exact resolution (a raise); returns the live counts."""
     counts = {"certified": 0, "fell back": 0}
-    lifted = inv.lifted_betti
+    lifted = inv.lifted_betti_table
 
-    def counted(A, *args, **kwargs):
-        beta = lifted(A, *args, **kwargs)
-        if A.field.characteristic == 0:
-            counts["certified" if beta is not None else "fell back"] += 1
+    def counted(*args, **kwargs):
+        try:
+            beta = lifted(*args, **kwargs)
+        except Exception:
+            counts["fell back"] += 1
+            raise
+        counts["certified"] += 1
         return beta
-    inv.lifted_betti = counted
+    inv.lifted_betti_table = counted
     return counts
 
 

@@ -53,7 +53,7 @@ def test_criterion_1_truncated_even_models():
             expect[d] = 1
             expect[m * d + 1] = 1
             assert counts == expect, (d, m, counts)
-            assert model.is_minimal()[0]
+            assert model.algebra.is_minimal()[0]
             elapsed = time.perf_counter() - start
             assert elapsed < 10.0, f"case (d={d}, m={m}) took {elapsed:.1f}s"
 

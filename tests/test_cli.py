@@ -144,6 +144,7 @@ def test_usage_exit_codes(tmp_path, capsys, args, code):
     ("poincare --order -3", "--order takes a nonnegative integer"),
     ("minimal-model --switch x", "--switch takes a nonnegative integer"),
     ("verify", "verify requires --statement"),
+    ("verify --statement nope", "unknown statement 'nope'; choose from"),
 ])
 def test_task_option_errors_name_the_task_line(tmp_path, capsys, task,
                                                message):
@@ -273,6 +274,19 @@ def test_unknown_name_positioned(tmp_path, capsys):
     assert "column" in err
 
 
+@pytest.mark.parametrize("directive", [
+    "field Fp:101", "task classify", "bounds 4 4"])
+def test_a_second_directive_of_one_kind_is_refused(tmp_path, capsys,
+                                                   directive):
+    # field, bounds and task are set once; a second one is an error at
+    # its own line, not a silent override
+    path = write_job(tmp_path, HYP.format(task="deviations")
+                     + directive + "\n")
+    assert run_cli([path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: duplicate {directive.split()[0]} directive at line 6\n")
+
+
 def test_missing_bounds_rejected(tmp_path, capsys):
     job = "field Q\nbase x 1\nrelation x^2\ntask deviations\n"
     path = write_job(tmp_path, job)
@@ -320,10 +334,9 @@ def test_fiber_boundedness_homology_at_the_bound(tmp_path, capsys, N,
 def test_certification_error_exit_code(tmp_path, capsys, monkeypatch):
     # a resolution that fails its minimality certificate is reported with
     # exit 3 and a message, not a traceback
-    from dgkernel.module_resolution import SemifreeResolution
+    from dgkernel import module_resolution as mr
 
-    monkeypatch.setattr(SemifreeResolution, "is_minimal",
-                        lambda self: (False, 0))
+    monkeypatch.setattr(mr, "first_non_minimal", lambda generators: 0)
     job = HYP.format(task="verify --statement product-formula")
     path = write_job(tmp_path, job)
     assert run_cli([path]) == 3
@@ -460,6 +473,45 @@ def test_uniqueness_certifies_its_closures(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("certification error: d o d != 0")
+
+
+@pytest.mark.parametrize("task", [
+    "acyclic-closure", "minimal-model", "classify",
+    "verify --statement uniqueness"])
+def test_every_model_build_checks_its_minimality(tmp_path, capsys,
+                                                 monkeypatch, task):
+    # a model that reads non-minimal stops its build with exit 3, and no
+    # report is printed; classify of Q[x,y]/(x^2,y^2) builds the model
+    # over the cover, uniqueness two closures and two such models
+    from dgkernel.dg_core import DgAlgebra
+
+    path = write_job(tmp_path, CI_COVER.format(task=task))
+    assert run_cli([path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(DgAlgebra, "is_minimal",
+                        lambda self, over=0: (False, "w"))
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "certification error: model not minimal at w\n"
+
+
+@pytest.mark.parametrize("task", [
+    "betti", "betti --module cyclic:x", "deviations"])
+def test_every_resolution_build_checks_its_minimality(tmp_path, capsys,
+                                                      monkeypatch, task):
+    from dgkernel import module_resolution as mr
+
+    path = write_job(tmp_path, CI_COVER.replace("field Q", "field Fp:101")
+                     .format(task=task))
+    assert run_cli([path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(mr, "first_non_minimal", lambda generators: 0)
+    assert run_cli([path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification error: resolution not minimal "
+                            "at generator 0\n")
 
 
 GOLOD = """\

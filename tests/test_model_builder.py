@@ -25,21 +25,21 @@ def test_hypersurface_closure():
     A = hypersurface(QQ, N=8, D=8)
     m = acyclic_closure(A, 8, 8)
     assert eps_marginals(m, 8) == [0, 1, 1, 0, 0, 0, 0, 0, 0]
-    assert m.is_minimal()[0]
+    assert m.algebra.is_minimal()[0]
 
 
 def test_ci_closure():
     A = complete_intersection(QQ, N=8, D=8)
     m = acyclic_closure(A, 8, 8)
     assert eps_marginals(m, 8) == [0, 2, 2, 0, 0, 0, 0, 0, 0]
-    assert m.is_minimal()[0]
+    assert m.algebra.is_minimal()[0]
 
 
 def test_golod_closure():
     A = golod(QQ, N=6, D=9)
     m = acyclic_closure(A, 6, 9)
     assert eps_marginals(m, 6) == [0, 2, 2, 1, 1, 2, 3]
-    assert m.is_minimal()[0]
+    assert m.algebra.is_minimal()[0]
 
 
 def test_closure_bigraded_internal_degrees():
@@ -72,7 +72,7 @@ def test_truncated_even_model_over_cover(d, m_exp, N):
     expect[d] = 1
     expect[m_exp * d + 1] = 1
     assert counts == expect
-    assert model.is_minimal()[0]
+    assert model.algebra.is_minimal()[0]
 
 
 def test_model_over_cover_of_ci_is_koszul():

@@ -6,7 +6,8 @@ from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError, BaseVariable,
                       BasePresentation, TruncatedBase, DgAlgebra, Monomial)
 from dgkernel import homology as hml
 from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
-                                        residue_field, resolve_module)
+                                        first_non_minimal, residue_field,
+                                        resolve_module)
 from _fixtures import (free_rank_table, hypersurface, complete_intersection,
                        golod, marginals, ring_algebra, two_even_generators)
 from _oracle import betti_of_k
@@ -20,21 +21,21 @@ def test_hypersurface_betti():
     A = hypersurface(QQ, N=8, D=8)
     res = resolve_module(A, residue_field(A), 8, 8)
     assert betti_marginals(res, 8) == [1] * 9
-    assert res.is_minimal()[0]
+    assert first_non_minimal(res.generators) is None
 
 
 def test_ci_betti():
     A = complete_intersection(QQ, N=8, D=8)
     res = resolve_module(A, residue_field(A), 8, 8)
     assert betti_marginals(res, 8) == [i + 1 for i in range(9)]
-    assert res.is_minimal()[0]
+    assert first_non_minimal(res.generators) is None
 
 
 def test_golod_betti_fibonacci():
     A = golod(QQ, N=8, D=14)
     res = resolve_module(A, residue_field(A), 8, 14)
     assert betti_marginals(res, 8) == [1, 2, 3, 5, 8, 13, 21, 34, 55]
-    assert res.is_minimal()[0]
+    assert first_non_minimal(res.generators) is None
 
 
 def test_betti_matches_oracle_bigraded():

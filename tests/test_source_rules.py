@@ -195,6 +195,16 @@ def test_homology_knows_no_target():
                 if "ResidueField" in path.read_text()]
 
 
+def test_one_route_to_each_betti_table_and_one_minimality_check():
+    # the Betti table of k is read through betti_of_k, which alone tries
+    # the lifted table over Q; every resolution is built by betti_numbers;
+    # a build checks its own minimality once, after its last stage
+    assert callers_of("lifted_betti_table") == {"invariants.py:betti_of_k"}
+    assert callers_of("resolve_module") == {"invariants.py:betti_numbers"}
+    assert callers_of("non_minimal_witness") == {
+        "homology.py:Construction.build"}
+
+
 def test_algebras_are_grown_only_by_the_code_that_made_them():
     # adjoin_variable grows an algebra in place, so it is called only on
     # an algebra the caller made itself: a model's own algebra, the copy a
