@@ -507,9 +507,9 @@ def _parse_module(A, spec_text, job):
         rels = []
         for expr in spec_text[len("cyclic:"):].split(","):
             terms = parse_expression(expr, line, base_names)
-            rels.append({0: _terms_to_poly(terms, A.field, line)})
+            rels.append(_terms_to_poly(terms, A.field, line))
         try:
-            return PresentedModule(A, gens=[0], relations=rels)
+            return PresentedModule(A, rels)
         except (BoundExceededError, ValueError) as e:
             raise JobError(str(e), line)
     raise JobError("--module takes residue-field or cyclic:<expr>[,...]",

@@ -245,7 +245,8 @@ class Construction:
     act_matrix(d, bidx, i, j), adjoin(n, stage), which adds the
     variables or generators of one stage in place, and
     non_minimal_witness(), a message naming where X is not minimal, or
-    None.  The target has hmin, dim(i, j) and act_matrix(d, bidx, i, j).
+    None.  The target has dim(i, j) and act_matrix(d, bidx, i, j), and
+    lives in homological degrees >= 0.
 
     complex (X) and cone (cone of q, slice m is X_(m-1) followed by
     T_m) are made once, here, and every stage reads them; build keeps
@@ -265,8 +266,8 @@ class Construction:
                                        0, max_hdeg, max_intdeg)
         self.cone = cone(
             self.complex,
-            BigradedComplex(F, target.dim, None, target.hmin,
-                            max_hdeg + 1, max_intdeg),
+            BigradedComplex(F, target.dim, None, 0, max_hdeg + 1,
+                            max_intdeg),
             _weak(self.q_block))
 
     def build(self, first, reverse=False):

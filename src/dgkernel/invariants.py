@@ -69,35 +69,35 @@ class PowerSeries:
 PRIME = 2**61 - 1
 
 
-def deviations(A, max_hdeg, max_intdeg, reverse=False):
+def deviations(A, max_hdeg, max_intdeg):
     """Deviations of A, read off the certified Betti table of k
     (betti_of_k).  The acyclic closure of k is its minimal semifree
     resolution, so the Betti table of k is the product-formula expansion
     of the deviations, and _deviations_from_betti inverts it inside the
     box."""
     return _deviations_from_betti(
-        betti_of_k(A, max_hdeg, max_intdeg, reverse), max_hdeg, max_intdeg)
+        betti_of_k(A, max_hdeg, max_intdeg), max_hdeg, max_intdeg)
 
 
-def betti_of_k(A, max_hdeg, max_intdeg, reverse=False):
+def betti_of_k(A, max_hdeg, max_intdeg):
     """The certified Betti table of k over A, the one route to it.  Over
     Q, that of the resolution mod PRIME lifted and certified over Q
     (lifted_betti_table), which runs no elimination over Q; over F_p, or
     when the lift fails, betti_numbers resolves k over A."""
     if A.field.characteristic == 0:
         try:
-            return lifted_betti_table(A, max_hdeg, max_intdeg, PRIME,
-                                      reverse)
+            return lifted_betti_table(A, max_hdeg, max_intdeg)
         except (ArithmeticError, ValueError, BoundExceededError,
                 CertificationError):
             pass
-    return betti_numbers(A, max_hdeg, max_intdeg, reverse=reverse)[0]
+    return betti_numbers(A, max_hdeg, max_intdeg)[0]
 
 
-def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
+def lifted_betti_table(A, max_hdeg, max_intdeg):
     """The Betti table of k over A, an algebra over Q, from the
-    resolution of k over A_p = A.reduce_mod(GF(p)) lifted to Q.  Raises
-    on any failure; a caller falls back to betti_numbers over Q.
+    resolution of k over A_p = A.reduce_mod(GF(p)), p = PRIME, lifted to
+    Q.  Raises on any failure; a caller falls back to betti_numbers over
+    Q.
 
     The resolution over A_p must pass its build's certificate, cone
     exactness and minimality (betti_numbers); A_p must be the reduction
@@ -118,8 +118,7 @@ def lifted_betti_table(A, max_hdeg, max_intdeg, p, reverse=False):
     Betti numbers of degree max_hdeg count the generators stage max_hdeg
     picked to kill the cone's homology in that degree, which no check
     reads: they rest on that pick, as in every build."""
-    beta, res = betti_numbers(A.reduce_mod(GF(p)), max_hdeg, max_intdeg,
-                              reverse=reverse)
+    beta, res = betti_numbers(A.reduce_mod(GF(PRIME)), max_hdeg, max_intdeg)
     generators = res.lift(A)
     del res
     g = first_non_minimal(generators)
@@ -171,28 +170,22 @@ def n_table_over_cover(A, max_hdeg, max_intdeg, switching_degree=mb.INFINITY,
     return CountTable(table, max_hdeg, max_intdeg, "n"), model
 
 
-def betti_numbers(A, max_hdeg, max_intdeg, module=None, reverse=False):
-    """Betti table of a module (default: k) and its certified minimal
-    resolution."""
+def betti_numbers(A, max_hdeg, max_intdeg, module=None):
+    """Betti table of a cyclic module (default: k) and its certified
+    minimal resolution."""
     M = module if module is not None else residue_field(A)
-    res = resolve_module(A, M, max_hdeg, max_intdeg, reverse=reverse)
+    res = resolve_module(A, M, max_hdeg, max_intdeg)
     return CountTable(res.betti_table(), max_hdeg, max_intdeg, "beta"), res
 
 
 def poincare_from_deviations(dev, order):
     """Expand prod (1+t^i)^eps_i [i odd] / (1-t^i)^eps_i [i even] to the
-    requested order.  Exact integer coefficients: 1/(1 - t^i) is the sum
-    of t^(ik) over k >= 0, so no division is needed."""
-    complete = order <= dev.max_hdeg
-    P = [1] + [0] * order
+    requested order: the single-graded _times_factor, one factor per
+    degree on a one-column table.  Exact integer coefficients."""
+    c = [[1]] + [[0] for _ in range(order)]
     for i in range(1, min(order, dev.max_hdeg) + 1):
-        # times 1 + t^i: new P[n] = P[n] + old P[n - i], so n descends;
-        # times 1/(1 - t^i): new P[n] = P[n] + new P[n - i], so n ascends
-        ns = range(order, i - 1, -1) if i % 2 else range(i, order + 1)
-        for _ in range(dev.marginal(i)):
-            for n in ns:
-                P[n] += P[n - i]
-    return PowerSeries(P, order, complete)
+        _times_factor(c, i, 0, dev.marginal(i))
+    return PowerSeries([row[0] for row in c], order, order <= dev.max_hdeg)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 from . import exact_linear as la
 from . import homology as hml
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
-from .errors import AdmissibilityError, BoundExceededError
+from .errors import AdmissibilityError
 from .graded_base import BasePresentation, TruncatedBase
 
 INFINITY = math.inf
@@ -32,30 +32,15 @@ INFINITY = math.inf
 # Targets
 # ---------------------------------------------------------------------------
 
-class TargetElement:
-    """Homogeneous element of a target, in coordinates of the target's own
-    bidegree basis."""
-
-    __slots__ = ("hdeg", "intdeg", "coords")
-
-    def __init__(self, hdeg, intdeg, coords=None):
-        self.hdeg = hdeg
-        self.intdeg = intdeg
-        self.coords = dict(coords) if coords else {}
-
-    def is_zero(self):
-        return not self.coords
-
-
 class RingTarget:
     """A truncated graded quotient ring R as a dg-algebra with zero
     differential.  Generators may carry even homological degrees, so this
     covers both ordinary rings and algebras like k[x0]/(x0^m), |x0| = d.
     The source base S acts through the map S -> R that sends each
     generator of S to the generator of R of the same name, and to 0 when
-    R has none: with no generators, R is k and the map the augmentation."""
-
-    hmin = 0
+    R has none: with no generators, R is k and the map the augmentation.
+    An element of R_j is a dict {basis index of R_j: scalar}; slice (i, j)
+    is spanned by the basis elements of R_j of homological degree i."""
 
     def __init__(self, tbase, source_base):
         self.tbase = tbase
@@ -81,42 +66,23 @@ class RingTarget:
     def dim(self, i, j):
         return len(self.basis(i, j))
 
-    def element_from_ring(self, j, ring_coeffs):
-        """TargetElement from {ring_basis_index: scalar} in internal degree
-        j (must be homologically homogeneous)."""
-        hs = {self.tbase.basis_hdeg(j, i) for i in ring_coeffs}
-        if len(hs) > 1:
-            raise ValueError("mixed homological degrees")
-        h = hs.pop() if hs else 0
-        basis = self.basis(h, j)
-        pos = {idx: n for n, idx in enumerate(basis)}
-        return TargetElement(h, j, {pos[i]: c for i, c in ring_coeffs.items()})
-
-    def ring_coeffs(self, elem):
-        basis = self.basis(elem.hdeg, elem.intdeg)
-        return {basis[n]: c for n, c in elem.coords.items()}
-
-    def multiply(self, u, v):
-        h, d = u.hdeg + v.hdeg, u.intdeg + v.intdeg
-        if d > self.tbase.D:
-            raise BoundExceededError("target product exceeds internal bound")
-        prod = self.tbase.multiply(u.intdeg, self.ring_coeffs(u),
-                                   v.intdeg, self.ring_coeffs(v))
-        return self.element_from_ring(d, prod) if prod else TargetElement(h, d)
+    def coords(self, i, j, elem):
+        """Coordinates in slice (i, j) of elem, an element of R_j of
+        homological degree i."""
+        pos = {idx: n for n, idx in enumerate(self.basis(i, j))}
+        return {pos[idx]: c for idx, c in elem.items()}
 
     def base_image(self, jb, ib):
-        """Image of the source basis monomial (jb, ib): its normal form in
-        the target ring, or 0 when it has a generator that maps to 0."""
-        tp = self.tbase.presentation
-        texps = [0] * len(tp.variables)
+        """Image in R_jb of the source basis monomial (jb, ib): its normal
+        form in the target ring (the base's own dict, read only), or 0
+        when it has a generator that maps to 0."""
+        texps = [0] * len(self.tbase.presentation.variables)
         for e, c in zip(self.source_base.basis(jb)[ib], self._cols):
             if c is not None:
                 texps[c] = e
             elif e:
-                return TargetElement(self.source_base.basis_hdeg(jb, ib), jb)
-        nf = self.tbase.normal_form(jb, tuple(texps))
-        return self.element_from_ring(jb, nf) if nf else TargetElement(
-            tp.mono_hdeg(tuple(texps)), jb)
+                return {}
+        return self.tbase.normal_form(jb, tuple(texps))
 
     def act_matrix(self, d, bidx, i, j):
         """Multiplication by the image of the source base element (d,
@@ -126,11 +92,12 @@ class RingTarget:
         if not (n and m):
             return la.ExactMatrix.zero(F, m, n)
         elem = self.base_image(d, bidx)
-        if elem.is_zero():
+        if not elem:
             return la.ExactMatrix.zero(F, m, n)
         return la.ExactMatrix(F, m, [
-            self.multiply(elem, TargetElement(i, j, {cidx: F.one})).coords
-            for cidx in range(n)])
+            self.coords(i, j + d,
+                        self.tbase.multiply(d, elem, j, {idx: F.one}))
+            for idx in self.basis(i, j)])
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +106,22 @@ class RingTarget:
 
 class Model(hml.Construction):
     """The extension U of the source with the multiplicative comparison
-    map q: U -> target (the image of every variable; var_images for the
-    source's), bigraded variable counts, and certification bounds.
+    map q: U -> target, which sends the source's variables to 0 and each
+    adjoined variable to the element of the target ring (images) its
+    stage picked; bigraded variable counts, and certification bounds.
     switching_degree: 0 = acyclic closure, math.inf = minimal model.  U
     is an algebra of its own on the source's variables: build_model
     grows it in place, one stage at a time, through hml.kill_homology."""
 
     def __init__(self, source, target, switching_degree, max_hdeg,
-                 max_intdeg, var_images=None):
+                 max_intdeg):
         if switching_degree != INFINITY and switching_degree < 0:
             raise ValueError("switching degree must be >= 0 or infinity")
         if max_hdeg < 1 or max_intdeg < 0:
             raise ValueError("bounds must be positive")
         algebra = DgAlgebra(source.base, source.variables, max_hdeg,
                             max_intdeg)
-        self.images = dict(var_images or {})
-        for v in algebra.variables:
-            if v.id not in self.images:
-                raise ValueError(
-                    f"missing target image for source variable {v.name}")
+        self.images = {v.id: {} for v in algebra.variables}
         self.switching_degree = switching_degree
         self.source_nvars = len(algebra.variables)
         self.n_table = {}
@@ -183,36 +147,39 @@ class Model(hml.Construction):
         return self.algebra.act_matrix(d, bidx, i, j)
 
     def _power_image(self, vid, e):
+        """Image of the e-th power (divided power for a divided-power
+        variable) of variable vid, an element of the target ring."""
         var = self.algebra.variables[vid]
         img = self.images[vid]
-        if e == 1:
+        if e == 1 or not img:
             return img
-        if img.is_zero():
-            return TargetElement(var.hdeg * e, var.intdeg * e)
+        R = self.target.tbase
         p = img
-        for _ in range(e - 1):
-            p = self.target.multiply(p, img)
+        for k in range(1, e):
+            p = R.multiply(var.intdeg * k, p, var.intdeg, img)
         if var.kind == DIVIDED_POWER:
             F = self.algebra.field
             fact = F.one
             for n in range(2, e + 1):
                 fact = F.mul(fact, F.from_int(n))
             if F.is_zero(fact):
-                if p.is_zero():
+                if not p:
                     return p
                 raise AdmissibilityError(
                     "divided-power image not computable: e! vanishes in the field")
-            return TargetElement(p.hdeg, p.intdeg,
-                                 {k: F.div(v, fact) for k, v in p.coords.items()})
+            return {b: F.div(c, fact) for b, c in p.items()}
         return p
 
     def _factor_images(self, key):
+        """(internal degree, image) of each factor of the basis monomial
+        key: its base part, then its variable powers."""
         jb, ib, mon = key
-        yield self.target.base_image(jb, ib)
+        yield jb, self.target.base_image(jb, ib)
+        variables = self.algebra.variables
         for vid, e in mon.evens:
-            yield self._power_image(vid, e)
+            yield variables[vid].intdeg * e, self._power_image(vid, e)
         for vid in mon.odds:
-            yield self.images[vid]
+            yield variables[vid].intdeg, self.images[vid]
 
     def q_block(self, i, j):
         """Matrix of q from slice (i, j) of U to slice (i, j) of the
@@ -223,11 +190,15 @@ class Model(hml.Construction):
         columns = []
         for key in U.basis_of_bidegree(i, j):
             img = None
-            for factor in self._factor_images(key):
-                img = factor if img is None else T.multiply(img, factor)
-                if img.is_zero():
+            for d, factor in self._factor_images(key):
+                if img is None:
+                    img, deg = factor, d
+                else:
+                    img = T.tbase.multiply(deg, img, d, factor)
+                    deg += d
+                if not img:
                     break
-            columns.append(img.coords)
+            columns.append(T.coords(i, j, img))
         return la.ExactMatrix(U.field, T.dim(i, j), columns)
 
     def adjoin(self, n, stage):
@@ -250,18 +221,19 @@ class Model(hml.Construction):
         for z, (j, _, t) in zip(cycles, stage):
             name = f"{prefix}{n}_{len(U.variables) - self.source_nvars}"
             var = U.adjoin_variable(z, kind, name=name, family=family)
-            self.images[var.id] = TargetElement(n, j, t)
+            basis = self.target.basis(n, j)
+            self.images[var.id] = {basis[r]: c for r, c in t.items()}
             table[(n, j)] = table.get((n, j), 0) + 1
 
 
-def build_model(source, target, switching_degree, max_hdeg, max_intdeg,
-                var_images=None, reverse=False):
+def build_model(source, target, switching_degree, max_hdeg, max_intdeg, *,
+                reverse=False):
     """Construct the minimal model of the map from source (its variables
-    sent to var_images) to target, with the prescribed switching degree,
-    certified as it is built.  Requires H_0 of the induced map to be
-    surjective (AdmissibilityError otherwise)."""
-    return Model(source, target, switching_degree, max_hdeg, max_intdeg,
-                 var_images).build(1, reverse)
+    sent to 0) to target, with the prescribed switching degree, certified
+    as it is built.  Requires H_0 of the induced map to be surjective
+    (AdmissibilityError otherwise)."""
+    return Model(source, target, switching_degree, max_hdeg,
+                 max_intdeg).build(1, reverse)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +245,8 @@ def residue_field_model(A, max_hdeg, max_intdeg, switching_degree,
     """Model of k over A along the augmentation: the map to the ring
     with no generators."""
     k = TruncatedBase(BasePresentation(A.field, ()), max_intdeg)
-    var_images = {v.id: TargetElement(v.hdeg, v.intdeg) for v in A.variables}
     return build_model(A, RingTarget(k, A.base), switching_degree,
-                       max_hdeg, max_intdeg, var_images, reverse)
+                       max_hdeg, max_intdeg, reverse=reverse)
 
 
 def acyclic_closure(A, max_hdeg, max_intdeg, reverse=False):

@@ -1,9 +1,9 @@
 """Minimal semifree resolutions of dg-modules and their Betti numbers.
 
-Admissible modules: graded A0-modules given by a finite homogeneous
-presentation, concentrated in one homological degree, on which every
-boundary of A acts as zero.  The residue field k and its homological
-shifts are the cyclic ones A0/m (residue_field).  The resolution is
+Admissible modules: cyclic A0-modules A0/I in bidegree (0, 0), I
+generated by finitely many homogeneous polynomials, on which every
+boundary of A acts as zero.  The residue field k is A0/m
+(residue_field).  The resolution is
 built by the same staged cone construction as the models
 (homology.kill_homology): at stage n, cycles in cone(q: F -> M) that
 descend to minimal A0-generators of H_n become new free summands,
@@ -17,60 +17,45 @@ from math import gcd, lcm
 from . import exact_linear as la
 from . import homology as hml
 from .dg_core import DgElement
-from .errors import AdmissibilityError, HomogeneityError, ReductionError
+from .errors import AdmissibilityError, ReductionError
 
 
 class PresentedModule:
-    """Cokernel of a map of graded free A0-modules, concentrated in one
-    homological degree (shift).  gens: list of internal degrees.  Each
-    relation: dict gen_index -> homogeneous polynomial {exponent_tuple:
-    scalar} over the base presentation; all components of one relation
-    must give it a single internal degree.  A boundary of A (the image
-    of d: A_1 -> A_0) must act as zero on it (AdmissibilityError)."""
+    """A cyclic A0-module A0/I in bidegree (0, 0): one generator, and
+    each relation, a generator of I, a homogeneous polynomial
+    {exponent_tuple: scalar} over the base presentation.  A boundary of
+    A (the image of d: A_1 -> A_0) must act as zero on it
+    (AdmissibilityError)."""
 
-    def __init__(self, algebra, gens, relations=(), shift=0):
+    def __init__(self, algebra, relations=()):
         self.algebra = algebra
         self.field = algebra.field
-        self.shift = shift
-        self.hmin = shift
-        self.gens = list(gens)
         base = algebra.base
         D = base.D
-        # reduce relation components to base coordinates and find degrees
+        # reduce each relation to base coordinates
         self._rels = []
-        for k, rel in enumerate(relations):
-            comps = {}
-            degs = set()
-            for g, poly in rel.items():
-                j, coeffs = base.reduce_poly(poly)
-                if any(base.basis_hdeg(j, b) != 0 for b in coeffs):
-                    raise AdmissibilityError(
-                        f"relation #{k}: coefficient outside A0")
-                if coeffs:
-                    comps[g] = (j, coeffs)
-                    degs.add(j + self.gens[g])
-            if not comps:
+        for k, poly in enumerate(relations):
+            j, coeffs = base.reduce_poly(poly)
+            if any(base.basis_hdeg(j, b) != 0 for b in coeffs):
+                raise AdmissibilityError(
+                    f"relation #{k}: coefficient outside A0")
+            if not coeffs:
                 raise ValueError(f"relation #{k} is zero")
-            if len(degs) != 1:
-                raise HomogeneityError(f"relation #{k} is not homogeneous")
-            self._rels.append((degs.pop(), comps))
-        # materialize per internal degree
+            self._rels.append((j, coeffs))
+        # materialize per internal degree: a label is a basis index of A0
         self._bases = {}
         self._nf = {}
         for j in range(D + 1):
-            free = [(g, b) for g, dg in enumerate(self.gens) if dg <= j
-                    for b in base.a0_basis(j - dg)]
-            pos = {lab: n for n, lab in enumerate(free)}
+            free = base.a0_basis(j)
+            pos = {b: n for n, b in enumerate(free)}
             span = []
-            for t, comps in self._rels:
+            for t, coeffs in self._rels:
                 if t > j:
                     continue
-                # components on distinct generators never share a label
                 for r in base.a0_basis(j - t):
                     span.append({
-                        pos[(g, b)]: c for g, (jr, coeffs) in comps.items()
-                        for b, c in base.multiply(
-                            j - t, {r: self.field.one}, jr, coeffs).items()})
+                        pos[b]: c for b, c in base.multiply(
+                            j - t, {r: self.field.one}, t, coeffs).items()})
             keep, nfs = la.quotient(self.field, len(free), span)
             self._bases[j] = [free[i] for i in keep]
             self._nf[j] = dict(zip(free, nfs))
@@ -82,14 +67,14 @@ class PresentedModule:
             for col in algebra.diff_matrix(1, e).columns:
                 z = algebra.element_from_coords(0, e, col)
                 for j in range(D - e + 1):
-                    if any(self.act(z, shift, j, {n: one})
+                    if any(self.act(z, j, {n: one})
                            for n in range(len(self._bases[j]))):
                         raise AdmissibilityError(
                             f"a boundary of internal degree {e} acts "
                             "nonzero on the module")
 
     def basis(self, i, j):
-        return self._bases[j] if i == self.shift else []
+        return self._bases[j] if i == 0 else []
 
     def dim(self, i, j):
         return len(self.basis(i, j))
@@ -101,10 +86,9 @@ class PresentedModule:
         base = self.algebra.base
         out = {}
         for n, c in coords.items():
-            g, b = self._bases[j][n]
-            prod = base.mult_basis(d, bidx, j - self.gens[g], b)
+            prod = base.mult_basis(d, bidx, j, self._bases[j][n])
             for b2, c2 in prod.items():
-                la.axpy(F, out, F.mul(c, c2), self._nf[j + d][(g, b2)])
+                la.axpy(F, out, F.mul(c, c2), self._nf[j + d][b2])
         return out
 
     def act_matrix(self, d, bidx, i, j):
@@ -113,17 +97,14 @@ class PresentedModule:
             self._mult_by_base(d, bidx, j, {cidx: one})
             for cidx in range(self.dim(i, j))])
 
-    def act(self, a, i, j, coords):
-        """Action of a homogeneous algebra element on coords at (i, j).
-        Only the A0-part acts; higher homological degrees act as zero on a
-        module concentrated in one degree."""
-        if a.hdeg != 0 or not coords:
-            return {}
+    def act(self, a, j, coords):
+        """Action of a, an element of A_0, on coords in internal degree
+        j: every term of a is a base element (jb, ib) of A0, as A's
+        variables have homological degree >= 1."""
         out = {}
-        for (jb, ib, mon), c in a.terms.items():
-            if mon.is_trivial():
-                la.axpy(self.field, out, c, self._mult_by_base(
-                    jb, ib, j, coords) if jb else coords)
+        for (jb, ib, _), c in a.terms.items():
+            la.axpy(self.field, out, c, self._mult_by_base(
+                jb, ib, j, coords) if jb else coords)
         return out
 
 
@@ -135,27 +116,13 @@ class SemifreeResolution(hml.Construction):
     def __init__(self, algebra, module, max_hdeg, max_intdeg):
         # generators: (hdeg, intdeg, boundary {g: DgElement}, qimg coords)
         self.generators = []
-        self._bases = {}
-        # _generator_runs of the first _runs_of generators
+        # runs (h, d, first, stop) of consecutive generators of bidegree
+        # (h, d), in order
         self._runs = []
-        self._runs_of = 0
+        self._bases = {}
         super().__init__(algebra, module, max_hdeg, max_intdeg)
 
     # --- the underlying complex -------------------------------------------
-
-    def _generator_runs(self):
-        """The generators as runs (h, d, first, stop) of consecutive
-        indices sharing the bidegree (h, d), in order."""
-        if self._runs_of != len(self.generators):
-            runs = []
-            for g, (h, d, _, _) in enumerate(self.generators):
-                if runs and runs[-1][:2] == (h, d):
-                    runs[-1] = (h, d, runs[-1][2], g + 1)
-                else:
-                    runs.append((h, d, g, g + 1))
-            self._runs = runs
-            self._runs_of = len(self.generators)
-        return self._runs
 
     def basis(self, i, j):
         """Labels (g, algebra label) of slice (i, j): generator by
@@ -166,7 +133,7 @@ class SemifreeResolution(hml.Construction):
         if hit is not None:
             return hit
         out = []
-        for h, d, first, stop in self._generator_runs():
+        for h, d, first, stop in self._runs:
             if h > i or d > j or i - h > self.algebra.max_hdeg:
                 continue
             labels = self.algebra.basis_of_bidegree(i - h, j - d)
@@ -225,20 +192,19 @@ class SemifreeResolution(hml.Construction):
 
     # --- the comparison map -------------------------------------------------
 
-    def q_coords(self, i, j, fcoords):
-        """Image in the module of the F-element with the given coords."""
-        F = self.algebra.field
-        out = {}
-        for g, e in self.coords_to_components(i, j, fcoords).items():
-            h, d, _, qimg = self.generators[g]
-            la.axpy(F, out, F.one, self.target.act(e, h, d, qimg))
-        return out
-
     def q_block(self, i, j):
-        one = self.algebra.field.one
-        return la.ExactMatrix(self.algebra.field, self.target.dim(i, j), [
-            self.q_coords(i, j, {cidx: one})
-            for cidx in range(self.dim(i, j))])
+        """q from slice (i, j) to the module, which is zero outside
+        homological degree 0: the label (g, a) of slice (0, j), a a base
+        element (jb, ib) of A0, goes to a times the image of g."""
+        F = self.algebra.field
+        if i:
+            return la.ExactMatrix.zero(F, 0, self.dim(i, j))
+        M = self.target
+        columns = []
+        for g, (jb, ib, _) in self.basis(0, j):
+            _, d, _, qimg = self.generators[g]
+            columns.append(M._mult_by_base(jb, ib, d, qimg) if jb else qimg)
+        return la.ExactMatrix(F, M.dim(0, j), columns)
 
     def adjoin(self, n, stage):
         """Add one free generator of homological degree n per cycle of the
@@ -247,7 +213,16 @@ class SemifreeResolution(hml.Construction):
         # every boundary is read off the pre-stage basis
         new = [(n, j, self.coords_to_components(n - 1, j, x), t)
                for j, x, t in stage]
-        self.generators.extend(new)
+        # stages arrive in order of (n, j), so each new generator extends
+        # the last run or starts one
+        runs = self._runs
+        for gen in new:
+            g = len(self.generators)
+            self.generators.append(gen)
+            if runs and runs[-1][:2] == gen[:2]:
+                runs[-1] = (*gen[:2], runs[-1][2], g + 1)
+            else:
+                runs.append((*gen[:2], g, g + 1))
         # a basis of homological degree < n has no label on the new
         # generators, so only the slices of degree >= n are stale; of the
         # rest, stage n + 1 reads only degree n - 1 again
@@ -405,10 +380,10 @@ def first_non_minimal(generators):
     return None
 
 
-def residue_field(A, shift=0):
-    """k = A0/m in homological degree shift: the cyclic module with one
-    relation per homological-degree-0 generator of the base that lies in
-    the bound and is nonzero in A."""
+def residue_field(A):
+    """k = A0/m: the cyclic module with one relation per
+    homological-degree-0 generator of the base that lies in the bound
+    and is nonzero in A."""
     base = A.base
     p = base.presentation
     rels = []
@@ -417,12 +392,11 @@ def residue_field(A, shift=0):
             continue
         x = tuple(1 if w is v else 0 for w in p.variables)
         if base.normal_form(v.intdeg, x):
-            rels.append({0: {x: A.field.one}})
-    return PresentedModule(A, [0], rels, shift)
+            rels.append({x: A.field.one})
+    return PresentedModule(A, rels)
 
 
-def resolve_module(A, M, max_hdeg, max_intdeg, reverse=False):
-    """Minimal semifree resolution of M over A in the box, certified by
-    its build: exact below max_hdeg, and minimal."""
-    res = SemifreeResolution(A, M, max_hdeg, max_intdeg)
-    return res.build(M.hmin, reverse)
+def resolve_module(A, M, max_hdeg, max_intdeg):
+    """Minimal semifree resolution of the cyclic module M over A in the
+    box, certified by its build: exact below max_hdeg, and minimal."""
+    return SemifreeResolution(A, M, max_hdeg, max_intdeg).build(0)

@@ -204,8 +204,8 @@ def betti_of(field, algebra, cyclic=None):
     def run(reverse):
         A = algebra(field, 5, 8)
         M = (residue_field(A) if cyclic is None else
-             PresentedModule(A, gens=[0], relations=[{0: cyclic}]))
-        return resolve_module(A, M, 5, 8, reverse=reverse)
+             PresentedModule(A, [cyclic]))
+        return SemifreeResolution(A, M, 5, 8).build(0, reverse=reverse)
     return run
 
 
@@ -507,10 +507,9 @@ def resolution_through(A, N, D, last):
 
 def cone_witness(built):
     """The first bidegree with cone homology in the degrees a finished
-    build certifies, target.hmin..max_hdeg - 1, or None."""
+    build certifies, 0..max_hdeg - 1, or None."""
     return hml.first_nonzero_homology(
-        built.cone, range(built.target.hmin, built.max_hdeg),
-        built.max_intdeg)
+        built.cone, range(built.max_hdeg), built.max_intdeg)
 
 
 # The first bidegree at which the cone is not exact, frozen from the
@@ -547,7 +546,7 @@ class UnitToZero(mb.RingTarget):
     """k as a target that the unit of the source does not reach."""
 
     def base_image(self, jb, ib):
-        return mb.TargetElement(0, jb)
+        return {}
 
 
 def test_build_model_rejects_a_map_not_onto_h0():
@@ -583,10 +582,12 @@ def fresh_twin(built):
         twin = SemifreeResolution(plain, built.target, built.max_hdeg,
                                   built.max_intdeg)
         twin.generators = list(built.generators)
+        twin._runs = list(built._runs)
     else:
         # a Model makes its own algebra on the variables of A
         twin = mb.Model(A, built.target, built.switching_degree,
-                        built.max_hdeg, built.max_intdeg, built.images)
+                        built.max_hdeg, built.max_intdeg)
+        twin.images = dict(built.images)
     return twin
 
 

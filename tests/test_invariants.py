@@ -345,6 +345,35 @@ def test_betti_of_k_equals_the_oracle_on_generated_rings(ring):
     assert inv.betti_of_k(A, N, D).table == betti_of_k(A.base, N, D)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_closure_equals_the_inverted_betti_table_on_generated_rings(ring):
+    # the acyclic closure's deviations, built forward and reversed (its
+    # q_block maps into k through ring elements), against the ones
+    # deviations inverts from the certified Betti table of k
+    A, N, D = ring
+    want = inv.deviations(A, N, D).table
+    for reverse in (False, True):
+        assert mb.acyclic_closure(A, N, D, reverse=reverse).eps_table == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_presentations())
+def test_cover_model_counts_are_shifted_deviations_on_generated_rings(ring):
+    # the model over the polynomial cover maps into the ring itself, so
+    # its q_block and the target's action multiply nonzero ring elements;
+    # its counts are the deviations shifted down by one (quasi-fibers),
+    # and the reversed build gives the same table
+    A, N, D = ring
+    try:
+        A.base.presentation.require_minimal()
+    except AdmissibilityError:
+        return  # a relation with a linear term: no model over the cover
+    assert inv.verify("quasi-fibers", A, N, D).verdict == "pass"
+    assert inv.n_table_over_cover(A, N, D, reverse=True)[0].table == \
+        inv.n_table_over_cover(A, N, D)[0].table
+
+
 def test_homology_top():
     assert inv.homology_top(hypersurface(QQ, N=4, D=4)) == 0
     assert inv.homology_top(truncated_even(2, 2, N=6, D=8)) == 2

@@ -96,12 +96,12 @@ def q_builds(monkeypatch):
 
 
 def check_route(A, N, D, q_builds, lifted=True, reverses=(False, True)):
-    """deviations equals the exact closure's table, forward and reversed,
-    and resolved k over Q only when lifted is False."""
+    """deviations equals the exact closure's table, built forward and
+    reversed, and resolved k over Q only when lifted is False."""
+    del q_builds[:]
+    got = inv.deviations(A, N, D).table
+    assert (QQ in q_builds) is not lifted
     for reverse in reverses:
-        del q_builds[:]
-        got = inv.deviations(A, N, D, reverse=reverse).table
-        assert (QQ in q_builds) is not lifted
         want = mb.acyclic_closure(A, N, D, reverse=reverse).eps_table
         assert got == want
 
@@ -205,9 +205,9 @@ def test_inversion_refuses_a_negative_deviation():
 def test_fallback_when_reconstruction_fails(tmp_path, monkeypatch, q_builds):
     # mod 5 only 0 and +-1 lift (isqrt(5 // 2) = 1)
     A, N, D = job_algebra(tmp_path, DENSE)
-    with pytest.raises(ReductionError, match="no rational lift"):
-        inv.lifted_betti_table(A, N, D, 5)
     monkeypatch.setattr(inv, "PRIME", 5)
+    with pytest.raises(ReductionError, match="no rational lift"):
+        inv.lifted_betti_table(A, N, D)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
@@ -216,18 +216,18 @@ def test_fallback_when_the_basis_changes_mod_p(monkeypatch, q_builds):
     # xy, y^2
     A = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1, (1, 1): 3}],
                      5, 6)
-    with pytest.raises(ReductionError, match="degree-2 basis"):
-        inv.lifted_betti_table(A, 5, 6, 3)
     monkeypatch.setattr(inv, "PRIME", 3)
+    with pytest.raises(ReductionError, match="degree-2 basis"):
+        inv.lifted_betti_table(A, 5, 6)
     check_route(A, 5, 6, q_builds, lifted=False)
 
 
 def test_fallback_when_a_coefficient_has_no_residue(monkeypatch, q_builds):
     A = ring_algebra(QQ, [("x", 1), ("y", 1)],
                      [{(2, 0): 1, (1, 1): Fraction(1, 7)}, {(0, 2): 1}], 5, 6)
-    with pytest.raises(ReductionError, match="no residue mod 7"):
-        inv.lifted_betti_table(A, 5, 6, 7)
     monkeypatch.setattr(inv, "PRIME", 7)
+    with pytest.raises(ReductionError, match="no residue mod 7"):
+        inv.lifted_betti_table(A, 5, 6)
     check_route(A, 5, 6, q_builds, lifted=False)
 
 
@@ -239,7 +239,7 @@ def test_fallback_when_a_lift_is_no_cycle(tmp_path, monkeypatch, q_builds):
         return lift(self, c) + 1
     monkeypatch.setattr(PrimeField, "lift", wrong)
     with pytest.raises(CertificationError, match="d o d != 0"):
-        inv.lifted_betti_table(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
@@ -248,7 +248,7 @@ def test_fallback_when_the_resolution_mod_p_fails_its_certificate(
     A, N, D = job_algebra(tmp_path, SMALL_DENSE)
     resolution_mod_p_fails_its_certificate(monkeypatch)
     with pytest.raises(CertificationError, match="not exact"):
-        inv.lifted_betti_table(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
@@ -266,7 +266,7 @@ def test_fallback_when_the_lift_is_not_minimal(tmp_path, monkeypatch,
         return out + [(2, 1, {g: unit})]
     monkeypatch.setattr(SemifreeResolution, "lift", with_a_unit)
     with pytest.raises(CertificationError, match="not minimal"):
-        inv.lifted_betti_table(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
@@ -289,7 +289,7 @@ def test_route_frees_the_resolution_mod_p_before_the_q_check(
     monkeypatch.setattr(inv, "first_non_cycle", recorded_check)
     gc.disable()
     try:
-        inv.lifted_betti_table(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D)
     finally:
         gc.enable()
     assert live == [False]
@@ -425,7 +425,7 @@ def test_a_wrong_denominator_falls_back(tmp_path, monkeypatch, q_builds):
     assert A.base.denominator() > 1
     monkeypatch.setattr(TruncatedBase, "denominator", lambda self: 1)
     with pytest.raises(ArithmeticError, match="not an integer"):
-        inv.lifted_betti_table(A, N, D, P61)
+        inv.lifted_betti_table(A, N, D)
     check_route(A, N, D, q_builds, lifted=False, reverses=(False,))
 
 
