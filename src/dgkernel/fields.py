@@ -10,6 +10,7 @@ by rational reconstruction, for computations over Q run through F_p.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt
 
 from .errors import ReductionError
@@ -19,6 +20,13 @@ from .errors import ReductionError
 # them is PRIMALITY_BOUND itself.
 PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 PRIMALITY_BOUND = 3317044064679887385961981
+
+# The prime through which computations over Q run: the quotients of a Q
+# base and the resolution of k.  A normal form of a Q base whose entries
+# do not reconstruct from their residues mod PRIME alone is reconstructed
+# mod PRIME * SECOND_PRIME.
+PRIME = 2**61 - 1
+SECOND_PRIME = 2**64 - 59
 
 
 def _is_prime(n):
@@ -50,6 +58,24 @@ def _is_prime(n):
 def _q(x):
     """x as an int when it is integral; otherwise the Fraction x."""
     return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+def reconstruct(c, m):
+    """The Q scalar r/s with |r|, s <= isqrt(m // 2) whose residue mod
+    the odd modulus m is c, or None when there is none (rational
+    reconstruction: Wang, 1981).  Two such fractions with one residue
+    are equal, as 2 * isqrt(m // 2)^2 < m, so the answer is unique; s is
+    prime to m, since a common factor would divide r as well."""
+    bound = isqrt(m // 2)
+    r0, r1 = m, c % m
+    s0, s1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
+        return None
+    return _q(Fraction(r1, s1))
 
 
 class RationalField:
@@ -162,21 +188,9 @@ class PrimeField:
         return x.numerator * pow(d, -1, p) % p
 
     def lift(self, c):
-        """The Q scalar r/s with |r|, s <= isqrt(p // 2) whose residue
-        is c, or None when there is none (rational reconstruction: Wang,
-        1981).  Two such fractions with one residue are equal, as
-        2 * isqrt(p // 2)^2 < p, so the answer is unique."""
-        p = self.p
-        bound = isqrt(p // 2)
-        r0, r1 = p, c % p
-        s0, s1 = 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            s0, s1 = s1, s0 - q * s1
-        if not 0 < abs(s1) <= bound or gcd(r1, s1) != 1:
-            return None
-        return _q(Fraction(r1, s1))
+        """The Q scalar whose residue is c (reconstruct, modulo p), or
+        None."""
+        return reconstruct(c, self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -191,7 +205,10 @@ class PrimeField:
 QQ = RationalField()
 
 
+@cache
 def GF(p):
+    """The prime field F_p, one object per p: its primality test runs
+    once."""
     return PrimeField(p)
 
 

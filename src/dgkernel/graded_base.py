@@ -18,6 +18,7 @@ from math import lcm
 from .errors import (AdmissibilityError, BoundExceededError,
                      HomogeneityError, ReductionError)
 from . import exact_linear as la
+from .fields import GF, PRIME, SECOND_PRIME, reconstruct
 
 
 class BaseVariable:
@@ -89,6 +90,15 @@ class BasePresentation:
             raise AdmissibilityError(
                 "presentation is not minimal: a relation has a linear term")
 
+    def reduce_mod(self, field):
+        """This presentation over the prime field `field`, each relation
+        reduced.  Raises ReductionError when a coefficient has no
+        residue, ValueError when a relation vanishes."""
+        red = field.reduce
+        return BasePresentation(
+            field, self.variables,
+            [{e: red(c) for e, c in g.items()} for g in self.relations])
+
     def monomials_of_intdeg(self, j):
         """All exponent tuples of internal degree j, in deterministic
         (descending lexicographic) order."""
@@ -112,40 +122,191 @@ def _mono_mul(e1, e2):
     return tuple(a + b for a, b in zip(e1, e2))
 
 
+def _residues(F, col):
+    """The column col of Q scalars reduced into the prime field F, its
+    zeros dropped.  Raises ReductionError when an entry has no
+    residue."""
+    p = F.p
+    red = F.reduce
+    out = {}
+    for r, c in col.items():
+        v = c % p if c.__class__ is int else red(c)
+        if v:
+            out[r] = v
+    return out
+
+
+def _through_the_prime(P, D, mons, spans):
+    """The quotients of the degrees of a base over Q, given their spans,
+    as (quotients, reduction, exact degrees).  A degree is lifted from
+    its quotient mod PRIME (_lifted_quotient) and, failing that, built
+    by the exact quotient.  The reduction is the base mod PRIME made of
+    those quotients: None when the relations do not reduce mod PRIME, or
+    when no degree has a relation multiple and so none needs the prime.
+    A degree with no relation multiples is its own normal form, the
+    same in both fields."""
+    Fp = GF(PRIME)
+    try:
+        Pp = P.reduce_mod(Fp) if any(spans) else None
+    except (ReductionError, ValueError):
+        Pp = None
+    quotients, residues, exact = [], [], []
+    for j, (mj, span) in enumerate(zip(mons, spans)):
+        if Pp is None or not span:
+            quotients.append(la.quotient(P.field, len(mj), span))
+            residues.append(quotients[-1])
+            continue
+        keep, nfs = la.quotient(Fp, len(mj), [_residues(Fp, col)
+                                              for col in span])
+        residues.append((keep, nfs))
+        lifted = _lifted_quotient(span, keep, nfs)
+        if lifted is None:
+            exact.append(j)
+            lifted = la.quotient(P.field, len(mj), span)
+        quotients.append(lifted)
+    if Pp is None:
+        return quotients, None, exact
+    reduction = TruncatedBase.__new__(TruncatedBase)
+    reduction._fill(Pp, D, mons, residues)
+    return quotients, reduction, exact
+
+
+def _reconstructed(residues, m):
+    """The normal forms whose entries are residues mod m, each entry
+    lifted to Q (fields.reconstruct), or None when one does not lift."""
+    out = []
+    for nf in residues:
+        lifted = {}
+        for k, c in nf.items():
+            q = reconstruct(c, m)
+            if q is None:
+                return None
+            lifted[k] = q
+        out.append(lifted)
+    return out
+
+
+def _lifted_quotient(span, keep, residues):
+    """The quotient (keep, normal forms) of Q^n by the span of the
+    columns in span, lifted from its quotient (keep, residues) mod
+    PRIME and certified (_certified), or None.
+
+    One prime reconstructs numerators and denominators up to about 30
+    bits: a larger entry either does not lift or lifts to a wrong
+    fraction, which the certificate refuses.  Then the quotient also
+    runs mod SECOND_PRIME and, with the same complement, each entry is
+    combined with its residue mod PRIME by CRT and lifted mod the
+    product."""
+    nfs = _reconstructed(residues, PRIME)
+    if nfs is not None and _certified(span, keep, nfs):
+        return keep, nfs
+    Fq = GF(SECOND_PRIME)
+    try:
+        keep2, residues2 = la.quotient(
+            Fq, len(residues), [_residues(Fq, col) for col in span])
+    except ReductionError:
+        return None
+    if keep2 != keep:
+        return None
+    p, q = PRIME, SECOND_PRIME
+    u = pow(p, -1, q)
+    combined = []
+    for nf, nf2 in zip(residues, residues2):
+        out = {}
+        for k in sorted(nf.keys() | nf2.keys()):
+            a = nf.get(k, 0)
+            out[k] = a + p * ((nf2.get(k, 0) - a) * u % q)
+        combined.append(out)
+    nfs = _reconstructed(combined, p * q)
+    if nfs is not None and _certified(span, keep, nfs):
+        return keep, nfs
+    return None
+
+
+def _certified(span, keep, nfs):
+    """Whether the normal forms nfs are the quotient map of Q^n by the
+    span of the columns in span, with complement keep: NF(e_r) = e_r for
+    every row r of keep, and sum_r s_r NF(e_r) = 0 for every column s,
+    checked in integers over one common denominator.  Then NF is onto
+    Q^keep and kills the span, so ker NF = span: its dimension
+    n - |keep| is the rank of the span mod PRIME, and the rank over Q is
+    at least that."""
+    if any(nfs[r] != {i: 1} for i, r in enumerate(keep)):
+        return False
+    L = lcm(*(c.denominator for nf in nfs for c in nf.values()))
+    scaled = [{k: c.numerator * (L // c.denominator) for k, c in nf.items()}
+              for nf in nfs]
+    for col in span:
+        d = lcm(*(c.denominator for c in col.values()))
+        acc = {}
+        for r, c in col.items():
+            c = c.numerator * (d // c.denominator)
+            for k, v in scaled[r].items():
+                acc[k] = acc.get(k, 0) + c * v
+        if any(acc.values()):
+            return False
+    return True
+
+
 class TruncatedBase:
     """A BasePresentation materialized in internal degrees 0..D.
 
     Per degree j: an ordered monomial basis of the quotient (normal-form
     representatives) and a normal form for every polynomial-ring monomial
     of degree j.  Elements of degree j are dicts {basis_index: scalar}.
+
+    Over Q a degree's quotient runs mod PRIME, on the residues of its
+    relation span, and its normal forms are lifted to Q by rational
+    reconstruction and certified there (_lifted_quotient).  A degree
+    that does not lift is built by the exact quotient over Q.  The
+    quotients mod PRIME make up the base's reduction, which
+    reduce_mod(GF(PRIME)) returns without eliminating again.
+
+    Why a lifted degree is the exact one: the engine pivots on largest
+    rows, so the normal form mod PRIME of a row outside the complement
+    keep lies on rows of keep below it, and so does its lift.  Once the
+    lift is certified, e_r minus that normal form lies in the span over
+    Q, with largest row r: so every row outside keep is a pivot of the
+    exact quotient, which has as many pivots as the span's rank.  The
+    complements agree, and normal forms are unique once it is fixed.
     """
 
     def __init__(self, presentation, D):
         if D < 0:
             raise ValueError("bound D must be >= 0")
+        P = presentation
+        # each degree's monomials, listed once for the span and the table
+        mons = [P.monomials_of_intdeg(j) for j in range(D + 1)]
+        rels = [(P.mono_intdeg(next(iter(g))), g) for g in P.relations]
+        spans = []
+        for j, mj in enumerate(mons):
+            pos = {m: i for i, m in enumerate(mj)}
+            spans.append([{pos[_mono_mul(m, e)]: c for e, c in g.items()}
+                          for dg, g in rels if dg <= j
+                          for m in mons[j - dg]])
+        if P.field.characteristic:
+            self._fill(P, D, mons, [la.quotient(P.field, len(mj), span)
+                                    for mj, span in zip(mons, spans)])
+        else:
+            self._fill(P, D, mons, *_through_the_prime(P, D, mons, spans))
+
+    def _fill(self, presentation, D, mons, quotients, reduction=None,
+              exact=()):
+        """Set degree j from the quotient (keep, normal forms) of the
+        monomials mons[j], as la.quotient gives it.  Over Q, reduction
+        is the base mod PRIME (None if not built) and exact lists the
+        degrees built by the exact quotient (reduce_mod reads both)."""
         self.presentation = presentation
         self.field = presentation.field
         self.D = D
         self._basis = {}    # j -> list of exponent tuples
         self._nf = {}       # j -> {exponent tuple: {basis_index: scalar}}
         self._mult = {}
-        P = presentation
-        for j in range(D + 1):
-            mons = P.monomials_of_intdeg(j)
-            pos = {m: i for i, m in enumerate(mons)}
-            span = []
-            for g in P.relations:
-                dg = P.mono_intdeg(next(iter(g)))
-                if dg > j:
-                    continue
-                for m in P.monomials_of_intdeg(j - dg):
-                    col = {}
-                    for exps, c in g.items():
-                        col[pos[_mono_mul(m, exps)]] = c
-                    span.append(col)
-            keep, nfs = la.quotient(self.field, len(mons), span)
-            self._basis[j] = [mons[i] for i in keep]
-            self._nf[j] = dict(zip(mons, nfs))
+        self._reduction = reduction
+        self._exact = exact
+        for j, (mj, (keep, nfs)) in enumerate(zip(mons, quotients)):
+            self._basis[j] = [mj[i] for i in keep]
+            self._nf[j] = dict(zip(mj, nfs))
 
     # --- queries ---------------------------------------------------------
 
@@ -180,19 +341,25 @@ class TruncatedBase:
                      for nf in nfs.values() for c in nf.values()))
 
     def reduce_mod(self, field):
-        """This base over the prime field `field`: the relations reduced
-        mod p and materialized to the same bound D.  Raises
-        ReductionError unless the result is the reduction of this base:
-        the same basis in every degree, and the reduction of every
-        normal form equal to the new one, so that every structure
-        constant reduces."""
-        P = self.presentation
+        """This base over the prime field `field`, materialized to the
+        same bound D.  Raises ReductionError unless it is the reduction
+        of this base: the same basis in every degree, and the reduction
+        of every normal form equal to the new one, so that every
+        structure constant reduces.
+
+        A base over Q keeps its reduction mod PRIME, built with it: for
+        GF(PRIME) that base is returned, and only the degrees built by
+        the exact quotient are compared, as a lifted normal form reduces
+        to the one it was lifted from.  Otherwise the reduced relations
+        are materialized and every degree is compared."""
+        out = self._reduction
+        if out is not None and out.field == field:
+            degrees = self._exact
+        else:
+            out = TruncatedBase(self.presentation.reduce_mod(field), self.D)
+            degrees = range(self.D + 1)
         red = field.reduce
-        out = TruncatedBase(BasePresentation(
-            field, P.variables,
-            [{e: red(c) for e, c in g.items()} for g in P.relations]),
-            self.D)
-        for j in range(self.D + 1):
+        for j in degrees:
             if out._basis[j] != self._basis[j]:
                 raise ReductionError(
                     f"the degree-{j} basis changes mod {field.p}")

@@ -13,7 +13,7 @@ from . import homology as hml
 from . import model_builder as mb
 from .errors import (AdmissibilityError, BoundExceededError,
                      CertificationError)
-from .fields import GF
+from .fields import GF, PRIME
 from .module_resolution import (first_non_cycle, first_non_minimal,
                                 residue_field, resolve_module)
 
@@ -65,10 +65,6 @@ class PowerSeries:
 # Core invariants
 # ---------------------------------------------------------------------------
 
-# The prime through which the Betti table of k over Q is computed.
-PRIME = 2**61 - 1
-
-
 def deviations(A, max_hdeg, max_intdeg):
     """Deviations of A, read off the certified Betti table of k
     (betti_of_k).  The acyclic closure of k is its minimal semifree
@@ -101,10 +97,13 @@ def lifted_betti_table(A, max_hdeg, max_intdeg):
 
     The resolution over A_p must pass its build's certificate, cone
     exactness and minimality (betti_numbers); A_p must be the reduction
-    of A (ReductionError if not).  Its generators are lifted to integral
-    boundaries over A (SemifreeResolution.lift, ReductionError when a
-    residue has no lift).  The lift must be minimal and its differential
-    must square to zero over Q (first_non_cycle); else CertificationError.
+    of A (ReductionError if not).  The base of A was built through
+    PRIME and keeps its reduction, so A_p's base is that reduction, with
+    no quotient run again (TruncatedBase.reduce_mod).  The resolution's
+    generators are lifted to integral boundaries over A
+    (SemifreeResolution.lift, ReductionError when a residue has no
+    lift).  The lift must be minimal and its differential must square
+    to zero over Q (first_non_cycle); else CertificationError.
 
     Why a pass is exact: the lifted free module and its map to k reduce
     mod p to the resolution over A_p, up to rescaling generators by

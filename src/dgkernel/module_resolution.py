@@ -157,7 +157,8 @@ class SemifreeResolution(hml.Construction):
     def diff_matrix(self, i, j):
         """Column of the basis element a*g: d(a*g) = da*g + (-1)^|a| a*dg.
         dg lies on generators older than g, so the components of the two
-        summands never meet."""
+        summands never meet.  A base element (trivial monomial) is a
+        cycle, so da is looked up only for the others."""
         A = self.algebra
         F = A.field
         cols = self.basis(i, j)
@@ -166,8 +167,9 @@ class SemifreeResolution(hml.Construction):
         for g, akey in cols:
             h, _, bnd, _ = self.generators[g]
             col = {}
-            for akey2, c in A._label_differential(akey).items():
-                col[pos[(g, akey2)]] = c
+            if not akey[2].is_trivial():
+                for akey2, c in A._label_differential(akey).items():
+                    col[pos[(g, akey2)]] = c
             sign = F.neg(F.one) if (i - h) % 2 == 1 else F.one
             for g2, e in bnd.items():
                 prod = {}

@@ -1,7 +1,11 @@
 """Shared test fixtures: the standard rings and graded algebras used
-throughout the suite."""
+throughout the suite, and a strategy that draws small presentations."""
 
-from dgkernel import (QQ, BaseVariable, BasePresentation, TruncatedBase,
+from itertools import product
+
+from hypothesis import strategies as st
+
+from dgkernel import (QQ, GF, BaseVariable, BasePresentation, TruncatedBase,
                       DgAlgebra)
 
 
@@ -14,6 +18,35 @@ def ring_base(field, gens, relations, D):
 def ring_algebra(field, gens, relations, N, D):
     return DgAlgebra(ring_base(field, gens, relations, D),
                      max_hdeg=N, max_intdeg=D)
+
+
+@st.composite
+def small_presentations(draw, fields=(QQ, GF(2), GF(3), GF(101)),
+                        minimal=False):
+    """(A, N, D): a graded ring on <= 3 generators of internal degree 1-2
+    with monomial and binomial relations of internal degree 2-3, over
+    one of fields, and a box from (3,4) to (5,7).  With minimal, every
+    term is a product of at least two generators, so the presentation is
+    minimal, and relations may also have internal degree 4, the least
+    degree of such a product when every generator has degree 2."""
+    field = draw(st.sampled_from(fields))
+    degs = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    monomials = {d: [e for e in product(range(5), repeat=len(degs))
+                     if sum(k * g for k, g in zip(e, degs)) == d
+                     and (sum(e) >= 2 or not minimal)]
+                 for d in ((2, 3, 4) if minimal else (2, 3))}
+    relations = []
+    for d in draw(st.lists(st.sampled_from(
+            [d for d, terms in monomials.items() if terms]), min_size=1,
+            max_size=3)):
+        terms = draw(st.lists(st.sampled_from(monomials[d]), min_size=1,
+                              max_size=2, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(field),
+                               min_size=len(terms), max_size=len(terms)))
+        relations.append(dict(zip(terms, coeffs)))
+    N, D = draw(st.integers(3, 5)), draw(st.integers(4, 7))
+    gens = [(name, d) for name, d in zip("xyz", degs)]
+    return ring_algebra(field, gens, relations, N, D), N, D
 
 
 def hypersurface(field=QQ, N=8, D=8):

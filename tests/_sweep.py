@@ -21,7 +21,10 @@ The grid is 11 rings x {Q, F_2, F_101} x 18 task forms x the boxes
 At the end it prints one line on stderr, which the diff leaves out: how
 many Betti tables of k over Q the lifted route
 (`invariants.lifted_betti_table`) certified, and how many it left to the
-exact resolution over Q.  Identical reports cannot tell the two apart.
+exact resolution over Q; and how many Q bases with a relation multiple
+in some degree were lifted from their quotients mod the prime in every
+degree, and how many were built by the exact quotient over Q in some
+degree.  Identical reports cannot tell the routes apart.
 """
 
 import contextlib
@@ -115,15 +118,35 @@ def count_lifted_route(inv):
     return counts
 
 
+def count_q_bases(gb):
+    """Wrap gb._through_the_prime to count the Q bases with a relation
+    multiple in some degree that were lifted in every degree, and the
+    ones built exactly in some degree (or whose relations do not reduce
+    mod the prime); returns the live counts."""
+    counts = {"lifted": 0, "built exactly": 0}
+    through = gb._through_the_prime
+
+    def counted(P, D, mons, spans):
+        out = through(P, D, mons, spans)
+        if any(spans):
+            _, reduction, exact = out
+            lifted = reduction is not None and not exact
+            counts["lifted" if lifted else "built exactly"] += 1
+        return out
+    gb._through_the_prime = counted
+    return counts
+
+
 def main(argv):
     if len(argv) != 2:
         print("usage: python tests/_sweep.py SRC", file=sys.stderr)
         return 1
     sys.path.insert(0, os.path.abspath(argv[1]))
     from dgkernel import cli
-    from dgkernel import invariants
+    from dgkernel import graded_base, invariants
 
     counts = count_lifted_route(invariants)
+    bases = count_q_bases(graded_base)
     with tempfile.TemporaryDirectory() as workdir:
         for ring, body in RINGS.items():
             for field in FIELDS:
@@ -135,7 +158,9 @@ def main(argv):
                         print(f"{ring} {field} {N},{D} {task}: "
                               f"exit {code} {digest}", flush=True)
     print(f"lifted route: {counts['certified']} certified, "
-          f"{counts['fell back']} fell back", file=sys.stderr)
+          f"{counts['fell back']} fell back; Q bases: "
+          f"{bases['lifted']} lifted, {bases['built exactly']} built exactly",
+          file=sys.stderr)
     return 0
 
 

@@ -6,11 +6,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dgkernel import QQ, GF
 from dgkernel.errors import ReductionError
-from dgkernel.fields import PRIMALITY_BOUND, _is_prime
+from dgkernel.fields import (PRIMALITY_BOUND, PRIME, SECOND_PRIME,
+                             _is_prime, reconstruct)
 
 SCALARS = st.one_of(
     st.integers(-12, 12),
@@ -156,3 +157,27 @@ def test_reconstruction_refuses_beyond_the_bound(r, s):
         got = Fraction(got)
         assert abs(got.numerator) <= B61 and got.denominator <= B61
     assert F.lift(B61 + 1) is None
+
+
+M = PRIME * SECOND_PRIME
+BM = isqrt(M // 2)
+
+
+def test_the_two_primes_are_prime_and_their_fields_are_shared():
+    assert _is_prime(PRIME) and _is_prime(SECOND_PRIME)
+    assert GF(PRIME) is GF(PRIME)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-BM, BM), st.integers(1, BM))
+def test_reconstruction_mod_the_product_of_the_primes(r, s):
+    # a fraction of up to 62-bit numerator and denominator comes back
+    # from its residues mod PRIME and mod SECOND_PRIME, combined by CRT
+    x = Fraction(r, s)
+    p, q = PRIME, SECOND_PRIME
+    assume(x.denominator % p and x.denominator % q)
+    a, b = GF(p).reduce(x), GF(q).reduce(x)
+    c = a + p * ((b - a) * pow(p, -1, q) % q)
+    assert reconstruct(c, M) == x
+    if x.denominator > B61 or abs(x.numerator) > B61:
+        assert GF(p).lift(a) != x
