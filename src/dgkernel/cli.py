@@ -33,7 +33,7 @@ from .errors import (AdmissibilityError, BoundExceededError,
                      ParityError)
 from .fields import parse_field
 from .graded_base import BasePresentation, BaseVariable, TruncatedBase
-from .module_resolution import PresentedModule
+from .module_resolution import cyclic_module
 
 # command -> the task options it takes
 COMMANDS = {"deviations": (), "acyclic-closure": (),
@@ -509,7 +509,7 @@ def _parse_module(A, spec_text, job):
             terms = parse_expression(expr, line, base_names)
             rels.append(_terms_to_poly(terms, A.field, line))
         try:
-            return PresentedModule(A, rels)
+            return cyclic_module(A, rels)
         except (BoundExceededError, ValueError) as e:
             raise JobError(str(e), line)
     raise JobError("--module takes residue-field or cyclic:<expr>[,...]",

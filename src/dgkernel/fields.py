@@ -165,7 +165,7 @@ class PrimeField:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def div(self, a, b):
         return (a * self.inv(b)) % self.p

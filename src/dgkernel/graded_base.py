@@ -11,6 +11,9 @@ Generators may optionally carry a positive *even* homological degree
 (default 0), which lets the same machinery serve both ordinary rings and
 graded-commutative algebras concentrated in even homological degrees,
 e.g. k[x0]/(x0^m) with |x0| = d.  The differential is always zero here.
+
+A RingTarget is such a ring as the target of a construction: the ring a
+model maps to, a cyclic module A0/I, or k (residue_field).
 """
 
 from math import lcm
@@ -71,9 +74,6 @@ class BasePresentation:
         if len(hdegs) != 1:
             raise HomogeneityError(
                 f"non-homogeneous relation #{k}: homological degrees {sorted(hdegs)}")
-        (d,) = degs
-        if d < 2:
-            raise HomogeneityError(f"relation #{k} has internal degree {d} < 2")
         return clean
 
     def mono_intdeg(self, exps):
@@ -415,3 +415,80 @@ class TruncatedBase:
         for exps, c in poly.items():
             la.axpy(self.field, out, c, self.normal_form(j, exps))
         return j, out
+
+
+# ---------------------------------------------------------------------------
+# Targets
+# ---------------------------------------------------------------------------
+
+class RingTarget:
+    """A truncated graded quotient ring R as a dg-algebra with zero
+    differential: the target of a model, and as a cyclic module, of a
+    resolution.  Generators may carry even homological degrees, so this
+    covers both ordinary rings and algebras like k[x0]/(x0^m), |x0| = d.
+    The source base S acts through the map S -> R that sends each
+    generator of S to the generator of R of the same name, and to 0 when
+    R has none: with no generators, R is k and the map the augmentation.
+    An element of R_j is a dict {basis index of R_j: scalar}; slice (i, j)
+    is spanned by the basis elements of R_j of homological degree i."""
+
+    def __init__(self, tbase, source_base):
+        self.tbase = tbase
+        self.field = tbase.field
+        self.source_base = source_base
+        tnames = [v.name for v in tbase.presentation.variables]
+        # target position of each source generator, None if it maps to 0
+        self._cols = [tnames.index(v.name) if v.name in tnames else None
+                      for v in source_base.presentation.variables]
+        self._bases = {}
+
+    def basis(self, i, j):
+        key = (i, j)
+        if key not in self._bases:
+            R = self.tbase
+            self._bases[key] = [] if not 0 <= j <= R.D else [
+                idx for idx in range(R.dim(j)) if R.basis_hdeg(j, idx) == i]
+        return self._bases[key]
+
+    def dim(self, i, j):
+        return len(self.basis(i, j))
+
+    def coords(self, i, j, elem):
+        """Coordinates in slice (i, j) of elem, an element of R_j of
+        homological degree i."""
+        pos = {idx: n for n, idx in enumerate(self.basis(i, j))}
+        return {pos[idx]: c for idx, c in elem.items()}
+
+    def base_image(self, jb, ib):
+        """Image in R_jb of the source basis monomial (jb, ib): its normal
+        form in the target ring (the base's own dict, read only), or 0
+        when it has a generator that maps to 0."""
+        texps = [0] * len(self.tbase.presentation.variables)
+        for e, c in zip(self.source_base.basis(jb)[ib], self._cols):
+            if c is not None:
+                texps[c] = e
+            elif e:
+                return {}
+        return self.tbase.normal_form(jb, tuple(texps))
+
+    def act_matrix(self, d, bidx, i, j):
+        """Multiplication by the image of the source base element (d,
+        bidx), from slice (i, j) to (i, j + d)."""
+        F = self.field
+        n, m = self.dim(i, j), self.dim(i, j + d)
+        if not (n and m):
+            return la.ExactMatrix.zero(F, m, n)
+        elem = self.base_image(d, bidx)
+        if not elem:
+            return la.ExactMatrix.zero(F, m, n)
+        return la.ExactMatrix(F, m, [
+            self.coords(i, j + d,
+                        self.tbase.multiply(d, elem, j, {idx: F.one}))
+            for idx in self.basis(i, j)])
+
+
+def residue_field(A):
+    """k over A, the one target of models and resolutions of k: the ring
+    with no generators, reached from A's base by the augmentation."""
+    k = TruncatedBase(BasePresentation(A.field, ()), A.base.D)
+    return RingTarget(k, A.base)

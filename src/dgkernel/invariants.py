@@ -14,8 +14,9 @@ from . import model_builder as mb
 from .errors import (AdmissibilityError, BoundExceededError,
                      CertificationError)
 from .fields import GF, PRIME
+from .graded_base import residue_field
 from .module_resolution import (first_non_cycle, first_non_minimal,
-                                residue_field, resolve_module)
+                                resolve_module)
 
 
 # ---------------------------------------------------------------------------

@@ -23,81 +23,10 @@ from . import exact_linear as la
 from . import homology as hml
 from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
 from .errors import AdmissibilityError
-from .graded_base import BasePresentation, TruncatedBase
+from .graded_base import (BasePresentation, RingTarget, TruncatedBase,
+                          residue_field)
 
 INFINITY = math.inf
-
-
-# ---------------------------------------------------------------------------
-# Targets
-# ---------------------------------------------------------------------------
-
-class RingTarget:
-    """A truncated graded quotient ring R as a dg-algebra with zero
-    differential.  Generators may carry even homological degrees, so this
-    covers both ordinary rings and algebras like k[x0]/(x0^m), |x0| = d.
-    The source base S acts through the map S -> R that sends each
-    generator of S to the generator of R of the same name, and to 0 when
-    R has none: with no generators, R is k and the map the augmentation.
-    An element of R_j is a dict {basis index of R_j: scalar}; slice (i, j)
-    is spanned by the basis elements of R_j of homological degree i."""
-
-    def __init__(self, tbase, source_base):
-        self.tbase = tbase
-        self.field = tbase.field
-        self.source_base = source_base
-        tnames = [v.name for v in tbase.presentation.variables]
-        # target position of each source generator, None if it maps to 0
-        self._cols = [tnames.index(v.name) if v.name in tnames else None
-                      for v in source_base.presentation.variables]
-        self._bases = {}
-
-    def basis(self, i, j):
-        key = (i, j)
-        if key not in self._bases:
-            if 0 <= j <= self.tbase.D:
-                self._bases[key] = [
-                    idx for idx in range(self.tbase.dim(j))
-                    if self.tbase.basis_hdeg(j, idx) == i]
-            else:
-                self._bases[key] = []
-        return self._bases[key]
-
-    def dim(self, i, j):
-        return len(self.basis(i, j))
-
-    def coords(self, i, j, elem):
-        """Coordinates in slice (i, j) of elem, an element of R_j of
-        homological degree i."""
-        pos = {idx: n for n, idx in enumerate(self.basis(i, j))}
-        return {pos[idx]: c for idx, c in elem.items()}
-
-    def base_image(self, jb, ib):
-        """Image in R_jb of the source basis monomial (jb, ib): its normal
-        form in the target ring (the base's own dict, read only), or 0
-        when it has a generator that maps to 0."""
-        texps = [0] * len(self.tbase.presentation.variables)
-        for e, c in zip(self.source_base.basis(jb)[ib], self._cols):
-            if c is not None:
-                texps[c] = e
-            elif e:
-                return {}
-        return self.tbase.normal_form(jb, tuple(texps))
-
-    def act_matrix(self, d, bidx, i, j):
-        """Multiplication by the image of the source base element (d,
-        bidx), from slice (i, j) to (i, j + d)."""
-        F = self.field
-        n, m = self.dim(i, j), self.dim(i, j + d)
-        if not (n and m):
-            return la.ExactMatrix.zero(F, m, n)
-        elem = self.base_image(d, bidx)
-        if not elem:
-            return la.ExactMatrix.zero(F, m, n)
-        return la.ExactMatrix(F, m, [
-            self.coords(i, j + d,
-                        self.tbase.multiply(d, elem, j, {idx: F.one}))
-            for idx in self.basis(i, j)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +171,9 @@ def build_model(source, target, switching_degree, max_hdeg, max_intdeg, *,
 
 def residue_field_model(A, max_hdeg, max_intdeg, switching_degree,
                         reverse=False):
-    """Model of k over A along the augmentation: the map to the ring
-    with no generators."""
-    k = TruncatedBase(BasePresentation(A.field, ()), max_intdeg)
-    return build_model(A, RingTarget(k, A.base), switching_degree,
-                       max_hdeg, max_intdeg, reverse=reverse)
+    """Model of k over A along the augmentation (residue_field)."""
+    return build_model(A, residue_field(A), switching_degree, max_hdeg,
+                       max_intdeg, reverse=reverse)
 
 
 def acyclic_closure(A, max_hdeg, max_intdeg, reverse=False):

@@ -2,8 +2,9 @@
 
 Admissible modules: cyclic A0-modules A0/I in bidegree (0, 0), I
 generated by finitely many homogeneous polynomials, on which every
-boundary of A acts as zero.  The residue field k is A0/m
-(residue_field).  The resolution is
+boundary of A acts as zero.  Such a module is the quotient ring A0/I,
+a graded_base.RingTarget (cyclic_module); the residue field k is the
+ring with no generators (graded_base.residue_field).  The resolution is
 built by the same staged cone construction as the models
 (homology.kill_homology): at stage n, cycles in cone(q: F -> M) that
 descend to minimal A0-generators of H_n become new free summands,
@@ -18,94 +19,7 @@ from . import exact_linear as la
 from . import homology as hml
 from .dg_core import DgElement
 from .errors import AdmissibilityError, ReductionError
-
-
-class PresentedModule:
-    """A cyclic A0-module A0/I in bidegree (0, 0): one generator, and
-    each relation, a generator of I, a homogeneous polynomial
-    {exponent_tuple: scalar} over the base presentation.  A boundary of
-    A (the image of d: A_1 -> A_0) must act as zero on it
-    (AdmissibilityError)."""
-
-    def __init__(self, algebra, relations=()):
-        self.algebra = algebra
-        self.field = algebra.field
-        base = algebra.base
-        D = base.D
-        # reduce each relation to base coordinates
-        self._rels = []
-        for k, poly in enumerate(relations):
-            j, coeffs = base.reduce_poly(poly)
-            if any(base.basis_hdeg(j, b) != 0 for b in coeffs):
-                raise AdmissibilityError(
-                    f"relation #{k}: coefficient outside A0")
-            if not coeffs:
-                raise ValueError(f"relation #{k} is zero")
-            self._rels.append((j, coeffs))
-        # materialize per internal degree: a label is a basis index of A0
-        self._bases = {}
-        self._nf = {}
-        for j in range(D + 1):
-            free = base.a0_basis(j)
-            pos = {b: n for n, b in enumerate(free)}
-            span = []
-            for t, coeffs in self._rels:
-                if t > j:
-                    continue
-                for r in base.a0_basis(j - t):
-                    span.append({
-                        pos[b]: c for b, c in base.multiply(
-                            j - t, {r: self.field.one}, t, coeffs).items()})
-            keep, nfs = la.quotient(self.field, len(free), span)
-            self._bases[j] = [free[i] for i in keep]
-            self._nf[j] = dict(zip(free, nfs))
-        # q: F -> M is a chain map only if every boundary of A, a column
-        # of d: A_1 -> A_0, acts as zero on M
-        one = self.field.one
-        top = algebra.max_intdeg if algebra.max_hdeg >= 1 else 0
-        for e in range(1, top + 1):
-            for col in algebra.diff_matrix(1, e).columns:
-                z = algebra.element_from_coords(0, e, col)
-                for j in range(D - e + 1):
-                    if any(self.act(z, j, {n: one})
-                           for n in range(len(self._bases[j]))):
-                        raise AdmissibilityError(
-                            f"a boundary of internal degree {e} acts "
-                            "nonzero on the module")
-
-    def basis(self, i, j):
-        return self._bases[j] if i == 0 else []
-
-    def dim(self, i, j):
-        return len(self.basis(i, j))
-
-    def _mult_by_base(self, d, bidx, j, coords):
-        """coords in degree j -> coords in degree j + d, multiplication by
-        base basis element (d, bidx)."""
-        F = self.field
-        base = self.algebra.base
-        out = {}
-        for n, c in coords.items():
-            prod = base.mult_basis(d, bidx, j, self._bases[j][n])
-            for b2, c2 in prod.items():
-                la.axpy(F, out, F.mul(c, c2), self._nf[j + d][b2])
-        return out
-
-    def act_matrix(self, d, bidx, i, j):
-        one = self.field.one
-        return la.ExactMatrix(self.field, self.dim(i, j + d), [
-            self._mult_by_base(d, bidx, j, {cidx: one})
-            for cidx in range(self.dim(i, j))])
-
-    def act(self, a, j, coords):
-        """Action of a, an element of A_0, on coords in internal degree
-        j: every term of a is a base element (jb, ib) of A0, as A's
-        variables have homological degree >= 1."""
-        out = {}
-        for (jb, ib, _), c in a.terms.items():
-            la.axpy(self.field, out, c, self._mult_by_base(
-                jb, ib, j, coords) if jb else coords)
-        return out
+from .graded_base import BasePresentation, RingTarget, TruncatedBase
 
 
 class SemifreeResolution(hml.Construction):
@@ -114,7 +28,7 @@ class SemifreeResolution(hml.Construction):
     the Betti table."""
 
     def __init__(self, algebra, module, max_hdeg, max_intdeg):
-        # generators: (hdeg, intdeg, boundary {g: DgElement}, qimg coords)
+        # generators: (hdeg, intdeg, boundary {g: DgElement}, image in M)
         self.generators = []
         # runs (h, d, first, stop) of consecutive generators of bidegree
         # (h, d), in order
@@ -195,25 +109,30 @@ class SemifreeResolution(hml.Construction):
     # --- the comparison map -------------------------------------------------
 
     def q_block(self, i, j):
-        """q from slice (i, j) to the module, which is zero outside
+        """q from slice (i, j) to the module ring R, which is zero outside
         homological degree 0: the label (g, a) of slice (0, j), a a base
-        element (jb, ib) of A0, goes to a times the image of g."""
+        element (jb, ib) of A0, goes to the image of a in R times the
+        image of g."""
         F = self.algebra.field
         if i:
             return la.ExactMatrix.zero(F, 0, self.dim(i, j))
-        M = self.target
+        T = self.target
         columns = []
         for g, (jb, ib, _) in self.basis(0, j):
-            _, d, _, qimg = self.generators[g]
-            columns.append(M._mult_by_base(jb, ib, d, qimg) if jb else qimg)
-        return la.ExactMatrix(F, M.dim(0, j), columns)
+            _, d, _, img = self.generators[g]
+            if jb:
+                img = T.tbase.multiply(jb, T.base_image(jb, ib), d, img)
+            columns.append(T.coords(0, j, img))
+        return la.ExactMatrix(F, T.dim(0, j), columns)
 
     def adjoin(self, n, stage):
         """Add one free generator of homological degree n per cycle of the
         stage, with its boundary and its image in the module, in place."""
         # generators of degree n leave the degree-(n-1) basis unchanged, so
         # every boundary is read off the pre-stage basis
-        new = [(n, j, self.coords_to_components(n - 1, j, x), t)
+        T = self.target
+        new = [(n, j, self.coords_to_components(n - 1, j, x),
+                {T.basis(n, j)[r]: c for r, c in t.items()})
                for j, x, t in stage]
         # stages arrive in order of (n, j), so each new generator extends
         # the last run or starts one
@@ -382,23 +301,50 @@ def first_non_minimal(generators):
     return None
 
 
-def residue_field(A):
-    """k = A0/m: the cyclic module with one relation per
-    homological-degree-0 generator of the base that lies in the bound
-    and is nonzero in A."""
+def cyclic_module(A, relations):
+    """The cyclic module A0/I in bidegree (0, 0) as the quotient ring R
+    it is, a RingTarget over A.base.  Each relation, a generator of I,
+    is a homogeneous polynomial {exponent_tuple: scalar} over the base
+    presentation.  R is presented on the base's homological-degree-0
+    generators by the base's homological-degree-0 relations and each
+    relation in its reduced form.  A boundary of A (the image of
+    d: A_1 -> A_0) must act as zero on R (AdmissibilityError)."""
     base = A.base
-    p = base.presentation
-    rels = []
-    for v in p.variables:
-        if v.hdeg != 0 or v.intdeg > base.D:
-            continue
-        x = tuple(1 if w is v else 0 for w in p.variables)
-        if base.normal_form(v.intdeg, x):
-            rels.append({x: A.field.one})
-    return PresentedModule(A, rels)
+    P = base.presentation
+    # A0's generators, and its relations and those of I on them
+    a0 = [n for n, v in enumerate(P.variables) if v.hdeg == 0]
+    rels = [g for g in P.relations if P.mono_hdeg(next(iter(g))) == 0]
+    for k, poly in enumerate(relations):
+        j, coeffs = base.reduce_poly(poly)
+        if any(base.basis_hdeg(j, b) != 0 for b in coeffs):
+            raise AdmissibilityError(f"relation #{k}: coefficient outside A0")
+        if not coeffs:
+            raise ValueError(f"relation #{k} is zero")
+        rels.append({base.basis(j)[b]: c for b, c in coeffs.items()})
+    R = RingTarget(TruncatedBase(BasePresentation(
+        A.field, [P.variables[n] for n in a0],
+        [{tuple(e[n] for n in a0): c for e, c in g.items()} for g in rels]),
+        base.D), base)
+    # q: F -> R is a chain map only if every boundary of A, a column of
+    # d: A_1 -> A_0, acts as zero on R; R is cyclic on 1, so that is its
+    # image in R being 0
+    top = A.max_intdeg if A.max_hdeg >= 1 else 0
+    for e in range(1, top + 1):
+        labels = A.basis_of_bidegree(0, e)
+        for col in A.diff_matrix(1, e).columns:
+            image = {}
+            for r, c in col.items():
+                jb, ib, _ = labels[r]
+                la.axpy(A.field, image, c, R.base_image(jb, ib))
+            if image:
+                raise AdmissibilityError(
+                    f"a boundary of internal degree {e} acts nonzero on "
+                    "the module")
+    return R
 
 
 def resolve_module(A, M, max_hdeg, max_intdeg):
-    """Minimal semifree resolution of the cyclic module M over A in the
-    box, certified by its build: exact below max_hdeg, and minimal."""
+    """Minimal semifree resolution of the cyclic module M (a RingTarget)
+    over A in the box, certified by its build: exact below max_hdeg,
+    and minimal."""
     return SemifreeResolution(A, M, max_hdeg, max_intdeg).build(0)

@@ -1,6 +1,6 @@
 """Independent brute-force oracle: minimal bigraded free resolutions of
-the residue field over a truncated graded base, by degreewise linear
-algebra only.
+the residue field, or of a cyclic module R/I, over a truncated graded
+base, by degreewise linear algebra only.
 
 Deliberately shares nothing with the dg machinery: no variables, no
 divided powers, no Leibniz differential, no mapping cones.  A resolution
@@ -14,8 +14,11 @@ from dgkernel import exact_linear as la
 
 
 class OracleResolution:
-    """Minimal free resolution of k over a TruncatedBase R, up to total
-    homological degree N and internal degree D.
+    """Minimal free resolution of R/I over a TruncatedBase R, up to total
+    homological degree N and internal degree D: of k = R/m by default,
+    else of the cyclic module R/I for ideal, the generators of I as
+    elements (intdeg, {ring_basis_index: scalar}) of R in the maximal
+    ideal, of homological degree 0.
 
     Generators: list of (hdeg, intdeg, boundary) where boundary maps
     gen index -> {ring_basis_index: scalar} (an element of R in the
@@ -23,11 +26,12 @@ class OracleResolution:
     lowering homological degree by 1 and preserving internal degree.
     """
 
-    def __init__(self, R, N, D):
+    def __init__(self, R, N, D, ideal=None):
         self.R = R
         self.F = R.field
         self.N = N
         self.D = D
+        self.ideal = ideal
         self.generators = [(0, 0, {})]
         self._build()
 
@@ -70,16 +74,49 @@ class OracleResolution:
 
     # --- construction ---------------------------------------------------------
 
+    def _ideal_span(self, j, basis):
+        """Columns spanning I_j in the coordinates of slice (0, j): each
+        generator of I times each homological-degree-0 basis element of
+        R of the missing degree."""
+        R, F = self.R, self.F
+        pos = {lab: n for n, lab in enumerate(basis)}
+        span = []
+        for t, elem in self.ideal:
+            if t > j:
+                continue
+            for r in range(R.dim(j - t)):
+                if R.basis_hdeg(j - t, r):
+                    continue
+                col = {}
+                for b, c in elem.items():
+                    for b2, c2 in R.mult_basis(j - t, r, t, b).items():
+                        key = pos[(0, b2)]
+                        s = F.add(col.get(key, F.zero), F.mul(c, c2))
+                        if F.is_zero(s):
+                            col.pop(key, None)
+                        else:
+                            col[key] = s
+                if col:
+                    span.append(col)
+        return span
+
     def _build(self):
         R, F = self.R, self.F
-        # kernels[(i, j)] = (cycle columns, slice basis); the unit at (0,0)
-        # spans H_0 = k and is excluded (it is not to be killed)
+        # kernels[(i, j)] = (cycle columns, slice basis); the degree-0
+        # cycles are the kernel of F_0 = R -> R/I, so I_j, and for k
+        # everything but the unit at (0,0), which spans H_0 = k and is
+        # not to be killed
         kernels = {}
         for i in range(1, self.N + 1):
             cache = {}
             for j in range(self.D + 1):
                 M = self.diff_matrix(i - 1, j, cache)
-                Z = [] if (i - 1, j) == (0, 0) else la.kernel_basis(M).columns
+                if i == 1 and self.ideal is not None:
+                    Z = self._ideal_span(j, cache[(0, j)])
+                elif (i - 1, j) == (0, 0):
+                    Z = []
+                else:
+                    Z = la.kernel_basis(M).columns
                 kernels[(i - 1, j)] = (Z, cache[(i - 1, j)])
             new_gens = []
             for j in range(self.D + 1):

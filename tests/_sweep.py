@@ -24,7 +24,12 @@ many Betti tables of k over Q the lifted route
 exact resolution over Q; and how many Q bases with a relation multiple
 in some degree were lifted from their quotients mod the prime in every
 degree, and how many were built by the exact quotient over Q in some
-degree.  Identical reports cannot tell the routes apart.
+degree.  The module ring of each of the 22 `betti --module cyclic:x`
+jobs over Q is such a base, so they are among them: the line reads
+
+    lifted route: 251 certified, 0 fell back; Q bases: 451 lifted, 0 built exactly
+
+Identical reports cannot tell the routes apart.
 """
 
 import contextlib

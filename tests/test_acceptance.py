@@ -16,7 +16,8 @@ from dgkernel import (QQ, GF, acyclic_closure, model_over_cover,
                       DIVIDED_POWER)
 from dgkernel import invariants as inv
 from dgkernel import model_builder as mb
-from dgkernel.module_resolution import residue_field, resolve_module
+from dgkernel.graded_base import residue_field
+from dgkernel.module_resolution import resolve_module
 from _fixtures import (count_marginal, free_rank_table, hypersurface,
                        complete_intersection, golod, marginals,
                        truncated_even, two_even_generators)

@@ -169,6 +169,21 @@ task betti --module cyclic:x
     assert "marginals 1 1 1 1 1 1 1" in out
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:2"])
+@pytest.mark.parametrize("spec", ["1", "x,1"])
+def test_betti_of_the_zero_module_is_empty(tmp_path, capsys, field, spec):
+    # an ideal holding a unit (and a linear form) is the whole ring: the
+    # zero module, resolved by no generator
+    job = (f"field {field}\nbase x 1\nbase y 1\nrelation x^2\n"
+           f"relation x*y\nbounds 4 5\ntask betti --module cyclic:{spec}\n")
+    assert run_cli([write_job(tmp_path, job)]) == 0
+    assert capsys.readouterr().out == (
+        f"task      betti\nfield     {field}\n"
+        "bounds    max_hdeg=4 max_intdeg=5\n"
+        f"module    cyclic:{spec}\nminimal   true\n\n"
+        "i  j  beta\n\nmarginals 0 0 0 0 0\n")
+
+
 def test_cyclic_module_error_names_the_task_line(tmp_path, capsys):
     path = write_job(tmp_path, HYP.format(task="betti --module cyclic:q"))
     assert run_cli([path]) == 1

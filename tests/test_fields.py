@@ -101,6 +101,18 @@ def test_prime_field_refuses_p_beyond_the_proven_bound():
             GF(p)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([PRIME, SECOND_PRIME, 101]), st.integers(1, 2**64))
+def test_prime_field_inverse(p, a):
+    F = GF(p)
+    a = F.from_int(a)
+    assume(a)
+    assert F.mul(a, F.inv(a)) == F.one
+    assert F.div(a, a) == F.one
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        F.inv(p)
+
+
 def test_reduction_of_rationals():
     F = GF(7)
     assert F.reduce(-1) == 6

@@ -73,9 +73,16 @@ def test_nonhomogeneous_relation_rejected():
         BasePresentation(QQ, [BaseVariable("x", 1)], [{(2,): 1, (1,): 1}])
 
 
-def test_linear_relation_rejected():
-    with pytest.raises(HomogeneityError):
-        BasePresentation(QQ, [BaseVariable("x", 1)], [{(1,): 1}])
+def test_linear_and_unit_relations_give_their_quotients():
+    # a cyclic module A0/I is a quotient ring whose ideal may hold linear
+    # forms and units: killing x leaves k[y]/(y^3), killing 1 leaves 0
+    gens = [("x", 1), ("y", 1)]
+    for field in (QQ, GF(2)):
+        R = ring_base(field, gens, [{(1, 0): 1}, {(0, 3): 1}], 5)
+        assert [R.dim(j) for j in range(6)] == [1, 1, 1, 0, 0, 0]
+        assert R.normal_form(1, (1, 0)) == {}
+        zero = ring_base(field, gens, [{(1, 0): 1}, {(0, 0): 1}], 5)
+        assert [zero.dim(j) for j in range(6)] == [0] * 6
 
 
 def test_odd_base_hdeg_rejected():

@@ -14,8 +14,9 @@ from dgkernel import homology as hml
 from dgkernel import exact_linear as la
 from dgkernel import model_builder as mb
 from dgkernel.dg_core import DgElement, POLYNOMIAL
-from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
-                                        residue_field, resolve_module)
+from dgkernel.graded_base import residue_field
+from dgkernel.module_resolution import (SemifreeResolution, cyclic_module,
+                                        resolve_module)
 from _fixtures import (complete_intersection, golod, hypersurface,
                        ring_algebra)
 
@@ -204,7 +205,7 @@ def betti_of(field, algebra, cyclic=None):
     def run(reverse):
         A = algebra(field, 5, 8)
         M = (residue_field(A) if cyclic is None else
-             PresentedModule(A, [cyclic]))
+             cyclic_module(A, [cyclic]))
         return SemifreeResolution(A, M, 5, 8).build(0, reverse=reverse)
     return run
 
@@ -479,19 +480,13 @@ def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
     assert any(checked)
 
 
-def residue_target(A, D):
-    """k as the ring with no generators, reached by the augmentation."""
-    return mb.RingTarget(TruncatedBase(BasePresentation(A.field, ()), D),
-                         A.base)
-
-
 def resolve_k(A, N, D):
     return resolve_module(A, residue_field(A), N, D)
 
 
 def closure_through(A, N, D, last):
     """The acyclic closure of k over A built through stage last only."""
-    model = mb.Model(A, residue_target(A, D), 0, N, D)
+    model = mb.Model(A, residue_field(A), 0, N, D)
     for n in range(1, last + 1):
         hml.kill_homology(model, n)
     return model

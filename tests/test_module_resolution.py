@@ -1,16 +1,19 @@
 """Minimal semifree resolutions of modules over dg-algebras."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError, BaseVariable,
                       BasePresentation, TruncatedBase, DgAlgebra, Monomial)
 from dgkernel import homology as hml
-from dgkernel.module_resolution import (PresentedModule, SemifreeResolution,
-                                        first_non_minimal, residue_field,
-                                        resolve_module)
+from dgkernel import invariants as inv
+from dgkernel.graded_base import residue_field
+from dgkernel.module_resolution import (SemifreeResolution, cyclic_module,
+                                        first_non_minimal, resolve_module)
 from _fixtures import (free_rank_table, hypersurface, complete_intersection,
-                       golod, marginals, ring_algebra, two_even_generators)
-from _oracle import betti_of_k
+                       golod, marginals, ring_algebra, small_presentations,
+                       two_even_generators)
+from _oracle import OracleResolution, betti_of_k
 
 
 def betti_marginals(res, N):
@@ -63,7 +66,7 @@ def test_cyclic_module_over_a_hypersurface():
     # A0/(x^2) over k[x]/(x^3) is resolved by multiplication by x and by
     # x^2 in turn: generator i sits in internal degree 3i/2, rounded up
     A = ring_algebra(QQ, [("x", 1)], [{(3,): 1}], 6, 10)
-    M = PresentedModule(A, [{(2,): 1}])
+    M = cyclic_module(A, [{(2,): 1}])
     res = resolve_module(A, M, 6, 10)
     assert sorted(res.betti_table().items()) == [
         ((i, (3 * i + 1) // 2), 1) for i in range(7)]
@@ -71,7 +74,7 @@ def test_cyclic_module_over_a_hypersurface():
 
 def test_free_module_resolves_instantly():
     A = hypersurface(QQ, N=6, D=6)
-    M = PresentedModule(A, [])
+    M = cyclic_module(A, [])
     res = resolve_module(A, M, 6, 6)
     assert betti_marginals(res, 6) == [1, 0, 0, 0, 0, 0, 0]
 
@@ -98,7 +101,7 @@ def test_kept_bases_match_a_fresh_resolution():
     A = golod(GF(101), N=6, D=8)
     B = ring_algebra(QQ, [("x", 1)], [{(3,): 1}], 5, 6)
     cases = [(A, residue_field(A), 6, 8),
-             (B, PresentedModule(B, [{(2,): 1}]), 5, 6)]
+             (B, cyclic_module(B, [{(2,): 1}]), 5, 6)]
     for alg, M, N, D in cases:
         res = SemifreeResolution(alg, M, N, D)
         kept_any = False
@@ -176,10 +179,10 @@ def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
     assert counts["monomials"] == 0
 
 
-# Rings whose residue field has fewer relations than base generators: a
-# generator killed by a relation (|y| = 2), one above the internal bound
-# D = 7, one of homological degree 2, and a presentation that is not
-# minimal.  Each is (generators (name, intdeg, hdeg), relations).
+# Rings with a base generator that is no minimal generator of A0's
+# maximal ideal: a generator killed by a relation (|y| = 2), one above
+# the internal bound D = 7, one of homological degree 2, and a
+# presentation that is not minimal.  Each is (generators (name, intdeg, hdeg), relations).
 RESIDUE_RINGS = {
     "killed": ([("x", 1, 0), ("y", 2, 0)], [{(0, 1): 1}, {(3, 0): 1}]),
     "above-bound": ([("x", 1, 0), ("y", 1, 0), ("w", 9, 0)],
@@ -217,7 +220,45 @@ def test_a_module_a_boundary_acts_on_is_refused():
                       EXTERIOR)
     with pytest.raises(AdmissibilityError, match=r"^a boundary of internal "
                        r"degree 1 acts nonzero on the module$"):
-        PresentedModule(A, [{(1, 0): 1}])
-    M = PresentedModule(A, [{(0, 1): 1}])
+        cyclic_module(A, [{(1, 0): 1}])
+    M = cyclic_module(A, [{(0, 1): 1}])
     # the build raises unless its cone of q is exact
     resolve_module(A, M, 4, 5)
+
+
+@st.composite
+def rings_with_ideals(draw):
+    """(A, N, D, I): a small_presentations ring and I, 1-2 homogeneous
+    polynomials of internal degree 1-2 with 1-2 terms each."""
+    A, N, D = draw(small_presentations())
+    P = A.base.presentation
+    monomials = {d: P.monomials_of_intdeg(d) for d in (1, 2)}
+    ideal = []
+    for d in draw(st.lists(st.sampled_from(
+            [d for d, terms in monomials.items() if terms]), min_size=1,
+            max_size=2)):
+        terms = draw(st.lists(st.sampled_from(monomials[d]), min_size=1,
+                              max_size=2, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3).filter(A.field),
+                               min_size=len(terms), max_size=len(terms)))
+        ideal.append(dict(zip(terms, coeffs)))
+    return A, N, D, ideal
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(rings_with_ideals())
+def test_cyclic_module_betti_equals_the_oracle_on_generated_rings(drawn):
+    # the resolution of A0/I, through its quotient ring, against the
+    # brute-force resolution of R/I, which shares no code with the dg
+    # machinery; with I = m, the cyclic module is k
+    A, N, D, ideal = drawn
+    reduced = [A.base.reduce_poly(poly) for poly in ideal]
+    assume(all(coeffs for _, coeffs in reduced))
+    table = inv.betti_numbers(A, N, D, cyclic_module(A, ideal))[0].table
+    assert table == OracleResolution(A.base, N, D, reduced).betti_table()
+    P = A.base.presentation
+    generators = [{tuple(int(w is v) for w in P.variables): 1}
+                  for v in P.variables]
+    m = [x for x in generators if A.base.reduce_poly(x)[1]]
+    assert inv.betti_numbers(A, N, D, cyclic_module(A, m))[0].table == \
+        inv.betti_of_k(A, N, D).table

@@ -176,8 +176,8 @@ def test_only_homology_reads_a_cone():
 
 def test_homology_knows_no_target():
     # homology holds complexes, cones, homology, generator selection and
-    # the Construction; k is an ordinary target, a cyclic PresentedModule
-    # for resolutions and a RingTarget with no generators for models
+    # the Construction; k is an ordinary target, the RingTarget with no
+    # generators, for models and resolutions alike
     tree = ast.parse(ROOT.joinpath("homology.py").read_text())
     imported = set()
     targets = []
@@ -193,6 +193,13 @@ def test_homology_knows_no_target():
     assert not targets, targets
     assert not [path.name for path, _ in modules()
                 if "ResidueField" in path.read_text()]
+
+
+def test_one_quotient_ring_implementation():
+    # every quotient ring (a base, a model's target, a cyclic module, k)
+    # is a TruncatedBase, so only graded_base takes quotients
+    assert {caller.split(":")[0] for caller in callers_of("quotient")} == {
+        "graded_base.py"}
 
 
 def test_one_route_to_each_betti_table_and_one_minimality_check():
