@@ -21,6 +21,7 @@ Exit codes: 0 success, 1 usage/parse error, 2 computation error,
 """
 
 import argparse
+import io
 import json
 import sys
 
@@ -182,10 +183,17 @@ class JobFile:
 def parse_job(path):
     job = JobFile()
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise JobError(f"cannot read job file: {e}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise JobError(f"job file is not UTF-8: byte {data[e.start]:#04x} "
+                       "does not decode", data.count(b"\n", 0, e.start) + 1)
+    # universal newlines, as a file opened in text mode reads them
+    lines = io.StringIO(text, newline=None).readlines()
     for n, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -612,8 +620,12 @@ def main(argv=None):
         return 3
     sys.stdout.write(report.text())
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.json())
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.json())
+        except OSError as e:
+            print(f"error: cannot write --json report: {e}", file=sys.stderr)
+            return 1
     return 3 if report.failed_verification else 0
 
 

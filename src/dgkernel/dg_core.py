@@ -10,8 +10,15 @@ Monomial normal form: base element, then even variables by id, then odd
 variables by strictly increasing id.  Only odd/odd transpositions carry
 signs, so the sign of any product is the inversion count of the odd id
 merge.
+
+A bidegree basis is ordered by the newest (highest-id) variable of each
+label's monomial, then by the monomial's key, then by base index.  An
+adjoined variable is the newest of all, so adjoining one appends labels
+to every basis it reaches and moves none: a cached basis is extended,
+and a differential block keeps its columns and gains the new ones.
 """
 
+from bisect import bisect_left
 from math import comb
 
 from .errors import BoundExceededError, NotCycleError, ParityError
@@ -127,15 +134,35 @@ class DgAlgebra:
         if self.max_intdeg > base.D:
             raise ValueError("max_intdeg exceeds the base truncation bound")
         self.max_hdeg = self.max_intdeg if max_hdeg is None else max_hdeg
+        # (i, j) -> (labels, the number of variables they cover, the
+        # position of the first label of each monomial)
         self._bases = {}
-        # the monomial table of the first _vmons_of variables
+        # the monomial table of the variables of _var_rank, each list in
+        # the basis order; _rank numbers the monomials in that order, and
+        # _var_rank[v] is the rank of the first monomial on variable v
         self._vmons = {(0, 0): [TRIVIAL_MONOMIAL]}
-        self._vmons_of = 0
+        self._rank = {TRIVIAL_MONOMIAL: 0}
+        self._var_rank = []
         # d(1*m) per variable monomial m: adjoining a variable changes no
         # cached entry, so the cache grows with the algebra
         self._dcache = {}
-        # one Monomial object per monomial in the cached differentials
-        self._interned = {}
+        # one Monomial object per monomial of the table and of the cached
+        # differentials, so the lookups of the Leibniz fill hit by identity
+        self._interned = {TRIVIAL_MONOMIAL: TRIVIAL_MONOMIAL}
+        # per base degree: its indices by homological degree, and the
+        # position of each index among those of its homological degree,
+        # which is its offset in the labels of a monomial in a slice
+        self._base_indices = []
+        self._base_offset = []
+        for jb in range(self.max_intdeg + 1):
+            groups = {}
+            offset = []
+            for idx in range(base.dim(jb)):
+                group = groups.setdefault(base.basis_hdeg(jb, idx), [])
+                offset.append(len(group))
+                group.append(idx)
+            self._base_indices.append(groups)
+            self._base_offset.append(offset)
 
     # --- element constructors --------------------------------------------
 
@@ -309,12 +336,16 @@ class DgAlgebra:
     # --- monomial bases ----------------------------------------------------
 
     def _variable_monomials(self):
-        """dict (hdeg, intdeg) -> ordered list of Monomials within bounds.
-        The table grows by the variables adjoined since its last read."""
+        """dict (hdeg, intdeg) -> list of Monomials within bounds, in the
+        basis order.  The table grows by the variables adjoined since its
+        last read: every new monomial of a variable has it as its newest
+        one, so the variable's monomials are ranked by key after all the
+        older ones and appended."""
         table = self._vmons
+        rank = self._rank
+        intern = self._interned.setdefault
         N, D = self.max_hdeg, self.max_intdeg
-        grown = set()
-        for v in self.variables[self._vmons_of:]:
+        for v in self.variables[len(self._var_rank):]:
             new = {}
             for (h, d), mons in table.items():
                 emax = 1 if v.hdeg % 2 == 1 else 10 ** 9
@@ -328,76 +359,124 @@ class DgAlgebra:
                             m2 = _monomial(m.evens, m.odds + (v.id,))
                         else:
                             m2 = _monomial(m.evens + ((v.id, e),), m.odds)
-                        new.setdefault((h2, d2), []).append(m2)
+                        new.setdefault((h2, d2), []).append(intern(m2, m2))
                     e += 1
+            self._var_rank.append(len(rank))
+            for m in sorted((m for ms in new.values() for m in ms),
+                            key=Monomial.key):
+                rank[m] = len(rank)
             for k, ms in new.items():
+                ms.sort(key=rank.__getitem__)
                 table.setdefault(k, []).extend(ms)
-            grown.update(new)
-        for k in grown:
-            table[k].sort(key=lambda m: m.key())
-        self._vmons_of = len(self.variables)
         return table
 
     def basis_of_bidegree(self, i, j):
         """Ordered basis labels (base_deg, base_idx, Monomial) of bidegree
-        (i, j)."""
+        (i, j): by the rank of the monomial (its newest variable, then its
+        key), then by base index, so the labels of one monomial are
+        consecutive.  A cached basis older than the last adjunction is
+        extended by the labels on the variables adjoined since, and is
+        returned as it is when none of them fits the bidegree."""
         if i > self.max_hdeg or j > self.max_intdeg or i < 0 or j < 0:
             raise BoundExceededError(
                 f"bidegree ({i},{j}) outside bounds "
                 f"({self.max_hdeg},{self.max_intdeg})")
+        nvars = len(self.variables)
         hit = self._bases.get((i, j))
-        if hit is not None:
-            return hit
+        if hit is not None and hit[1] == nvars:
+            return hit[0]
         vmons = self._variable_monomials()
-        out = []
-        for (h, d), mons in sorted(vmons.items()):
-            if d > j:
+        rank = self._rank
+        if hit is None:
+            labels, low, start = [], 0, {}
+        else:
+            labels, covered, start = hit
+            low = self._var_rank[covered]
+        new = []
+        for (h, d), mons in vmons.items():
+            if h > i or d > j:
                 continue
-            jb = j - d
-            for idx in range(self.base.dim(jb)):
-                if self.base.basis_hdeg(jb, idx) != i - h:
-                    continue
-                for m in mons:
-                    out.append((jb, idx, m))
-        out.sort(key=lambda t: (t[2].key(), t[0], t[1]))
-        self._bases[(i, j)] = out
-        return out
+            indices = self._base_indices[j - d].get(i - h)
+            if indices:
+                k = bisect_left(mons, low, key=rank.__getitem__)
+                new += [(rank[m], m, j - d, indices) for m in mons[k:]]
+        if new:
+            # ranks are distinct, so the sort compares no monomial
+            new.sort()
+            added = []
+            for _, m, jb, indices in new:
+                start[m] = len(labels) + len(added)
+                added += [(jb, idx, m) for idx in indices]
+            labels = labels + added
+        self._bases[(i, j)] = (labels, nvars, start)
+        return labels
 
     def element_from_coords(self, i, j, coords):
         basis = self.basis_of_bidegree(i, j)
         return DgElement(i, j, {basis[n]: c for n, c in coords.items()
                                 if not self.field.is_zero(c)})
 
-    def diff_matrix(self, i, j):
-        """Matrix of the differential from bidegree (i, j) to (i-1, j)."""
+    def diff_matrix(self, i, j, first=0):
+        """Matrix of the differential from bidegree (i, j) to (i-1, j), on
+        the labels of (i, j) from position first on.  The labels of one
+        monomial are consecutive, so the term (j2, i2, m2) of d(m), times
+        the base element b of the label b*m, lands at the first row of m2
+        plus the offset of each index of the base product b*(j2, i2)."""
         cols = self.basis_of_bidegree(i, j)
         if i == 0:
-            return ExactMatrix.zero(self.field, 0, len(cols))
+            return ExactMatrix.zero(self.field, 0, len(cols) - first)
         rows = self.basis_of_bidegree(i - 1, j)
-        pos = {k: n for n, k in enumerate(rows)}
+        start = self._bases[(i - 1, j)][2]
+        F = self.field
+        mult = self.base.mult_basis
+        offset = self._base_offset
         columns = []
-        for key in cols:
+        mon = None
+        for n in range(first, len(cols)):
+            jb, ib, m = cols[n]
+            if m is not mon:
+                mon = m
+                dm = self._monomial_differential(m)
+            if jb == 0:
+                # b = 1, the only base element of degree 0
+                columns.append({start[m2] + offset[j2][i2]: c
+                                for (j2, i2, m2), c in dm.items()})
+                continue
             col = {}
-            for k, c in self._label_differential(key).items():
-                col[pos[k]] = c
+            for (j2, i2, m2), c in dm.items():
+                prod = mult(jb, ib, j2, i2)
+                # skip a base product that vanishes, as most do on
+                # monomial rings
+                if prod:
+                    s = start[m2]
+                    pos = offset[jb + j2]
+                    axpy(F, col, c, {s + pos[i3]: c3
+                                     for i3, c3 in prod.items()})
             columns.append(col)
-        return ExactMatrix(self.field, len(rows), columns)
+        return ExactMatrix(F, len(rows), columns)
 
     def act_matrix(self, d, bidx, i, j):
         """Matrix of left multiplication by the degree-(0, d) base basis
         element bidx, from bidegree (i, j) to (i, j + d).  The base element
-        must be homologically degree 0 (it lies in A_0)."""
+        must be homologically degree 0 (it lies in A_0), so the label b*m
+        goes to the first row of m plus the offset of each index of the
+        base product."""
         if self.base.basis_hdeg(d, bidx) != 0:
             raise ValueError("A0-action requires a homological-degree-0 element")
         cols = self.basis_of_bidegree(i, j)
         rows = self.basis_of_bidegree(i, j + d)
-        pos = {k: n for n, k in enumerate(rows)}
+        start = self._bases[(i, j + d)][2]
+        mult = self.base.mult_basis
+        offset = self._base_offset
         columns = []
-        for key in cols:
-            col = {}
-            for k, c in self._act_label(d, bidx, key):
-                col[pos[k]] = c
-            columns.append(col)
+        for jb, ib, m in cols:
+            prod = mult(d, bidx, jb, ib)
+            if prod:
+                s = start[m]
+                pos = offset[d + jb]
+                columns.append({s + pos[i3]: c3 for i3, c3 in prod.items()})
+            else:
+                columns.append({})
         return ExactMatrix(self.field, len(rows), columns)
 
     def _act_label(self, d, bidx, key):
@@ -430,10 +509,9 @@ class DgAlgebra:
         vid = len(self.variables)
         var = DgVariable(vid, name or f"v{vid}", hdeg, z.intdeg, kind, z,
                          family=family)
+        # the labels on var follow all others, so every cached basis stays
+        # a prefix of its slice (basis_of_bidegree extends it)
         self.variables += (var,)
-        # every label with the new variable has homological degree >= hdeg
-        for key in [k for k in self._bases if k[0] >= hdeg]:
-            del self._bases[key]
         return var
 
     def reduce_mod(self, field):

@@ -6,8 +6,12 @@ demand from callables and cached, since each stage of the construction
 looks at a few homological degrees only.  An object under construction
 makes one complex and one cone for all of its stages, certifies each
 cone degree as soon as it is final, and then drops the differentials
-that no later stage reads.  The differential preserves internal degree,
-so each (i, j) slice is finite and exact.
+that no later stage reads.  A stage appends labels to the slices of the
+object it grows, so the object's complex keeps its differentials and
+extends each by its new columns; the cone interleaves the object with
+the target, so it forgets its slices and builds them again.  The
+differential preserves internal degree, so each (i, j) slice is finite
+and exact.
 """
 
 from functools import partial
@@ -24,7 +28,10 @@ class BigradedComplex:
     ExactMatrix from slice (i, j) to (i-1, j), or diff_fn None for the
     zero differential.  Valid for hmin <= i <= hmax and 0 <= j <= dmax;
     outside that range dimensions read as 0.  Dimensions, differentials
-    and ranks are cached per slice until forget drops them.
+    and ranks are cached per slice until forget drops them.  After grow,
+    a slice may have gained basis elements at its end: diff_fn(i, j,
+    first) is then asked for the columns from first on only, and rows
+    gained below a kept block leave its columns as they are.
     """
 
     def __init__(self, field, dim_fn, diff_fn, hmin, hmax, dmax):
@@ -48,19 +55,26 @@ class BigradedComplex:
 
     def diff(self, i, j):
         key = (i, j)
-        if key not in self._diffs:
-            n = self.dim(i, j)
-            m = self.dim(i - 1, j)
-            if n == 0 or m == 0 or self._diff_fn is None:
-                M = la.ExactMatrix.zero(self.field, m, n)
-            else:
-                M = self._diff_fn(i, j)
-                if (M.rows, M.cols) != (m, n):
-                    raise ValueError(
-                        f"differential block at ({i},{j}) has shape "
-                        f"{M.rows}x{M.cols}, expected {m}x{n}")
-            self._diffs[key] = M
-        return self._diffs[key]
+        n = self.dim(i, j)
+        m = self.dim(i - 1, j)
+        kept = self._diffs.get(key)
+        if kept is not None and (kept.rows, kept.cols) == (m, n):
+            return kept
+        first = kept.cols if kept is not None else 0
+        if first == n or m == 0 or self._diff_fn is None:
+            M = la.ExactMatrix.zero(self.field, m, n - first)
+        elif first:
+            M = self._diff_fn(i, j, first)
+        else:
+            M = self._diff_fn(i, j)
+        if (M.rows, M.cols) != (m, n - first):
+            raise ValueError(
+                f"differential block at ({i},{j}) from column {first} has "
+                f"shape {M.rows}x{M.cols}, expected {m}x{n - first}")
+        if first:
+            M = la.ExactMatrix(self.field, m, kept.columns + M.columns)
+        self._diffs[key] = M
+        return M
 
     def rank(self, i, j):
         """Rank of the differential out of slice (i, j)."""
@@ -81,6 +95,14 @@ class BigradedComplex:
         """Drop the cached slices of homological degree >= n: the
         differential out of slice i reads slices i and i - 1 only."""
         for cache in (self._dims, self._diffs, self._ranks):
+            for key in [k for k in cache if k[0] >= n]:
+                del cache[key]
+
+    def grow(self, n):
+        """The slices of homological degree >= n gained basis elements at
+        their end: drop their dimensions and ranks, and keep their
+        differentials for diff to extend."""
+        for cache in (self._dims, self._ranks):
             for key in [k for k in cache if k[0] >= n]:
                 del cache[key]
 
@@ -301,7 +323,7 @@ class Construction:
 def _weak(method):
     """method, called through a weak reference to its object."""
     ref = WeakMethod(method)
-    return lambda i, j: ref()(i, j)
+    return lambda *args: ref()(*args)
 
 
 def kill_homology(built, n, reverse=False):
@@ -313,8 +335,9 @@ def kill_homology(built, n, reverse=False):
     stage lists (intdeg, X coords at (n-1, intdeg), T coords at (n,
     intdeg)) per selected cycle.  The action of A0 is asked for only in
     the degrees of A0's generators (see minimal_generators).  A stage
-    changes only the slices of X of degree >= n and of the cone of
-    degree >= n + 1, so only those are forgotten.
+    appends labels to the slices of X of degree >= n, which keep their
+    differentials (grow), and changes the slices of the cone of degree
+    >= n + 1, which are forgotten.
     """
     X = built.complex
     C = built.cone
@@ -343,6 +366,6 @@ def kill_homology(built, n, reverse=False):
         stage.append((j, {r: v for r, v in col.items() if r < nx},
                       {r - nx: v for r, v in col.items() if r >= nx}))
     built.adjoin(n, stage)
-    X.forget(n)
+    X.grow(n)
     C.forget(n + 1)
     return built

@@ -69,8 +69,8 @@ class Model(hml.Construction):
     def dim(self, i, j):
         return len(self.algebra.basis_of_bidegree(i, j))
 
-    def diff_matrix(self, i, j):
-        return self.algebra.diff_matrix(i, j)
+    def diff_matrix(self, i, j, first=0):
+        return self.algebra.diff_matrix(i, j, first)
 
     def act_matrix(self, d, bidx, i, j):
         return self.algebra.act_matrix(d, bidx, i, j)

@@ -68,14 +68,15 @@ class SemifreeResolution(hml.Construction):
             e.terms[akey] = c
         return comps
 
-    def diff_matrix(self, i, j):
-        """Column of the basis element a*g: d(a*g) = da*g + (-1)^|a| a*dg.
+    def diff_matrix(self, i, j, first=0):
+        """Columns of the labels of (i, j) from position first on; the
+        column of the basis element a*g is d(a*g) = da*g + (-1)^|a| a*dg.
         dg lies on generators older than g, so the components of the two
         summands never meet.  A base element (trivial monomial) is a
         cycle, so da is looked up only for the others."""
         A = self.algebra
         F = A.field
-        cols = self.basis(i, j)
+        cols = self.basis(i, j)[first:]
         pos = {lab: n for n, lab in enumerate(self.basis(i - 1, j))}
         columns = []
         for g, akey in cols:

@@ -55,6 +55,42 @@ def test_json_byte_identical_across_runs(tmp_path, capsys):
     assert j1.read_bytes() == j2.read_bytes()
 
 
+def test_json_to_a_path_that_cannot_be_written(tmp_path, capsys):
+    # the report is printed, then the failed write is an exit-1 error
+    path = write_job(tmp_path, HYP.format(task="deviations"))
+    target = tmp_path / "missing" / "r.json"
+    assert run_cli([path, "--json", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert "marginals 0 1 1 0 0 0 0 0 0" in captured.out
+    assert captured.err.startswith("error: cannot write --json report: ")
+    assert str(target) in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_job_file_that_is_not_utf8(tmp_path, capsys):
+    # the error names the line of the first byte that does not decode
+    p = tmp_path / "job.txt"
+    p.write_bytes(HYP.format(task="deviations").encode().replace(
+        b"relation x^2", b"relation x\xff^2"))
+    assert run_cli([str(p)]) == 1
+    assert capsys.readouterr().err == (
+        "error: job file is not UTF-8: byte 0xff does not decode "
+        "at line 3\n")
+
+
+def test_job_file_line_endings_read_as_in_text_mode(tmp_path, capsys):
+    # CRLF and CR line ends split lines as a text-mode read does
+    p = tmp_path / "job.txt"
+    text = HYP.format(task="deviations")
+    p.write_bytes(text.replace("\n", "\r\n").encode())
+    assert run_cli([str(p)]) == 0
+    crlf = capsys.readouterr().out
+    p.write_bytes(text.replace("\n", "\r").encode())
+    assert run_cli([str(p)]) == 0
+    assert capsys.readouterr().out == crlf
+    assert "marginals 0 1 1 0 0 0 0 0 0" in crlf
+
+
 def test_poincare_order(tmp_path, capsys):
     job = """\
 field Q
@@ -379,12 +415,12 @@ def drop_the_sign_of_a_dg(monkeypatch):
 
     signed = SemifreeResolution.diff_matrix
 
-    def unsigned(self, i, j):
-        M = signed(self, i, j)
+    def unsigned(self, i, j, first=0):
+        M = signed(self, i, j, first)
         F = self.algebra.field
         rows = self.basis(i - 1, j)
         columns = []
-        for (g, _), col in zip(self.basis(i, j), M.columns):
+        for (g, _), col in zip(self.basis(i, j)[first:], M.columns):
             # entries of a*dg lie on generators other than g
             if (i - self.generators[g][0]) % 2:
                 col = {r: v if rows[r][0] == g else F.neg(v)
@@ -449,8 +485,8 @@ def rotate_the_rows_of_a_model_differential(monkeypatch, which):
 
     exact = Model.diff_matrix
 
-    def rotated(self, i, j):
-        M = exact(self, i, j)
+    def rotated(self, i, j, first=0):
+        M = exact(self, i, j, first)
         if i < 2 or not which(self):
             return M
         return la.ExactMatrix(M.field, M.rows, [

@@ -5,12 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
                       DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
 from dgkernel.dg_core import TRIVIAL_MONOMIAL
 from dgkernel import acyclic_closure
-from _fixtures import hypersurface, complete_intersection, golod
+from _fixtures import (hypersurface, complete_intersection, golod,
+                       small_presentations)
 
 
 def closure_algebra(field, N=6, D=6):
@@ -283,3 +285,36 @@ def test_label_product_with_a_trivial_monomial_is_the_merge(field, make):
         a, b = rng.choice(labels), rng.choice(labels)
         if a[0] + b[0] <= U.base.D:
             assert U._label_product(a, b) == merged_label_product(U, a, b)
+
+
+def test_adjoining_a_variable_appends_to_every_cached_basis():
+    # the labels on an adjoined variable follow all others, so through the
+    # acyclic closures of generated rings every cached basis is a prefix
+    # of the basis after each adjunction, and that basis is a fresh
+    # algebra's; some bases grow and some do not
+    grown = []
+    adjoin = DgAlgebra.adjoin_variable
+
+    def checked_adjoin(self, z, kind, name=None, family=None):
+        cached = {k: labels for k, (labels, _, _) in self._bases.items()}
+        var = adjoin(self, z, kind, name=name, family=family)
+        fresh = DgAlgebra(self.base, self.variables, self.max_hdeg,
+                          self.max_intdeg)
+        for (i, j), old in cached.items():
+            new = self.basis_of_bidegree(i, j)
+            assert new[:len(old)] == old, (var.name, i, j)
+            assert new == fresh.basis_of_bidegree(i, j), (var.name, i, j)
+            grown.append(len(new) > len(old))
+        return var
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def closure_of(ring):
+        acyclic_closure(*ring)
+
+    DgAlgebra.adjoin_variable = checked_adjoin
+    try:
+        closure_of()
+    finally:
+        DgAlgebra.adjoin_variable = adjoin
+    assert any(grown) and not all(grown)

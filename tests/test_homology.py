@@ -598,11 +598,12 @@ def fresh_twin(built):
 ], ids=["closure-Q", "hdeg2-closure-F3", "dg-closure-Q", "switch2-F3",
         "betti-F3", "dg-betti-Q", "hdeg2-cyclic-x-Q", "cover-Q"])
 def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
-    # after each stage, every slice the one cone keeps and every basis an
-    # algebra hands on to its extension equal those of an object built
-    # afresh on the same variables or generators
+    # after each stage, every slice the one cone keeps equals that of an
+    # object built afresh on the same variables or generators; every
+    # differential X keeps and every basis an algebra keeps is a prefix
+    # of the fresh one, and extended it equals the fresh one
     kill_homology = hml.kill_homology
-    kept = {"cone": 0, "models": 0, "bases": 0}
+    kept = {"cone": 0, "models": 0, "bases": 0, "grown": 0}
 
     def checked_kill(built, n, reverse=False):
         out = kill_homology(built, n, reverse=reverse)
@@ -614,11 +615,21 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
             kept["cone"] += bool(M.columns)
         assert {k: T.dim(*k) for k in C._dims} == C._dims, n
         assert {k: T.rank(*k) for k in C._ranks} == C._ranks, n
+        X, Y = out.complex, twin.complex
+        for (i, j), M in list(X._diffs.items()):
+            ref = Y.diff(i, j)
+            assert M.columns == ref.columns[:M.cols], (n, i, j)
+            grown = X.diff(i, j)
+            assert (grown.rows, grown.columns) == (ref.rows, ref.columns), \
+                (n, i, j)
+            kept["grown"] += grown.cols > M.cols > 0
         if not isinstance(out, SemifreeResolution):
             kept["models"] += 1
-            for (i, j), labels in out.algebra._bases.items():
-                assert labels == twin.algebra.basis_of_bidegree(i, j), \
-                    (n, i, j)
+            A = out.algebra
+            for (i, j), (labels, _, _) in list(A._bases.items()):
+                fresh = twin.algebra.basis_of_bidegree(i, j)
+                assert labels == fresh[:len(labels)], (n, i, j)
+                assert A.basis_of_bidegree(i, j) == fresh, (n, i, j)
                 kept["bases"] += bool(labels)
         return out
 
@@ -626,6 +637,7 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
     construct(False)
     assert kept["cone"] > 10
     assert kept["bases"] or not kept["models"]
+    assert kept["grown"] or not kept["models"]
 
 
 @pytest.mark.parametrize("build", [
@@ -648,14 +660,17 @@ def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build):
     for owner, name in ((DgAlgebra, "diff_matrix"), (mb.Model, "q_block"),
                         (SemifreeResolution, "diff_matrix"),
                         (SemifreeResolution, "q_block")):
-        def wrapper(self, i, j, method=getattr(owner, name), name=name):
+        def wrapper(self, i, j, *first, method=getattr(owner, name),
+                    name=name):
             events.append((phase[0], name, id(self), i, j))
-            return method(self, i, j)
+            return method(self, i, j, *first)
         monkeypatch.setattr(owner, name, wrapper)
     lookup = DgAlgebra.basis_of_bidegree
 
     def counted_lookup(self, i, j):
-        if (i, j) not in self._bases:
+        # a basis is built when it is new or older than an adjunction
+        hit = self._bases.get((i, j))
+        if hit is None or hit[1] != len(self.variables):
             events.append((phase[0], "basis", id(self), i, j))
         return lookup(self, i, j)
     monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
@@ -680,6 +695,37 @@ def test_certificate_rebuilds_no_matrix_and_no_basis(monkeypatch, build):
     assert len(set(stages)) == len(stages)
     assert [e for e in events if e[0] and e[0][0] == "check"] == []
     assert eliminated == []
+
+
+@pytest.mark.parametrize("algebra", [
+    lambda: golod(QQ, 5, 8),
+    lambda: paper_dg_algebra(QQ, 5, 7),
+], ids=["golod", "paper-dg"])
+def test_a_closure_differentiates_each_label_once(monkeypatch, algebra):
+    # X's slices grow by appending labels and keep their differentials,
+    # so over all the stages of a build each label of each slice of X is
+    # differentiated at most once, and some kept block is extended
+    seen = set()
+    extended = []
+    diff_matrix = DgAlgebra.diff_matrix
+
+    def counted(self, i, j, first=0):
+        M = diff_matrix(self, i, j, first)
+        labels = self.basis_of_bidegree(i, j)[first:]
+        assert M.cols == len(labels)
+        for label in labels:
+            key = (id(self), i, j, label)
+            assert key not in seen, key
+            seen.add(key)
+        if first:
+            extended.append((i, j))
+        return M
+
+    monkeypatch.setattr(DgAlgebra, "diff_matrix", counted)
+    A = algebra()
+    acyclic_closure(A, A.max_hdeg, A.max_intdeg)
+    assert extended
+    assert len(seen) > 100
 
 
 @pytest.mark.parametrize("build", [

@@ -155,10 +155,12 @@ def test_cones_are_made_only_by_objects_under_construction():
 
 
 def test_slices_are_forgotten_only_by_kill_homology():
-    # the cache rule (after stage n, forget X from degree n and the cone
-    # from degree n + 1) is written once, in the stage driver, and the
-    # differentials below degree n are released only after their check
+    # the cache rule (after stage n, X grows from degree n and the cone
+    # forgets from degree n + 1) is written once, in the stage driver,
+    # and the differentials below degree n are released only after their
+    # check
     assert callers_of("forget") == {"homology.py:kill_homology"}
+    assert callers_of("grow") == {"homology.py:kill_homology"}
     assert callers_of("release") == {"homology.py:Construction.build"}
 
 
