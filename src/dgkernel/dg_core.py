@@ -15,7 +15,9 @@ A bidegree basis is ordered by the newest (highest-id) variable of each
 label's monomial, then by the monomial's key, then by base index.  An
 adjoined variable is the newest of all, so adjoining one appends labels
 to every basis it reaches and moves none: a cached basis is extended,
-and a differential block keeps its columns and gains the new ones.
+and a differential block keeps its columns and gains the new ones.  One
+block fill builds every matrix on a slice: the differential, and right
+multiplication by a label, of which the A0 action is a case.
 """
 
 from bisect import bisect_left
@@ -283,15 +285,10 @@ class DgAlgebra:
         dm = self._monomial_differential(mon)
         if jb == 0:
             return dm
-        F = self.field
-        mult = self.base.mult_basis
         out = {}
-        for (j2, i2, m2), c in dm.items():
-            prod = mult(jb, ib, j2, i2)
-            # skip a base product that vanishes, as most do on monomial rings
-            if prod:
-                axpy(F, out, c, {(jb + j2, i3, m2): c3
-                                 for i3, c3 in prod.items()})
+        for k2, c in dm.items():
+            axpy(self.field, out, c,
+                 self._label_product((jb, ib, TRIVIAL_MONOMIAL), k2))
         return out
 
     def _monomial_differential(self, mon):
@@ -416,17 +413,14 @@ class DgAlgebra:
         return DgElement(i, j, {basis[n]: c for n, c in coords.items()
                                 if not self.field.is_zero(c)})
 
-    def diff_matrix(self, i, j, first=0):
-        """Matrix of the differential from bidegree (i, j) to (i-1, j), on
-        the labels of (i, j) from position first on.  The labels of one
-        monomial are consecutive, so the term (j2, i2, m2) of d(m), times
-        the base element b of the label b*m, lands at the first row of m2
-        plus the offset of each index of the base product b*(j2, i2)."""
-        cols = self.basis_of_bidegree(i, j)
-        if i == 0:
-            return ExactMatrix.zero(self.field, 0, len(cols) - first)
-        rows = self.basis_of_bidegree(i - 1, j)
-        start = self._bases[(i - 1, j)][2]
+    def _fill(self, cols, first, rows, image):
+        """The labels of cols from position first on, as columns into the
+        slice of bidegree rows: b*m goes to b*image(m), image(m) asked
+        once per monomial, and its term (j2, i2, m2), times b, lands at
+        the first row of m2 plus the offset of each index of the base
+        product b*(j2, i2)."""
+        nrows = len(self.basis_of_bidegree(*rows))
+        start = self._bases[rows][2]
         F = self.field
         mult = self.base.mult_basis
         offset = self._base_offset
@@ -436,14 +430,14 @@ class DgAlgebra:
             jb, ib, m = cols[n]
             if m is not mon:
                 mon = m
-                dm = self._monomial_differential(m)
+                im = image(m)
             if jb == 0:
                 # b = 1, the only base element of degree 0
                 columns.append({start[m2] + offset[j2][i2]: c
-                                for (j2, i2, m2), c in dm.items()})
+                                for (j2, i2, m2), c in im.items()})
                 continue
             col = {}
-            for (j2, i2, m2), c in dm.items():
+            for (j2, i2, m2), c in im.items():
                 prod = mult(jb, ib, j2, i2)
                 # skip a base product that vanishes, as most do on
                 # monomial rings
@@ -453,39 +447,29 @@ class DgAlgebra:
                     axpy(F, col, c, {s + pos[i3]: c3
                                      for i3, c3 in prod.items()})
             columns.append(col)
-        return ExactMatrix(F, len(rows), columns)
+        return ExactMatrix(F, nrows, columns)
 
-    def act_matrix(self, d, bidx, i, j):
-        """Matrix of left multiplication by the degree-(0, d) base basis
-        element bidx, from bidegree (i, j) to (i, j + d).  The base element
-        must be homologically degree 0 (it lies in A_0), so the label b*m
-        goes to the first row of m plus the offset of each index of the
-        base product."""
-        if self.base.basis_hdeg(d, bidx) != 0:
-            raise ValueError("A0-action requires a homological-degree-0 element")
+    def diff_matrix(self, i, j, first=0):
+        """Matrix of the differential from bidegree (i, j) to (i-1, j), on
+        the labels of (i, j) from position first on: the fill with
+        image d, as d(b*m) = b*d(m)."""
         cols = self.basis_of_bidegree(i, j)
-        rows = self.basis_of_bidegree(i, j + d)
-        start = self._bases[(i, j + d)][2]
-        mult = self.base.mult_basis
-        offset = self._base_offset
-        columns = []
-        for jb, ib, m in cols:
-            prod = mult(d, bidx, jb, ib)
-            if prod:
-                s = start[m]
-                pos = offset[d + jb]
-                columns.append({s + pos[i3]: c3 for i3, c3 in prod.items()})
-            else:
-                columns.append({})
-        return ExactMatrix(self.field, len(rows), columns)
+        if i == 0:
+            return ExactMatrix.zero(self.field, 0, len(cols) - first)
+        return self._fill(cols, first, (i - 1, j),
+                          self._monomial_differential)
 
-    def _act_label(self, d, bidx, key):
-        """(label, scalar) pairs of the A0 basis element (d, bidx) times
-        the basis label key = (jb, ib, m): base elements are even, so only
-        the base index moves and m is unchanged."""
-        jb, ib, mon = key
-        for i3, c3 in self.base.mult_basis(d, bidx, jb, ib).items():
-            yield (d + jb, i3, mon), c3
+    def mul_matrix(self, key, i, j):
+        """Matrix of right multiplication by the basis label key = (jk,
+        ik, mk), from bidegree (i, j) to (i, j) plus the bidegree of key:
+        the fill with image m -> m*key, as (b*m)*key = b*(m*key)."""
+        jk, ik, mk = key
+        hk, dk = self.base.basis_hdeg(jk, ik), jk
+        for vid, e in mk.evens + tuple((vid, 1) for vid in mk.odds):
+            hk += self.variables[vid].hdeg * e
+            dk += self.variables[vid].intdeg * e
+        return self._fill(self.basis_of_bidegree(i, j), 0, (i + hk, j + dk),
+                          lambda m: self._label_product((0, 0, m), key))
 
     # --- adjunction --------------------------------------------------------
 

@@ -441,14 +441,15 @@ class RingTarget:
         self._cols = [tnames.index(v.name) if v.name in tnames else None
                       for v in source_base.presentation.variables]
         self._bases = {}
+        self._positions = {}
 
     def basis(self, i, j):
-        key = (i, j)
-        if key not in self._bases:
+        if (i, j) not in self._bases:
             R = self.tbase
-            self._bases[key] = [] if not 0 <= j <= R.D else [
+            basis = self._bases[(i, j)] = [] if not 0 <= j <= R.D else [
                 idx for idx in range(R.dim(j)) if R.basis_hdeg(j, idx) == i]
-        return self._bases[key]
+            self._positions[(i, j)] = {idx: n for n, idx in enumerate(basis)}
+        return self._bases[(i, j)]
 
     def dim(self, i, j):
         return len(self.basis(i, j))
@@ -456,7 +457,8 @@ class RingTarget:
     def coords(self, i, j, elem):
         """Coordinates in slice (i, j) of elem, an element of R_j of
         homological degree i."""
-        pos = {idx: n for n, idx in enumerate(self.basis(i, j))}
+        self.basis(i, j)
+        pos = self._positions[(i, j)]
         return {pos[idx]: c for idx, c in elem.items()}
 
     def base_image(self, jb, ib):
@@ -476,10 +478,8 @@ class RingTarget:
         bidx), from slice (i, j) to (i, j + d)."""
         F = self.field
         n, m = self.dim(i, j), self.dim(i, j + d)
-        if not (n and m):
-            return la.ExactMatrix.zero(F, m, n)
         elem = self.base_image(d, bidx)
-        if not elem:
+        if not (n and m and elem):
             return la.ExactMatrix.zero(F, m, n)
         return la.ExactMatrix(F, m, [
             self.coords(i, j + d,

@@ -349,13 +349,8 @@ def kill_homology(built, n, reverse=False):
         for bidx in base.a0_basis(d):
             mx = built.act_matrix(d, bidx, n - 1, j)
             mt = target.act_matrix(d, bidx, n, j)
-            columns = list(mx.columns)
-            for col in mt.columns:
-                out = {}
-                for r, v in col.items():
-                    out[mx.rows + r] = v
-                columns.append(out)
-            yield la.ExactMatrix(F, mx.rows + mt.rows, columns)
+            yield la.ExactMatrix(F, mx.rows + mt.rows, mx.columns + [
+                {mx.rows + r: v for r, v in col.items()} for col in mt.columns])
 
     degrees = sorted({v.intdeg for v in base.presentation.variables
                       if v.hdeg == 0})

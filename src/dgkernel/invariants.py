@@ -610,34 +610,24 @@ def _verify_odd_to_even(A, N, D):
 
 def _fiber_complex(model, i):
     """k tensor_{V(i)} V: monomials in the variables of homological degree
-    > i, with the projected differential."""
+    > i, with the projected differential: V's, on the positions of its
+    labels with base part 1 and only such variables."""
     V = model.algebra
-    F = V.field
     high = {v.id for v in V.variables if v.hdeg > i}
 
-    def keep(key):
-        jb, ib, mon = key
-        if jb != 0:
-            return False
-        return all(vid in high for vid, _ in mon.evens) and \
-            all(vid in high for vid in mon.odds)
-
-    def basis(n, j):
-        return [k for k in V.basis_of_bidegree(n, j) if keep(k)]
+    def kept(n, j):
+        return [p for p, (jb, _, mon) in enumerate(V.basis_of_bidegree(n, j))
+                if jb == 0 and high.issuperset(mon.odds)
+                and high.issuperset(vid for vid, _ in mon.evens)]
 
     def diff(n, j):
-        rows = basis(n - 1, j)
-        pos = {k: m for m, k in enumerate(rows)}
-        columns = []
-        for key in basis(n, j):
-            col = {}
-            for k, c in V._label_differential(key).items():
-                if k in pos:
-                    col[pos[k]] = c
-            columns.append(col)
-        return la.ExactMatrix(F, len(rows), columns)
+        rows = {p: r for r, p in enumerate(kept(n - 1, j))}
+        cols = V.diff_matrix(n, j).columns
+        return la.ExactMatrix(V.field, len(rows), [
+            {rows[r]: c for r, c in cols[p].items() if r in rows}
+            for p in kept(n, j)])
 
-    return hml.BigradedComplex(F, lambda n, j: len(basis(n, j)), diff,
+    return hml.BigradedComplex(V.field, lambda n, j: len(kept(n, j)), diff,
                                0, V.max_hdeg, V.max_intdeg)
 
 

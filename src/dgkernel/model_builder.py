@@ -21,7 +21,8 @@ import math
 
 from . import exact_linear as la
 from . import homology as hml
-from .dg_core import DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER
+from .dg_core import (DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER,
+                      TRIVIAL_MONOMIAL)
 from .errors import AdmissibilityError
 from .graded_base import (BasePresentation, RingTarget, TruncatedBase,
                           residue_field)
@@ -73,7 +74,7 @@ class Model(hml.Construction):
         return self.algebra.diff_matrix(i, j, first)
 
     def act_matrix(self, d, bidx, i, j):
-        return self.algebra.act_matrix(d, bidx, i, j)
+        return self.algebra.mul_matrix((d, bidx, TRIVIAL_MONOMIAL), i, j)
 
     def _power_image(self, vid, e):
         """Image of the e-th power (divided power for a divided-power

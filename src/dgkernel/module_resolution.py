@@ -11,13 +11,17 @@ descend to minimal A0-generators of H_n become new free summands,
 and the finished build checks that no boundary has a unit entry
 (first_non_minimal).  A resolution over the reduction of A mod p lifts
 to A over Q (SemifreeResolution.lift, first_non_cycle, first_non_minimal).
+F is a sum of shifted copies of A, one per generator, so its slices are
+blocks of A's at generator offsets and its matrices are built from A's.
 """
 
+from bisect import bisect_right
 from math import gcd, lcm
+from operator import itemgetter
 
 from . import exact_linear as la
 from . import homology as hml
-from .dg_core import DgElement
+from .dg_core import TRIVIAL_MONOMIAL, DgElement
 from .errors import AdmissibilityError, ReductionError
 from .graded_base import BasePresentation, RingTarget, TruncatedBase
 
@@ -33,85 +37,98 @@ class SemifreeResolution(hml.Construction):
         # runs (h, d, first, stop) of consecutive generators of bidegree
         # (h, d), in order
         self._runs = []
-        self._bases = {}
+        self._layouts = {}
+        # A's differential and products, kept: A does not change
+        self._adiff = hml.algebra_complex(algebra)
+        self._products = {}
         super().__init__(algebra, module, max_hdeg, max_intdeg)
 
     # --- the underlying complex -------------------------------------------
 
-    def basis(self, i, j):
-        """Labels (g, algebra label) of slice (i, j): generator by
-        generator, each with the algebra basis of bidegree (i, j) - |g|,
-        looked up once per run of generators of one bidegree."""
-        key = (i, j)
-        hit = self._bases.get(key)
-        if hit is not None:
-            return hit
-        out = []
-        for h, d, first, stop in self._runs:
-            if h > i or d > j or i - h > self.algebra.max_hdeg:
-                continue
-            labels = self.algebra.basis_of_bidegree(i - h, j - d)
-            out += [(g, akey) for g in range(first, stop) for akey in labels]
-        self._bases[key] = out
-        return out
+    def _layout(self, i, j):
+        """(blocks, dim) of slice (i, j): blocks lists (offset, run, A's
+        basis of bidegree (i, j) - |g|) per run that reaches the slice,
+        the generator first + t of the run at offset + t * len(basis).
+        A basis is looked up once per run."""
+        hit = self._layouts.get((i, j))
+        if hit is None:
+            A = self.algebra
+            blocks, dim = [], 0
+            for run in self._runs:
+                h, d, first, stop = run
+                labels = (A.basis_of_bidegree(i - h, j - d) if h <= i and
+                          d <= j and i - h <= A.max_hdeg else ())
+                if labels:
+                    blocks.append((dim, run, labels))
+                    dim += (stop - first) * len(labels)
+            hit = self._layouts[(i, j)] = (blocks, dim)
+        return hit
 
     def dim(self, i, j):
-        return len(self.basis(i, j))
+        return self._layout(i, j)[1]
 
-    def coords_to_components(self, i, j, coords):
-        comps = {}
-        basis = self.basis(i, j)
-        for n, c in coords.items():
-            g, akey = basis[n]
-            h, d, _, _ = self.generators[g]
-            e = comps.setdefault(g, DgElement(i - h, j - d))
-            e.terms[akey] = c
-        return comps
+    def _offset(self, blocks, g):
+        """Offset of generator g in a slice laid out by blocks."""
+        off, run, labels = blocks[bisect_right(
+            blocks, g, key=lambda b: b[1][2]) - 1]
+        return off + (g - run[2]) * len(labels)
+
+    def _product(self, key, i, j):
+        """Columns of A's right multiplication by the label key on A's
+        slice (i, j), or None when they are all zero; kept."""
+        if (key, i, j) not in self._products:
+            cols = self.algebra.mul_matrix(key, i, j).columns
+            self._products[(key, i, j)] = cols if any(cols) else None
+        return self._products[(key, i, j)]
 
     def diff_matrix(self, i, j, first=0):
-        """Columns of the labels of (i, j) from position first on; the
-        column of the basis element a*g is d(a*g) = da*g + (-1)^|a| a*dg.
-        dg lies on generators older than g, so the components of the two
-        summands never meet.  A base element (trivial monomial) is a
-        cycle, so da is looked up only for the others."""
-        A = self.algebra
-        F = A.field
-        cols = self.basis(i, j)[first:]
-        pos = {lab: n for n, lab in enumerate(self.basis(i - 1, j))}
+        """Columns of slice (i, j) from position first, a block boundary,
+        on.  The column of a*g is d(a*g) = da*g + (-1)^|a| a*dg: A's
+        differential at g's block, and for each term c*k*g2 of dg, c
+        times A's right multiplication by k at g2's block.  dg lies on
+        generators older than g, so the blocks never meet."""
+        F = self.algebra.field
+        rows, nrows = self._layout(i - 1, j)
         columns = []
-        for g, akey in cols:
-            h, _, bnd, _ = self.generators[g]
-            col = {}
-            if not akey[2].is_trivial():
-                for akey2, c in A._label_differential(akey).items():
-                    col[pos[(g, akey2)]] = c
-            sign = F.neg(F.one) if (i - h) % 2 == 1 else F.one
-            for g2, e in bnd.items():
-                prod = {}
-                for k, c in e.terms.items():
-                    la.axpy(F, prod, F.mul(sign, c), A._label_product(akey, k))
-                for akey2, c in prod.items():
-                    col[pos[(g2, akey2)]] = c
-            columns.append(col)
-        return la.ExactMatrix(F, len(pos), columns)
+        for off, (h, d, g0, g1), labels in self._layout(i, j)[0]:
+            da = self._adiff.diff(i - h, j - d).columns
+            # g has a block in slice (i - 1, j) if da is nonzero
+            moves = any(da)
+            sign = F.neg(F.one) if (i - h) % 2 else F.one
+            for g in range(g0 + max(first - off, 0) // len(labels), g1):
+                own = self._offset(rows, g) if moves else 0
+                parts = [(self._offset(rows, g2), F.mul(sign, c), prod)
+                         for g2, e in self.generators[g][2].items()
+                         for k, c in e.terms.items()
+                         if (prod := self._product(k, i - h, j - d))]
+                for a in range(len(labels)):
+                    col = {own + r: c for r, c in da[a].items()}
+                    for at, c, prod in parts:
+                        la.axpy(F, col, c, {at + r: v
+                                            for r, v in prod[a].items()})
+                    columns.append(col)
+        return la.ExactMatrix(F, nrows, columns)
 
     def act_matrix(self, d, bidx, i, j):
-        A = self.algebra
-        cols = self.basis(i, j)
-        pos = {lab: n for n, lab in enumerate(self.basis(i, j + d))}
+        """A0's action by the base element (d, bidx): A's on each block."""
+        rows, nrows = self._layout(i, j + d)
         columns = []
-        for g, akey in cols:
-            col = {}
-            for akey2, c in A._act_label(d, bidx, akey):
-                col[pos[(g, akey2)]] = c
-            columns.append(col)
-        return la.ExactMatrix(A.field, len(pos), columns)
+        for _, (h, hd, g0, g1), labels in self._layout(i, j)[0]:
+            prod = self._product((d, bidx, TRIVIAL_MONOMIAL), i - h, j - hd)
+            for g in range(g0, g1):
+                if prod is None:
+                    columns += [{}] * len(labels)
+                    continue
+                at = self._offset(rows, g)
+                columns += [{at + r: c for r, c in col.items()}
+                            for col in prod]
+        return la.ExactMatrix(self.algebra.field, nrows, columns)
 
     # --- the comparison map -------------------------------------------------
 
     def q_block(self, i, j):
         """q from slice (i, j) to the module ring R, which is zero outside
-        homological degree 0: the label (g, a) of slice (0, j), a a base
+        homological degree 0: the label a*g of slice (0, j), a a base
         element (jb, ib) of A0, goes to the image of a in R times the
         image of g."""
         F = self.algebra.field
@@ -119,22 +136,32 @@ class SemifreeResolution(hml.Construction):
             return la.ExactMatrix.zero(F, 0, self.dim(i, j))
         T = self.target
         columns = []
-        for g, (jb, ib, _) in self.basis(0, j):
-            _, d, _, img = self.generators[g]
-            if jb:
-                img = T.tbase.multiply(jb, T.base_image(jb, ib), d, img)
-            columns.append(T.coords(0, j, img))
+        for _, (_, d, g0, g1), labels in self._layout(0, j)[0]:
+            for g in range(g0, g1):
+                img = self.generators[g][3]
+                columns += [T.coords(0, j, T.tbase.multiply(
+                    jb, T.base_image(jb, ib), d, img) if jb else img)
+                    for jb, ib, _ in labels]
         return la.ExactMatrix(F, T.dim(0, j), columns)
 
     def adjoin(self, n, stage):
         """Add one free generator of homological degree n per cycle of the
         stage, with its boundary and its image in the module, in place."""
-        # generators of degree n leave the degree-(n-1) basis unchanged, so
-        # every boundary is read off the pre-stage basis
+        # generators of degree n leave the degree-(n-1) slices unchanged,
+        # so each cycle is split by the offsets of the pre-stage layout
         T = self.target
-        new = [(n, j, self.coords_to_components(n - 1, j, x),
-                {T.basis(n, j)[r]: c for r, c in t.items()})
-               for j, x, t in stage]
+        new = []
+        for j, x, t in stage:
+            blocks = self._layout(n - 1, j)[0]
+            bnd = {}
+            for pos, c in x.items():
+                off, (h, d, g0, _), labels = blocks[bisect_right(
+                    blocks, pos, key=itemgetter(0)) - 1]
+                g, a = divmod(pos - off, len(labels))
+                bnd.setdefault(g0 + g, DgElement(n - 1 - h, j - d)).terms[
+                    labels[a]] = c
+            new.append((n, j, bnd, {T.basis(n, j)[r]: c
+                                    for r, c in t.items()}))
         # stages arrive in order of (n, j), so each new generator extends
         # the last run or starts one
         runs = self._runs
@@ -145,10 +172,11 @@ class SemifreeResolution(hml.Construction):
                 runs[-1] = (*gen[:2], runs[-1][2], g + 1)
             else:
                 runs.append((*gen[:2], g, g + 1))
-        # a basis of homological degree < n has no label on the new
-        # generators, so only the slices of degree >= n are stale; of the
-        # rest, stage n + 1 reads only degree n - 1 again
-        self._bases = {k: v for k, v in self._bases.items() if k[0] == n - 1}
+        # a slice of homological degree < n reaches no new generator, so
+        # only the slices of degree >= n are stale; of the rest, stage
+        # n + 1 reads only degree n - 1 again
+        self._layouts = {k: v for k, v in self._layouts.items()
+                         if k[0] == n - 1}
 
     # --- reporting -----------------------------------------------------------
 

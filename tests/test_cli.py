@@ -407,6 +407,14 @@ task betti
 """
 
 
+def owners(res, i, j):
+    """The generator of each position of slice (i, j) of a resolution,
+    read off its layout: each generator is a block of the algebra's
+    slice."""
+    return [g for _, (_, _, g0, g1), labels in res._layout(i, j)[0]
+            for g in range(g0, g1) for _ in labels]
+
+
 def drop_the_sign_of_a_dg(monkeypatch):
     """Make SemifreeResolution.diff_matrix drop the sign (-1)^|a| of a*dg
     in d(a*g) = da*g + (-1)^|a| a*dg."""
@@ -418,12 +426,12 @@ def drop_the_sign_of_a_dg(monkeypatch):
     def unsigned(self, i, j, first=0):
         M = signed(self, i, j, first)
         F = self.algebra.field
-        rows = self.basis(i - 1, j)
+        rows = owners(self, i - 1, j)
         columns = []
-        for (g, _), col in zip(self.basis(i, j)[first:], M.columns):
+        for g, col in zip(owners(self, i, j)[first:], M.columns):
             # entries of a*dg lie on generators other than g
             if (i - self.generators[g][0]) % 2:
-                col = {r: v if rows[r][0] == g else F.neg(v)
+                col = {r: v if rows[r] == g else F.neg(v)
                        for r, v in col.items()}
             columns.append(col)
         return la.ExactMatrix(F, M.rows, columns)

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,16 +306,25 @@ def reference_matrix(field, cols, rows, column):
     return la.ExactMatrix(field, len(rows), columns)
 
 
+def resolution_labels(res, i, j):
+    """The labels (g, algebra label) of slice (i, j) of a resolution, in
+    the order of its layout: generator by generator, each a block of the
+    algebra's slice."""
+    return [(g, a) for _, (_, _, g0, g1), labels in res._layout(i, j)[0]
+            for g in range(g0, g1) for a in labels]
+
+
 def check_against_reference(built, n):
-    """diff_matrix and act_matrix of a model's algebra or a resolution, in
-    the slices stage n reads, against the general product and the Leibniz
+    """diff_matrix and act_matrix of a model or a resolution, in the
+    slices stage n reads, against the general product and the Leibniz
     rule on a fresh algebra with the same variables."""
     A = built.algebra
     plain = DgAlgebra(A.base, A.variables, A.max_hdeg, A.max_intdeg)
     F = A.field
     one = F.one
+    diff, act = built.diff_matrix, built.act_matrix
     if isinstance(built, SemifreeResolution):
-        basis, diff, act = built.basis, built.diff_matrix, built.act_matrix
+        basis = partial(resolution_labels, built)
         hmax, dmax = built.max_hdeg, built.max_intdeg
 
         def label(i, j, lab):
@@ -341,7 +351,7 @@ def check_against_reference(built, n):
                         for k, c in plain.multiply(r, a).terms.items()]
             return column
     else:
-        basis, diff, act = A.basis_of_bidegree, A.diff_matrix, A.act_matrix
+        basis = A.basis_of_bidegree
         hmax, dmax = A.max_hdeg, A.max_intdeg
 
         def d_column(i, j):
@@ -376,6 +386,40 @@ def minimal_model_switch_2(field, algebra):
 
 def minimal_model_of_k(field, algebra):
     return lambda: mb.minimal_model(algebra(field, 5, 8), 5, 8)
+
+
+@pytest.mark.parametrize("make, witnesses", [
+    (lambda: minimal_model_switch_2(GF(3), mixed_degree_algebra)().algebra,
+     (-1, 2)),
+    (lambda: minimal_model_switch_2(QQ, mixed_degree_algebra)().algebra,
+     (-1, 2)),
+    (lambda: paper_dg_algebra(QQ, 5, 7), ()),
+], ids=["switch2-F3", "switch2-Q", "paper-dg-Q"])
+def test_mul_matrix_is_the_product_by_each_label(make, witnesses):
+    # column by column, mul_matrix(k, i, j) is the general product of each
+    # label of (i, j) with k on its right, for every label k of the small
+    # bidegrees; the model's odd variables and divided powers bring
+    # odd-merge signs (-1) and binomials (2) into the products
+    U = make()
+    F = U.field
+    one = F.one
+    small = [(i, j) for i in range(3) for j in range(5)]
+    scalars = set()
+    for hk, dk in small:
+        for key in U.basis_of_bidegree(hk, dk):
+            k = DgElement(hk, dk, {key: one})
+            for i, j in small:
+                if i + hk > U.max_hdeg or j + dk > U.max_intdeg:
+                    continue
+                M = U.mul_matrix(key, i, j)
+                rows = U.basis_of_bidegree(i + hk, j + dk)
+                assert M.rows == len(rows)
+                for a, col in zip(U.basis_of_bidegree(i, j), M.columns):
+                    ref = U.multiply(DgElement(i, j, {a: one}), k).terms
+                    assert {rows[r]: c for r, c in col.items()} == ref, \
+                        (a, key)
+                    scalars.update(ref.values())
+    assert {F.from_int(c) for c in (1,) + witnesses} <= scalars
 
 
 @pytest.mark.parametrize("construct", [

@@ -95,8 +95,8 @@ def test_resolution_ranks_match_closure_free_ranks():
 
 
 def test_kept_bases_match_a_fresh_resolution():
-    # extend keeps the basis slices of degree n - 1, the only kept degree
-    # the next stage reads; each must equal the slice of a resolution
+    # adjoin keeps the slice layouts of degree n - 1, the only kept degree
+    # the next stage reads; each must equal the layout of a resolution
     # built afresh on the same generators
     A = golod(GF(101), N=6, D=8)
     B = ring_algebra(QQ, [("x", 1)], [{(3,): 1}], 5, 6)
@@ -110,10 +110,10 @@ def test_kept_bases_match_a_fresh_resolution():
             fresh = SemifreeResolution(alg, M, N, D)
             fresh.generators = list(res.generators)
             fresh._runs = list(res._runs)
-            for (i, j), labels in res._bases.items():
+            for (i, j), layout in res._layouts.items():
                 assert i == n - 1
-                assert labels == fresh.basis(i, j), (n, i, j)
-                kept_any = kept_any or bool(labels)
+                assert layout == fresh._layout(i, j), (n, i, j)
+                kept_any = kept_any or bool(layout[1])
         assert kept_any
 
 
@@ -142,15 +142,19 @@ def generator_runs(generators):
 def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
         monkeypatch):
     # a slice of the resolution asks the algebra for one basis per run of
-    # generators of one bidegree, not one per generator, and over an
-    # algebra with no variables every label product keeps its monomial
+    # generators of one bidegree, not one per generator; the algebra's
+    # right multiplication by a label is built once per label and algebra
+    # slice, and its differential once per slice; and over an algebra
+    # with no variables every label product keeps its monomial
     A = golod(GF(101), N=6, D=8)
     counts = {"lookups": 0, "monomials": 0, "runs": 0, "slices": 0}
+    built = {"mul_matrix": [], "diff_matrix": []}
+    in_layout = [False]
 
     lookup = DgAlgebra.basis_of_bidegree
 
     def counted_lookup(self, i, j):
-        counts["lookups"] += 1
+        counts["lookups"] += in_layout[0]
         return lookup(self, i, j)
 
     monomial_init = Monomial.__init__
@@ -159,23 +163,36 @@ def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
         counts["monomials"] += 1
         monomial_init(self, *args, **kwargs)
 
-    basis = SemifreeResolution.basis
+    layout = SemifreeResolution._layout
 
-    def counted_basis(self, i, j):
-        if (i, j) not in self._bases:
+    def counted_layout(self, i, j):
+        if (i, j) not in self._layouts:
             counts["slices"] += 1
             counts["runs"] += generator_runs(self.generators)
-        return basis(self, i, j)
+        in_layout[0] = True
+        try:
+            return layout(self, i, j)
+        finally:
+            in_layout[0] = False
 
+    for name in built:
+        def recorded(self, *args, method=getattr(DgAlgebra, name),
+                     name=name):
+            built[name].append(args)
+            return method(self, *args)
+        monkeypatch.setattr(DgAlgebra, name, recorded)
     monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
     monkeypatch.setattr(Monomial, "__init__", counted_init)
-    monkeypatch.setattr(SemifreeResolution, "basis", counted_basis)
+    monkeypatch.setattr(SemifreeResolution, "_layout", counted_layout)
     res = resolve_module(A, residue_field(A), 6, 8)
     assert betti_marginals(res, 6) == [1, 2, 3, 5, 8, 13, 21]
     assert counts["slices"] > 0
     assert counts["lookups"] <= counts["runs"]
     assert counts["lookups"] <= generator_runs(res.generators) * \
         counts["slices"]
+    assert built["mul_matrix"]
+    for args in built.values():
+        assert len(set(args)) == len(args)
     assert counts["monomials"] == 0
 
 

@@ -214,6 +214,19 @@ def test_one_route_to_each_betti_table_and_one_minimality_check():
         "homology.py:Construction.build"}
 
 
+def test_label_products_and_differentials_stay_in_the_algebra():
+    # a resolution's matrices and the fiber complex's are built from an
+    # algebra's blocks (its differential and mul_matrix), so one label at
+    # a time is multiplied or differentiated only in dg_core and in the
+    # integer check of a lifted resolution
+    for name in ("_label_product", "_label_differential"):
+        # the file and outermost scope of each call
+        callers = {re.match(r"[^:]*:[^.]*", caller)[0]
+                   for caller in callers_of(name)}
+        assert callers == {"dg_core.py:DgAlgebra",
+                           "module_resolution.py:first_non_cycle"}, name
+
+
 def test_algebras_are_grown_only_by_the_code_that_made_them():
     # adjoin_variable grows an algebra in place, so it is called only on
     # an algebra the caller made itself: a model's own algebra, the copy a
