@@ -355,11 +355,12 @@ def build_algebra(job):
     A = DgAlgebra(tbase, max_hdeg=N, max_intdeg=D)
     base_names = [v.name for v in base_vars]
     for name, hdeg, intdeg, kind, boundary, n in job.dgvars:
-        z = _evaluate_in_algebra(A, boundary, n, base_names,
-                                 hdeg - 1, intdeg)
         try:
+            z = _evaluate_in_algebra(A, boundary, n, base_names,
+                                     hdeg - 1, intdeg)
             var = A.adjoin_variable(z, KINDS[kind], name=name)
-        except (ParityError, NotCycleError, ValueError) as e:
+        except (BoundExceededError, ParityError, NotCycleError,
+                ValueError) as e:
             raise JobError(str(e), n)
         if var.hdeg != hdeg:
             raise JobError(

@@ -218,5 +218,10 @@ def parse_field(spec):
     if spec == "Q":
         return QQ
     if spec.startswith("Fp:"):
-        return GF(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            pass
+        else:
+            return GF(p)
     raise ValueError(f"unknown field spec {spec!r} (expected Q or Fp:<prime>)")

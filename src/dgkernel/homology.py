@@ -7,9 +7,9 @@ looks at a few homological degrees only.  An object under construction
 makes one complex and one cone for all of its stages, certifies each
 cone degree as soon as it is final, and then drops the differentials
 that no later stage reads.  A stage appends labels to the slices of the
-object it grows, so the object's complex keeps its differentials and
-extends each by its new columns; the cone interleaves the object with
-the target, so it forgets its slices and builds them again.  The
+object it grows, and a cone slice is the target's followed by the
+object's, so the object's complex and the cone both grow: each keeps
+its differentials and extends them by their new columns.  The
 differential preserves internal degree, so each (i, j) slice is finite
 and exact.
 """
@@ -25,20 +25,18 @@ class BigradedComplex:
     """Chain complex indexed by (homological, internal) bidegree.
 
     dim_fn(i, j) -> dimension of slice (i, j), diff_fn(i, j) ->
-    ExactMatrix from slice (i, j) to (i-1, j), or diff_fn None for the
-    zero differential.  Valid for hmin <= i <= hmax and 0 <= j <= dmax;
-    outside that range dimensions read as 0.  Dimensions, differentials
-    and ranks are cached per slice until forget drops them.  After grow,
-    a slice may have gained basis elements at its end: diff_fn(i, j,
-    first) is then asked for the columns from first on only, and rows
+    ExactMatrix from slice (i, j) to (i-1, j).  Valid for 0 <= i <= hmax
+    and 0 <= j <= dmax; outside that range dimensions read as 0.
+    Dimensions, differentials and ranks are cached per slice.  After
+    grow, a slice may have gained basis elements at its end: diff_fn(i,
+    j, first) is then asked for the columns from first on only, and rows
     gained below a kept block leave its columns as they are.
     """
 
-    def __init__(self, field, dim_fn, diff_fn, hmin, hmax, dmax):
+    def __init__(self, field, dim_fn, diff_fn, hmax, dmax):
         self.field = field
         self._dim_fn = dim_fn
         self._diff_fn = diff_fn
-        self.hmin = hmin
         self.hmax = hmax
         self.dmax = dmax
         self._dims = {}
@@ -46,7 +44,7 @@ class BigradedComplex:
         self._ranks = {}
 
     def dim(self, i, j):
-        if not (self.hmin <= i <= self.hmax and 0 <= j <= self.dmax):
+        if not (0 <= i <= self.hmax and 0 <= j <= self.dmax):
             return 0
         key = (i, j)
         if key not in self._dims:
@@ -61,7 +59,7 @@ class BigradedComplex:
         if kept is not None and (kept.rows, kept.cols) == (m, n):
             return kept
         first = kept.cols if kept is not None else 0
-        if first == n or m == 0 or self._diff_fn is None:
+        if first == n or m == 0:
             M = la.ExactMatrix.zero(self.field, m, n - first)
         elif first:
             M = self._diff_fn(i, j, first)
@@ -90,13 +88,6 @@ class BigradedComplex:
         Z = la.kernel_basis(M)
         self._ranks[(i, j)] = M.cols - Z.cols
         return Z
-
-    def forget(self, n):
-        """Drop the cached slices of homological degree >= n: the
-        differential out of slice i reads slices i and i - 1 only."""
-        for cache in (self._dims, self._diffs, self._ranks):
-            for key in [k for k in cache if k[0] >= n]:
-                del cache[key]
 
     def grow(self, n):
         """The slices of homological degree >= n gained basis elements at
@@ -128,46 +119,46 @@ def algebra_complex(A):
     """The underlying complex of a DgAlgebra."""
     return BigradedComplex(
         A.field, lambda i, j: len(A.basis_of_bidegree(i, j)), A.diff_matrix,
-        0, A.max_hdeg, A.max_intdeg)
+        A.max_hdeg, A.max_intdeg)
 
 
-def cone(C, D, block):
-    """Mapping cone of the chain map f: C -> D of homological degree 0
-    with blocks block(i, j): C_(i, j) -> D_(i, j), asked for only when
-    both slices are nonempty: the sum C[-1] (+) D with block
-    differential ((dC, 0), (f, -dD)).  That is minus the usual one, with
-    the same cycles and boundaries, so a column of C with no image under
-    f is shared with C's differential, not copied.
+def cone(C, tdim, block):
+    """Mapping cone of the chain map f: C -> T of homological degree 0
+    into a complex T with zero differential and slice dimensions
+    tdim(i, j), with blocks block(i, j): C_(i, j) -> T_(i, j), asked
+    for only when both slices are nonempty.  Slice (n, j) is T_(n, j)
+    followed by C_(n-1, j); the differential is zero on T and sends c to
+    (f(c), dc).  That is the usual cone up to a sign in each degree, so
+    it has the same homology; where the slice below holds no T, a column
+    of C is shared with C's differential, not copied.
 
-    Slice (n, j) is C_(n-1, j) followed by D_(n, j).
+    C's slices grow at their end, and so do the cone's: diff(n, j,
+    first) gives the columns from first on only.
     """
     F = C.field
 
     def dim(n, j):
-        return C.dim(n - 1, j) + D.dim(n, j)
+        return tdim(n, j) + C.dim(n - 1, j)
 
-    def diff(n, j):
-        neg = F.neg
-        mc = C.dim(n - 2, j)
-        f = (block(n - 1, j).columns
-             if C.dim(n - 1, j) and D.dim(n - 1, j) else None)
-        columns = []
-        for k, col in enumerate(C.diff(n - 1, j).columns):
-            if f is not None and f[k]:
-                col = dict(col)
-                for r, v in f[k].items():
-                    col[mc + r] = v
-            columns.append(col)
-        for col in D.diff(n, j).columns:
-            out = {}
-            for r, v in col.items():
-                out[mc + r] = neg(v)
-            columns.append(out)
-        return la.ExactMatrix(F, mc + D.dim(n - 1, j), columns)
+    def diff(n, j, first=0):
+        t, mt = tdim(n, j), tdim(n - 1, j)
+        start = max(first - t, 0)
+        columns = _below(mt, C.diff(n - 1, j).columns[start:])
+        if mt and C.dim(n - 1, j):
+            columns = [{**f, **col} for f, col in
+                       zip(block(n - 1, j).columns[start:], columns)]
+        return la.ExactMatrix(F, mt + C.dim(n - 2, j),
+                              [{}] * max(t - first, 0) + columns)
 
-    return BigradedComplex(
-        F, dim, diff,
-        min(C.hmin + 1, D.hmin), min(C.hmax + 1, D.hmax), min(C.dmax, D.dmax))
+    return BigradedComplex(F, dim, diff, C.hmax + 1, C.dmax)
+
+
+def _below(shift, columns):
+    """The columns with every row index raised by shift: the same dicts
+    when shift is 0."""
+    if not shift:
+        return columns
+    return [{shift + r: v for r, v in col.items()} for col in columns]
 
 
 def homology(C, i, j):
@@ -267,14 +258,15 @@ class Construction:
     act_matrix(d, bidx, i, j), adjoin(n, stage), which adds the
     variables or generators of one stage in place, and
     non_minimal_witness(), a message naming where X is not minimal, or
-    None.  The target has dim(i, j) and act_matrix(d, bidx, i, j), and
-    lives in homological degrees >= 0.
+    None.  The target T has zero differential, dim(i, j) and
+    act_matrix(d, bidx, i, j), and lives in homological degrees >= 0.
 
-    complex (X) and cone (cone of q, slice m is X_(m-1) followed by
-    T_m) are made once, here, and every stage reads them; build keeps
-    only the slices a later stage or check reads.  They call the
-    object's methods through weak references, so the object is freed at
-    its last reference, not by the cyclic garbage collector.
+    complex (X) and cone (cone of q, slice m is T_m followed by
+    X_(m-1)) are made once, here, and every stage reads them and grows
+    them; build keeps only the slices a later stage or check reads.
+    They call the object's methods through weak references, so the
+    object is freed at its last reference, not by the cyclic garbage
+    collector.
     """
 
     def __init__(self, algebra, target, max_hdeg, max_intdeg):
@@ -282,15 +274,10 @@ class Construction:
         self.target = target
         self.max_hdeg = max_hdeg
         self.max_intdeg = max_intdeg
-        F = algebra.field
-        self.complex = BigradedComplex(F, _weak(self.dim),
+        self.complex = BigradedComplex(algebra.field, _weak(self.dim),
                                        _weak(self.diff_matrix),
-                                       0, max_hdeg, max_intdeg)
-        self.cone = cone(
-            self.complex,
-            BigradedComplex(F, target.dim, None, 0, max_hdeg + 1,
-                            max_intdeg),
-            _weak(self.q_block))
+                                       max_hdeg, max_intdeg)
+        self.cone = cone(self.complex, target.dim, _weak(self.q_block))
 
     def build(self, first, reverse=False):
         """Run the stages first..max_hdeg and return self, certified:
@@ -335,9 +322,9 @@ def kill_homology(built, n, reverse=False):
     stage lists (intdeg, X coords at (n-1, intdeg), T coords at (n,
     intdeg)) per selected cycle.  The action of A0 is asked for only in
     the degrees of A0's generators (see minimal_generators).  A stage
-    appends labels to the slices of X of degree >= n, which keep their
-    differentials (grow), and changes the slices of the cone of degree
-    >= n + 1, which are forgotten.
+    appends labels to the slices of X of degree >= n, and so to the
+    slices of the cone of degree >= n + 1: both keep their
+    differentials (grow).
     """
     X = built.complex
     C = built.cone
@@ -347,20 +334,20 @@ def kill_homology(built, n, reverse=False):
 
     def action(d, j):
         for bidx in base.a0_basis(d):
-            mx = built.act_matrix(d, bidx, n - 1, j)
             mt = target.act_matrix(d, bidx, n, j)
-            yield la.ExactMatrix(F, mx.rows + mt.rows, mx.columns + [
-                {mx.rows + r: v for r, v in col.items()} for col in mt.columns])
+            mx = built.act_matrix(d, bidx, n - 1, j)
+            yield la.ExactMatrix(F, mt.rows + mx.rows,
+                                 mt.columns + _below(mt.rows, mx.columns))
 
     degrees = sorted({v.intdeg for v in base.presentation.variables
                       if v.hdeg == 0})
     actions = {d: partial(action, d) for d in degrees}
     stage = []
     for j, col in minimal_generators(C, n, actions, reverse=reverse):
-        nx = X.dim(n - 1, j)
-        stage.append((j, {r: v for r, v in col.items() if r < nx},
-                      {r - nx: v for r, v in col.items() if r >= nx}))
+        nt = target.dim(n, j)
+        stage.append((j, {r - nt: v for r, v in col.items() if r >= nt},
+                      {r: v for r, v in col.items() if r < nt}))
     built.adjoin(n, stage)
     X.grow(n)
-    C.forget(n + 1)
+    C.grow(n + 1)
     return built

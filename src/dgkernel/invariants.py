@@ -628,7 +628,7 @@ def _fiber_complex(model, i):
             for p in kept(n, j)])
 
     return hml.BigradedComplex(V.field, lambda n, j: len(kept(n, j)), diff,
-                               0, V.max_hdeg, V.max_intdeg)
+                               V.max_hdeg, V.max_intdeg)
 
 
 def _verify_fiber_boundedness(A, N, D):

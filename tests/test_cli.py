@@ -300,6 +300,26 @@ def test_dg_variable_internal_degree_zero_positioned(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("dgvar, message", [
+    ("dgvar e 1 5 exterior x^5", "internal degree 5 outside [0, 3]"),
+    ("dgvar e 5 1 exterior 0", "adjoined variable outside bounds"),
+], ids=["boundary", "variable"])
+def test_dg_variable_outside_the_bounds_positioned(tmp_path, capsys, dgvar,
+                                                   message):
+    job = f"field Q\nbase x 1\nbounds 3 3\n{dgvar}\ntask deviations\n"
+    assert run_cli([write_job(tmp_path, job)]) == 1
+    assert capsys.readouterr().err == f"error: {message} at line 4\n"
+
+
+@pytest.mark.parametrize("spec", ["Fp:abc", "Fp:"])
+def test_unknown_field_spec_positioned(tmp_path, capsys, spec):
+    job = HYP.format(task="deviations").replace("field Q", f"field {spec}")
+    assert run_cli([write_job(tmp_path, job)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: unknown field spec {spec!r} (expected Q or Fp:<prime>) "
+        "at line 1\n")
+
+
 def test_parity_mismatch_positioned(tmp_path, capsys):
     job = """\
 field Q

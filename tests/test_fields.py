@@ -2,13 +2,14 @@
 otherwise, with the arithmetic of Fraction; prime fields with exact
 primality, reduction of Q scalars and rational reconstruction."""
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dgkernel import QQ, GF
+from dgkernel import QQ, GF, parse_field
 from dgkernel.errors import ReductionError
 from dgkernel.fields import (PRIMALITY_BOUND, PRIME, SECOND_PRIME,
                              _is_prime, reconstruct)
@@ -99,6 +100,15 @@ def test_prime_field_refuses_p_beyond_the_proven_bound():
     for p in (PRIMALITY_BOUND, 2**127 - 1):
         with pytest.raises(ValueError, match="too large"):
             GF(p)
+
+
+@pytest.mark.parametrize("spec", ["Fp:abc", "Fp:", "F101", "R"])
+def test_parse_field_names_the_spec_it_refuses(spec):
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown field spec {spec!r} (expected Q or Fp:<prime>)")):
+        parse_field(spec)
+    assert parse_field(" Fp:101 ") is GF(101)
+    assert parse_field("Q") is QQ
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

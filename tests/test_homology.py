@@ -59,9 +59,11 @@ def identity(field, n):
 
 
 def test_cone_of_identity_is_exact():
+    # A has no variables, so its complex has zero differential and is
+    # its own target
     A = hypersurface(QQ, N=4, D=4)
     C = hml.algebra_complex(A)
-    cone = hml.cone(C, C, lambda i, j: identity(QQ, C.dim(i, j)))
+    cone = hml.cone(C, C.dim, lambda i, j: identity(QQ, C.dim(i, j)))
     for i in range(4):
         for j in range(5):
             assert hml.homology(cone, i, j) == 0
@@ -80,8 +82,7 @@ def test_dd_zero_across_grid():
 def test_homology_rejects_d_squared_nonzero():
     # k in degrees 0, 1, 2 with every differential the identity
     C = hml.BigradedComplex(
-        QQ, lambda i, j: 1, lambda i, j: identity(QQ, 1),
-        0, 2, 0)
+        QQ, lambda i, j: 1, lambda i, j: identity(QQ, 1), 2, 0)
     with pytest.raises(CertificationError, match="d o d != 0"):
         hml.homology(C, 1, 0)
 
@@ -95,8 +96,7 @@ def test_check_dd_zero_reads_every_column_of_the_product(field):
     for last, expect in (({1: one}, False), ({0: two, 1: minus}, True)):
         d2 = la.ExactMatrix(field, 2, [{0: two, 1: minus}, {}, last])
         C = hml.BigradedComplex(
-            field, lambda i, j: i + 1, lambda i, j: (d1, d2)[i - 1],
-            0, 2, 0)
+            field, lambda i, j: i + 1, lambda i, j: (d1, d2)[i - 1], 2, 0)
         assert C.check_dd_zero(2, 0) is expect
         assert d1.matmul(d2).is_zero() is expect
 
@@ -124,8 +124,7 @@ def test_minimal_generators_builds_only_what_can_gain_rank():
         yield (la.ExactMatrix(QQ, 2, [{1: one}]) if j == 0 else
                la.ExactMatrix(QQ, 1, [{0: one}, {}]))
 
-    C = hml.BigradedComplex(QQ, lambda i, j: dims.get((i, j), 0), diff,
-                            0, 2, 2)
+    C = hml.BigradedComplex(QQ, lambda i, j: dims.get((i, j), 0), diff, 2, 2)
     assert hml.minimal_generators(C, 1, {1: act_at}) == [(0, {0: one})]
     assert sorted(built) == [(1, 1), (1, 2), (2, 1)]
     assert acted == []
@@ -512,7 +511,7 @@ def test_homology_matches_kernel_and_pick_on_stage_cones(monkeypatch,
 
     def checked_kill(built, n, reverse=False):
         C = built.cone
-        for i in range(max(C.hmin, n - 1), min(n + 1, C.hmax) + 1):
+        for i in range(max(0, n - 1), min(n + 1, C.hmax) + 1):
             for j in range(built.max_intdeg + 1):
                 got = hml.homology(C, i, j)
                 assert got == reference_homology(C, i, j), (n, i, j)
@@ -642,31 +641,36 @@ def fresh_twin(built):
 ], ids=["closure-Q", "hdeg2-closure-F3", "dg-closure-Q", "switch2-F3",
         "betti-F3", "dg-betti-Q", "hdeg2-cyclic-x-Q", "cover-Q"])
 def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
-    # after each stage, every slice the one cone keeps equals that of an
-    # object built afresh on the same variables or generators; every
-    # differential X keeps and every basis an algebra keeps is a prefix
-    # of the fresh one, and extended it equals the fresh one
+    # after each stage, every dimension and rank the one cone keeps
+    # equals that of an object built afresh on the same variables or
+    # generators; every differential X and the cone keep and every basis
+    # an algebra keeps is a prefix of the fresh one, and extended it
+    # equals the fresh one
     kill_homology = hml.kill_homology
     kept = {"cone": 0, "models": 0, "bases": 0, "grown": 0}
+
+    def check_kept(mine, fresh, n):
+        """The kept nonempty blocks of mine, and those grown since."""
+        blocks = grown_blocks = 0
+        for (i, j), M in list(mine._diffs.items()):
+            ref = fresh.diff(i, j)
+            assert M.columns == ref.columns[:M.cols], (n, i, j)
+            grown = mine.diff(i, j)
+            assert (grown.rows, grown.columns) == (ref.rows, ref.columns), \
+                (n, i, j)
+            blocks += bool(M.columns)
+            grown_blocks += grown.cols > M.cols > 0
+        return blocks, grown_blocks
 
     def checked_kill(built, n, reverse=False):
         out = kill_homology(built, n, reverse=reverse)
         twin = fresh_twin(out)
+        # X first: extending a cone block extends the X block it reads
+        kept["grown"] += check_kept(out.complex, twin.complex, n)[1]
         C, T = out.cone, twin.cone
-        for (i, j), M in C._diffs.items():
-            ref = T.diff(i, j)
-            assert (M.rows, M.columns) == (ref.rows, ref.columns), (n, i, j)
-            kept["cone"] += bool(M.columns)
+        kept["cone"] += check_kept(C, T, n)[0]
         assert {k: T.dim(*k) for k in C._dims} == C._dims, n
         assert {k: T.rank(*k) for k in C._ranks} == C._ranks, n
-        X, Y = out.complex, twin.complex
-        for (i, j), M in list(X._diffs.items()):
-            ref = Y.diff(i, j)
-            assert M.columns == ref.columns[:M.cols], (n, i, j)
-            grown = X.diff(i, j)
-            assert (grown.rows, grown.columns) == (ref.rows, ref.columns), \
-                (n, i, j)
-            kept["grown"] += grown.cols > M.cols > 0
         if not isinstance(out, SemifreeResolution):
             kept["models"] += 1
             A = out.algebra
@@ -770,6 +774,36 @@ def test_a_closure_differentiates_each_label_once(monkeypatch, algebra):
     acyclic_closure(A, A.max_hdeg, A.max_intdeg)
     assert extended
     assert len(seen) > 100
+
+
+@pytest.mark.parametrize("build", [
+    lambda: acyclic_closure(golod(QQ, 5, 8), 5, 8),
+    lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
+    lambda: model_over_cover(hdeg_two_algebra(GF(3), 5, 8).base, 5, 8),
+], ids=["closure-golod", "closure-paper-dg", "cover-hdeg2"])
+def test_the_cone_builds_each_slice_from_column_0_once(monkeypatch, build):
+    # a cone slice is the target's followed by X's, so it grows at its
+    # end as X's does: over all the stages of a build the cone's
+    # differential builds each slice from column 0 at most once, and
+    # some kept block is extended by its new columns
+    fresh = []
+    extended = []
+    cone = hml.cone
+
+    def counted_cone(*args):
+        C = cone(*args)
+        diff_fn = C._diff_fn
+
+        def counted(i, j, first=0):
+            (extended if first else fresh).append((i, j))
+            return diff_fn(i, j, first) if first else diff_fn(i, j)
+        C._diff_fn = counted
+        return C
+
+    monkeypatch.setattr(hml, "cone", counted_cone)
+    build()
+    assert len(set(fresh)) == len(fresh) > 10
+    assert extended
 
 
 @pytest.mark.parametrize("build", [

@@ -6,6 +6,7 @@ import re
 import sys
 
 import dgkernel
+from dgkernel import homology as hml
 
 
 ROOT = pathlib.Path(dgkernel.__file__).parent
@@ -155,11 +156,12 @@ def test_cones_are_made_only_by_objects_under_construction():
 
 
 def test_slices_are_forgotten_only_by_kill_homology():
-    # the cache rule (after stage n, X grows from degree n and the cone
-    # forgets from degree n + 1) is written once, in the stage driver,
-    # and the differentials below degree n are released only after their
-    # check
-    assert callers_of("forget") == {"homology.py:kill_homology"}
+    # the one cache rule (after stage n, X grows from degree n and the
+    # cone from degree n + 1) is written once, in the stage driver; no
+    # slice is dropped to be built again, and the differentials below
+    # degree n are released only after their check
+    assert not hasattr(hml.BigradedComplex, "forget")
+    assert callers_of("forget") == set()
     assert callers_of("grow") == {"homology.py:kill_homology"}
     assert callers_of("release") == {"homology.py:Construction.build"}
 
