@@ -2,7 +2,9 @@
 layer) and one incremental echelon engine.
 
 A matrix is its list of columns, each a dict row -> nonzero scalar: the
-format every layer builds and the engine reduces.
+format every layer builds and the engine reduces.  Every column is
+checked once, by the matrix that made it; a matrix assembled from the
+columns of checked matrices is not checked again.
 
 Everything downstream (quotient rings, homology, minimal generators)
 reduces to rank / kernel / independence modulo a span / normal forms in
@@ -15,6 +17,9 @@ one pass; _insert adds a reduced nonzero column, pivoting on its
 largest row.  Beside the basis the engine keeps an index from each
 non-pivot row to the pivots of the basis columns nonzero there, so
 _insert back-substitutes into exactly the columns that need it.
+kernel_basis's loop over a matrix's columns can be kept (an Echelon)
+and carried on over columns appended later, by a later kernel_basis
+call or after a generator pick has read the leading ones.
 
 Every public answer is canonical: pivot columns are the greedy
 independent columns, kernel vectors are 1 at their own dependent column
@@ -47,6 +52,20 @@ class ExactMatrix:
         self.rows = rows
         self.cols = len(columns)
         self.columns = columns
+
+    @classmethod
+    def _from_checked(cls, field, rows, columns):
+        """A matrix assembled from the columns of checked matrices, kept,
+        shifted below other rows or merged with columns on rows of their
+        own, so that every entry stays inside rows and nonzero: not
+        checked again.  Every column is checked once, by the matrix
+        that made it."""
+        M = object.__new__(cls)
+        M.field = field
+        M.rows = rows
+        M.cols = len(columns)
+        M.columns = columns
+        return M
 
     @classmethod
     def zero(cls, field, rows, cols):
@@ -125,15 +144,17 @@ def _insert(F, basis, index, col):
     """Add a reduced nonzero column to basis.  It pivots on its largest
     row, is scaled to -1 there, and that row is cleared from every other
     basis column, so each basis column keeps its largest row as pivot.
-    index maps each non-pivot row r to the set of pivots q with
+    index maps each non-pivot row r >= 0 to the set of pivots q with
     basis[q][r] != 0; the columns to clear are index.pop(p), and the
-    index follows every entry that appears or vanishes."""
+    index follows every entry that appears or vanishes.  A pivot is
+    never a row below 0 (kernel_basis's tag rows), so those are not
+    indexed."""
     p = max(col)
     col = axpy(F, {}, F.div(F.neg(F.one), col[p]), col)
-    rows = col.keys()
+    rows = {r for r in col if r >= 0}
     for q in index.pop(p, ()):
         other = basis[q]
-        # every row of col but p is a non-pivot row: those other lacks
+        # every row >= 0 of col but p is a non-pivot row: those other lacks
         # gain an entry, and of those it has, the ones missing after the
         # update (p among them, as col[p] = -1) cancelled
         gained = rows - other.keys()
@@ -143,7 +164,7 @@ def _insert(F, basis, index, col):
         for r in rows - other.keys():
             if r != p:
                 index[r].discard(q)
-    for r in col:
+    for r in rows:
         if r != p:
             index.setdefault(r, set()).add(p)
     basis[p] = col
@@ -176,19 +197,34 @@ def rank_and_pivots(M):
     return len(pivots), pivots
 
 
-def kernel_basis(M):
-    """Canonical null-space basis: one column per dependent column c of M,
-    equal to 1 at c and 0 at the other dependent columns.
+class Echelon:
+    """kernel_basis's tagged loop over the columns of a matrix, kept so
+    that a later call carries it on: the basis and index of the columns
+    read so far, tag rows included, and the kernel vectors found among
+    them.  Every column read is inserted or gives a kernel vector, so it
+    has read the leading len(basis) + len(kernel) columns."""
 
-    Column c carries a tag row -1 - c, below M's rows; a column that
-    reduces to tag rows only is its kernel vector, tag row -1 - r read
-    as row r."""
-    F = M.field
-    basis = {}
-    index = {}
-    kernel = []
-    for c, col in enumerate(M.columns):
-        col = dict(col)
+    __slots__ = ("basis", "index", "kernel")
+
+    def __init__(self):
+        self.basis = {}
+        self.index = {}
+        self.kernel = []
+
+
+def _carry_on(F, echelon, columns, limit):
+    """Carry echelon's tagged loop on over columns (a list), from the
+    first one it has not read, until its basis holds limit columns: no
+    column is read after that.
+
+    Column c carries a tag row -1 - c, below the matrix's rows; a column
+    that reduces to tag rows only is its kernel vector, tag row -1 - r
+    read as row r."""
+    basis, index, kernel = echelon.basis, echelon.index, echelon.kernel
+    for c in range(len(basis) + len(kernel), len(columns)):
+        if len(basis) >= limit:
+            return
+        col = dict(columns[c])
         col[-1 - c] = F.one
         _reduce(F, basis, col)
         if max(col) >= 0:
@@ -198,11 +234,25 @@ def kernel_basis(M):
         for r in sorted(col, reverse=True):
             vec[-1 - r] = col[r]
         kernel.append(vec)
-    return ExactMatrix(F, M.cols, kernel)
+
+
+def kernel_basis(M, echelon=None):
+    """Canonical null-space basis: one column per dependent column c of M,
+    equal to 1 at c and 0 at the other dependent columns.
+
+    echelon, if given, is the loop kept over M's leading columns (by
+    pick_new_generators or an earlier call, on a matrix whose columns
+    M's begin with): the loop carries it on from the first column it
+    has not read, and the kernel vectors are those of a fresh loop, as
+    each depends only on the columns up to its own."""
+    if echelon is None:
+        echelon = Echelon()
+    _carry_on(M.field, echelon, M.columns, M.cols)
+    return ExactMatrix(M.field, M.cols, echelon.kernel)
 
 
 def pick_new_generators(field, rank_bound, base_cols, cand_cols,
-                        reverse=False):
+                        reverse=False, kept=None):
     """Greedy selection of candidate columns independent modulo the span
     of base_cols (any iterable).  Returns the list of selected candidate
     indices, in the deterministic processing order (ascending, or
@@ -210,8 +260,23 @@ def pick_new_generators(field, rank_bound, base_cols, cand_cols,
 
     rank_bound bounds the rank of the whole span; the number of rows
     always is one.  Both passes stop once the basis holds rank_bound
-    columns, and base_cols is read no further."""
+    columns, and base_cols is read no further.
+
+    kept, if given, is a pair (echelon, columns): the columns of a
+    matrix B, which come before base_cols, and kernel_basis's loop over
+    B's leading ones.  The columns are read into echelon, tagged, from
+    the first it has not read, up to the rank bound, so that a later
+    kernel_basis(B, echelon) carries on from there; the selection goes
+    on untagged, on a copy of echelon's basis with the tags stripped.
+    A tag row is never a pivot and reducing a column reads its pivot
+    rows only, so the picks are those of an untagged pass."""
     basis, index = {}, {}
+    if kept is not None:
+        echelon, columns = kept
+        _carry_on(field, echelon, columns, rank_bound)
+        basis = {p: {r: v for r, v in col.items() if r >= 0}
+                 for p, col in echelon.basis.items()}
+        index = {r: set(qs) for r, qs in echelon.index.items()}
     _echelon(field, rank_bound, basis, index, base_cols)
     order = range(len(cand_cols))
     if reverse:

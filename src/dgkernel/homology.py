@@ -9,12 +9,15 @@ cone degree as soon as it is final, and then drops the differentials
 that no later stage reads.  A stage appends labels to the slices of the
 object it grows, and a cone slice is the target's followed by the
 object's, so the object's complex and the cone both grow: each keeps
-its differentials and extends them by their new columns.  The
+its differentials and extends them by their new columns, and the cone
+keeps the echelon of a slice's differential from the stage that reads
+its boundaries to the stage that reads its kernel.  The
 differential preserves internal degree, so each (i, j) slice is finite
 and exact.
 """
 
 from functools import partial
+from itertools import chain
 from weakref import WeakMethod
 
 from . import exact_linear as la
@@ -30,7 +33,11 @@ class BigradedComplex:
     Dimensions, differentials and ranks are cached per slice.  After
     grow, a slice may have gained basis elements at its end: diff_fn(i,
     j, first) is then asked for the columns from first on only, and rows
-    gained below a kept block leave its columns as they are.
+    gained below a kept block leave its columns as they are; the grown
+    block is assembled from checked columns and not checked again.  A
+    slice whose boundaries a stage reads keeps the echelon of its
+    differential (echelon) until the next stage reads its kernel, so
+    each of its columns is reduced once.
     """
 
     def __init__(self, field, dim_fn, diff_fn, hmax, dmax):
@@ -42,6 +49,7 @@ class BigradedComplex:
         self._dims = {}
         self._diffs = {}
         self._ranks = {}
+        self._echelons = {}
 
     def dim(self, i, j):
         if not (0 <= i <= self.hmax and 0 <= j <= self.dmax):
@@ -70,7 +78,8 @@ class BigradedComplex:
                 f"differential block at ({i},{j}) from column {first} has "
                 f"shape {M.rows}x{M.cols}, expected {m}x{n - first}")
         if first:
-            M = la.ExactMatrix(self.field, m, kept.columns + M.columns)
+            M = la.ExactMatrix._from_checked(self.field, m,
+                                             kept.columns + M.columns)
         self._diffs[key] = M
         return M
 
@@ -82,12 +91,26 @@ class BigradedComplex:
         return self._ranks[key]
 
     def kernel(self, i, j):
-        """la.kernel_basis of the differential out of slice (i, j); its
-        rank, cols - dim ker, is cached as rank(i, j)."""
+        """la.kernel_basis of the differential out of slice (i, j),
+        carried on from the echelon kept there (see echelon), which it
+        drops; its rank, cols - dim ker, is cached as rank(i, j)."""
         M = self.diff(i, j)
-        Z = la.kernel_basis(M)
+        Z = la.kernel_basis(M, self._echelons.pop((i, j), None))
         self._ranks[(i, j)] = M.cols - Z.cols
         return Z
+
+    def echelon(self, i, j):
+        """The la.Echelon of the differential out of slice (i, j), kept
+        until kernel(i, j) carries it on and drops it: a stage reads its
+        boundaries into it (minimal_generators) and the next stage its
+        kernel.  None in the top degree hmax, whose kernel no stage
+        reads."""
+        if i >= self.hmax:
+            return None
+        key = (i, j)
+        if key not in self._echelons:
+            self._echelons[key] = la.Echelon()
+        return self._echelons[key]
 
     def grow(self, n):
         """The slices of homological degree >= n gained basis elements at
@@ -147,8 +170,8 @@ def cone(C, tdim, block):
         if mt and C.dim(n - 1, j):
             columns = [{**f, **col} for f, col in
                        zip(block(n - 1, j).columns[start:], columns)]
-        return la.ExactMatrix(F, mt + C.dim(n - 2, j),
-                              [{}] * max(t - first, 0) + columns)
+        return la.ExactMatrix._from_checked(
+            F, mt + C.dim(n - 2, j), [{}] * max(t - first, 0) + columns)
 
     return BigradedComplex(F, dim, diff, C.hmax + 1, C.dmax)
 
@@ -201,6 +224,15 @@ def minimal_generators(C, i, actions, reverse=False):
     m * Z in degree j is spanned by the A0_d * Z_(j-d).  Returns a list
     of (intdeg, column dict) in selection order.
 
+    The boundaries are the leading columns of the differential out of
+    slice (i + 1, j), whose kernel the next stage reads: the pick reads
+    them into the echelon C keeps there, up to the rank bound, and that
+    stage's kernel carries it on over the columns this stage appends.
+    In the top degree hmax, whose kernel no stage reads, they go through
+    the untagged pass with the products.  Where there are none (over a
+    ring, a resolution's slice i + 1 is empty until this stage adjoins
+    to it), no echelon is kept.
+
     W = boundaries + m * Z lies in the span of Z, as d o d = 0 and A0
     acts by chain maps.  So its elimination stops at rank |Z|
     (pick_new_generators' rank bound) with the same picks; were W not in that
@@ -219,24 +251,28 @@ def minimal_generators(C, i, actions, reverse=False):
         Z = C.kernel(i, j).columns
         kernels[j] = Z
         if Z:
+            B = C.diff(i + 1, j).columns
+            echelon = C.echelon(i + 1, j) if B else None
+            W = _products(C, i, j, actions, kernels)
+            if echelon is None:
+                W = chain(B, W)
             sel = la.pick_new_generators(
-                C.field, len(Z), _spanning_columns(C, i, j, actions, kernels),
-                Z, reverse)
+                C.field, len(Z), W, Z, reverse,
+                kept=None if echelon is None else (echelon, B))
             gens += [(j, Z[k]) for k in sel]
         kernels.pop(j - top, None)
     return gens
 
 
-def _spanning_columns(C, i, j, actions, kernels):
-    """The columns of W in internal degree j, one at a time (see
-    minimal_generators): the boundaries into slice (i, j), then the
-    nonzero products A0_d * Z_(j-d), one action matrix at a time."""
-    yield from C.diff(i + 1, j).columns
+def _products(C, i, j, actions, kernels):
+    """The columns of W in internal degree j past the boundaries, one at
+    a time (see minimal_generators): the nonzero products A0_d *
+    Z_(j-d), one action matrix at a time."""
     for d, act_at in actions.items():
         lower = kernels.get(j - d)
         if not lower:
             continue
-        Zl = la.ExactMatrix(C.field, C.dim(i, j - d), lower)
+        Zl = la.ExactMatrix._from_checked(C.field, C.dim(i, j - d), lower)
         for act in act_at(j - d):
             for col in act.matmul(Zl).columns:
                 if col:
@@ -336,8 +372,8 @@ def kill_homology(built, n, reverse=False):
         for bidx in base.a0_basis(d):
             mt = target.act_matrix(d, bidx, n, j)
             mx = built.act_matrix(d, bidx, n - 1, j)
-            yield la.ExactMatrix(F, mt.rows + mx.rows,
-                                 mt.columns + _below(mt.rows, mx.columns))
+            yield la.ExactMatrix._from_checked(
+                F, mt.rows + mx.rows, mt.columns + _below(mt.rows, mx.columns))
 
     degrees = sorted({v.intdeg for v in base.presentation.variables
                       if v.hdeg == 0})

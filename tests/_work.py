@@ -1,0 +1,92 @@
+"""Exact axpy work of one job, per engine entry point (not collected by
+pytest).
+
+    python tests/_work.py SRC JOB
+
+imports dgkernel from the directory SRC (e.g. `src` of a checkout), runs
+the job file JOB through `cli.main` in this process and prints where its
+axpy work went: the number of terms every `exact_linear.axpy` call adds
+in, summed.  A call made by the engine (code in `exact_linear`) is
+charged to the innermost entry point running: `rank_and_pivots`,
+`kernel_basis`, `pick_new_generators`, `quotient` or
+`ExactMatrix.matmul`.  A call made by another module is charged to that
+module (the Leibniz fills of `dg_core`, the resolution's blocks, the
+d o d check of `homology`, the parser of `cli`), also when an entry
+point reads a lazy column of it.  The last lines give the engine's
+total and the total over all calls, then the job's exit code.
+
+Every module's binding of axpy is wrapped: `cli` and `dg_core` import it
+by name.  The counts are exact and repeat from run to run, so two
+checkouts compare on one job:
+
+    python tests/_work.py old/src job.txt
+    python tests/_work.py src job.txt
+"""
+
+import contextlib
+import importlib
+import io
+import os
+import sys
+
+ENTRY_POINTS = ("rank_and_pivots", "kernel_basis", "pick_new_generators",
+                "quotient", "matmul")
+MODULES = ("cli", "dg_core", "graded_base", "homology", "invariants",
+           "model_builder", "module_resolution")
+
+
+def count_work(la, modules):
+    """Wrap axpy in la and in every module of modules that binds it, and
+    the engine's entry points in la; returns the live work counts."""
+    work = dict.fromkeys(ENTRY_POINTS, 0)
+    running = [None]
+    axpy = la.axpy
+
+    def counted_axpy(F, out, c, terms):
+        caller = sys._getframe(1).f_globals["__name__"]
+        key = (running[-1] if caller == la.__name__
+               else caller.rsplit(".", 1)[-1])
+        work[key] = work.get(key, 0) + len(terms)
+        return axpy(F, out, c, terms)
+
+    def entered(name, fn):
+        def wrapped(*args, **kwargs):
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+        return wrapped
+
+    for mod in (la, *modules):
+        if getattr(mod, "axpy", None) is axpy:
+            mod.axpy = counted_axpy
+    for name in ENTRY_POINTS[:-1]:
+        setattr(la, name, entered(name, getattr(la, name)))
+    la.ExactMatrix.matmul = entered("matmul", la.ExactMatrix.matmul)
+    return work
+
+
+def main(argv):
+    if len(argv) != 3:
+        print("usage: python tests/_work.py SRC JOB", file=sys.stderr)
+        return 1
+    sys.path.insert(0, os.path.abspath(argv[1]))
+    from dgkernel import cli
+    from dgkernel import exact_linear as la
+
+    work = count_work(la, [importlib.import_module("dgkernel." + name)
+                           for name in MODULES])
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([argv[2]])
+    for name, units in work.items():
+        print(f"{name}: {units}")
+    engine = sum(work[name] for name in ENTRY_POINTS)
+    print(f"engine: {engine}")
+    print(f"total: {sum(work.values())}")
+    print(f"exit: {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -618,8 +618,8 @@ def drop_the_last_pick_at_stage_3(monkeypatch):
         stage[0] = n
         return kill_homology(built, n, reverse=reverse)
 
-    def short_pick(*args):
-        picks = pick(*args)
+    def short_pick(*args, **kwargs):
+        picks = pick(*args, **kwargs)
         return picks[:-1] if stage[0] == 3 else picks
 
     monkeypatch.setattr(hml, "kill_homology", staged_kill)

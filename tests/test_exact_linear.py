@@ -295,6 +295,41 @@ def test_pick_new_generators_stops_at_the_rank_of_the_span(case, reverse):
 
 
 @settings(max_examples=150, deadline=None)
+@given(small_matrices(), st.integers(0, 7), st.integers(0, 7),
+       st.integers(0, 3), st.booleans())
+def test_a_kept_echelon_carries_on_as_a_fresh_loop(m, nbase, bound, more,
+                                                   reverse):
+    # a pick reads the leading columns of B into a kept echelon, up to its
+    # rank bound, and picks what an untagged pass over them picks; a
+    # kernel_basis of the leading columns and then kernel_basis(B,
+    # echelon) carry the same loop on to B's fresh kernel, read column by
+    # column once
+    p, nrows, cols = m
+    F = FIELDS[p]
+    cols = [{r: F.from_int(v) for r, v in c.items()} for c in cols]
+    B = la.ExactMatrix(F, nrows, cols[:nbase] + cols[nbase + more:])
+    lead, cand = B.columns[:nbase], cols[nbase:nbase + more]
+    bound = max(bound, 1)
+    echelon = la.Echelon()
+    picks = la.pick_new_generators(F, bound, [], cand, reverse,
+                                   kept=(echelon, lead))
+    assert picks == la.pick_new_generators(F, bound, lead, cand, reverse)
+    read = len(echelon.basis) + len(echelon.kernel)
+    assert read == next((k for k in range(nbase + 1)
+                         if ref_rank(p, nrows, lead[:k]) == bound),
+                        len(lead))
+    assert la.kernel_basis(B, echelon).columns == \
+        la.kernel_basis(B).columns
+    assert len(echelon.basis) + len(echelon.kernel) == B.cols
+    # tag rows are never pivots, so the index holds the rows >= 0 only
+    assert {r: s for r, s in echelon.index.items() if s} == {
+        r: s for r, s in recomputed_index(echelon.basis).items() if r >= 0}
+    again = la.Echelon()
+    la.kernel_basis(la.ExactMatrix(F, nrows, lead), again)
+    assert la.kernel_basis(B, again).columns == la.kernel_basis(B).columns
+
+
+@settings(max_examples=150, deadline=None)
 @given(small_matrices())
 def test_quotient_matches_reference(m):
     p, nrows, cols = m

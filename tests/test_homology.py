@@ -1,5 +1,6 @@
 """Bigraded complexes, cones, homology, and Nakayama generator picks."""
 
+import copy
 import gc
 import weakref
 from functools import partial
@@ -645,9 +646,11 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
     # equals that of an object built afresh on the same variables or
     # generators; every differential X and the cone keep and every basis
     # an algebra keeps is a prefix of the fresh one, and extended it
-    # equals the fresh one
+    # equals the fresh one; every echelon the cone keeps is one of the
+    # slices the next stage reads the kernel of, and carried on over the
+    # fresh columns it gives the fresh kernel and rank
     kill_homology = hml.kill_homology
-    kept = {"cone": 0, "models": 0, "bases": 0, "grown": 0}
+    kept = {"cone": 0, "models": 0, "bases": 0, "grown": 0, "echelons": 0}
 
     def check_kept(mine, fresh, n):
         """The kept nonempty blocks of mine, and those grown since."""
@@ -671,6 +674,13 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
         kept["cone"] += check_kept(C, T, n)[0]
         assert {k: T.dim(*k) for k in C._dims} == C._dims, n
         assert {k: T.rank(*k) for k in C._ranks} == C._ranks, n
+        for (i, j), echelon in C._echelons.items():
+            assert i == n + 1, (n, i, j)
+            M = T.diff(i, j)
+            Z = la.kernel_basis(M, copy.deepcopy(echelon))
+            assert Z.columns == la.kernel_basis(M).columns, (n, i, j)
+            assert M.cols - Z.cols == T.rank(i, j), (n, i, j)
+            kept["echelons"] += bool(echelon.basis)
         if not isinstance(out, SemifreeResolution):
             kept["models"] += 1
             A = out.algebra
@@ -684,6 +694,7 @@ def test_kept_slices_match_a_fresh_object(monkeypatch, construct):
     monkeypatch.setattr(hml, "kill_homology", checked_kill)
     construct(False)
     assert kept["cone"] > 10
+    assert kept["echelons"] or not kept["grown"]
     assert kept["bases"] or not kept["models"]
     assert kept["grown"] or not kept["models"]
 
@@ -807,6 +818,113 @@ def test_the_cone_builds_each_slice_from_column_0_once(monkeypatch, build):
 
 
 @pytest.mark.parametrize("build", [
+    lambda: acyclic_closure(golod(QQ, 5, 8), 5, 8),
+    lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
+    lambda: model_over_cover(hdeg_two_algebra(GF(3), 5, 8).base, 5, 8),
+], ids=["closure-golod", "closure-paper-dg", "cover-hdeg2"])
+def test_each_cone_column_enters_the_tagged_loop_once(monkeypatch, build):
+    # stage n reads the boundaries of slice (n + 1, j) into the echelon
+    # the cone keeps there and stage n + 1 carries it on to the kernel, so
+    # over all the stages of a build each column of each cone slice
+    # enters the tagged loop at most once, some slice is read by two
+    # stages, and the untagged engine reads cone columns of the top
+    # degree only, whose kernel no stage reads
+    cones = []
+    slices = {}     # id of a cone block's column list -> (i, j, list)
+    columns = {}    # id of a nonempty cone column -> (i, column)
+    cone = hml.cone
+
+    def kept_cone(*args):
+        C = cone(*args)
+        cones.append(C)
+        return C
+
+    diff = hml.BigradedComplex.diff
+
+    def recorded_diff(self, i, j):
+        M = diff(self, i, j)
+        if self in cones:
+            slices[id(M.columns)] = (i, j, M.columns)
+            columns.update((id(col), (i, col)) for col in M.columns if col)
+        return M
+
+    read = {}       # (i, j) -> positions read, one list per call
+    carry_on = la._carry_on
+
+    def counted_carry_on(F, echelon, cols, limit):
+        i, j, _ = slices[id(cols)]
+        start = len(echelon.basis) + len(echelon.kernel)
+        carry_on(F, echelon, cols, limit)
+        end = len(echelon.basis) + len(echelon.kernel)
+        read.setdefault((i, j), []).append(range(start, end))
+
+    untagged = []
+    echelon = la._echelon
+
+    def recorded_echelon(F, limit, basis, index, cols):
+        def seen():
+            for col in cols:
+                if id(col) in columns:
+                    untagged.append(columns[id(col)][0])
+                yield col
+        return echelon(F, limit, basis, index, seen())
+
+    monkeypatch.setattr(hml, "cone", kept_cone)
+    monkeypatch.setattr(hml.BigradedComplex, "diff", recorded_diff)
+    monkeypatch.setattr(la, "_carry_on", counted_carry_on)
+    monkeypatch.setattr(la, "_echelon", recorded_echelon)
+    build()
+    (C,) = cones
+    for key, calls in read.items():
+        positions = [c for r in calls for c in r]
+        assert len(set(positions)) == len(positions), key
+    assert sum(len([r for r in calls if r]) > 1 for calls in read.values())
+    assert set(untagged) <= {C.hmax}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: acyclic_closure(paper_dg_algebra(QQ, 5, 7), 5, 7),
+    lambda: resolve_k(paper_dg_algebra(QQ, 5, 7), 5, 7),
+], ids=["closure", "resolution"])
+def test_each_column_is_checked_once(monkeypatch, build):
+    # a matrix is checked where its columns are made; one assembled from
+    # columns of checked matrices (a grown block, the cone's blocks, the
+    # stacked action, the kernel columns A0 acts on) is not checked again:
+    # over a build the check sees each nonempty column once, and every
+    # assembled matrix holds checked columns or columns made from them
+    # that the check would pass
+    checked = {}    # id -> the column, kept so that no id is reused
+    seen = []
+    init = la.ExactMatrix.__init__
+
+    def counted_init(self, field, rows, columns):
+        for col in columns:
+            if col:
+                seen.append(id(col))
+                checked[id(col)] = col
+        init(self, field, rows, columns)
+
+    assembled = []
+    from_checked = la.ExactMatrix._from_checked.__func__
+
+    def recorded(cls, field, rows, columns):
+        M = from_checked(cls, field, rows, columns)
+        assembled.append(M)
+        return M
+
+    monkeypatch.setattr(la.ExactMatrix, "__init__", counted_init)
+    monkeypatch.setattr(la.ExactMatrix, "_from_checked",
+                        classmethod(recorded))
+    build()
+    assert len(seen) == len(checked) > 100
+    shared = 0
+    for M in assembled:
+        init(object.__new__(la.ExactMatrix), M.field, M.rows, M.columns)
+        shared += sum(id(col) in checked for col in M.columns)
+    assert assembled and shared > 100
+
+
+@pytest.mark.parametrize("build", [
     lambda A, N, D: acyclic_closure(A, N, D),
     lambda A, N, D: mb.minimal_model(A, N, D),
     lambda A, N, D: model_over_cover(A.base, N, D),
@@ -820,6 +938,7 @@ def test_a_finished_build_keeps_only_the_last_cone_slices(build):
     built = build(A, 5, 8)
     assert built.complex._diffs == {}
     assert {i for i, _ in built.cone._diffs} == {5}
+    assert built.cone._echelons == {}
     assert built.cone._ranks
 
 

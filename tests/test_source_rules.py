@@ -148,6 +148,18 @@ def callers_of(name):
     return found
 
 
+def test_only_assembly_skips_the_matrix_check():
+    # every column is checked once, by the matrix that made it: the
+    # unchecked constructor serves only matrices assembled from checked
+    # columns (a kept block and its new columns, the cone's shifted and
+    # merged columns, the stacked action of A0 on the cone, and the
+    # kernel columns A0 acts on), and the engine's products and kernels
+    # keep the check
+    assert callers_of("_from_checked") == {
+        "homology.py:BigradedComplex.diff", "homology.py:cone.diff",
+        "homology.py:kill_homology.action", "homology.py:_products"}
+
+
 def test_cones_are_made_only_by_objects_under_construction():
     # a Construction (a model or a resolution) makes its one cone of q in
     # __init__, and every stage and the certificate read that cone: no
