@@ -4,7 +4,9 @@ layer) and one incremental echelon engine.
 A matrix is its list of columns, each a dict row -> nonzero scalar: the
 format every layer builds and the engine reduces.  Every column is
 checked once, by the matrix that made it; a matrix assembled from the
-columns of checked matrices is not checked again.
+columns of checked matrices is not checked again.  The check passes
+over empty columns in C, as many columns of a resolution's matrices
+are empty, and names the first bad entry.
 
 Everything downstream (quotient rings, homology, minimal generators)
 reduces to rank / kernel / independence modulo a span / normal forms in
@@ -19,7 +21,8 @@ non-pivot row to the pivots of the basis columns nonzero there, so
 _insert back-substitutes into exactly the columns that need it.
 kernel_basis's loop over a matrix's columns can be kept (an Echelon)
 and carried on over columns appended later, by a later kernel_basis
-call or after a generator pick has read the leading ones.
+call or after a generator pick has read the leading ones.  An empty
+column is its own kernel vector, with no copy or reduction.
 
 Every public answer is canonical: pivot columns are the greedy
 independent columns, kernel vectors are 1 at their own dependent column
@@ -39,15 +42,14 @@ class ExactMatrix:
 
     def __init__(self, field, rows, columns):
         # the field's zero rule, picked once: a multiple of p over F_p, a
-        # zero int or Fraction over Q
+        # zero int or Fraction over Q.  Empty columns are passed over in
+        # C; the loop that names the first bad entry runs only if there is
+        # one
         p = field.characteristic
-        for c, col in enumerate(columns):
+        for col in filter(None, columns):
             for r, v in col.items():
-                if not 0 <= r < rows:
-                    raise IndexError(
-                        f"entry ({r},{c}) outside {rows}x{len(columns)}")
-                if not (v % p if p else v):
-                    raise ValueError(f"entry ({r},{c}) stores a zero")
+                if not (0 <= r < rows and (v % p if p else v)):
+                    _refuse(p, rows, columns)
         self.field = field
         self.rows = rows
         self.cols = len(columns)
@@ -99,6 +101,17 @@ class ExactMatrix:
     def __repr__(self):
         nnz = sum(map(len, self.columns))
         return f"ExactMatrix({self.rows}x{self.cols}, {nnz} entries)"
+
+
+def _refuse(p, rows, columns):
+    """Raise for the first entry of columns outside rows or zero."""
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            if not 0 <= r < rows:
+                raise IndexError(
+                    f"entry ({r},{c}) outside {rows}x{len(columns)}")
+            if not (v % p if p else v):
+                raise ValueError(f"entry ({r},{c}) stores a zero")
 
 
 def axpy(F, out, c, terms):
@@ -224,7 +237,12 @@ def _carry_on(F, echelon, columns, limit):
     for c in range(len(basis) + len(kernel), len(columns)):
         if len(basis) >= limit:
             return
-        col = dict(columns[c])
+        col = columns[c]
+        if not col:
+            # an empty column is its own kernel vector
+            kernel.append({c: F.one})
+            continue
+        col = dict(col)
         col[-1 - c] = F.one
         _reduce(F, basis, col)
         if max(col) >= 0:
@@ -269,11 +287,15 @@ def pick_new_generators(field, rank_bound, base_cols, cand_cols,
     kernel_basis(B, echelon) carries on from there; the selection goes
     on untagged, on a copy of echelon's basis with the tags stripped.
     A tag row is never a pivot and reducing a column reads its pivot
-    rows only, so the picks are those of an untagged pass."""
+    rows only, so the picks are those of an untagged pass.  Once the
+    kept columns reach the rank bound, that pass would stop at once: no
+    copy is made, and neither base_cols nor a candidate is read."""
     basis, index = {}, {}
     if kept is not None:
         echelon, columns = kept
         _carry_on(field, echelon, columns, rank_bound)
+        if len(echelon.basis) >= rank_bound:
+            return []
         basis = {p: {r: v for r, v in col.items() if r >= 0}
                  for p, col in echelon.basis.items()}
         index = {r: set(qs) for r, qs in echelon.index.items()}

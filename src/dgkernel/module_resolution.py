@@ -46,9 +46,10 @@ class SemifreeResolution(hml.Construction):
     # --- the underlying complex -------------------------------------------
 
     def _layout(self, i, j):
-        """(blocks, dim) of slice (i, j): blocks lists (offset, run, A's
-        basis of bidegree (i, j) - |g|) per run that reaches the slice,
-        the generator first + t of the run at offset + t * len(basis).
+        """(blocks, dim, starts) of slice (i, j): blocks lists (offset,
+        run, A's basis of bidegree (i, j) - |g|) per run that reaches the
+        slice, the generator first + t of the run at offset + t *
+        len(basis), and starts the first generator of each block's run.
         A basis is looked up once per run."""
         hit = self._layouts.get((i, j))
         if hit is None:
@@ -61,17 +62,20 @@ class SemifreeResolution(hml.Construction):
                 if labels:
                     blocks.append((dim, run, labels))
                     dim += (stop - first) * len(labels)
-            hit = self._layouts[(i, j)] = (blocks, dim)
+            hit = self._layouts[(i, j)] = (
+                blocks, dim, [run[2] for _, run, _ in blocks])
         return hit
 
     def dim(self, i, j):
         return self._layout(i, j)[1]
 
-    def _offset(self, blocks, g):
-        """Offset of generator g in a slice laid out by blocks."""
-        off, run, labels = blocks[bisect_right(
-            blocks, g, key=lambda b: b[1][2]) - 1]
-        return off + (g - run[2]) * len(labels)
+    @staticmethod
+    def _offset(layout, g):
+        """Offset of generator g in a slice by its layout, and the length
+        of each generator's block there."""
+        blocks, _, starts = layout
+        off, run, labels = blocks[bisect_right(starts, g) - 1]
+        return off + (g - run[2]) * len(labels), len(labels)
 
     def _product(self, key, i, j):
         """Columns of A's right multiplication by the label key on A's
@@ -86,43 +90,63 @@ class SemifreeResolution(hml.Construction):
         on.  The column of a*g is d(a*g) = da*g + (-1)^|a| a*dg: A's
         differential at g's block, and for each term c*k*g2 of dg, c
         times A's right multiplication by k at g2's block.  dg lies on
-        generators older than g, so the blocks never meet."""
+        generators older than g, so the blocks never meet.
+
+        A's product by k is looked up once per run, and a term whose
+        product vanishes is passed over.  Where da and the products of all
+        the terms of dg vanish, g's columns are empty; where da vanishes
+        and one term is left, each column is that product's, shifted and
+        scaled."""
         F = self.algebra.field
-        rows, nrows = self._layout(i - 1, j)
+        rows = self._layout(i - 1, j)
         columns = []
         for off, (h, d, g0, g1), labels in self._layout(i, j)[0]:
-            da = self._adiff.diff(i - h, j - d).columns
+            a, b = i - h, j - d
+            da = self._adiff.diff(a, b).columns
             # g has a block in slice (i - 1, j) if da is nonzero
             moves = any(da)
-            sign = F.neg(F.one) if (i - h) % 2 else F.one
+            odd = a % 2
+            prods = {}
             for g in range(g0 + max(first - off, 0) // len(labels), g1):
-                own = self._offset(rows, g) if moves else 0
-                parts = [(self._offset(rows, g2), F.mul(sign, c), prod)
-                         for g2, e in self.generators[g][2].items()
-                         for k, c in e.terms.items()
-                         if (prod := self._product(k, i - h, j - d))]
-                for a in range(len(labels)):
-                    col = {own + r: c for r, c in da[a].items()}
-                    for at, c, prod in parts:
-                        la.axpy(F, col, c, {at + r: v
-                                            for r, v in prod[a].items()})
-                    columns.append(col)
-        return la.ExactMatrix(F, nrows, columns)
+                parts = []
+                for g2, e in self.generators[g][2].items():
+                    for k, c in e.terms.items():
+                        prod = prods.get(k, False)
+                        if prod is False:
+                            prod = prods[k] = self._product(k, a, b)
+                        if prod:
+                            parts.append((self._offset(rows, g2)[0],
+                                          F.neg(c) if odd else c, prod))
+                if moves or len(parts) > 1:
+                    own = self._offset(rows, g)[0] if moves else 0
+                    for n in range(len(labels)):
+                        col = {own + r: c for r, c in da[n].items()}
+                        for at, c, prod in parts:
+                            la.axpy(F, col, c, {at + r: v for r, v
+                                                in prod[n].items()})
+                        columns.append(col)
+                elif parts:
+                    (at, c, prod), = parts
+                    columns += [{at + r: F.mul(c, v) for r, v in col.items()}
+                                for col in prod]
+                else:
+                    columns += [{}] * len(labels)
+        return la.ExactMatrix(F, rows[1], columns)
 
     def act_matrix(self, d, bidx, i, j):
         """A0's action by the base element (d, bidx): A's on each block."""
-        rows, nrows = self._layout(i, j + d)
+        rows = self._layout(i, j + d)
         columns = []
         for _, (h, hd, g0, g1), labels in self._layout(i, j)[0]:
             prod = self._product((d, bidx, TRIVIAL_MONOMIAL), i - h, j - hd)
-            for g in range(g0, g1):
-                if prod is None:
-                    columns += [{}] * len(labels)
-                    continue
-                at = self._offset(rows, g)
+            if prod is None:
+                columns += [{}] * ((g1 - g0) * len(labels))
+                continue
+            start, step = self._offset(rows, g0)
+            for at in range(start, start + (g1 - g0) * step, step):
                 columns += [{at + r: c for r, c in col.items()}
                             for col in prod]
-        return la.ExactMatrix(self.algebra.field, nrows, columns)
+        return la.ExactMatrix(self.algebra.field, rows[1], columns)
 
     # --- the comparison map -------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Exact linear algebra: rank, kernels, generator picks and quotients,
 checked against a dense textbook reference."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,18 +174,46 @@ def test_rank_pivots_and_kernel_match_reference(m):
     rows = [[c.get(r, 0) for c in cols] for r in range(nrows)]
     R, pivots = ref_rref(p, rows, len(cols))
     assert la.rank_and_pivots(M) == (len(pivots), pivots)
-    # canonical kernel: 1 at a free column, minus the RREF column at pivots
-    free = [c for c in range(len(cols)) if c not in pivots]
+    expect = ref_kernel(p, nrows, cols)
+    K = la.kernel_basis(M)
+    assert (K.rows, K.cols) == (len(cols), len(cols) - len(pivots))
+    assert K.columns == expect
+
+
+def ref_kernel(p, nrows, cols):
+    """The canonical kernel of the columns: 1 at a free column, minus the
+    RREF column at the pivots."""
+    rows = [[c.get(r, 0) for c in cols] for r in range(nrows)]
+    R, pivots = ref_rref(p, rows, len(cols))
     expect = []
-    for f in free:
+    for f in range(len(cols)):
+        if f in pivots:
+            continue
         vec = {f: 1}
         for row, pc in zip(R, pivots):
             if row[f]:
                 vec[pc] = -row[f] if p == 0 else (-row[f]) % p
         expect.append(vec)
-    K = la.kernel_basis(M)
-    assert (K.rows, K.cols) == (len(cols), len(free))
-    assert K.columns == expect
+    return expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(), st.lists(st.integers(0, 7), min_size=1,
+                                  max_size=4))
+def test_empty_columns_give_the_kernel_of_a_fresh_loop(m, at):
+    # an empty column is its own kernel vector, also where it is the first
+    # column a kept echelon has not read
+    p, nrows, cols = m
+    for k in at:
+        cols.insert(min(k, len(cols)), {})
+    M = engine_matrix(p, nrows, cols)
+    expect = ref_kernel(p, nrows, cols)
+    assert la.kernel_basis(M).columns == expect
+    for c in [c for c, col in enumerate(cols) if not col]:
+        echelon = la.Echelon()
+        la.kernel_basis(engine_matrix(p, nrows, cols[:c]), echelon)
+        assert len(echelon.basis) + len(echelon.kernel) == c
+        assert la.kernel_basis(M, echelon).columns == expect
 
 
 @st.composite
@@ -229,6 +260,77 @@ def test_matrix_rejects_rows_out_of_range_and_stored_zeros():
         la.ExactMatrix(GF(101), 1, [{0: 100}, {0: 101}])
     with pytest.raises(ValueError, match=r"entry \(1,0\) stores a zero"):
         la.ExactMatrix(QQ, 2, [{0: Fraction(1, 2), 1: Fraction(0)}])
+
+
+# (field, rows, a column whose first bad entry is (r, c), error, message
+# with c and n, the number of columns, left to fill in): a good entry
+# before the bad one, and in some a bad one after it
+BAD_COLUMNS = [
+    (QQ, 3, {1: 1, -1: 1, 5: 0}, IndexError, "entry (-1,{c}) outside 3x{n}"),
+    (QQ, 3, {1: 1, 3: 1, -5: 1}, IndexError, "entry (3,{c}) outside 3x{n}"),
+    (QQ, 3, {1: 1, 0: 0, 3: 1}, ValueError, "entry (0,{c}) stores a zero"),
+    (QQ, 3, {1: Fraction(1, 2), 2: Fraction(0), -1: 0}, ValueError,
+     "entry (2,{c}) stores a zero"),
+    (GF(101), 3, {1: 1, 0: 101, 3: 1}, ValueError,
+     "entry (0,{c}) stores a zero"),
+    (GF(101), 3, {1: 100, 2: 202}, ValueError, "entry (2,{c}) stores a zero"),
+    (GF(101), 3, {1: 1, 0: Fraction(101)}, ValueError,
+     "entry (0,{c}) stores a zero"),
+]
+# columns before the bad one: none, or empty and good ones; and after
+# it: an empty one, or a bad one and an empty one
+LEADS = [[], [{}, {0: 1, 2: 2}, {}, {}]]
+TAILS = [[{}], [{-7: 1}, {}]]
+
+
+def refusal(case, lead, tail):
+    """The matrix of case between the columns lead and tail, and the
+    error and message it must raise."""
+    field, rows, bad, error, message = case
+    columns = lead + [bad] + tail
+    return (field, rows, columns, error,
+            message.format(c=len(lead), n=len(columns)))
+
+
+@pytest.mark.parametrize("tail", TAILS)
+@pytest.mark.parametrize("lead", LEADS)
+@pytest.mark.parametrize("case", BAD_COLUMNS)
+def test_matrix_names_its_first_bad_entry(case, lead, tail):
+    # the check passes over empty columns; it still refuses an entry
+    # outside the rows and a stored zero (a multiple of p over F_p, also
+    # as a Fraction), by the first bad entry
+    field, rows, columns, error, message = refusal(case, lead, tail)
+    with pytest.raises(error) as caught:
+        la.ExactMatrix(field, rows, columns)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    p = field.characteristic
+    good = [{r: v for r, v in col.items()
+             if 0 <= r < rows and (v % p if p else v)} for col in columns]
+    assert la.ExactMatrix(field, rows, good).columns == good
+
+
+def test_matrix_check_holds_without_asserts():
+    # under python -O the constructor refuses the same entries with the
+    # same messages
+    cases = [refusal(case, lead, tail) for case in BAD_COLUMNS
+             for lead in LEADS for tail in TAILS]
+    matrices = [(field.characteristic, rows, columns)
+                for field, rows, columns, _, _ in cases]
+    script = (
+        "from fractions import Fraction\n"
+        "from dgkernel import QQ, GF, exact_linear as la\n"
+        f"for p, rows, columns in {matrices!r}:\n"
+        "    try:\n"
+        "        la.ExactMatrix(GF(p) if p else QQ, rows, columns)\n"
+        "    except (IndexError, ValueError) as e:\n"
+        "        print(type(e).__name__, e)\n")
+    src = os.path.dirname(os.path.dirname(la.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", script], text=True,
+                         capture_output=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines() == [f"{error.__name__} {message}"
+                                for _, _, _, error, message in cases]
 
 
 @settings(max_examples=150, deadline=None)
@@ -327,6 +429,29 @@ def test_a_kept_echelon_carries_on_as_a_fresh_loop(m, nbase, bound, more,
     again = la.Echelon()
     la.kernel_basis(la.ExactMatrix(F, nrows, lead), again)
     assert la.kernel_basis(B, again).columns == la.kernel_basis(B).columns
+
+
+def test_a_kept_echelon_at_the_rank_bound_ends_the_pick():
+    # once the kept columns reach the rank bound, the pick reads no base
+    # column and no candidate: the untagged pass would stop at once
+    F = GF(7)
+    lead = [{0: 1}, {0: 2}, {1: 3}, {0: 1, 1: 1}, {}]
+    read = []
+
+    class Recorded(list):
+        def __getitem__(self, k):
+            read.append(k)
+            return list.__getitem__(self, k)
+
+    def base():
+        read.append("base")
+        yield {2: 1}
+
+    echelon = la.Echelon()
+    assert la.pick_new_generators(F, 2, base(), Recorded([{2: 1}, {3: 1}]),
+                                  kept=(echelon, lead)) == []
+    assert read == []
+    assert len(echelon.basis) == 2 and len(echelon.kernel) == 1
 
 
 @settings(max_examples=150, deadline=None)

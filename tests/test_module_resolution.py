@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError, BaseVariable,
                       BasePresentation, TruncatedBase, DgAlgebra, Monomial)
+from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgElement
 from dgkernel import homology as hml
 from dgkernel import invariants as inv
 from dgkernel.graded_base import residue_field
@@ -130,6 +131,125 @@ def test_resolution_over_a_dg_algebra_with_a_differential():
     C = res.complex
     assert all(C.check_dd_zero(i, j)
                for i in range(1, N + 1) for j in range(D + 1))
+
+
+def positions(res, i, j):
+    """The (generator, label of A) at each position of slice (i, j), read
+    off the layout's blocks in order: no offset is used."""
+    return [(g, label) for _, (_, _, g0, g1), labels in res._layout(i, j)[0]
+            for g in range(g0, g1) for label in labels]
+
+
+def coordinates(res, element, rows):
+    """The column of element, {generator: DgElement of A}, on the
+    positions rows."""
+    at = {key: r for r, key in enumerate(rows)}
+    col = {}
+    for g, e in element.items():
+        for label, c in e.terms.items():
+            col[at[(g, label)]] = c
+    return col
+
+
+def reference_differential(res, i, j):
+    """Columns of d on slice (i, j), label by label: d(a*g) = da*g +
+    (-1)^|a| a*dg, by DgAlgebra.differential and multiply on elements."""
+    A = res.algebra
+    F = A.field
+    rows = positions(res, i - 1, j)
+    columns = []
+    for g, label in positions(res, i, j):
+        h, d, bnd, _ = res.generators[g]
+        a = DgElement(i - h, j - d, {label: F.one})
+        image = {g: A.differential(a)} if i > h else {}
+        sign = F.neg(F.one) if (i - h) % 2 else F.one
+        for g2, e in bnd.items():
+            image[g2] = A.scale(sign, A.multiply(a, e))
+        columns.append(coordinates(res, image, rows))
+    return columns
+
+
+def reference_action(res, d, bidx, i, j):
+    """Columns of A0's action by the base element (d, bidx) on slice (i,
+    j), label by label: a*g goes to (a*b)*g."""
+    A = res.algebra
+    b = DgElement(0, d, {(d, bidx, TRIVIAL_MONOMIAL): A.field.one})
+    rows = positions(res, i, j + d)
+    return [coordinates(res, {g: A.multiply(DgElement(
+        i - res.generators[g][0], j - res.generators[g][1],
+        {label: A.field.one}), b)}, rows)
+        for g, label in positions(res, i, j)]
+
+
+def golod_over_f101():
+    A = golod(GF(101), N=5, D=8)
+    return A, residue_field(A), 5, 8
+
+
+def dg_ring_with_de_y():
+    A = ring_algebra(QQ, [("x", 1), ("y", 1)], [{(2, 0): 1}], 4, 5)
+    A.adjoin_variable(A.base_element(1, A.base.normal_form(1, (0, 1))),
+                      EXTERIOR)
+    return A, residue_field(A), 4, 5
+
+
+def ring_with_long_boundaries():
+    # Q[x,y]/(x^2 + 2xy, y^2 - 3xy): boundaries on several generators,
+    # with several labels on one generator
+    A = ring_algebra(QQ, [("x", 1), ("y", 1)],
+                     [{(2, 0): 1, (1, 1): 2}, {(0, 2): 1, (1, 1): -3}], 4, 6)
+    return A, residue_field(A), 4, 6
+
+
+def ring_with_gaps_between_runs():
+    # a base generator of homological degree 2: slices a run of
+    # generators skips, between runs that reach them
+    A = residue_ring("hdeg-2", N=4, D=6)
+    return A, residue_field(A), 4, 6
+
+
+@pytest.mark.parametrize("make", [golod_over_f101, dg_ring_with_de_y,
+                                  ring_with_long_boundaries,
+                                  ring_with_gaps_between_runs])
+def test_matrices_match_a_label_by_label_reference(make):
+    # every column of diff_matrix, from every generator boundary on, and
+    # of act_matrix equals d(a*g) or b*a*g computed on elements of A
+    A, M, N, D = make()
+    res = resolve_module(A, M, N, D)
+    F = A.field
+    seen = {"empty": 0, "one term": 0, "moves": 0, "long": 0}
+    for i in range(1, N + 1):
+        for j in range(D + 1):
+            want = reference_differential(res, i, j)
+            got = res.diff_matrix(i, j)
+            assert got.rows == len(positions(res, i - 1, j)), (i, j)
+            assert got.columns == want, (i, j)
+            owners = [g for g, _ in positions(res, i, j)]
+            for first in sorted({owners.index(g) for g in owners}):
+                assert res.diff_matrix(i, j, first).columns == \
+                    want[first:], (i, j, first)
+            for g, label in positions(res, i, j):
+                h, d, bnd, _ = res.generators[g]
+                terms = sum(len(e.terms) for e in bnd.values())
+                seen["long"] += terms > 1
+                seen["moves"] += bool(A.differential(
+                    DgElement(i - h, j - d, {label: F.one})).terms)
+            seen["empty"] += sum(not col for col in want)
+            seen["one term"] += sum(len(res.generators[g][2]) == 1
+                                    for g in owners)
+    for d in range(1, D + 1):
+        for bidx in A.base.a0_basis(d):
+            for i in range(N + 1):
+                for j in range(D + 1 - d):
+                    got = res.act_matrix(d, bidx, i, j)
+                    assert got.rows == len(positions(res, i, j + d))
+                    assert got.columns == \
+                        reference_action(res, d, bidx, i, j), (d, bidx, i, j)
+    assert seen["empty"] and seen["one term"]
+    if make is dg_ring_with_de_y:
+        assert seen["moves"]
+    if make is ring_with_long_boundaries:
+        assert seen["long"]
 
 
 def generator_runs(generators):
