@@ -32,16 +32,19 @@ DIVIDED_POWER = "dividedPower"
 
 
 class Monomial:
-    """evens: tuple of (var_id, exponent>=1) sorted by id;
-    odds: strictly increasing tuple of var ids."""
+    """evens: tuple of (var_id, exponent>=1) by strictly increasing id;
+    odds: strictly increasing tuple of var ids, none of them an even id."""
 
     __slots__ = ("evens", "odds", "_hash")
 
     def __init__(self, evens=(), odds=()):
         self.evens = tuple(sorted(evens))
         self.odds = tuple(odds)
-        if not (all(e >= 1 for _, e in self.evens) and all(
-                a < b for a, b in zip(self.odds, self.odds[1:]))):
+        # no variable twice: not among the evens, nor even and odd
+        ids = {vid for vid, _ in self.evens}.union(self.odds)
+        if not (all(e >= 1 for _, e in self.evens)
+                and all(a < b for a, b in zip(self.odds, self.odds[1:]))
+                and len(ids) == len(self.evens) + len(self.odds)):
             raise ValueError(f"not a normal-form monomial: {self!r}")
         self._hash = hash((self.evens, self.odds))
 
@@ -151,20 +154,29 @@ class DgAlgebra:
         # one Monomial object per monomial of the table and of the cached
         # differentials, so the lookups of the Leibniz fill hit by identity
         self._interned = {TRIVIAL_MONOMIAL: TRIVIAL_MONOMIAL}
-        # per base degree: its indices by homological degree, and the
-        # position of each index among those of its homological degree,
-        # which is its offset in the labels of a monomial in a slice
+        # per base degree: its indices by homological degree, and each
+        # index's homological degree and position among those of that
+        # degree, its offset in the labels of a monomial in a slice
         self._base_indices = []
+        self._base_hdeg = []
         self._base_offset = []
         for jb in range(self.max_intdeg + 1):
             groups = {}
+            hdeg = []
             offset = []
             for idx in range(base.dim(jb)):
-                group = groups.setdefault(base.basis_hdeg(jb, idx), [])
+                h = base.basis_hdeg(jb, idx)
+                group = groups.setdefault(h, [])
+                hdeg.append(h)
                 offset.append(len(group))
                 group.append(idx)
             self._base_indices.append(groups)
+            self._base_hdeg.append(hdeg)
             self._base_offset.append(offset)
+        # (jb, hb, j2, i2) -> the nonzero base products b*(j2, i2) for b
+        # over _base_indices[jb][hb], as (position of b, {offset of the
+        # product's index: scalar}), built on first use
+        self._products = {}
 
     # --- element constructors --------------------------------------------
 
@@ -305,29 +317,37 @@ class DgAlgebra:
         return hit
 
     def _leibniz(self, mon):
-        """d(1*mon) as a DgElement's terms: each variable factor in turn
-        is replaced by its boundary, with the Koszul sign of the odd
-        factors to its left."""
+        """d(1*mon) as a DgElement's terms, from its prefix: mon is
+        rest*v^e for its newest variable v, so d(mon) = d(rest)*v^e +
+        (-1)^|rest| c*rest*v^(e-1)*dv, with c = e for a polynomial v and
+        1 otherwise.  d(rest) is cached and holds no v, and v goes last,
+        so v^e is appended to each of its terms with no sign, binomial
+        or base product; only the terms of dv are multiplied out."""
         F = self.field
-        factors = []
-        for vid, e in mon.evens:
+        evens, odds = mon.evens, mon.odds
+        if odds and (not evens or odds[-1] > evens[-1][0]):
+            vid = odds[-1]
+            rest = cofactor = _monomial(evens, odds[:-1])
+            c = F.one
+            out = {(jb, ib, _monomial(m.evens, m.odds + (vid,))): b
+                   for (jb, ib, m), b
+                   in self._monomial_differential(rest).items()}
+        else:
+            vid, e = evens[-1]
+            rest = _monomial(evens[:-1], odds)
+            cofactor = rest if e == 1 else _monomial(
+                evens[:-1] + ((vid, e - 1),), odds)
             c = F.from_int(e if self.variables[vid].kind == POLYNOMIAL else 1)
-            rest = tuple((w, x) if w != vid else (w, e - 1)
-                         for w, x in mon.evens if w != vid or e > 1)
-            factors.append((vid, c, _monomial(rest, mon.odds)))
-        for k, vid in enumerate(mon.odds):
-            # even-variable factors to the left are of even homological
-            # degree; only the k earlier odd factors sign
-            sign = F.neg(F.one) if k % 2 == 1 else F.one
-            rest = mon.odds[:k] + mon.odds[k + 1:]
-            factors.append((vid, sign, _monomial(mon.evens, rest)))
-        out = {}
-        for vid, c, rest in factors:
-            if F.is_zero(c):
-                continue
+            top = ((vid, e),)
+            out = {(jb, ib, _monomial(m.evens + top, m.odds)): b
+                   for (jb, ib, m), b
+                   in self._monomial_differential(rest).items()}
+        if len(rest.odds) % 2:
+            c = F.neg(c)
+        if not F.is_zero(c):
             for key, b in self.variables[vid].boundary.terms.items():
                 axpy(F, out, F.mul(b, c),
-                     self._label_product(key, (0, 0, rest)))
+                     self._label_product((0, 0, cofactor), key))
         return out
 
     # --- monomial bases ----------------------------------------------------
@@ -413,40 +433,62 @@ class DgAlgebra:
         return DgElement(i, j, {basis[n]: c for n, c in coords.items()
                                 if not self.field.is_zero(c)})
 
+    def _base_products(self, jb, hb, j2, i2):
+        """The nonzero base products b*(j2, i2) for b over the indices
+        of degree jb and homological degree hb, as (position of b among
+        them, {offset of each index of the product: scalar})."""
+        mult = self.base.mult_basis
+        offset = self._base_offset[jb + j2]
+        kept = []
+        for pos, ib in enumerate(self._base_indices[jb][hb]):
+            if prod := mult(jb, ib, j2, i2):
+                kept.append((pos, {offset[i3]: c3
+                                   for i3, c3 in prod.items()}))
+        return kept
+
     def _fill(self, cols, first, rows, image):
         """The labels of cols from position first on, as columns into the
         slice of bidegree rows: b*m goes to b*image(m), image(m) asked
-        once per monomial, and its term (j2, i2, m2), times b, lands at
-        the first row of m2 plus the offset of each index of the base
-        product b*(j2, i2)."""
+        once per block (the consecutive labels of one m), and its term
+        (j2, i2, m2), times b, lands at the first row of m2 plus the
+        offset of each index of the base product b*(j2, i2), walked from
+        the block's kept nonzero products.  A block cut short by first
+        or by the end of cols gives the columns of its labels there."""
         nrows = len(self.basis_of_bidegree(*rows))
         start = self._bases[rows][2]
         F = self.field
-        mult = self.base.mult_basis
         offset = self._base_offset
+        products = self._products
         columns = []
-        mon = None
-        for n in range(first, len(cols)):
+        n, end = first, len(cols)
+        while n < end:
             jb, ib, m = cols[n]
-            if m is not mon:
-                mon = m
-                im = image(m)
+            im = image(m)
             if jb == 0:
                 # b = 1, the only base element of degree 0
                 columns.append({start[m2] + offset[j2][i2]: c
                                 for (j2, i2, m2), c in im.items()})
+                n += 1
                 continue
-            col = {}
+            hb = self._base_hdeg[jb][ib]
+            block = [{} for _ in self._base_indices[jb][hb]]
             for (j2, i2, m2), c in im.items():
-                prod = mult(jb, ib, j2, i2)
-                # skip a base product that vanishes, as most do on
-                # monomial rings
-                if prod:
+                kept = products.get((jb, hb, j2, i2))
+                if kept is None:
+                    kept = products[(jb, hb, j2, i2)] = self._base_products(
+                        jb, hb, j2, i2)
+                # most base products vanish on monomial rings, and where
+                # all do, m2 may have no labels in the slice
+                if kept:
                     s = start[m2]
-                    pos = offset[jb + j2]
-                    axpy(F, col, c, {s + pos[i3]: c3
-                                     for i3, c3 in prod.items()})
-            columns.append(col)
+                    for pos, prod in kept:
+                        axpy(F, block[pos], c,
+                             {s + r: c3 for r, c3 in prod.items()})
+            # ib is at position offset[jb][ib] of its block
+            k = offset[jb][ib]
+            block = block[k:k + end - n]
+            columns += block
+            n += len(block)
         return ExactMatrix(F, nrows, columns)
 
     def diff_matrix(self, i, j, first=0):

@@ -126,13 +126,16 @@ class BigradedComplex:
 
     def check_dd_zero(self, i, j):
         """d_(i-1) d_i = 0 at internal degree j, found one column of the
-        product at a time: False at the first nonzero one."""
+        product at a time, passing over the empty columns of d_i and
+        d_(i-1): False at the first nonzero one."""
         F = self.field
         left = self.diff(i - 1, j).columns
-        for col in self.diff(i, j).columns:
-            acc = {}
+        # a column whose product is zero leaves acc empty for the next
+        acc = {}
+        for col in filter(None, self.diff(i, j).columns):
             for k, w in col.items():
-                la.axpy(F, acc, w, left[k])
+                if lk := left[k]:
+                    la.axpy(F, acc, w, lk)
             if acc:
                 return False
         return True

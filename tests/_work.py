@@ -26,7 +26,9 @@ checkouts compare on one job:
 With --opcodes it counts instead the bytecode instructions executed in
 dgkernel's frames (`sys.settrace` with `f_trace_opcodes`), per function,
 comprehensions and generators under their own qualified names: one line
-per function, most first, then the total and the job's exit code.  Time
+per function, most first, then one subtotal per module (`module dg_core:
+N`, most first), the total and the job's exit code: the split of the
+work across the layers of the stack.  Time
 spent in the standard library and in C code is not counted, so this
 measures the interpreter work of dgkernel itself.  The counts repeat
 exactly from run to run, also under another PYTHONHASHSEED, where wall
@@ -80,7 +82,7 @@ def count_work(la, modules):
 
 def count_opcodes(package_dir):
     """Install a tracer counting the opcodes executed in every frame of
-    code under package_dir, per `module.qualname`; returns the live
+    code under package_dir, per (module, qualname); returns the live
     counts.  sys.settrace(None) removes it."""
     counts = {}
     names = {}
@@ -91,7 +93,7 @@ def count_opcodes(package_dir):
             name = names.get(code)
             if name is None:
                 # co_qualname is new in Python 3.11
-                name = names[code] = (frame.f_globals["__name__"] + "." +
+                name = names[code] = (frame.f_globals["__name__"],
                                       getattr(code, "co_qualname",
                                               code.co_name))
             counts[name] = counts.get(name, 0) + 1
@@ -124,8 +126,16 @@ def main(argv):
                 code = cli.main([argv[2]])
         finally:
             sys.settrace(None)
-        for name, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-            print(f"{name}: {n}")
+        modules = {}
+        for (module, _), n in counts.items():
+            module = module.rsplit(".", 1)[-1]
+            modules[module] = modules.get(module, 0) + n
+        for (module, name), n in sorted(counts.items(),
+                                        key=lambda kv: (-kv[1], kv[0])):
+            print(f"{module}.{name}: {n}")
+        for module, n in sorted(modules.items(),
+                                key=lambda kv: (-kv[1], kv[0])):
+            print(f"module {module}: {n}")
         print(f"total: {sum(counts.values())}")
         print(f"exit: {code}")
         return 0

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
-                      DgAlgebra, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
+                      DgAlgebra, DgElement, BaseVariable, BasePresentation,
+                      TruncatedBase, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
 from dgkernel.dg_core import TRIVIAL_MONOMIAL
 from dgkernel import acyclic_closure
 from _fixtures import (hypersurface, complete_intersection, golod,
-                       small_presentations)
+                       ring_algebra, small_presentations)
 
 
 def closure_algebra(field, N=6, D=6):
@@ -158,6 +159,8 @@ def test_is_minimal_on_closure():
     (((0, 0),), ()),
     ((), (2, 1)),
     ((), (1, 1)),
+    (((0, 1), (0, 2)), ()),
+    (((0, 1),), (0,)),
 ])
 def test_monomial_rejects_non_normal_form(evens, odds):
     with pytest.raises(ValueError, match="not a normal-form monomial"):
@@ -318,3 +321,183 @@ def test_adjoining_a_variable_appends_to_every_cached_basis():
     finally:
         DgAlgebra.adjoin_variable = adjoin
     assert any(grown) and not all(grown)
+
+
+def leibniz_reference(U, mon):
+    """d(1*mon) factor by factor: each variable factor in turn is replaced
+    by its boundary, with the Koszul sign of the odd factors to its left
+    (the even factors stand left of every odd one, and are of even
+    degree)."""
+    F = U.field
+    factors = []
+    for vid, e in mon.evens:
+        c = F.from_int(e if U.variables[vid].kind == POLYNOMIAL else 1)
+        rest = [(w, x - (w == vid)) for w, x in mon.evens
+                if w != vid or x > 1]
+        factors.append((vid, c, Monomial(rest, mon.odds)))
+    for k, vid in enumerate(mon.odds):
+        rest = mon.odds[:k] + mon.odds[k + 1:]
+        factors.append((vid, F.from_int((-1) ** k), Monomial(mon.evens, rest)))
+    out = {}
+    for vid, c, rest in factors:
+        for key, b in U.variables[vid].boundary.terms.items():
+            for k2, c2 in merged_label_product(U, key, (0, 0, rest)).items():
+                s = F.add(out.get(k2, F.zero), F.mul(F.mul(b, c), c2))
+                if F.is_zero(s):
+                    out.pop(k2, None)
+                else:
+                    out[k2] = s
+    return out
+
+
+def assert_leibniz_matches_reference(U):
+    """Every monomial of U's table, differentiated by U and, newest first
+    so that no prefix is cached yet, by a fresh algebra on the same
+    variables, against the factor-by-factor reference.  Returns the
+    monomials."""
+    mons = [m for ms in U._variable_monomials().values() for m in ms]
+    expected = [leibniz_reference(U, m) for m in mons]
+    fresh = DgAlgebra(U.base, U.variables, U.max_hdeg, U.max_intdeg)
+    for m, terms in zip(mons, expected):
+        assert U._monomial_differential(m) == terms, m
+    for m, terms in reversed(list(zip(mons, expected))):
+        assert fresh._monomial_differential(m) == terms, m
+    return mons
+
+
+def test_leibniz_from_the_prefix_matches_the_factor_rule_on_closures():
+    # some monomial has a rest of odd degree, and some a divided power
+    # above the first
+    seen = {"odd rest": 0, "divided power": 0}
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def check(ring):
+        U = acyclic_closure(*ring).algebra
+        for m in assert_leibniz_matches_reference(U):
+            newest_odd = m.odds and (not m.evens
+                                     or m.odds[-1] > m.evens[-1][0])
+            seen["odd rest"] += (len(m.odds) - bool(newest_odd)) % 2
+            seen["divided power"] += any(
+                e > 1 and U.variables[v].kind == DIVIDED_POWER
+                for v, e in m.evens)
+
+    check()
+    assert seen["odd rest"] and seen["divided power"]
+
+
+@pytest.mark.parametrize("field, kind", [
+    (QQ, POLYNOMIAL), (GF(3), DIVIDED_POWER), (GF(3), POLYNOMIAL)])
+def test_leibniz_from_the_prefix_matches_the_factor_rule(field, kind):
+    # t of hdeg 2 on k[x]/(x^2) with e, de = x, and dt = x*e; over F_3 a
+    # polynomial t^3 has d(t^3) = 3 t^2 dt = 0
+    U = hypersurface_with_even_variables(field, kind)
+    mons = assert_leibniz_matches_reference(U)
+    t = U.variables[1].id
+    cubes = [m for m in mons if (t, 3) in m.evens]
+    assert cubes
+    if field is not QQ and kind == POLYNOMIAL:
+        assert all(not U._monomial_differential(m) for m in cubes)
+    else:
+        assert all(U._monomial_differential(m) for m in cubes)
+
+
+def coordinates(U, i, j, u):
+    """The coordinates of u in the basis of bidegree (i, j)."""
+    position = {k: n for n, k in enumerate(U.basis_of_bidegree(i, j))}
+    return {position[k]: c for k, c in u.terms.items()}
+
+
+def label_element(U, i, j, key):
+    return DgElement(i, j, {key: U.field.one})
+
+
+def diff_reference(U, i, j):
+    """The columns of d from (i, j): the coordinates of d of each label."""
+    return [coordinates(U, i - 1, j, U.differential(label_element(U, i, j, k)))
+            for k in U.basis_of_bidegree(i, j)]
+
+
+def dense_coordinates_algebra(N, D):
+    """Q[x,y,z]/(a^2, b^2, az, bz) for a = x - 2y, b = y + 3z, the
+    bench's ring after a change of coordinates: dense relations, several
+    base indices of each degree."""
+    a, b = {(1, 0, 0): 1, (0, 1, 0): -2}, {(0, 1, 0): 1, (0, 0, 1): 3}
+    z = {(0, 0, 1): 1}
+
+    def times(f, g):
+        out = {}
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(u + v for u, v in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return {e: c for e, c in out.items() if c}
+    rels = [times(a, a), times(b, b), times(a, z), times(b, z)]
+    return ring_algebra(QQ, [("x", 1), ("y", 1), ("z", 1)], rels, N, D)
+
+
+def hdeg_positive_algebra(N, D):
+    """F_3[x,u,y]/(x^3, xy, u^2), |x| = 1, |y| = 2, u of internal degree
+    1 and homological degree 2: a base degree holds indices of two
+    homological degrees."""
+    vars = [BaseVariable("x", 1), BaseVariable("u", 1, 2),
+            BaseVariable("y", 2)]
+    rels = [{(3, 0, 0): 1}, {(1, 0, 1): 1}, {(0, 2, 0): 1}]
+    tb = TruncatedBase(BasePresentation(GF(3), vars, rels), D)
+    return DgAlgebra(tb, max_hdeg=N, max_intdeg=D)
+
+
+@pytest.mark.parametrize("make, N, D", [(dense_coordinates_algebra, 4, 5),
+                                        (hdeg_positive_algebra, 6, 7)],
+                         ids=["dense", "hdeg-positive"])
+def test_fill_matches_the_elementwise_differential_and_product(make, N, D):
+    # every column of diff_matrix(i, j, first), from every first (also
+    # inside a monomial's block, and just after each adjunction of the
+    # closure), and of mul_matrix, is the coordinates of d or of the
+    # product of that label's element
+    adjoin = DgAlgebra.adjoin_variable
+    after = []
+
+    def checked_adjoin(self, z, kind, name=None, family=None):
+        cached = {k: len(labels) for k, (labels, _, _) in self._bases.items()
+                  if k[0] > 0}
+        var = adjoin(self, z, kind, name=name, family=family)
+        for (i, j), first in cached.items():
+            assert (self.diff_matrix(i, j, first).columns
+                    == diff_reference(self, i, j)[first:]), (var.name, i, j)
+            after.append(len(self.basis_of_bidegree(i, j)) > first > 0)
+        return var
+
+    A = make(N, D)
+    DgAlgebra.adjoin_variable = checked_adjoin
+    try:
+        U = acyclic_closure(A, N, D).algebra
+    finally:
+        DgAlgebra.adjoin_variable = adjoin
+    assert any(after)
+    assert any(len(group) > 1 for groups in U._base_indices
+               for group in groups.values())
+    cut = 0
+    for i in range(1, U.max_hdeg + 1):
+        for j in range(U.max_intdeg + 1):
+            ref = diff_reference(U, i, j)
+            labels = U.basis_of_bidegree(i, j)
+            for first in range(len(ref) + 1):
+                M = U.diff_matrix(i, j, first)
+                assert (M.rows, M.columns) == (
+                    len(U.basis_of_bidegree(i - 1, j)), ref[first:]), \
+                    (i, j, first)
+                cut += 0 < first < len(labels) and \
+                    labels[first][2] is labels[first - 1][2]
+    assert cut
+    for h in range(3):
+        for d in range(3):
+            for key in U.basis_of_bidegree(h, d):
+                for i in range(U.max_hdeg + 1 - h):
+                    for j in range(U.max_intdeg + 1 - d):
+                        expected = [coordinates(U, i + h, j + d, U.multiply(
+                            label_element(U, i, j, k),
+                            label_element(U, h, d, key)))
+                            for k in U.basis_of_bidegree(i, j)]
+                        M = U.mul_matrix(key, i, j)
+                        assert M.columns == expected, (key, i, j)
