@@ -14,10 +14,20 @@ keeps the echelon of a slice's differential from the stage that reads
 its boundaries to the stage that reads its kernel.  The
 differential preserves internal degree, so each (i, j) slice is finite
 and exact.
+
+Within a stage, consecutive internal degrees often repeat (above the
+diagonal, the slices of a resolution over a Golod ring are the same
+matrices).  The engine is a function of the columns it reads, so a
+slice whose differential has the columns of the slice below it takes
+that slice's kernel, and a pick that would read the columns the
+previous pick read takes its picks: both answers are the engine's.
+The comparison reads only what the earlier call read, and one
+previous slice is kept, for one stage.
 """
 
 from functools import partial
 from itertools import chain
+from operator import length_hint
 from weakref import WeakMethod
 
 from . import exact_linear as la
@@ -37,7 +47,9 @@ class BigradedComplex:
     block is assembled from checked columns and not checked again.  A
     slice whose boundaries a stage reads keeps the echelon of its
     differential (echelon) until the next stage reads its kernel, so
-    each of its columns is reduced once.
+    each of its columns is reduced once.  The last kernel found is kept
+    beside its columns, so that the next slice up, if its differential
+    has the same columns, takes it (kernel).
     """
 
     def __init__(self, field, dim_fn, diff_fn, hmax, dmax):
@@ -50,6 +62,8 @@ class BigradedComplex:
         self._diffs = {}
         self._ranks = {}
         self._echelons = {}
+        # (i, j, columns of d out of (i, j), kernel) of the last kernel
+        self._last_kernel = None
 
     def dim(self, i, j):
         if not (0 <= i <= self.hmax and 0 <= j <= self.dmax):
@@ -93,9 +107,24 @@ class BigradedComplex:
     def kernel(self, i, j):
         """la.kernel_basis of the differential out of slice (i, j),
         carried on from the echelon kept there (see echelon), which it
-        drops; its rank, cols - dim ker, is cached as rank(i, j)."""
+        drops; its rank, cols - dim ker, is cached as rank(i, j).
+
+        If the last kernel asked for was that of slice (i, j - 1), and
+        its differential's columns equal these (==), that kernel is
+        returned: a kernel is a function of the columns alone, so it is
+        the one a fresh loop gives, and the echelon kept here is
+        dropped unread.  Only the last kernel is kept for this, and
+        minimal_generators drops it once its stage's kernels are
+        done."""
         M = self.diff(i, j)
-        Z = la.kernel_basis(M, self._echelons.pop((i, j), None))
+        echelon = self._echelons.pop((i, j), None)
+        last = self._last_kernel
+        if (last is not None and last[0] == i and last[1] == j - 1
+                and last[2] == M.columns):
+            Z = last[3]
+        else:
+            Z = la.kernel_basis(M, echelon)
+        self._last_kernel = (i, j, M.columns, Z)
         self._ranks[(i, j)] = M.cols - Z.cols
         return Z
 
@@ -244,42 +273,116 @@ def minimal_generators(C, i, actions, reverse=False):
     boundaries first, so no action matrix is built once the columns
     before it span Z, and a degree with no cycles builds no boundary
     matrix.
+
+    The picks are a function of Z and of the columns of W the pick
+    reads.  So degree j takes the picks of degree j - 1 when Z is the
+    same list (==) and W begins with exactly the columns that pick
+    read: the same leading boundaries, and if it read past them, the
+    same boundaries and then, one pair at a time, equal action matrices
+    on the same lower kernels, and the end of W where that pick ran out
+    (_reads_again).  Only what that pick read is compared, and where a
+    comparison fails the pairs drawn for it are the first of W's.  A
+    degree with no cycles ends the chain.  A degree that takes the
+    picks keeps no echelon: the next stage's kernel there is a fresh
+    loop, or the kernel of the degree below.
     """
     # degree j reads kernels[j - d] for d in actions, so after degree j no
     # later one reads kernels[j - top]
     top = max(actions, default=0)
     kernels = {}
     gens = []
+    last = None
     for j in range(C.dmax + 1):
         Z = C.kernel(i, j).columns
         kernels[j] = Z
-        if Z:
+        if not Z:
+            last = None
+        else:
             B = C.diff(i + 1, j).columns
-            echelon = C.echelon(i + 1, j) if B else None
-            W = _products(C, i, j, actions, kernels)
-            if echelon is None:
-                W = chain(B, W)
-            sel = la.pick_new_generators(
-                C.field, len(Z), W, Z, reverse,
-                kept=None if echelon is None else (echelon, B))
-            gens += [(j, Z[k]) for k in sel]
+            factors = _products(C, i, j, actions, kernels)
+            if last is not None and Z == last[0]:
+                drawn = []
+                if not _reads_again(last, B, factors, drawn):
+                    last, factors = None, chain(drawn, factors)
+            else:
+                last = None
+            if last is None:
+                last = _pick(C, i, j, Z, B, factors, reverse)
+            gens += [(j, Z[k]) for k in last[4]]
         kernels.pop(j - top, None)
+    # the stage's kernels are done: drop the one C keeps to compare
+    C._last_kernel = None
     return gens
 
 
+def _pick(C, i, j, Z, B, factors, reverse):
+    """The pick in degree j (see minimal_generators), from the
+    boundaries B and the factor pairs of the products.  Returns (Z, B,
+    the number of leading boundaries it read, the pairs it reached
+    followed by None if it read W to its end, the picks)."""
+    read = []
+    W = _columns(factors, read)
+    echelon = C.echelon(i + 1, j) if B else None
+    if echelon is None:
+        rest = iter(B)
+        sel = la.pick_new_generators(C.field, len(Z), chain(rest, W), Z,
+                                     reverse)
+        n = len(B) - length_hint(rest)
+    else:
+        sel = la.pick_new_generators(C.field, len(Z), W, Z, reverse,
+                                     kept=(echelon, B))
+        n = len(echelon.basis) + len(echelon.kernel)
+    return Z, B, n, read, sel
+
+
+def _reads_again(last, B, factors, drawn):
+    """Whether a pick on the boundaries B and then the products of the
+    pairs factors reads the columns that the pick last (see _pick)
+    read: the same leading boundaries and, if it read past them, the
+    same boundaries, then pairs drawn one at a time (into drawn) equal
+    to those it reached, and the end of the pairs where it ran out."""
+    _, B0, n, read, _ = last
+    if B[:n] != B0[:n]:
+        return False
+    if not read:
+        return True
+    if len(B) != n:
+        return False
+    for prev in read:
+        pair = next(factors, None)
+        if pair is not None:
+            drawn.append(pair)
+        if pair is None or prev is None:
+            return pair is prev
+        if (pair[1].columns != prev[1].columns
+                or pair[0].columns != prev[0].columns):
+            return False
+    return True
+
+
 def _products(C, i, j, actions, kernels):
-    """The columns of W in internal degree j past the boundaries, one at
-    a time (see minimal_generators): the nonzero products A0_d *
-    Z_(j-d), one action matrix at a time."""
+    """The products A0_d * Z_(j-d) of W in internal degree j (see
+    minimal_generators), as the pairs of their factors (action matrix,
+    Z_(j-d)) over the nonzero Z_(j-d), one action matrix at a time."""
     for d, act_at in actions.items():
         lower = kernels.get(j - d)
         if not lower:
             continue
         Zl = la.ExactMatrix._from_checked(C.field, C.dim(i, j - d), lower)
         for act in act_at(j - d):
-            for col in act.matmul(Zl).columns:
-                if col:
-                    yield col
+            yield act, Zl
+
+
+def _columns(factors, read):
+    """The columns of W past the boundaries, one at a time: the nonzero
+    columns of the products of the pairs factors.  Each pair is appended
+    to read as it is reached, and None after the last."""
+    for act, Zl in factors:
+        read.append((act, Zl))
+        for col in act.matmul(Zl).columns:
+            if col:
+                yield col
+    read.append(None)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ charged to the innermost entry point running: `rank_and_pivots`,
 `ExactMatrix.matmul`.  A call made by another module is charged to that
 module (the Leibniz fills of `dg_core`, the resolution's blocks, the
 d o d check of `homology`, the parser of `cli`), also when an entry
-point reads a lazy column of it.  The last lines give the engine's
-total and the total over all calls, then the job's exit code.
+point reads a lazy column of it.  Each entry point's line also gives
+how many times it was called (`kernel_basis: 3474 in 53 calls`), so a
+degree that takes the previous degree's kernel or picks instead of
+calling the engine shows as fewer calls.  The last lines give the
+engine's total and the total over all calls, then the job's exit code.
 
 Every module's binding of axpy is wrapped: `cli` and `dg_core` import it
 by name.  The counts are exact and repeat from run to run, so two
@@ -50,8 +53,10 @@ MODULES = ("cli", "dg_core", "graded_base", "homology", "invariants",
 
 def count_work(la, modules):
     """Wrap axpy in la and in every module of modules that binds it, and
-    the engine's entry points in la; returns the live work counts."""
+    the engine's entry points in la; returns the live work counts and
+    the live call counts of the entry points."""
     work = dict.fromkeys(ENTRY_POINTS, 0)
+    calls = dict.fromkeys(ENTRY_POINTS, 0)
     running = [None]
     axpy = la.axpy
 
@@ -64,6 +69,7 @@ def count_work(la, modules):
 
     def entered(name, fn):
         def wrapped(*args, **kwargs):
+            calls[name] += 1
             running.append(name)
             try:
                 return fn(*args, **kwargs)
@@ -77,7 +83,7 @@ def count_work(la, modules):
     for name in ENTRY_POINTS[:-1]:
         setattr(la, name, entered(name, getattr(la, name)))
     la.ExactMatrix.matmul = entered("matmul", la.ExactMatrix.matmul)
-    return work
+    return work, calls
 
 
 def count_opcodes(package_dir):
@@ -139,12 +145,15 @@ def main(argv):
         print(f"total: {sum(counts.values())}")
         print(f"exit: {code}")
         return 0
-    work = count_work(la, [importlib.import_module("dgkernel." + name)
-                           for name in MODULES])
+    work, calls = count_work(
+        la, [importlib.import_module("dgkernel." + name) for name in MODULES])
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([argv[2]])
     for name, units in work.items():
-        print(f"{name}: {units}")
+        if name in calls:
+            print(f"{name}: {units} in {calls[name]} calls")
+        else:
+            print(f"{name}: {units}")
     engine = sum(work[name] for name in ENTRY_POINTS)
     print(f"engine: {engine}")
     print(f"total: {sum(work.values())}")

@@ -132,6 +132,207 @@ def test_minimal_generators_builds_only_what_can_gain_rank():
 
 
 # ---------------------------------------------------------------------------
+# A degree whose inputs equal the previous degree's takes its kernel and
+# its picks, which are the engine's
+# ---------------------------------------------------------------------------
+
+def sliced_complex(field, slices, hmax):
+    """A complex in homological degrees 0..2 (and an empty degree 3 if
+    hmax is 3, so that the pick keeps echelons in degree 2) whose
+    internal degree j is slices[j] = (dim of slice (0, j), columns of
+    d_1, columns of d_2)."""
+    def dim(i, j):
+        rows, d1, d2 = slices[j]
+        return (rows, len(d1), len(d2), 0)[i]
+
+    def diff(i, j):
+        rows, d1, d2 = slices[j]
+        return la.ExactMatrix(field, *((rows, d1), (len(d1), d2))[i - 1])
+
+    return hml.BigradedComplex(field, dim, diff, hmax, len(slices) - 1)
+
+
+def acting(matrices):
+    """actions for minimal_generators: multiplication by one degree-1
+    element, slice (1, j) -> (1, j + 1) by matrices[j]."""
+    return {1: lambda j: iter([matrices[j]])}
+
+
+def fresh_generators(field, slices, matrices, reverse):
+    """The generators and kernels of a fresh build: in each degree its own
+    kernel_basis, and its own pick on all of W (the boundaries, then the
+    nonzero products by matrices[j - 1] of the kernel of degree j - 1)
+    with the rank bound dim Z."""
+    gens, kernels = [], []
+    for j, (rows, d1, d2) in enumerate(slices):
+        Z = la.kernel_basis(la.ExactMatrix(field, rows, d1)).columns
+        kernels.append(Z)
+        W = list(d2)
+        if matrices and j:
+            lower = la.ExactMatrix(field, len(slices[j - 1][1]),
+                                   kernels[j - 1])
+            W += [col for col in matrices[j - 1].matmul(lower).columns
+                  if col]
+        if Z:
+            gens += [(j, Z[k]) for k in
+                     la.pick_new_generators(field, len(Z), W, Z, reverse)]
+    return gens, kernels
+
+
+def count_engine_calls(monkeypatch):
+    """Count the calls of kernel_basis and pick_new_generators; returns
+    the live counts."""
+    calls = {"kernel_basis": 0, "pick_new_generators": 0}
+    for name in calls:
+        def counted(*args, name=name, engine=getattr(la, name), **kwargs):
+            calls[name] += 1
+            return engine(*args, **kwargs)
+        monkeypatch.setattr(la, name, counted)
+    return calls
+
+
+def counted_generators(monkeypatch, field, slices, matrices, hmax,
+                       reverse=False):
+    """minimal_generators on slices, checked against a fresh build: its
+    generators, and every kernel and rank against a fresh kernel_basis.
+    Returns the numbers of kernel_basis and pick_new_generators calls."""
+    expected, fresh_kernels = fresh_generators(field, slices, matrices,
+                                               reverse)
+    calls = count_engine_calls(monkeypatch)
+    kernels = []
+    kernel = hml.BigradedComplex.kernel
+
+    def recorded(self, i, j):
+        Z = kernel(self, i, j)
+        kernels.append(Z.columns)
+        return Z
+    monkeypatch.setattr(hml.BigradedComplex, "kernel", recorded)
+    C = sliced_complex(field, slices, hmax)
+    actions = acting(matrices) if matrices else {}
+    assert hml.minimal_generators(C, 1, actions, reverse) == expected
+    assert kernels == fresh_kernels
+    for j, Z in enumerate(fresh_kernels):
+        assert C.rank(1, j) == len(slices[j][1]) - len(Z), j
+    return calls["kernel_basis"], calls["pick_new_generators"]
+
+
+ONE = QQ.one
+# d_1 with two cycles, and the boundary of one of them
+SLICE_A = (1, [{0: ONE}, {0: ONE}, {}], [{0: ONE, 1: -ONE}])
+SLICE_B = (1, [{0: ONE}, {}, {0: QQ.from_int(2)}], [{1: ONE}])
+# an action that permutes the basis of slice 1
+SWAP = la.ExactMatrix(QQ, 3, [{0: ONE}, {2: ONE}, {1: ONE}])
+
+
+@pytest.mark.parametrize("hmax", [2, 3], ids=["untagged", "kept-echelon"])
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("act, picks", [(False, 3), (True, 5)],
+                         ids=["boundaries", "with-products"])
+def test_equal_degrees_share_one_kernel_and_one_pick(monkeypatch, hmax,
+                                                     reverse, act, picks):
+    # three runs of equal slices: one kernel per run; with boundaries
+    # only, one pick per run; with products, a pick reads the kernel of
+    # the degree below, equal to its own from a run's third degree on
+    slices = [SLICE_A] * 4 + [SLICE_B] * 3 + [SLICE_A]
+    matrices = [SWAP] * len(slices) if act else None
+    assert counted_generators(monkeypatch, QQ, slices, matrices, hmax,
+                              reverse) == (3, picks)
+
+
+@pytest.mark.parametrize("hmax", [2, 3], ids=["untagged", "kept-echelon"])
+def test_a_degree_with_one_entry_changed_calls_the_engine(monkeypatch,
+                                                          hmax):
+    # each degree has the shape and the number of nonzero entries of the
+    # one below and differs from it in one entry: of d_1 in degrees 1
+    # and 2 (one kernel_basis each), of the boundaries in degree 3 (whose
+    # d_1 is degree 2's, so only its pick is the engine's)
+    one_apart = (1, [{0: ONE}, {0: QQ.from_int(2)}, {}],
+                 [{0: QQ.from_int(2), 1: -ONE}])
+    spanning = (1, SLICE_A[1], [{0: ONE, 1: -ONE}, {2: ONE}])
+    spanning_apart = (1, SLICE_A[1], [{0: ONE, 1: -ONE},
+                                      {2: QQ.from_int(2)}])
+    slices = [SLICE_A, one_apart, spanning, spanning_apart]
+    assert counted_generators(monkeypatch, QQ, slices, None, hmax) == (3, 4)
+
+
+def test_one_changed_action_matrix_calls_the_pick(monkeypatch):
+    # degrees 1 and 2 have equal Z and boundaries, and both picks read
+    # past the boundaries into the products, whose action matrices are
+    # one entry apart; the same action again lets degree 3 take degree
+    # 2's picks
+    changed = la.ExactMatrix(QQ, 3, [{0: ONE}, {2: ONE},
+                                     {1: QQ.from_int(2)}])
+    matrices = [SWAP, changed, changed, changed]
+    assert counted_generators(monkeypatch, QQ, [SLICE_A] * 4, matrices,
+                              3) == (1, 3)
+
+
+@pytest.mark.parametrize("hmax", [2, 3], ids=["untagged", "kept-echelon"])
+def test_a_pick_that_stopped_in_the_boundaries_is_not_taken(monkeypatch,
+                                                            hmax):
+    # one cycle, spanned by the first boundary: every pick stops there.
+    # Degree 1 has degree 0's kernel and another first boundary, so it
+    # picks afresh; so does degree 2, whose first boundary is degree 0's
+    # but not degree 1's; degree 3 repeats degree 2's first boundary and
+    # differs after it, where no pick reads, and takes degree 2's picks
+    d1 = [{0: ONE}, {0: -ONE}]
+    first = {0: ONE, 1: ONE}
+    slices = [(1, d1, [first, {0: ONE, 1: ONE}]),
+              (1, d1, [{0: QQ.from_int(2), 1: QQ.from_int(2)}, first]),
+              (1, d1, [first, {}]),
+              (1, d1, [first, first])]
+    assert counted_generators(monkeypatch, QQ, slices, None, hmax) == (1, 3)
+
+
+@pytest.mark.parametrize("act, picks", [(False, 2), (True, 3)],
+                         ids=["boundaries", "with-products"])
+def test_a_pick_past_the_boundaries_is_not_taken_by_more(monkeypatch, act,
+                                                         picks):
+    # degree 1's pick reads its one boundary and goes on past it (to the
+    # end of W, or into the products); degree 2 has the same kernel and
+    # begins with that boundary, but a second one comes where degree 1's
+    # pick read on, and spans the rest
+    slices = [SLICE_A, SLICE_A, (1, SLICE_A[1], SLICE_A[2] + [{2: ONE}])]
+    matrices = [SWAP] * 3 if act else None
+    assert counted_generators(monkeypatch, QQ, slices, matrices,
+                              3) == (1, picks)
+
+
+@pytest.mark.parametrize("empty", [(0, [], []), (1, [{0: ONE}], [])],
+                         ids=["no-basis", "no-cycles"])
+def test_a_degree_after_an_empty_one_calls_the_engine(monkeypatch, empty):
+    # degree 2 repeats degree 0, but degree 1 between them has no
+    # cycles: both its kernel and its pick are the engine's
+    slices = [SLICE_A, empty, SLICE_A]
+    assert counted_generators(monkeypatch, QQ, slices, None, 3) == (3, 2)
+
+
+def test_golod_resolution_takes_repeated_degrees_with_every_check(
+        monkeypatch):
+    # over F_101[x,y]/(x^2, xy) the slices above the diagonal repeat, so
+    # most degrees take the kernel and picks of the one below; the Betti
+    # numbers are Fibonacci as before, and d o d is checked on every
+    # nonempty slice of each certified cone degree, as before the reuse
+    calls = count_engine_calls(monkeypatch)
+    checked = []
+    check_dd_zero = hml.BigradedComplex.check_dd_zero
+
+    def recorded(self, i, j):
+        checked.append((i, j))
+        return check_dd_zero(self, i, j)
+    monkeypatch.setattr(hml.BigradedComplex, "check_dd_zero", recorded)
+    A = golod(GF(101), N=6, D=10)
+    res = resolve_k(A, 6, 10)
+    assert sorted(res.betti_table().items()) == [
+        ((n, n), b) for n, b in enumerate([1, 2, 3, 5, 8, 13, 21])]
+    assert checked == [(1, 0)] + [(n, j) for n in range(2, 7)
+                                  for j in range(n - 2, 11)]
+    # without the reuse, every degree of every stage is its own call: 77
+    # kernels and 46 picks
+    assert calls == {"kernel_basis": 25, "pick_new_generators": 19}
+
+
+# ---------------------------------------------------------------------------
 # minimal_generators acts only in the degrees of A0's generators
 # ---------------------------------------------------------------------------
 
