@@ -10,8 +10,9 @@ Job file grammar (one directive per line; '#' starts a comment):
     bounds <max_hdeg> <max_intdeg>
     task <command> [--option value ...]
 
-Expressions use integer coefficients, `^` powers, `*` products and
-`+`/`-` sums of monomials in previously declared names.  Commands:
+Expressions use integer coefficients (ASCII digits), `^` powers, `*`
+products and `+`/`-` sums of monomials in previously declared names,
+each of them [A-Za-z_][A-Za-z0-9_]*.  Commands:
 deviations | acyclic-closure | minimal-model [--switch s] |
 betti [--module residue-field|cyclic:<expr>[,<expr>...]] |
 poincare [--order n] | classify | verify --statement <id>.
@@ -23,6 +24,7 @@ Exit codes: 0 success, 1 usage/parse error, 2 computation error,
 import argparse
 import io
 import json
+import re
 import sys
 
 from . import invariants as inv
@@ -42,6 +44,9 @@ COMMANDS = {"deviations": (), "acyclic-closure": (),
             "poincare": ("order",), "classify": (), "verify": ("statement",)}
 KINDS = {"polynomial": POLYNOMIAL, "exterior": EXTERIOR,
          "dividedPower": DIVIDED_POWER}
+# expression tokens, ASCII only: str.isdigit accepts '²', int() does not
+INT = re.compile(r"[0-9]+")
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class JobError(Exception):
@@ -69,18 +74,15 @@ def _tokenize(text, line):
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(("int", int(text[i:j]), col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("name", text[i:j], col))
-            i = j
+        if m := INT.match(text, i):
+            try:
+                toks.append(("int", int(m.group()), col))
+            except ValueError:  # over sys.get_int_max_str_digits()
+                raise JobError("integer too long", line, col)
+            i = m.end()
+        elif m := NAME.match(text, i):
+            toks.append(("name", m.group(), col))
+            i = m.end()
         elif ch in "+-*^":
             toks.append(("op", ch, col))
             i += 1
@@ -200,6 +202,10 @@ def parse_job(path):
             continue
         parts = text.split()
         key = parts[0]
+        if (key in ("base", "dgvar") and len(parts) > 1
+                and not NAME.fullmatch(parts[1])):
+            # a name that no expression could read
+            raise JobError(f"name {parts[1]!r} is not {NAME.pattern}", n)
         if key == "field":
             if len(parts) != 2:
                 raise JobError("field takes one value (Q or Fp:<prime>)", n)

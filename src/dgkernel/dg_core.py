@@ -9,19 +9,20 @@ degree, so all computations are exact per bidegree inside the bounds.
 Monomial normal form: base element, then even variables by id, then odd
 variables by strictly increasing id.  Only odd/odd transpositions carry
 signs, so the sign of any product is the inversion count of the odd id
-merge.
+merge.  A Monomial is the tuple (evens, odds), ordered as a tuple.
 
 A bidegree basis is ordered by the newest (highest-id) variable of each
-label's monomial, then by the monomial's key, then by base index.  An
-adjoined variable is the newest of all, so adjoining one appends labels
-to every basis it reaches and moves none: a cached basis is extended,
-and a differential block keeps its columns and gains the new ones.  One
-block fill builds every matrix on a slice: the differential, and right
+label's monomial, then by the monomial, then by base index.  An adjoined
+variable is the newest of all, so adjoining one appends labels to every
+basis it reaches and moves none: a cached basis is extended, and a
+differential block keeps its columns and gains the new ones.  One block
+fill builds every matrix on a slice: the differential, and right
 multiplication by a label, of which the A0 action is a case.
 """
 
 from bisect import bisect_left
 from math import comb
+from operator import itemgetter
 
 from .errors import BoundExceededError, NotCycleError, ParityError
 from .exact_linear import ExactMatrix, axpy
@@ -31,22 +32,27 @@ POLYNOMIAL = "polynomial"
 DIVIDED_POWER = "dividedPower"
 
 
-class Monomial:
-    """evens: tuple of (var_id, exponent>=1) by strictly increasing id;
-    odds: strictly increasing tuple of var ids, none of them an even id."""
+class Monomial(tuple):
+    """The tuple (evens, odds).  evens: tuple of (var_id, exponent>=1) by
+    strictly increasing id; odds: strictly increasing tuple of var ids,
+    none of them an even id."""
 
-    __slots__ = ("evens", "odds", "_hash")
+    __slots__ = ()
 
-    def __init__(self, evens=(), odds=()):
-        self.evens = tuple(sorted(evens))
-        self.odds = tuple(odds)
+    evens = property(itemgetter(0))
+    odds = property(itemgetter(1))
+
+    def __new__(cls, evens=(), odds=()):
+        evens = tuple(sorted(evens))
+        odds = tuple(odds)
+        self = tuple.__new__(cls, (evens, odds))
         # no variable twice: not among the evens, nor even and odd
-        ids = {vid for vid, _ in self.evens}.union(self.odds)
-        if not (all(e >= 1 for _, e in self.evens)
-                and all(a < b for a, b in zip(self.odds, self.odds[1:]))
-                and len(ids) == len(self.evens) + len(self.odds)):
+        ids = {vid for vid, _ in evens}.union(odds)
+        if not (all(e >= 1 for _, e in evens)
+                and all(a < b for a, b in zip(odds, odds[1:]))
+                and len(ids) == len(evens) + len(odds)):
             raise ValueError(f"not a normal-form monomial: {self!r}")
-        self._hash = hash((self.evens, self.odds))
+        return self
 
     def is_trivial(self):
         return not self.evens and not self.odds
@@ -60,15 +66,6 @@ class Monomial:
             return self.evens[0][0]
         return None
 
-    def key(self):
-        return (self.evens, self.odds)
-
-    def __eq__(self, other):
-        return self.evens == other.evens and self.odds == other.odds
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return f"Monomial(evens={self.evens}, odds={self.odds})"
 
@@ -77,11 +74,7 @@ def _monomial(evens, odds):
     """The Monomial of tuples already in normal form, unchecked: for the
     products and factors of normal-form monomials, which the Leibniz rule
     and the basis tables build by the thousand."""
-    m = object.__new__(Monomial)
-    m.evens = evens
-    m.odds = odds
-    m._hash = hash((evens, odds))
-    return m
+    return tuple.__new__(Monomial, (evens, odds))
 
 
 TRIVIAL_MONOMIAL = Monomial()
@@ -152,7 +145,8 @@ class DgAlgebra:
         # cached entry, so the cache grows with the algebra
         self._dcache = {}
         # one Monomial object per monomial of the table and of the cached
-        # differentials, so the lookups of the Leibniz fill hit by identity
+        # differentials: equal labels share their tuples, and the lookups
+        # of the Leibniz fill hit by identity before comparing any tuple
         self._interned = {TRIVIAL_MONOMIAL: TRIVIAL_MONOMIAL}
         # per base degree: its indices by homological degree, and each
         # index's homological degree and position among those of that
@@ -356,7 +350,7 @@ class DgAlgebra:
         """dict (hdeg, intdeg) -> list of Monomials within bounds, in the
         basis order.  The table grows by the variables adjoined since its
         last read: every new monomial of a variable has it as its newest
-        one, so the variable's monomials are ranked by key after all the
+        one, so the variable's monomials are sorted, ranked after all the
         older ones and appended."""
         table = self._vmons
         rank = self._rank
@@ -379,8 +373,7 @@ class DgAlgebra:
                         new.setdefault((h2, d2), []).append(intern(m2, m2))
                     e += 1
             self._var_rank.append(len(rank))
-            for m in sorted((m for ms in new.values() for m in ms),
-                            key=Monomial.key):
+            for m in sorted(m for ms in new.values() for m in ms):
                 rank[m] = len(rank)
             for k, ms in new.items():
                 ms.sort(key=rank.__getitem__)
@@ -389,8 +382,8 @@ class DgAlgebra:
 
     def basis_of_bidegree(self, i, j):
         """Ordered basis labels (base_deg, base_idx, Monomial) of bidegree
-        (i, j): by the rank of the monomial (its newest variable, then its
-        key), then by base index, so the labels of one monomial are
+        (i, j): by the rank of the monomial (its newest variable, then the
+        monomial), then by base index, so the labels of one monomial are
         consecutive.  A cached basis older than the last adjunction is
         extended by the labels on the variables adjoined since, and is
         returned as it is when none of them fits the bidegree."""

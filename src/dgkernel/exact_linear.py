@@ -203,11 +203,10 @@ def _echelon(F, limit, basis, index, cols):
     return inserted
 
 
-def rank_and_pivots(M):
-    """Rank and the pivot columns: the columns independent of those to
+def rank(M):
+    """The rank of M: the number of its columns independent of those to
     their left."""
-    pivots = _echelon(M.field, M.rows, {}, {}, M.columns)
-    return len(pivots), pivots
+    return len(_echelon(M.field, M.rows, {}, {}, M.columns))
 
 
 class Echelon:

@@ -101,7 +101,7 @@ class BigradedComplex:
         """Rank of the differential out of slice (i, j)."""
         key = (i, j)
         if key not in self._ranks:
-            self._ranks[key] = la.rank_and_pivots(self.diff(i, j))[0]
+            self._ranks[key] = la.rank(self.diff(i, j))
         return self._ranks[key]
 
     def kernel(self, i, j):

@@ -213,8 +213,8 @@ def _embedding_dimension(A, D, relations=None):
                         span.append(col)
         if relations is not None:
             span += relations(d, pos)
-        rank, _ = la.rank_and_pivots(la.ExactMatrix(A.field, len(cand), span))
-        total += len(cand) - rank
+        total += len(cand) - la.rank(
+            la.ExactMatrix(A.field, len(cand), span))
     return total
 
 
@@ -357,8 +357,7 @@ def _require_h0_residue_field(A):
         cand = A.base.a0_basis(d)
         if not cand:
             continue
-        rank, _ = la.rank_and_pivots(A.diff_matrix(1, d))
-        if rank < len(cand):
+        if la.rank(A.diff_matrix(1, d)) < len(cand):
             raise AdmissibilityError(
                 "statement requires H_0(A) = k (maximal ideal of A_0 must "
                 f"consist of boundaries; fails at internal degree {d})")

@@ -8,16 +8,16 @@ imports dgkernel from the directory SRC (e.g. `src` of a checkout), runs
 the job file JOB through `cli.main` in this process and prints where its
 axpy work went: the number of terms every `exact_linear.axpy` call adds
 in, summed.  A call made by the engine (code in `exact_linear`) is
-charged to the innermost entry point running: `rank_and_pivots`,
-`kernel_basis`, `pick_new_generators`, `quotient` or
-`ExactMatrix.matmul`.  A call made by another module is charged to that
-module (the Leibniz fills of `dg_core`, the resolution's blocks, the
-d o d check of `homology`, the parser of `cli`), also when an entry
-point reads a lazy column of it.  Each entry point's line also gives
-how many times it was called (`kernel_basis: 3474 in 53 calls`), so a
-degree that takes the previous degree's kernel or picks instead of
-calling the engine shows as fewer calls.  The last lines give the
-engine's total and the total over all calls, then the job's exit code.
+charged to the innermost entry point running: `rank`, `kernel_basis`,
+`pick_new_generators`, `quotient` or `ExactMatrix.matmul`.  A call made
+by another module is charged to that module (the Leibniz fills of
+`dg_core`, the resolution's blocks, the d o d check of `homology`, the
+parser of `cli`), also when an entry point reads a lazy column of it.
+Each entry point's line also gives how many times it was called
+(`kernel_basis: 3474 in 53 calls`), so a degree that takes the previous
+degree's kernel or picks instead of calling the engine shows as fewer
+calls.  The last lines give the engine's total and the total over all
+calls, then the job's exit code.
 
 Every module's binding of axpy is wrapped: `cli` and `dg_core` import it
 by name.  The counts are exact and repeat from run to run, so two
@@ -45,8 +45,8 @@ import io
 import os
 import sys
 
-ENTRY_POINTS = ("rank_and_pivots", "kernel_basis", "pick_new_generators",
-                "quotient", "matmul")
+ENTRY_POINTS = ("rank", "kernel_basis", "pick_new_generators", "quotient",
+                "matmul")
 MODULES = ("cli", "dg_core", "graded_base", "homology", "invariants",
            "model_builder", "module_resolution")
 

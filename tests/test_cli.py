@@ -14,7 +14,7 @@ from dgkernel import cli
 
 def write_job(tmp_path, text, name="job.txt"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -343,6 +343,49 @@ def test_unknown_name_positioned(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown name 'q'" in err
     assert "column" in err
+
+
+@pytest.mark.parametrize("relation, task, where", [
+    ("x^\u00b2", "deviations", "line 3, column 3"),
+    ("x^2 + \u0663*x^2", "deviations", "line 3, column 7"),
+    ("x^2", "betti --module cyclic:x^\u00b2", "line 5, column 3"),
+], ids=["superscript-two", "arabic-indic-three", "module"])
+def test_a_digit_outside_ascii_is_an_unexpected_character(
+        tmp_path, capsys, relation, task, where):
+    # str.isdigit accepts '²' (which int() cannot read) and '٣' (which it
+    # reads as 3): an expression reads ASCII digits and names only, so a
+    # relation and a module's relation both exit 1 at the character
+    job = HYP.format(task=task).replace("x^2", relation)
+    assert run_cli([write_job(tmp_path, job)]) == 1
+    char = "\u0663" if "\u0663" in relation else "\u00b2"
+    assert capsys.readouterr().err == (
+        f"error: unexpected character {char!r} at {where}\n")
+
+
+def test_an_integer_int_cannot_read_is_positioned(tmp_path, capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    job = HYP.format(task="deviations").replace("x^2", "1" * 5000 + "*x^2")
+    assert run_cli([write_job(tmp_path, job)]) == 1
+    assert capsys.readouterr().err == (
+        "error: integer too long at line 3, column 1\n")
+
+
+@pytest.mark.parametrize("name, directive", [
+    ("1x", "base 1x 1"), ("x*", "base x* 1"), ("x^2", "base x^2 1"),
+    ("\u00e9", "base \u00e9 1"), ("e\u00b2", "dgvar e\u00b2 1 1 exterior x"),
+    # the relation would read 1x as the coefficient 1 and the name x
+    ("1x", "base 1x 1\nrelation 1x^2"),
+])
+def test_a_name_no_expression_reads_is_refused_where_declared(
+        tmp_path, capsys, name, directive):
+    # a declared name is [A-Za-z_][A-Za-z0-9_]*, what the tokenizer reads
+    # as one name: refused at its own line, whether an expression uses it
+    # later or not
+    job = HYP.format(task="deviations").replace(
+        "bounds", directive + "\nbounds")
+    assert run_cli([write_job(tmp_path, job)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: name {name!r} is not [A-Za-z_][A-Za-z0-9_]* at line 4\n")
 
 
 @pytest.mark.parametrize("directive", [

@@ -167,6 +167,20 @@ def test_monomial_rejects_non_normal_form(evens, odds):
         Monomial(evens, odds)
 
 
+def test_monomial_is_its_tuple():
+    # labels (jb, ib, m) key every basis and differential cache, so a
+    # Monomial hashes and compares as the tuple (evens, odds) does, in C,
+    # and orders as it; its repr is printed in minimality witnesses
+    assert Monomial.__hash__ is tuple.__hash__
+    assert Monomial.__eq__ is tuple.__eq__
+    m = Monomial(((0, 2),), (1,))
+    assert m == (((0, 2),), (1,)) and (m.evens, m.odds) == m
+    assert hash(m) == hash((((0, 2),), (1,)))
+    assert repr(m) == "Monomial(evens=((0, 2),), odds=(1,))"
+    assert sorted([m, Monomial((), (1,)), Monomial(((0, 1),))]) == [
+        Monomial((), (1,)), Monomial(((0, 1),)), m]
+
+
 @pytest.mark.parametrize("make, nvars", [
     (lambda: acyclic_closure(golod(QQ, N=5, D=7), 5, 7).algebra, 2),
     (lambda: hypersurface_with_even_variables(QQ, POLYNOMIAL), 1),
