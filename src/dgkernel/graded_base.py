@@ -100,21 +100,29 @@ class BasePresentation:
             [{e: red(c) for e, c in g.items()} for g in self.relations])
 
     def monomials_of_intdeg(self, j):
-        """All exponent tuples of internal degree j, in deterministic
-        (descending lexicographic) order."""
+        """All exponent tuples of internal degree j, in descending
+        lexicographic order: a depth-first search on an explicit stack
+        (no recursion, so any number of variables), which tries each
+        variable's exponents from the highest down and, once the degree
+        is used up, ends the tuple with zeros at once."""
+        degs = [v.intdeg for v in self.variables]
+        n = len(degs)
         out = []
-        n = len(self.variables)
-
-        def rec(i, rem, acc):
-            if i == n:
-                if rem == 0:
-                    out.append(tuple(acc))
-                return
-            d = self.variables[i].intdeg
-            for e in range(rem // d, -1, -1):
-                rec(i + 1, rem - e * d, acc + [e])
-        rec(0, j, [])
-        out.sort(reverse=True)
+        # (next variable, degree left, exponents so far); none of a
+        # negative degree
+        stack = [(0, j, ())] if j >= 0 else []
+        while stack:
+            i, rem, acc = stack.pop()
+            if rem == 0:
+                out.append(acc + (0,) * (n - i))
+            elif i == n - 1:
+                if rem % degs[i] == 0:
+                    out.append(acc + (rem // degs[i],))
+            elif i < n:
+                # pushed lowest first, so the highest exponent pops first
+                d = degs[i]
+                stack += [(i + 1, rem - e * d, acc + (e,))
+                          for e in range(rem // d + 1)]
         return out
 
 

@@ -22,7 +22,10 @@ slice whose differential has the columns of the slice below it takes
 that slice's kernel, and a pick that would read the columns the
 previous pick read takes its picks: both answers are the engine's.
 The comparison reads only what the earlier call read, and one
-previous slice is kept, for one stage.
+previous slice is kept, for one stage.  A resolution's slice whose
+inputs repeat the degree below returns that degree's matrix, its
+algebra's products being kept by value (module_resolution), so these
+comparisons meet the same column objects.
 """
 
 from functools import partial

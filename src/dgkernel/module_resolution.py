@@ -38,19 +38,26 @@ class SemifreeResolution(hml.Construction):
         # (h, d), in order
         self._runs = []
         self._layouts = {}
-        # A's differential and products, kept: A does not change
-        self._adiff = hml.algebra_complex(algebra)
+        # the labels of each run's boundaries, by run
+        self._boundary_labels = {}
+        # A's differentials and products by slice, kept (A does not
+        # change) and interned: equal matrices of A are one list
         self._products = {}
+        self._interned = {}
+        # (signature, matrix) of the last diff_matrix per i and the last
+        # act_matrix per (d, bidx, i), for one stage
+        self._kept = {}
         super().__init__(algebra, module, max_hdeg, max_intdeg)
 
     # --- the underlying complex -------------------------------------------
 
     def _layout(self, i, j):
-        """(blocks, dim, starts) of slice (i, j): blocks lists (offset,
-        run, A's basis of bidegree (i, j) - |g|) per run that reaches the
-        slice, the generator first + t of the run at offset + t *
-        len(basis), and starts the first generator of each block's run.
-        A basis is looked up once per run."""
+        """(blocks, dim, starts, shape) of slice (i, j): blocks lists
+        (offset, run, A's basis of bidegree (i, j) - |g|) per run that
+        reaches the slice, the generator first + t of the run at offset
+        + t * len(basis), starts the first generator of each block's run,
+        and shape the (offset, run, len(basis)) of each block, all that a
+        matrix reads of the slice.  A basis is looked up once per run."""
         hit = self._layouts.get((i, j))
         if hit is None:
             A = self.algebra
@@ -63,7 +70,8 @@ class SemifreeResolution(hml.Construction):
                     blocks.append((dim, run, labels))
                     dim += (stop - first) * len(labels)
             hit = self._layouts[(i, j)] = (
-                blocks, dim, [run[2] for _, run, _ in blocks])
+                blocks, dim, [run[2] for _, run, _ in blocks],
+                tuple((off, run, len(labels)) for off, run, labels in blocks))
         return hit
 
     def dim(self, i, j):
@@ -73,17 +81,41 @@ class SemifreeResolution(hml.Construction):
     def _offset(layout, g):
         """Offset of generator g in a slice by its layout, and the length
         of each generator's block there."""
-        blocks, _, starts = layout
+        blocks, _, starts, _ = layout
         off, run, labels = blocks[bisect_right(starts, g) - 1]
         return off + (g - run[2]) * len(labels), len(labels)
 
-    def _product(self, key, i, j):
+    def _labels_of(self, run):
+        """The labels of A in the boundaries of the run's generators,
+        each once; kept per run."""
+        hit = self._boundary_labels.get(run)
+        if hit is None:
+            hit = self._boundary_labels[run] = tuple(dict.fromkeys(
+                k for g in range(run[2], run[3])
+                for e in self.generators[g][2].values() for k in e.terms))
+        return hit
+
+    def _a_columns(self, key, a, b):
         """Columns of A's right multiplication by the label key on A's
-        slice (i, j), or None when they are all zero; kept."""
-        if (key, i, j) not in self._products:
-            cols = self.algebra.mul_matrix(key, i, j).columns
-            self._products[(key, i, j)] = cols if any(cols) else None
-        return self._products[(key, i, j)]
+        slice (a, b), or of A's differential there when key is None, or
+        None when they are all zero.  Kept, and interned by value: equal
+        matrices of A are one list, so a signature names them by
+        identity."""
+        hit = self._products.get((key, a, b), False)
+        if hit is False:
+            A = self.algebra
+            cols = (A.diff_matrix(a, b) if key is None else
+                    A.mul_matrix(key, a, b)).columns
+            hit = None
+            if any(cols):
+                bucket = self._interned.setdefault(
+                    hash(tuple(map(frozenset, map(dict.items, cols)))), [])
+                hit = next((kept for kept in bucket if kept == cols), None)
+                if hit is None:
+                    bucket.append(cols)
+                    hit = cols
+            self._products[(key, a, b)] = hit
+        return hit
 
     def diff_matrix(self, i, j, first=0):
         """Columns of slice (i, j) from position first, a block boundary,
@@ -92,53 +124,79 @@ class SemifreeResolution(hml.Construction):
         times A's right multiplication by k at g2's block.  dg lies on
         generators older than g, so the blocks never meet.
 
-        A's product by k is looked up once per run, and a term whose
-        product vanishes is passed over.  Where da and the products of all
-        the terms of dg vanish, g's columns are empty; where da vanishes
-        and one term is left, each column is that product's, shifted and
-        scaled."""
+        A's products by the labels of a run's boundaries are looked up
+        once per block, and a term whose product vanishes is passed
+        over.  Where da and the products of all the terms of dg vanish,
+        g's columns are empty; where da vanishes and one term is left,
+        each column is that product's, shifted and scaled.
+
+        So the columns are a function of first, the shapes of the slice
+        and of slice (i - 1, j), and, on each block from first on, of
+        A's differential and products, interned.  Their identities make
+        a signature, and where it is that of the last matrix built for
+        degree i (above the diagonal, that of slice (i, j - 1)), that
+        matrix is returned; adjoin drops it."""
         F = self.algebra.field
         rows = self._layout(i - 1, j)
+        layout = self._layout(i, j)
+        blocks = []
+        for off, run, labels in layout[0]:
+            n = len(labels)
+            if off + (run[3] - run[2]) * n > first:
+                a, b = i - run[0], j - run[1]
+                prods = {k: self._a_columns(k, a, b)
+                         for k in self._labels_of(run)}
+                blocks.append((off, run, n, self._a_columns(None, a, b),
+                               prods))
+        sig = (first, rows[3], layout[3], tuple(
+            (id(da), *map(id, prods.values())) for *_, da, prods in blocks))
+        kept = self._kept.get(i)
+        if kept is not None and kept[0] == sig:
+            return kept[1]
         columns = []
-        for off, (h, d, g0, g1), labels in self._layout(i, j)[0]:
-            a, b = i - h, j - d
-            da = self._adiff.diff(a, b).columns
-            # g has a block in slice (i - 1, j) if da is nonzero
-            moves = any(da)
-            odd = a % 2
-            prods = {}
-            for g in range(g0 + max(first - off, 0) // len(labels), g1):
-                parts = []
-                for g2, e in self.generators[g][2].items():
-                    for k, c in e.terms.items():
-                        prod = prods.get(k, False)
-                        if prod is False:
-                            prod = prods[k] = self._product(k, a, b)
-                        if prod:
-                            parts.append((self._offset(rows, g2)[0],
-                                          F.neg(c) if odd else c, prod))
-                if moves or len(parts) > 1:
-                    own = self._offset(rows, g)[0] if moves else 0
-                    for n in range(len(labels)):
-                        col = {own + r: c for r, c in da[n].items()}
+        for off, (h, d, g0, g1), n, da, prods in blocks:
+            odd = (i - h) % 2
+            for g in range(g0 + max(first - off, 0) // n, g1):
+                parts = [(self._offset(rows, g2)[0], F.neg(c) if odd else c,
+                          prod)
+                         for g2, e in self.generators[g][2].items()
+                         for k, c in e.terms.items() if (prod := prods[k])]
+                if da or len(parts) > 1:
+                    # g has a block in slice (i - 1, j) if da is nonzero
+                    own = self._offset(rows, g)[0] if da else 0
+                    for m, dcol in enumerate(da or [{}] * n):
+                        col = {own + r: c for r, c in dcol.items()}
                         for at, c, prod in parts:
                             la.axpy(F, col, c, {at + r: v for r, v
-                                                in prod[n].items()})
+                                                in prod[m].items()})
                         columns.append(col)
                 elif parts:
                     (at, c, prod), = parts
                     columns += [{at + r: F.mul(c, v) for r, v in col.items()}
                                 for col in prod]
                 else:
-                    columns += [{}] * len(labels)
-        return la.ExactMatrix(F, rows[1], columns)
+                    columns += [{}] * n
+        M = la.ExactMatrix(F, rows[1], columns)
+        self._kept[i] = (sig, M)
+        return M
 
     def act_matrix(self, d, bidx, i, j):
-        """A0's action by the base element (d, bidx): A's on each block."""
+        """A0's action by the base element (d, bidx): A's on each block.
+        Its columns are a function of the shapes of slices (i, j) and
+        (i, j + d) and of A's product by (d, bidx) on each block, so
+        where those repeat, the last action matrix of (d, bidx) on degree
+        i is returned (see diff_matrix)."""
+        key = (d, bidx, TRIVIAL_MONOMIAL)
         rows = self._layout(i, j + d)
+        layout = self._layout(i, j)
+        prods = [self._a_columns(key, i - h, j - hd)
+                 for _, (h, hd, _, _), _ in layout[0]]
+        sig = (rows[3], layout[3], tuple(map(id, prods)))
+        kept = self._kept.get((d, bidx, i))
+        if kept is not None and kept[0] == sig:
+            return kept[1]
         columns = []
-        for _, (h, hd, g0, g1), labels in self._layout(i, j)[0]:
-            prod = self._product((d, bidx, TRIVIAL_MONOMIAL), i - h, j - hd)
+        for (_, (_, _, g0, g1), labels), prod in zip(layout[0], prods):
             if prod is None:
                 columns += [{}] * ((g1 - g0) * len(labels))
                 continue
@@ -146,7 +204,9 @@ class SemifreeResolution(hml.Construction):
             for at in range(start, start + (g1 - g0) * step, step):
                 columns += [{at + r: c for r, c in col.items()}
                             for col in prod]
-        return la.ExactMatrix(self.algebra.field, rows[1], columns)
+        M = la.ExactMatrix(self.algebra.field, rows[1], columns)
+        self._kept[(d, bidx, i)] = (sig, M)
+        return M
 
     # --- the comparison map -------------------------------------------------
 
@@ -201,6 +261,8 @@ class SemifreeResolution(hml.Construction):
         # n + 1 reads only degree n - 1 again
         self._layouts = {k: v for k, v in self._layouts.items()
                          if k[0] == n - 1}
+        # the kept matrices are the last stage's, which no stage reads again
+        self._kept = {}
 
     # --- reporting -----------------------------------------------------------
 

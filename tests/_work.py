@@ -16,8 +16,12 @@ parser of `cli`), also when an entry point reads a lazy column of it.
 Each entry point's line also gives how many times it was called
 (`kernel_basis: 3474 in 53 calls`), so a degree that takes the previous
 degree's kernel or picks instead of calling the engine shows as fewer
-calls.  The last lines give the engine's total and the total over all
-calls, then the job's exit code.
+calls.  Then come the engine's total and the total over all calls, and
+the last lines give, for `SemifreeResolution.diff_matrix` and
+`act_matrix`, how many calls built their columns and how many returned
+a matrix an earlier call returned (`diff_matrix: 36 built, 138 kept`:
+a slice whose inputs repeat the degree below returns that degree's
+matrix), then the job's exit code.
 
 Every module's binding of axpy is wrapped: `cli` and `dg_core` import it
 by name.  The counts are exact and repeat from run to run, so two
@@ -30,8 +34,8 @@ With --opcodes it counts instead the bytecode instructions executed in
 dgkernel's frames (`sys.settrace` with `f_trace_opcodes`), per function,
 comprehensions and generators under their own qualified names: one line
 per function, most first, then one subtotal per module (`module dg_core:
-N`, most first), the total and the job's exit code: the split of the
-work across the layers of the stack.  Time
+N`, most first), the total, the built and kept counts and the job's
+exit code: the split of the work across the layers of the stack.  Time
 spent in the standard library and in C code is not counted, so this
 measures the interpreter work of dgkernel itself.  The counts repeat
 exactly from run to run, also under another PYTHONHASHSEED, where wall
@@ -86,6 +90,32 @@ def count_work(la, modules):
     return work, calls
 
 
+def count_kept(cls, names):
+    """Wrap the methods names of cls; returns the live counts, per name,
+    of the calls that built a matrix and of those that returned a
+    matrix an earlier call returned (kept).  Every returned matrix is
+    held, so that no id is reused."""
+    counts = {name: {"built": 0, "kept": 0} for name in names}
+    returned = {}
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            M = fn(*args, **kwargs)
+            counts[name]["kept" if returned.get(id(M)) is M else "built"] += 1
+            returned[id(M)] = M
+            return M
+        return wrapped
+
+    for name in names:
+        setattr(cls, name, counted(name, getattr(cls, name)))
+    return counts
+
+
+def print_kept(kept):
+    for name, n in kept.items():
+        print(f"{name}: {n['built']} built, {n['kept']} kept")
+
+
 def count_opcodes(package_dir):
     """Install a tracer counting the opcodes executed in every frame of
     code under package_dir, per (module, qualname); returns the live
@@ -124,7 +154,9 @@ def main(argv):
     sys.path.insert(0, os.path.abspath(argv[1]))
     from dgkernel import cli
     from dgkernel import exact_linear as la
+    from dgkernel.module_resolution import SemifreeResolution
 
+    kept = count_kept(SemifreeResolution, ("diff_matrix", "act_matrix"))
     if opcodes:
         counts = count_opcodes(os.path.dirname(la.__file__) + os.sep)
         try:
@@ -143,6 +175,7 @@ def main(argv):
                                 key=lambda kv: (-kv[1], kv[0])):
             print(f"module {module}: {n}")
         print(f"total: {sum(counts.values())}")
+        print_kept(kept)
         print(f"exit: {code}")
         return 0
     work, calls = count_work(
@@ -157,6 +190,7 @@ def main(argv):
     engine = sum(work[name] for name in ENTRY_POINTS)
     print(f"engine: {engine}")
     print(f"total: {sum(work.values())}")
+    print_kept(kept)
     print(f"exit: {code}")
     return 0
 

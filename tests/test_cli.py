@@ -716,6 +716,18 @@ def test_deviations_compare_rejects_a_non_minimal_presentation(
                             "minimal: a relation has a linear term\n")
 
 
+def test_a_job_with_more_variables_than_the_recursion_limit(tmp_path,
+                                                           capsys):
+    # the base's monomials are enumerated without recursion, so 1,200
+    # variables, past Python's default recursion limit of 1,000, make a
+    # job like any other
+    lines = (["field Q"] + [f"base v{k} 1" for k in range(1200)]
+             + ["bounds 1 1", "task betti"])
+    path = write_job(tmp_path, "\n".join(lines) + "\n")
+    assert run_cli([path]) == 0
+    assert "marginals 1 1200" in capsys.readouterr().out
+
+
 def test_console_script_entry_point(tmp_path):
     path = write_job(tmp_path, HYP.format(task="deviations"))
     proc = subprocess.run([sys.executable, "-m", "dgkernel.cli", path],

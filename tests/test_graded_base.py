@@ -97,6 +97,37 @@ def test_characteristic_p_base():
     assert not two_x
 
 
+def recursive_monomials(P, j):
+    """The exponent tuples of internal degree j, by recursion over the
+    variables, highest exponent first, sorted descending: the
+    reference."""
+    out = []
+    n = len(P.variables)
+
+    def rec(i, rem, acc):
+        if i == n:
+            if rem == 0:
+                out.append(tuple(acc))
+            return
+        d = P.variables[i].intdeg
+        for e in range(rem // d, -1, -1):
+            rec(i + 1, rem - e * d, acc + [e])
+    rec(0, j, [])
+    out.sort(reverse=True)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 4), max_size=6))
+def test_monomials_of_intdeg_match_a_recursive_reference(degrees):
+    # the enumeration runs on a stack, not by recursion, and gives the
+    # same tuples in the same order, none in a negative degree
+    P = BasePresentation(QQ, [BaseVariable(f"v{k}", d)
+                              for k, d in enumerate(degrees)])
+    for j in range(-2, 9):
+        assert P.monomials_of_intdeg(j) == recursive_monomials(P, j), j
+
+
 # --- Q bases through the prime ---------------------------------------------
 
 @contextmanager

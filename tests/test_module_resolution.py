@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dgkernel import (QQ, GF, EXTERIOR, AdmissibilityError, BaseVariable,
                       BasePresentation, TruncatedBase, DgAlgebra, Monomial)
 from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgElement
+from dgkernel import exact_linear as la
 from dgkernel import homology as hml
 from dgkernel import invariants as inv
 from dgkernel.graded_base import residue_field
@@ -250,6 +251,194 @@ def test_matrices_match_a_label_by_label_reference(make):
         assert seen["moves"]
     if make is ring_with_long_boundaries:
         assert seen["long"]
+
+
+# ---------------------------------------------------------------------------
+# A slice whose inputs repeat the degree below returns that degree's matrix
+# ---------------------------------------------------------------------------
+
+def fresh_copy(res):
+    """A resolution on res's algebra and generators that keeps no
+    matrix."""
+    fresh = SemifreeResolution(res.algebra, res.target, res.max_hdeg,
+                               res.max_intdeg)
+    fresh.generators = list(res.generators)
+    fresh._runs = list(res._runs)
+    return fresh
+
+
+def free_module(A, generators):
+    """A SemifreeResolution over A on the given generators, each (hdeg,
+    intdeg, boundary {older generator: DgElement}), consecutive ones of
+    one bidegree in one run: a free module with its differential, which
+    resolves nothing."""
+    res = SemifreeResolution(A, residue_field(A), A.max_hdeg, A.max_intdeg)
+    for g, (h, d, bnd) in enumerate(generators):
+        res.generators.append((h, d, bnd, {}))
+        if res._runs and res._runs[-1][:2] == (h, d):
+            res._runs[-1] = (h, d, res._runs[-1][2], g + 1)
+        else:
+            res._runs.append((h, d, g, g + 1))
+    return res
+
+
+def golod_y(N=2, D=6):
+    """F_101[x,y]/(x^2, xy), whose degree e >= 2 is spanned by y^e, and
+    its label y."""
+    A = golod(GF(101), N=N, D=D)
+    y = next(k for k in A.basis_of_bidegree(0, 1)
+             if any(A.mul_matrix(k, 0, 3).columns))
+    return A, y
+
+
+def by_y(A, y, g):
+    """The boundary y*g."""
+    return {g: DgElement(0, 1, {y: A.field.one})}
+
+
+def test_every_matrix_equals_a_fresh_build_and_repeats_are_kept():
+    # over F_101[x,y]/(x^2, xy) every slice above the diagonal has the
+    # matrix of the slice below; in order of internal degree, for every
+    # first, each diff_matrix and act_matrix equals a fresh resolution's
+    # build column for column, whether it was built or kept
+    A, M, N, D = golod_over_f101()
+    res = resolve_module(A, M, N, D)
+    kept = {"diff": 0, "diff from first > 0": 0, "act": 0}
+    for i in range(1, N + 1):
+        starts = {j: {res._offset(res._layout(i, j), g)[0]
+                      for g, _ in positions(res, i, j)} | {0}
+                  for j in range(D + 1)}
+        for first in sorted(set().union(*starts.values())):
+            last = None
+            for j in range(D + 1):
+                if first not in starts[j]:
+                    last = None
+                    continue
+                got = res.diff_matrix(i, j, first)
+                want = fresh_copy(res).diff_matrix(i, j, first)
+                assert (got.rows, got.columns) == (want.rows, want.columns), \
+                    (i, j, first)
+                if got is last:
+                    kept["diff"] += 1
+                    kept["diff from first > 0"] += first > 0
+                last = got
+    for bidx in A.base.a0_basis(1):
+        for i in range(N + 1):
+            last = None
+            for j in range(D):
+                got = res.act_matrix(1, bidx, i, j)
+                want = fresh_copy(res).act_matrix(1, bidx, i, j)
+                assert (got.rows, got.columns) == (want.rows, want.columns), \
+                    (bidx, i, j)
+                kept["act"] += got is last
+                last = got
+    assert all(kept.values()), kept
+
+
+def test_a_repeated_degree_returns_the_same_matrix():
+    # above the diagonal of the Golod ring's resolution, slice (i, j)
+    # has the inputs of slice (i, j - 1) and returns its matrix
+    A, M, N, D = golod_over_f101()
+    res = fresh_copy(resolve_module(A, M, N, D))
+    for i, j in ((2, 6), (3, 7), (4, 8)):
+        below = res.diff_matrix(i, j - 1)
+        assert below.cols and res.diff_matrix(i, j) is below, (i, j)
+    for bidx in A.base.a0_basis(1):
+        below = res.act_matrix(1, bidx, 2, 6)
+        assert below.cols and res.act_matrix(1, bidx, 2, 7) is below
+
+
+def test_a_product_differing_at_one_degree_forces_a_rebuild(monkeypatch):
+    # g1 with dg1 = y*g0: slices (1, 4) and (1, 5) have the same shapes,
+    # and y's products on A_3 and A_4 are equal, so (1, 5) is kept; with
+    # y's product on A_4 doubled, it is built, and so is the action of y
+    # on slice (0, 4)
+    A, y = golod_y()
+    # the label y is the base element (1, bidx)
+    d, bidx, _ = y
+    generators = [(0, 0, {}), (1, 1, by_y(A, y, 0))]
+    res = free_module(A, generators)
+    assert res.diff_matrix(1, 5) is res.diff_matrix(1, 4)
+    assert res.act_matrix(d, bidx, 0, 4) is res.act_matrix(d, bidx, 0, 3)
+    mul = DgAlgebra.mul_matrix
+
+    def doubled(self, key, i, j):
+        out = mul(self, key, i, j)
+        if (key, i, j) != (y, 0, 4):
+            return out
+        return la.ExactMatrix(out.field, out.rows, [
+            {r: out.field.mul(2, c) for r, c in col.items()}
+            for col in out.columns])
+    monkeypatch.setattr(DgAlgebra, "mul_matrix", doubled)
+    res = free_module(A, generators)
+    below, here = res.diff_matrix(1, 4), res.diff_matrix(1, 5)
+    assert below.columns == [{0: 1}]
+    assert here is not below and here.columns == [{0: 2}] == \
+        free_module(A, generators).diff_matrix(1, 5).columns
+    below, here = res.act_matrix(d, bidx, 0, 3), res.act_matrix(d, bidx, 0, 4)
+    assert here is not below and here.columns == [{0: 2}]
+
+
+def test_a_run_extended_by_adjoin_forces_a_rebuild():
+    # adjoin drops what the resolution keeps; were the kept matrix still
+    # there, the extended run alone tells the slice apart from it
+    A, y = golod_y()
+    res = free_module(A, [(0, 0, {}), (1, 1, by_y(A, y, 0))])
+    before = res.diff_matrix(1, 5)
+    kept = dict(res._kept)
+    x = coordinates(res, by_y(A, y, 0), positions(res, 0, 1))
+    res.adjoin(1, [(1, x, {})])
+    assert res._runs[-1] == (1, 1, 1, 3)
+    res._kept.update(kept)
+    after = res.diff_matrix(1, 5)
+    assert after is not before
+    assert after.columns == [{0: 1}, {0: 1}] == \
+        reference_differential(res, 1, 5)
+
+
+def test_a_first_past_zero_forces_a_rebuild():
+    # from the last generator of a kept slice on, the columns are that
+    # generator's, not the kept matrix
+    A, M, N, D = golod_over_f101()
+    res = fresh_copy(resolve_module(A, M, N, D))
+    res.diff_matrix(4, 7)
+    whole = res.diff_matrix(4, 8)
+    last_generator = res._runs[4][3] - 1
+    first = res._offset(res._layout(4, 8), last_generator)[0]
+    assert first > 0
+    part = res.diff_matrix(4, 8, first)
+    assert part is not whole and part.columns == whole.columns[first:]
+
+
+def test_a_shifted_row_layout_forces_a_rebuild():
+    # g0 of degree (0, 3) comes before g1 of degree (0, 0), and dg2 =
+    # y*g1: from internal degree 4 to 5, g2's block keeps its shape and
+    # its product, but g0's block below shrinks from A_1 to A_2, so g1's
+    # rows move up by one
+    A, y = golod_y()
+    res = free_module(A, [(0, 3, {}), (0, 0, {}), (1, 1, by_y(A, y, 1))])
+    assert res._layout(1, 4)[3] == res._layout(1, 5)[3]
+    below, here = res.diff_matrix(1, 4), res.diff_matrix(1, 5)
+    assert (below.rows, below.columns) == (3, [{2: 1}])
+    assert here is not below
+    assert (here.rows, here.columns) == (2, [{1: 1}])
+    assert here.columns == reference_differential(res, 1, 5)
+
+
+def test_adjoin_drops_the_kept_matrices(monkeypatch):
+    # a resolution keeps its last matrices for one stage: adjoin, which
+    # ends each stage, drops them
+    adjoin = SemifreeResolution.adjoin
+    sizes = []
+
+    def counted(self, n, stage):
+        before = len(self._kept)
+        adjoin(self, n, stage)
+        sizes.append((before, len(self._kept)))
+    monkeypatch.setattr(SemifreeResolution, "adjoin", counted)
+    resolve_module(*golod_over_f101())
+    assert any(before for before, _ in sizes)
+    assert all(after == 0 for _, after in sizes)
 
 
 def generator_runs(generators):
