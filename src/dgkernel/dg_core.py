@@ -17,15 +17,25 @@ variable is the newest of all, so adjoining one appends labels to every
 basis it reaches and moves none: a cached basis is extended, and a
 differential block keeps its columns and gains the new ones.  One block
 fill builds every matrix on a slice: the differential, and right
-multiplication by a label, of which the A0 action is a case.
+multiplication by a label, of which the A0 action is a case.  The
+monomial table keeps each bidegree's ranks beside its monomials, so
+bases are bisected and sorted by int.
+
+The Leibniz rule writes the terms of d(m), not accumulates them: for m
+= rest*v^e with v its newest variable, the terms of d(rest)*v^e carry
+v^e and those of rest*v^(e-1)*dv carry v^(e-1), and multiplying the
+terms of dv (which hold no v) by the one monomial rest*v^(e-1) sends
+distinct terms to distinct terms.  So no two terms meet, none can
+cancel, and each is written once on an interned Monomial.
 """
 
 from bisect import bisect_left
+from itertools import repeat
 from math import comb
 from operator import itemgetter
 
 from .errors import BoundExceededError, NotCycleError, ParityError
-from .exact_linear import ExactMatrix, axpy
+from .exact_linear import ExactMatrix, axpy, axpy_at
 
 EXTERIOR = "exterior"
 POLYNOMIAL = "polynomial"
@@ -135,15 +145,18 @@ class DgAlgebra:
         # (i, j) -> (labels, the number of variables they cover, the
         # position of the first label of each monomial)
         self._bases = {}
-        # the monomial table of the variables of _var_rank, each list in
-        # the basis order; _rank numbers the monomials in that order, and
-        # _var_rank[v] is the rank of the first monomial on variable v
-        self._vmons = {(0, 0): [TRIVIAL_MONOMIAL]}
-        self._rank = {TRIVIAL_MONOMIAL: 0}
+        # the monomial table of the variables of _var_rank: per bidegree,
+        # its monomials in the basis order and beside them their ranks,
+        # their positions in that order over the whole table; _nmons
+        # monomials in all, and _var_rank[v] is the rank of the first
+        # monomial on variable v
+        self._vmons = {(0, 0): ([TRIVIAL_MONOMIAL], [0])}
+        self._nmons = 1
         self._var_rank = []
-        # d(1*m) per variable monomial m: adjoining a variable changes no
-        # cached entry, so the cache grows with the algebra
-        self._dcache = {}
+        # d(1*m) per variable monomial m, the trivial one's empty:
+        # adjoining a variable changes no cached entry, so the cache grows
+        # with the algebra
+        self._dcache = {TRIVIAL_MONOMIAL: {}}
         # one Monomial object per monomial of the table and of the cached
         # differentials: equal labels share their tuples, and the lookups
         # of the Leibniz fill hit by identity before comparing any tuple
@@ -220,46 +233,67 @@ class DgAlgebra:
 
     # --- multiplication ----------------------------------------------------
 
-    def _label_product(self, k1, k2):
-        """Terms of the product of the basis labels k1 = (j1, i1, m1) and
-        k2: the sign of the odd merge times the divided-power binomials,
-        times the base product.  Empty when the product vanishes (a
-        repeated odd variable, or a binomial that is zero in the field)."""
-        (j1, i1, m1), (j2, i2, m2) = k1, k2
-        # a trivial monomial (tested by content: _leibniz builds its own)
-        # leaves the other one as it is: no sign, binomial or new Monomial
-        if not (m1.evens or m1.odds):
-            return {(j1 + j2, i3, m2): c3 for i3, c3
-                    in self.base.mult_basis(j1, i1, j2, i2).items()}
-        if not (m2.evens or m2.odds):
-            return {(j1 + j2, i3, m1): c3 for i3, c3
-                    in self.base.mult_basis(j1, i1, j2, i2).items()}
-        if set(m1.odds) & set(m2.odds):
-            return {}
-        # inversion count of the odd merge
-        inv = 0
-        for a in m1.odds:
-            for b in m2.odds:
-                if a > b:
-                    inv += 1
-        odds = tuple(sorted(m1.odds + m2.odds))
-        evens = dict(m1.evens)
+    def _monomial_product(self, m1, m2):
+        """(c, m1*m2): the sign of the odd merge times the divided-power
+        binomials, a nonzero scalar, and the product, unchecked; None
+        when it vanishes (a repeated odd variable, or a binomial that is
+        zero in the field).  A trivial factor (tested by content:
+        _leibniz builds its own) leaves the other one as it is: the
+        scalar is 1 and the product that Monomial object."""
+        F = self.field
+        evens1, odds1 = m1
+        evens2, odds2 = m2
+        if not (evens1 or odds1):
+            return F.one, m2
+        if not (evens2 or odds2):
+            return F.one, m1
         coeff = 1
-        for vid, e in m2.evens:
-            if vid in evens:
-                a = evens[vid]
+        if odds1 and odds2:
+            if set(odds1) & set(odds2):
+                return None
+            # inversion count of the odd merge
+            inv = 0
+            for a in odds1:
+                for b in odds2:
+                    if a > b:
+                        inv += 1
+            if inv % 2:
+                coeff = -1
+            odds = tuple(sorted(odds1 + odds2))
+        else:
+            odds = odds1 or odds2
+        if evens1 and evens2:
+            evens = dict(evens1)
+            for vid, e in evens2:
+                a = evens.get(vid)
+                if a is None:
+                    evens[vid] = e
+                    continue
                 if self.variables[vid].kind == DIVIDED_POWER:
                     coeff *= comb(a + e, a)
                 evens[vid] = a + e
-            else:
-                evens[vid] = e
-        F = self.field
-        c = F.from_int(-coeff if inv % 2 else coeff)
+            evens = tuple(sorted(evens.items()))
+        else:
+            evens = evens1 or evens2
+        c = F.from_int(coeff)
         if F.is_zero(c):
+            return None
+        return c, _monomial(evens, odds)
+
+    def _label_product(self, k1, k2):
+        """Terms of the product of the basis labels k1 = (j1, i1, m1) and
+        k2: the monomials' product times the base product.  Empty when
+        the product vanishes."""
+        (j1, i1, m1), (j2, i2, m2) = k1, k2
+        merged = self._monomial_product(m1, m2)
+        if merged is None:
             return {}
-        mon = _monomial(tuple(sorted(evens.items())), odds)
-        return {(j1 + j2, i3, mon): F.mul(c, c3)
-                for i3, c3 in self.base.mult_basis(j1, i1, j2, i2).items()}
+        c, mon = merged
+        prod = self.base.mult_basis(j1, i1, j2, i2)
+        F = self.field
+        if c == F.one:
+            return {(j1 + j2, i3, mon): c3 for i3, c3 in prod.items()}
+        return {(j1 + j2, i3, mon): F.mul(c, c3) for i3, c3 in prod.items()}
 
     def multiply(self, u, v):
         hdeg = u.hdeg + v.hdeg
@@ -300,84 +334,101 @@ class DgAlgebra:
     def _monomial_differential(self, mon):
         """Terms of d(1*mon), by the Leibniz rule on first use and from
         the cache after that.  Do not mutate the result."""
-        if mon.is_trivial():
-            return {}
         hit = self._dcache.get(mon)
         if hit is None:
-            intern = self._interned.setdefault
-            hit = {(jb, ib, intern(m, m)): c
-                   for (jb, ib, m), c in self._leibniz(mon).items()}
-            self._dcache[intern(mon, mon)] = hit
+            hit = self._dcache[self._interned.setdefault(mon, mon)] = (
+                self._leibniz(mon))
         return hit
 
     def _leibniz(self, mon):
-        """d(1*mon) as a DgElement's terms, from its prefix: mon is
-        rest*v^e for its newest variable v, so d(mon) = d(rest)*v^e +
-        (-1)^|rest| c*rest*v^(e-1)*dv, with c = e for a polynomial v and
-        1 otherwise.  d(rest) is cached and holds no v, and v goes last,
-        so v^e is appended to each of its terms with no sign, binomial
-        or base product; only the terms of dv are multiplied out."""
+        """d(1*mon) as a DgElement's terms, each written once on an
+        interned Monomial (no two meet: see the module docstring).  mon
+        is rest*v^e for its newest variable v, so d(mon) = d(rest)*v^e +
+        (-1)^|rest| c*cofactor*dv, cofactor = rest*v^(e-1), with c = e
+        for a polynomial v and 1 otherwise.  d(rest) is cached and holds
+        no v, and v goes last, so v^e is appended to each of its terms
+        with no sign, binomial or base product; the cofactor's base part
+        is 1, so each term of dv gives the one term cofactor*k, or none,
+        with no base product."""
         F = self.field
-        evens, odds = mon.evens, mon.odds
+        intern = self._interned.setdefault
+        evens, odds = mon
         if odds and (not evens or odds[-1] > evens[-1][0]):
             vid = odds[-1]
             rest = cofactor = _monomial(evens, odds[:-1])
             c = F.one
-            out = {(jb, ib, _monomial(m.evens, m.odds + (vid,))): b
-                   for (jb, ib, m), b
-                   in self._monomial_differential(rest).items()}
+            top_evens, top_odds = (), (vid,)
         else:
             vid, e = evens[-1]
             rest = _monomial(evens[:-1], odds)
             cofactor = rest if e == 1 else _monomial(
                 evens[:-1] + ((vid, e - 1),), odds)
             c = F.from_int(e if self.variables[vid].kind == POLYNOMIAL else 1)
-            top = ((vid, e),)
-            out = {(jb, ib, _monomial(m.evens + top, m.odds)): b
-                   for (jb, ib, m), b
-                   in self._monomial_differential(rest).items()}
+            top_evens, top_odds = ((vid, e),), ()
+        out = {}
+        for (jb, ib, (m_evens, m_odds)), b in (
+                self._monomial_differential(rest).items()):
+            m2 = _monomial(m_evens + top_evens, m_odds + top_odds)
+            out[(jb, ib, intern(m2, m2))] = b
         if len(rest.odds) % 2:
             c = F.neg(c)
         if not F.is_zero(c):
-            for key, b in self.variables[vid].boundary.terms.items():
-                axpy(F, out, F.mul(b, c),
-                     self._label_product((0, 0, cofactor), key))
+            for (jb, ib, m), b in self.variables[vid].boundary.terms.items():
+                merged = self._monomial_product(cofactor, m)
+                if merged is not None:
+                    s, m2 = merged
+                    out[(jb, ib, intern(m2, m2))] = F.mul(F.mul(b, c), s)
         return out
 
     # --- monomial bases ----------------------------------------------------
 
     def _variable_monomials(self):
-        """dict (hdeg, intdeg) -> list of Monomials within bounds, in the
-        basis order.  The table grows by the variables adjoined since its
-        last read: every new monomial of a variable has it as its newest
-        one, so the variable's monomials are sorted, ranked after all the
-        older ones and appended."""
+        """dict (hdeg, intdeg) -> (Monomials within bounds, in the basis
+        order; their ranks).  The table grows by the variables adjoined
+        since its last read: every new monomial of a variable has it as
+        its newest one, so the variable's monomials are sorted, ranked
+        after all the older ones and appended.  A variable multiplies
+        only the bidegrees from which one power of it stays in bounds."""
         table = self._vmons
-        rank = self._rank
         intern = self._interned.setdefault
         N, D = self.max_hdeg, self.max_intdeg
         for v in self.variables[len(self._var_rank):]:
-            new = {}
-            for (h, d), mons in table.items():
-                emax = 1 if v.hdeg % 2 == 1 else 10 ** 9
-                e = 1
-                while e <= emax:
-                    h2, d2 = h + e * v.hdeg, d + e * v.intdeg
+            vid, dh, dd = v.id, v.hdeg, v.intdeg
+            odd = dh % 2 == 1
+            # the new monomials, and per bidegree their positions there
+            mons, spans = [], {}
+            for (h, d), (old, _) in table.items():
+                if h + dh > N or d + dd > D:
+                    continue
+                # an even variable has hdeg >= 2, so e <= N / 2
+                for e in range(1, 2 if odd else N + 1):
+                    h2, d2 = h + e * dh, d + e * dd
                     if h2 > N or d2 > D:
                         break
-                    for m in mons:
-                        if v.hdeg % 2 == 1:
-                            m2 = _monomial(m.evens, m.odds + (v.id,))
-                        else:
-                            m2 = _monomial(m.evens + ((v.id, e),), m.odds)
-                        new.setdefault((h2, d2), []).append(intern(m2, m2))
-                    e += 1
-            self._var_rank.append(len(rank))
-            for m in sorted(m for ms in new.values() for m in ms):
-                rank[m] = len(rank)
-            for k, ms in new.items():
-                ms.sort(key=rank.__getitem__)
-                table.setdefault(k, []).extend(ms)
+                    spans.setdefault((h2, d2), []).extend(
+                        range(len(mons), len(mons) + len(old)))
+                    if odd:
+                        mons += [_monomial(m.evens, m.odds + (vid,))
+                                 for m in old]
+                    else:
+                        top = ((vid, e),)
+                        mons += [_monomial(m.evens + top, m.odds)
+                                 for m in old]
+            mons = list(map(intern, mons, mons))
+            # the new monomials are distinct, so the first sort compares
+            # only them; rank, the inverse of order, is each one's rank
+            # among them
+            order = sorted(range(len(mons)), key=mons.__getitem__)
+            rank = sorted(range(len(mons)), key=order.__getitem__)
+            first = self._nmons
+            self._var_rank.append(first)
+            self._nmons += len(mons)
+            for key, span in spans.items():
+                span.sort(key=rank.__getitem__)
+                entry = table.setdefault(key, ([], []))
+                entry[0].extend(map(mons.__getitem__, span))
+                entry[1].extend(map(first.__add__,
+                                    map(rank.__getitem__, span)))
         return table
 
     def basis_of_bidegree(self, i, j):
@@ -396,27 +447,28 @@ class DgAlgebra:
         if hit is not None and hit[1] == nvars:
             return hit[0]
         vmons = self._variable_monomials()
-        rank = self._rank
         if hit is None:
             labels, low, start = [], 0, {}
         else:
             labels, covered, start = hit
             low = self._var_rank[covered]
         new = []
-        for (h, d), mons in vmons.items():
+        for (h, d), (mons, ranks) in vmons.items():
             if h > i or d > j:
                 continue
             indices = self._base_indices[j - d].get(i - h)
             if indices:
-                k = bisect_left(mons, low, key=rank.__getitem__)
-                new += [(rank[m], m, j - d, indices) for m in mons[k:]]
+                k = bisect_left(ranks, low)
+                new += zip(ranks[k:], mons[k:], repeat((j - d, indices)))
         if new:
             # ranks are distinct, so the sort compares no monomial
             new.sort()
             added = []
-            for _, m, jb, indices in new:
-                start[m] = len(labels) + len(added)
-                added += [(jb, idx, m) for idx in indices]
+            n = len(labels)
+            for _, m, (jb, indices) in new:
+                start[m] = n
+                n += len(indices)
+                added += zip(repeat(jb), indices, repeat(m))
             labels = labels + added
         self._bases[(i, j)] = (labels, nvars, start)
         return labels
@@ -445,8 +497,9 @@ class DgAlgebra:
         once per block (the consecutive labels of one m), and its term
         (j2, i2, m2), times b, lands at the first row of m2 plus the
         offset of each index of the base product b*(j2, i2), walked from
-        the block's kept nonzero products.  A block cut short by first
-        or by the end of cols gives the columns of its labels there."""
+        the block's kept nonzero products and added there by axpy_at,
+        with no shifted copy.  A block cut short by first or by the end
+        of cols gives the columns of its labels there."""
         nrows = len(self.basis_of_bidegree(*rows))
         start = self._bases[rows][2]
         F = self.field
@@ -475,8 +528,7 @@ class DgAlgebra:
                 if kept:
                     s = start[m2]
                     for pos, prod in kept:
-                        axpy(F, block[pos], c,
-                             {s + r: c3 for r, c3 in prod.items()})
+                        axpy_at(F, block[pos], c, prod, s)
             # ib is at position offset[jb][ib] of its block
             k = offset[jb][ib]
             block = block[k:k + end - n]

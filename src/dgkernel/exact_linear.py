@@ -1,5 +1,6 @@
 """Sparse exact matrices, one sparse accumulation (axpy, used by every
-layer) and one incremental echelon engine.
+layer, and axpy_at, the same at a row offset) and one incremental
+echelon engine.
 
 A matrix is its list of columns, each a dict row -> nonzero scalar: the
 format every layer builds and the engine reduces.  Every column is
@@ -133,6 +134,34 @@ def axpy(F, out, c, terms):
                 pop(k, None)
     else:
         for k, v in terms.items():
+            s = get(k, 0) + c * v
+            if s.__class__ is not int and s.denominator == 1:
+                s = s.numerator
+            if s:
+                out[k] = s
+            else:
+                pop(k, None)
+    return out
+
+
+def axpy_at(F, out, c, terms, at):
+    """out += c * terms shifted by at, by axpy's rule: the entry of terms
+    at row r is added at row at + r, so a block placed at an offset of a
+    column needs no shifted copy.  Returns out."""
+    get = out.get
+    pop = out.pop
+    p = F.characteristic
+    if p:
+        for r, v in terms.items():
+            k = at + r
+            s = (get(k, 0) + c * v) % p
+            if s:
+                out[k] = s
+            else:
+                pop(k, None)
+    else:
+        for r, v in terms.items():
+            k = at + r
             s = get(k, 0) + c * v
             if s.__class__ is not int and s.denominator == 1:
                 s = s.numerator

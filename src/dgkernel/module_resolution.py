@@ -167,8 +167,7 @@ class SemifreeResolution(hml.Construction):
                     for m, dcol in enumerate(da or [{}] * n):
                         col = {own + r: c for r, c in dcol.items()}
                         for at, c, prod in parts:
-                            la.axpy(F, col, c, {at + r: v for r, v
-                                                in prod[m].items()})
+                            la.axpy_at(F, col, c, prod[m], at)
                         columns.append(col)
                 elif parts:
                     (at, c, prod), = parts

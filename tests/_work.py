@@ -6,26 +6,30 @@ per function (not collected by pytest).
 
 imports dgkernel from the directory SRC (e.g. `src` of a checkout), runs
 the job file JOB through `cli.main` in this process and prints where its
-axpy work went: the number of terms every `exact_linear.axpy` call adds
-in, summed.  A call made by the engine (code in `exact_linear`) is
-charged to the innermost entry point running: `rank`, `kernel_basis`,
-`pick_new_generators`, `quotient` or `ExactMatrix.matmul`.  A call made
-by another module is charged to that module (the Leibniz fills of
-`dg_core`, the resolution's blocks, the d o d check of `homology`, the
-parser of `cli`), also when an entry point reads a lazy column of it.
-Each entry point's line also gives how many times it was called
-(`kernel_basis: 3474 in 53 calls`), so a degree that takes the previous
-degree's kernel or picks instead of calling the engine shows as fewer
-calls.  Then come the engine's total and the total over all calls, and
-the last lines give, for `SemifreeResolution.diff_matrix` and
-`act_matrix`, how many calls built their columns and how many returned
-a matrix an earlier call returned (`diff_matrix: 36 built, 138 kept`:
-a slice whose inputs repeat the degree below returns that degree's
-matrix), then the job's exit code.
+axpy work went: the number of terms every `exact_linear.axpy` or
+`axpy_at` call adds in, summed.  A call made by the engine (code in
+`exact_linear`) is charged to the innermost entry point running:
+`rank`, `kernel_basis`, `pick_new_generators`, `quotient` or
+`ExactMatrix.matmul`.  A call made by another module is charged to that
+module (the block fills of `dg_core`, the resolution's blocks, the d o
+d check of `homology`, the parser of `cli`), also when an entry point
+reads a lazy column of it.  Each entry point's line also gives how many
+times it was called (`kernel_basis: 3474 in 53 calls`), so a degree
+that takes the previous degree's kernel or picks instead of calling the
+engine shows as fewer calls.  Then come the engine's total and the
+total over all calls, and the last lines give, for
+`SemifreeResolution.diff_matrix` and `act_matrix`, how many calls built
+their columns and how many returned a matrix an earlier call returned
+(`diff_matrix: 36 built, 138 kept`: a slice whose inputs repeat the
+degree below returns that degree's matrix), then the job's exit code.
 
-Every module's binding of axpy is wrapped: `cli` and `dg_core` import it
-by name.  The counts are exact and repeat from run to run, so two
-checkouts compare on one job:
+Every module's binding of axpy and axpy_at is wrapped: `cli` and
+`dg_core` import them by name and `module_resolution` reads them from
+`exact_linear`, so each module's work is counted where it is done.
+The Leibniz rule writes each term of d(m) once and calls neither, so
+`dg_core`'s count is that of its block fills and of its elementwise
+products and differentials.  The counts are exact and repeat from run
+to run, so two checkouts compare on one job:
 
     python tests/_work.py old/src job.txt
     python tests/_work.py src job.txt
@@ -40,7 +44,9 @@ spent in the standard library and in C code is not counted, so this
 measures the interpreter work of dgkernel itself.  The counts repeat
 exactly from run to run, also under another PYTHONHASHSEED, where wall
 time on a shared host spreads by tens of percent.  Tracing makes the
-job some 70 times slower.
+job some 70 times slower.  As work done in C is not counted, a change
+can lower the count and still run slower: `tests/_replay.py` times the
+job on both checkouts in fresh processes.
 """
 
 import contextlib
@@ -49,6 +55,7 @@ import io
 import os
 import sys
 
+ACCUMULATIONS = ("axpy", "axpy_at")
 ENTRY_POINTS = ("rank", "kernel_basis", "pick_new_generators", "quotient",
                 "matmul")
 MODULES = ("cli", "dg_core", "graded_base", "homology", "invariants",
@@ -56,20 +63,22 @@ MODULES = ("cli", "dg_core", "graded_base", "homology", "invariants",
 
 
 def count_work(la, modules):
-    """Wrap axpy in la and in every module of modules that binds it, and
-    the engine's entry points in la; returns the live work counts and
-    the live call counts of the entry points."""
+    """Wrap the accumulations ACCUMULATIONS in la and in every module of
+    modules that binds them, and the engine's entry points in la;
+    returns the live work counts and the live call counts of the entry
+    points."""
     work = dict.fromkeys(ENTRY_POINTS, 0)
     calls = dict.fromkeys(ENTRY_POINTS, 0)
     running = [None]
-    axpy = la.axpy
 
-    def counted_axpy(F, out, c, terms):
-        caller = sys._getframe(1).f_globals["__name__"]
-        key = (running[-1] if caller == la.__name__
-               else caller.rsplit(".", 1)[-1])
-        work[key] = work.get(key, 0) + len(terms)
-        return axpy(F, out, c, terms)
+    def counted(accumulate):
+        def wrapped(F, out, c, terms, *at):
+            caller = sys._getframe(1).f_globals["__name__"]
+            key = (running[-1] if caller == la.__name__
+                   else caller.rsplit(".", 1)[-1])
+            work[key] = work.get(key, 0) + len(terms)
+            return accumulate(F, out, c, terms, *at)
+        return wrapped
 
     def entered(name, fn):
         def wrapped(*args, **kwargs):
@@ -81,9 +90,12 @@ def count_work(la, modules):
                 running.pop()
         return wrapped
 
-    for mod in (la, *modules):
-        if getattr(mod, "axpy", None) is axpy:
-            mod.axpy = counted_axpy
+    for name in ACCUMULATIONS:
+        accumulate = getattr(la, name)
+        wrapped = counted(accumulate)
+        for mod in (la, *modules):
+            if getattr(mod, name, None) is accumulate:
+                setattr(mod, name, wrapped)
     for name in ENTRY_POINTS[:-1]:
         setattr(la, name, entered(name, getattr(la, name)))
     la.ExactMatrix.matmul = entered("matmul", la.ExactMatrix.matmul)

@@ -2,6 +2,7 @@
 and byte-stable JSON reports."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -53,6 +54,22 @@ def test_json_byte_identical_across_runs(tmp_path, capsys):
     assert run_cli([path, "--json", str(j1)]) == 0
     assert run_cli([path, "--json", str(j2)]) == 0
     assert j1.read_bytes() == j2.read_bytes()
+
+
+def test_closure_report_does_not_depend_on_the_order_of_base_lines(
+        tmp_path, capsys):
+    # the monomial table and the bases are keyed by ranks, which follow
+    # the adjunctions and not the order the base variables are declared
+    # in: all six orders give one report, byte for byte
+    reports = set()
+    for order in itertools.permutations("xyz"):
+        text = "field Q\n" + "".join(f"base {v} 1\n" for v in order) + (
+            "relation x^2\nrelation y^2\nrelation x*z\nrelation y*z\n"
+            "bounds 6 8\ntask acyclic-closure\n")
+        jpath = tmp_path / ("".join(order) + ".json")
+        assert run_cli([write_job(tmp_path, text), "--json", str(jpath)]) == 0
+        reports.add(jpath.read_bytes())
+    assert len(reports) == 1
 
 
 def test_json_to_a_path_that_cannot_be_written(tmp_path, capsys):

@@ -5,12 +5,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
                       DgAlgebra, DgElement, BaseVariable, BasePresentation,
                       TruncatedBase, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
-from dgkernel.dg_core import TRIVIAL_MONOMIAL
+from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgVariable
 from dgkernel import acyclic_closure
 from _fixtures import (hypersurface, complete_intersection, golod,
                        ring_algebra, small_presentations)
@@ -254,6 +254,58 @@ def merged_label_product(U, k1, k2):
             for i3, c3 in U.base.mult_basis(j1, i1, j2, i2).items()}
 
 
+# variable kinds by id: odd 0, 2, 4, even 1, 3, 5
+PRODUCT_KINDS = (EXTERIOR, DIVIDED_POWER, EXTERIOR, POLYNOMIAL, EXTERIOR,
+                 DIVIDED_POWER)
+
+
+@st.composite
+def kind_monomials(draw):
+    """A Monomial on the variables of PRODUCT_KINDS, trivial at times."""
+    odds = draw(st.sets(st.sampled_from([0, 2, 4])))
+    evens = draw(st.dictionaries(st.sampled_from([1, 3, 5]),
+                                 st.integers(1, 4)))
+    return Monomial(tuple(evens.items()), tuple(sorted(odds)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3)])
+def test_monomial_product_is_the_written_out_merge(field):
+    # the one product of monomials that _label_product and the Leibniz
+    # rule share: sign of the odd merge, divided-power binomials that
+    # vanish in F_2 or F_3, repeated odd variables, a trivial factor
+    base = hypersurface(field).base
+    U = DgAlgebra(base, [
+        DgVariable(vid, f"v{vid}", 2 - (kind == EXTERIOR), 1, kind,
+                   DgElement(1 - (kind == EXTERIOR), 1))
+        for vid, kind in enumerate(PRODUCT_KINDS)])
+    F = U.field
+    seen = dict.fromkeys(("odd sign", "odd overlap", "binomial vanishes",
+                          "trivial factor"), 0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(kind_monomials(), kind_monomials())
+    def check(m1, m2):
+        want = merged_label_product(U, (0, 0, m1), (0, 0, m2))
+        got = U._monomial_product(m1, m2)
+        if not want:
+            assert got is None
+            overlap = set(m1.odds) & set(m2.odds)
+            seen["odd overlap" if overlap else "binomial vanishes"] += 1
+            return
+        (key, c), = want.items()
+        assert got == (c, key[2]) and type(got[0]) is type(c)
+        assert Monomial(*got[1]) == got[1]
+        seen["odd sign"] += sum(a > b for a in m1.odds for b in m2.odds) % 2
+        if m1.is_trivial() or m2.is_trivial():
+            assert got[1] is (m2 if m1.is_trivial() else m1)
+            seen["trivial factor"] += 1
+
+    check()
+    vanish = seen.pop("binomial vanishes")
+    assert all(seen.values()), seen
+    assert bool(vanish) == (F is not QQ)
+
+
 def hypersurface_with_even_variables(field, kind, N=6, D=6):
     """k[x]/(x^2) with e, de = x, and an even variable t of the given
     kind with dt = x*e."""
@@ -302,6 +354,27 @@ def test_label_product_with_a_trivial_monomial_is_the_merge(field, make):
         a, b = rng.choice(labels), rng.choice(labels)
         if a[0] + b[0] <= U.base.D:
             assert U._label_product(a, b) == merged_label_product(U, a, b)
+
+
+def basis_order(label):
+    """A label's place in a bidegree basis: its monomial's newest
+    variable (-1 for none), the monomial, the base index."""
+    _, ib, m = label
+    return max([vid for vid, _ in m.evens] + list(m.odds), default=-1), m, ib
+
+
+def test_bases_are_in_the_basis_order():
+    # a new variable's monomials are ranked in the order of the monomials,
+    # not in the order they are made in, which differs from it in some
+    # bases of the closure of k[x,y,z]/(x^2, y^2, xz, yz) at (6,8)
+    A = ring_algebra(QQ, [("x", 1), ("y", 1), ("z", 1)],
+                     [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(1, 0, 1): 1},
+                      {(0, 1, 1): 1}], 6, 8)
+    U = acyclic_closure(A, 6, 8).algebra
+    for i in range(7):
+        for j in range(9):
+            labels = U.basis_of_bidegree(i, j)
+            assert labels == sorted(labels, key=basis_order), (i, j)
 
 
 def test_adjoining_a_variable_appends_to_every_cached_basis():
@@ -369,7 +442,7 @@ def assert_leibniz_matches_reference(U):
     so that no prefix is cached yet, by a fresh algebra on the same
     variables, against the factor-by-factor reference.  Returns the
     monomials."""
-    mons = [m for ms in U._variable_monomials().values() for m in ms]
+    mons = [m for ms, _ in U._variable_monomials().values() for m in ms]
     expected = [leibniz_reference(U, m) for m in mons]
     fresh = DgAlgebra(U.base, U.variables, U.max_hdeg, U.max_intdeg)
     for m, terms in zip(mons, expected):

@@ -522,14 +522,13 @@ QQ_SCALARS = st.one_of(
 
 
 @st.composite
-def axpy_cases(draw):
+def axpy_cases(draw, keys=st.sampled_from(["a", "b", (0, 1), 3])):
     """A field, a sparse vector, a scalar and sparse terms on a few keys;
     the terms are often minus c^-1 times the vector, so whole entries
     cancel."""
     F = draw(st.sampled_from([QQ, GF(2), GF(101)]))
     scalar = (st.builds(QQ, QQ_SCALARS) if F is QQ
               else st.integers(0, F.p - 1))
-    keys = st.sampled_from(["a", "b", (0, 1), 3])
     out = {k: v for k, v in draw(st.dictionaries(keys, scalar)).items()
            if not F.is_zero(v)}
     c = draw(scalar)
@@ -556,5 +555,19 @@ def test_axpy_matches_sum_then_drop_zeros(case):
     want = {k: v for k, v in want.items() if not F.is_zero(v)}
     got = dict(out)
     assert la.axpy(F, got, c, terms) is got
+    assert got == want
+    assert all(type(v) is type(want[k]) for k, v in got.items())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(axpy_cases(keys=st.integers(0, 6)), st.integers(0, 3))
+def test_axpy_at_is_axpy_on_shifted_terms(case, at):
+    # the terms' rows r land at at + r, by axpy's zero rule and scalar
+    # types; the cases that cancel whole entries stay cancelling
+    F, out, c, terms = case
+    want = la.axpy(F, dict(out), c, terms)
+    got = dict(out)
+    shifted = {r - at: v for r, v in terms.items()}
+    assert la.axpy_at(F, got, c, shifted, at) is got
     assert got == want
     assert all(type(v) is type(want[k]) for k, v in got.items())

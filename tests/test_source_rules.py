@@ -106,14 +106,14 @@ def test_matrix_storage_stays_in_exact_linear():
 
 
 def test_sparse_kernels_pick_the_field_rule_once():
-    # axpy and the engine's back-substitution are the inner loops of every
-    # layer: they pick the field's arithmetic once per call and never
-    # dispatch F.add / F.mul / F.is_zero per entry
+    # axpy, axpy_at and the engine's back-substitution are the inner loops
+    # of every layer: they pick the field's arithmetic once per call and
+    # never dispatch F.add / F.mul / F.is_zero per entry
     tree = ast.parse(ROOT.joinpath("exact_linear.py").read_text())
     bodies = {node.name: node for node in tree.body
               if isinstance(node, ast.FunctionDef)}
     found = []
-    for name in ("axpy", "_insert"):
+    for name in ("axpy", "axpy_at", "_insert"):
         for node in ast.walk(bodies[name]):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
@@ -122,6 +122,38 @@ def test_sparse_kernels_pick_the_field_rule_once():
                     and node.func.attr in ("add", "mul", "is_zero")):
                 found.append(f"{name}:{node.lineno} F.{node.func.attr}")
     assert not found, found
+
+
+def stores_or_drops(node):
+    """Whether the if-statement node stores an entry (out[k] = s) in one
+    branch and pops one (out.pop(k, None)) in the other: a sum kept
+    where it is nonzero and dropped where it is zero."""
+    def has(branch, kind):
+        for child in branch:
+            for sub in ast.walk(child):
+                if kind == "store" and isinstance(sub, ast.Assign) and any(
+                        isinstance(t, ast.Subscript) for t in sub.targets):
+                    return True
+                if kind == "pop" and isinstance(sub, ast.Call) and (
+                        getattr(sub.func, "attr", None) == "pop"
+                        or getattr(sub.func, "id", None) == "pop"):
+                    return True
+        return False
+    return any(has(a, "store") and has(b, "pop")
+               for a, b in ((node.body, node.orelse),
+                            (node.orelse, node.body)))
+
+
+def test_the_accumulation_rule_is_written_once():
+    # summing into a sparse vector and dropping the entries that become
+    # zero is the field's rule, written in exact_linear's accumulations
+    # (and the field's own arithmetic): every other layer calls axpy or
+    # axpy_at, or writes terms that cannot meet, as the Leibniz rule does
+    found = [f"{path.name}:{node.lineno}" for path, tree in modules()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.If) and stores_or_drops(node)]
+    assert found and {f.split(":")[0] for f in found} <= {
+        "exact_linear.py", "fields.py"}, found
 
 
 def calls_by_scope(node, scope=()):
