@@ -13,6 +13,10 @@ and the finished build checks that no boundary has a unit entry
 to A over Q (SemifreeResolution.lift, first_non_cycle, first_non_minimal).
 F is a sum of shifted copies of A, one per generator, so its slices are
 blocks of A's at generator offsets and its matrices are built from A's.
+A generator is (hdeg, intdeg, boundary, image): its boundary is one flat
+tuple (g2, label, c, ...) of its terms c*label*g2 on older generators,
+each c nonzero, and its image in M a dict; an image of 0, as in every
+degree >= 1, is the one shared empty dict NO_IMAGE, which nothing mutates.
 """
 
 from bisect import bisect_right
@@ -21,9 +25,11 @@ from operator import itemgetter
 
 from . import exact_linear as la
 from . import homology as hml
-from .dg_core import TRIVIAL_MONOMIAL, DgElement
+from .dg_core import TRIVIAL_MONOMIAL
 from .errors import AdmissibilityError, ReductionError
 from .graded_base import BasePresentation, RingTarget, TruncatedBase
+
+NO_IMAGE = {}
 
 
 class SemifreeResolution(hml.Construction):
@@ -32,7 +38,7 @@ class SemifreeResolution(hml.Construction):
     the Betti table."""
 
     def __init__(self, algebra, module, max_hdeg, max_intdeg):
-        # generators: (hdeg, intdeg, boundary {g: DgElement}, image in M)
+        # generators: (hdeg, intdeg, boundary, image), see the docstring
         self.generators = []
         # runs (h, d, first, stop) of consecutive generators of bidegree
         # (h, d), in order
@@ -92,7 +98,7 @@ class SemifreeResolution(hml.Construction):
         if hit is None:
             hit = self._boundary_labels[run] = tuple(dict.fromkeys(
                 k for g in range(run[2], run[3])
-                for e in self.generators[g][2].values() for k in e.terms))
+                for k in self.generators[g][2][1::3]))
         return hit
 
     def _a_columns(self, key, a, b):
@@ -157,10 +163,10 @@ class SemifreeResolution(hml.Construction):
         for off, (h, d, g0, g1), n, da, prods in blocks:
             odd = (i - h) % 2
             for g in range(g0 + max(first - off, 0) // n, g1):
+                bnd = self.generators[g][2]
                 parts = [(self._offset(rows, g2)[0], F.neg(c) if odd else c,
-                          prod)
-                         for g2, e in self.generators[g][2].items()
-                         for k, c in e.terms.items() if (prod := prods[k])]
+                          prod) for g2, k, c in zip(*[iter(bnd)] * 3)
+                         if (prod := prods[k])]
                 if da or len(parts) > 1:
                     # g has a block in slice (i - 1, j) if da is nonzero
                     own = self._offset(rows, g)[0] if da else 0
@@ -236,15 +242,14 @@ class SemifreeResolution(hml.Construction):
         new = []
         for j, x, t in stage:
             blocks = self._layout(n - 1, j)[0]
-            bnd = {}
+            bnd = []
             for pos, c in x.items():
-                off, (h, d, g0, _), labels = blocks[bisect_right(
+                off, run, labels = blocks[bisect_right(
                     blocks, pos, key=itemgetter(0)) - 1]
                 g, a = divmod(pos - off, len(labels))
-                bnd.setdefault(g0 + g, DgElement(n - 1 - h, j - d)).terms[
-                    labels[a]] = c
-            new.append((n, j, bnd, {T.basis(n, j)[r]: c
-                                    for r, c in t.items()}))
+                bnd += (run[2] + g, labels[a], c)
+            new.append((n, j, tuple(bnd), {T.basis(n, j)[r]: c for r, c
+                                           in t.items()} if t else NO_IMAGE))
         # stages arrive in order of (n, j), so each new generator extends
         # the last run or starts one
         runs = self._runs
@@ -279,44 +284,43 @@ class SemifreeResolution(hml.Construction):
     def lift(self, A):
         """The generators over A, an algebra over Q whose reduction mod p
         is self.algebra, as (hdeg, intdeg, boundary) with the boundary
-        {older generator: DgElement of A}.  Each scalar is lifted by
-        GF(p).lift (ReductionError when a residue has none), and each
-        generator g is rescaled to L_g*g, L_g the lcm of the denominators
-        of its boundary written over the rescaled older generators, so
-        every lifted boundary is integral.  A lifted denominator is below
-        p, so every L_g is a unit mod p, and the lift reduces mod p to
-        this resolution up to that rescaling.  The rescaling runs on
-        reduced (numerator, denominator) pairs of ints."""
+        flat as stored here, (g2, label, c, ...), its scalars c ints.
+        Each scalar is lifted by GF(p).lift (ReductionError when a residue
+        has none), and each generator g is rescaled to L_g*g, L_g the lcm
+        of the denominators of its boundary written over the rescaled
+        older generators, so every lifted boundary is integral.  A lifted
+        denominator is below p, so every L_g is a unit mod p, and the
+        lift reduces mod p to this resolution up to that rescaling.  The
+        rescaling runs on reduced (numerator, denominator) pairs of
+        ints."""
         Fp = self.algebra.field
         # residue -> (numerator, denominator) of its lift
         lifts = {}
         scales = []
         out = []
         for h, d, bnd, _ in self.generators:
-            pairs = []
-            for g2, e in bnd.items():
+            # g2, label, numerator, denominator per term
+            terms = []
+            for g2, k, c in zip(*[iter(bnd)] * 3):
+                r = lifts.get(c)
+                if r is None:
+                    q = Fp.lift(c)
+                    if q is None:
+                        raise ReductionError(
+                            f"no rational lift of {c} mod {Fp.p}")
+                    r = lifts[c] = (q.numerator, q.denominator)
+                n, s = r
                 L2 = scales[g2]
-                terms = {}
-                for k, c in e.terms.items():
-                    r = lifts.get(c)
-                    if r is None:
-                        q = Fp.lift(c)
-                        if q is None:
-                            raise ReductionError(
-                                f"no rational lift of {c} mod {Fp.p}")
-                        r = lifts[c] = (q.numerator, q.denominator)
-                    n, s = r
-                    if L2 > 1:
-                        s *= L2
-                        t = gcd(n, s)
-                        n, s = n // t, s // t
-                    terms[k] = (n, s)
-                pairs.append((g2, e, terms))
-            L = lcm(*(s for _, _, terms in pairs for _, s in terms.values()))
-            out.append((h, d, {
-                g2: DgElement(e.hdeg, e.intdeg, {
-                    k: n * (L // s) for k, (n, s) in terms.items()})
-                for g2, e, terms in pairs}))
+                if L2 > 1:
+                    s *= L2
+                    t = gcd(n, s)
+                    n, s = n // t, s // t
+                terms += (g2, k, n, s)
+            L = lcm(*terms[3::4])
+            terms[2::4] = [n * (L // s)
+                           for n, s in zip(terms[2::4], terms[3::4])]
+            del terms[3::4]
+            out.append((h, d, tuple(terms)))
             scales.append(L)
         return out
 
@@ -324,8 +328,8 @@ class SemifreeResolution(hml.Construction):
 def first_non_cycle(A, generators):
     """The first generator g with d(dg) != 0 on the free A-module with
     the given generators ((hdeg, intdeg, boundary) as from
-    SemifreeResolution.lift), or None.  dg is a sum of e*g2, and
-    d(e*g2) = de*g2 + (-1)^|e| e*dg2.  As d(a*g) = da*g + (-1)^|a| a*dg
+    SemifreeResolution.lift), or None.  dg is a sum of c*k*g2, and
+    d(k*g2) = dk*g2 + (-1)^|k| k*dg2.  As d(a*g) = da*g + (-1)^|a| a*dg
     and d(da) = 0 in A, d(d(a*g)) = a*d(dg): so None means the
     differential squares to zero.
 
@@ -343,75 +347,70 @@ def first_non_cycle(A, generators):
     number = {}
     labels = []
 
-    def numbered(terms, scale=1):
-        out = {}
-        for k, c in terms.items():
-            n = number.get(k)
-            if n is None:
-                n = number[k] = len(labels)
-                labels.append(k)
-            out[n] = c * scale
-        return out
+    def numbered(k):
+        n = number.get(k)
+        if n is None:
+            n = number[k] = len(labels)
+            labels.append(k)
+        return n
 
     def scaled(terms):
-        out = numbered(terms, delta)
-        for n, s in out.items():
+        out = {}
+        for k, c in terms.items():
+            s = c * delta
             if s.__class__ is not int:
                 if s.denominator != 1:
                     raise ArithmeticError(
                         f"{delta} times a structure constant is {s}, "
                         "not an integer")
-                out[n] = s.numerator
+                s = s.numerator
+            out[numbered(k)] = s
         return out
 
-    bnds = [[(g2, e.hdeg, numbered(e.terms)) for g2, e in bnd.items()]
-            for _, _, bnd in generators]
+    # per generator, (g2, |k|, label number, c) per term c*k*g2 of dg
+    bnds = [[(g2, h - 1 - generators[g2][0], numbered(k), c)
+             for g2, k, c in zip(*[iter(bnd)] * 3)]
+            for h, _, bnd in generators]
     differentials = {}
     # label number -> {label number: delta times their product}
     products = {}
     for g, bnd in enumerate(bnds):
         out = {}
-        for g2, h, terms in bnd:
+        for g2, h, n, c in bnd:
             if h:
                 acc = out.setdefault(g2, {})
                 get = acc.get
-                for n, c in terms.items():
-                    dn = differentials.get(n)
-                    if dn is None:
-                        dn = differentials[n] = scaled(
-                            A._label_differential(labels[n]))
-                    for n2, v in dn.items():
-                        acc[n2] = get(n2, 0) + c * v
-            sign = -1 if h % 2 else 1
-            for g3, _, terms3 in bnds[g2]:
+                dn = differentials.get(n)
+                if dn is None:
+                    dn = differentials[n] = scaled(
+                        A._label_differential(labels[n]))
+                for n2, v in dn.items():
+                    acc[n2] = get(n2, 0) + c * v
+            if h % 2:
+                c = -c
+            row = products.setdefault(n, {})
+            for g3, _, n3, c3 in bnds[g2]:
                 acc = out.setdefault(g3, {})
                 get = acc.get
-                for n, c in terms.items():
-                    c = sign * c
-                    row = products.get(n)
-                    if row is None:
-                        row = products[n] = {}
-                    for n3, c3 in terms3.items():
-                        prod = row.get(n3)
-                        if prod is None:
-                            prod = row[n3] = scaled(A._label_product(
-                                labels[n], labels[n3]))
-                        cc = c * c3
-                        for n4, v in prod.items():
-                            acc[n4] = get(n4, 0) + cc * v
+                prod = row.get(n3)
+                if prod is None:
+                    prod = row[n3] = scaled(A._label_product(
+                        labels[n], labels[n3]))
+                cc = c * c3
+                for n4, v in prod.items():
+                    acc[n4] = get(n4, 0) + cc * v
         if any(not F.is_zero(v) for acc in out.values() for v in acc.values()):
             return g
     return None
 
 
 def first_non_minimal(generators):
-    """The first generator g (hdeg, intdeg, boundary, ...) whose
-    boundary has a nonzero scalar (bidegree (0,0)) component, or None:
-    every boundary entry lies in the maximal ideal."""
+    """The first generator g (hdeg, intdeg, boundary, ...) with a term on
+    1, A's one label of bidegree (0,0), or None: every boundary entry
+    lies in the maximal ideal (a boundary holds no zero scalar)."""
     for g, gen in enumerate(generators):
-        for e in gen[2].values():
-            if (e.hdeg, e.intdeg) == (0, 0) and not e.is_zero():
-                return g
+        if (0, 0, TRIVIAL_MONOMIAL) in gen[2][1::3]:
+            return g
     return None
 
 

@@ -6,7 +6,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from dgkernel import (QQ, GF, BaseVariable, BasePresentation, TruncatedBase,
-                      DgAlgebra)
+                      DgAlgebra, DgElement)
 
 
 def ring_base(field, gens, relations, D):
@@ -84,6 +84,21 @@ def two_even_generators(field=QQ, N=12, D=12):
     vars = [BaseVariable("x1", 1, 2), BaseVariable("x2", 1, 6)]
     tb = TruncatedBase(BasePresentation(field, vars, []), D)
     return DgAlgebra(tb, max_hdeg=N, max_intdeg=D)
+
+
+def boundary_elements(generators):
+    """The boundary of each generator of a resolution or of its lift,
+    stored flat as (g2, label, c, ...), as {g2: DgElement of A}: the
+    component on g2 has bidegree (h - 1 - h2, d - d2), (h, d) the
+    generator's and (h2, d2) g2's."""
+    out = []
+    for h, d, bnd, *_ in generators:
+        element = {}
+        for g2, k, c in zip(bnd[::3], bnd[1::3], bnd[2::3]):
+            h2, d2 = generators[g2][:2]
+            element.setdefault(g2, DgElement(h - 1 - h2, d - d2)).terms[k] = c
+        out.append(element)
+    return out
 
 
 def marginal(table, i):

@@ -1,5 +1,5 @@
-"""Wall and CPU time of one job on two checkouts, in fresh processes (not
-collected by pytest).
+"""Wall and CPU time and peak RSS of one job on two checkouts, in fresh
+processes (not collected by pytest).
 
     python tests/_replay.py SRC_A SRC_B JOB [--runs N]
 
@@ -8,8 +8,11 @@ import dgkernel from the directory SRC_A and N from SRC_B, alternating
 A, B, A, B, ... so that a change in the host's load falls on both.
 Each process times `cli.main` alone, not the interpreter's start or the
 imports, in wall seconds (`time.perf_counter`) and CPU seconds
-(`time.process_time`).  For each tree it prints the median and the
-minimum of both over its runs.  It also compares what the runs printed
+(`time.process_time`), and reads its peak resident set size after it
+(`ru_maxrss`, in MB of 2^20 bytes, as the benchmark's `peak_rss_mb`),
+which does include the interpreter and the imports.  For each tree it
+prints the median and the minimum of both times and the median and the
+maximum of the peak RSS over its runs.  It also compares what the runs printed
 and the `--json` report each wrote: every run of both trees must give
 the same stdout, exit code and report bytes, or it says which tree and
 run differ and exits 1.  N is 11 unless given.
@@ -25,9 +28,10 @@ import sys
 import tempfile
 
 # One run: import dgkernel from SRC, time cli.main on JOB writing its
-# report to REPORT, and print the timings, exit code and stdout as JSON.
+# report to REPORT, and print the timings, peak RSS in MB, exit code and
+# stdout as JSON.
 CHILD = """
-import contextlib, io, json, sys, time
+import contextlib, io, json, resource, sys, time
 src, job, report = sys.argv[1:]
 sys.path.insert(0, src)
 from dgkernel import cli
@@ -36,20 +40,21 @@ with contextlib.redirect_stdout(out):
     wall, cpu = time.perf_counter(), time.process_time()
     code = cli.main([job, "--json", report])
     wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-json.dump({"wall": wall, "cpu": cpu, "code": code, "stdout": out.getvalue()},
-          sys.stdout)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+json.dump({"wall": wall, "cpu": cpu, "rss": rss, "code": code,
+           "stdout": out.getvalue()}, sys.stdout)
 """
 
 
 def run_once(src, job, report):
-    """(wall s, cpu s, (exit code, stdout, report bytes)) of one fresh
-    process running job on the dgkernel under src."""
+    """(wall s, cpu s, peak RSS MB, (exit code, stdout, report bytes)) of
+    one fresh process running job on the dgkernel under src."""
     done = subprocess.run([sys.executable, "-c", CHILD, src, job, report],
                           capture_output=True, text=True, check=True)
     result = json.loads(done.stdout)
     with open(report, "rb") as f:
         written = f.read()
-    return (result["wall"], result["cpu"],
+    return (result["wall"], result["cpu"], result["rss"],
             (result["code"], result["stdout"], written))
 
 
@@ -72,18 +77,19 @@ def main(argv):
         report = os.path.join(tmp, "report.json")
         for k in range(runs):
             for name, src in trees.items():
-                wall, cpu, outcome = run_once(src, job, report)
-                times[name].append((wall, cpu))
+                *measured, outcome = run_once(src, job, report)
+                times[name].append(measured)
                 if first is None:
                     first = outcome
                 elif outcome != first:
                     differ.append(f"{name} run {k + 1}")
     for name, src in trees.items():
-        walls, cpus = zip(*times[name])
+        walls, cpus, rss = zip(*times[name])
         print(f"{name} {src}: wall median {statistics.median(walls):.4f} s, "
               f"min {min(walls):.4f} s; cpu median "
-              f"{statistics.median(cpus):.4f} s, min {min(cpus):.4f} s "
-              f"({runs} runs)")
+              f"{statistics.median(cpus):.4f} s, min {min(cpus):.4f} s; "
+              f"rss median {statistics.median(rss):.2f} MB, max "
+              f"{max(rss):.2f} MB ({runs} runs)")
     if differ:
         print("reports differ from A run 1: " + ", ".join(differ))
         return 1

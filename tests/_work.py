@@ -1,8 +1,9 @@
-"""Exact work of one job: axpy terms per engine entry point, or opcodes
-per function (not collected by pytest).
+"""Exact work of one job: axpy terms per engine entry point, opcodes
+per function, or traced memory (not collected by pytest).
 
     python tests/_work.py SRC JOB
     python tests/_work.py SRC JOB --opcodes
+    python tests/_work.py SRC JOB --memory
 
 imports dgkernel from the directory SRC (e.g. `src` of a checkout), runs
 the job file JOB through `cli.main` in this process and prints where its
@@ -47,19 +48,37 @@ time on a shared host spreads by tens of percent.  Tracing makes the
 job some 70 times slower.  As work done in C is not counted, a change
 can lower the count and still run slower: `tests/_replay.py` times the
 job on both checkouts in fresh processes.
+
+With --memory it traces the job's allocations with tracemalloc, started
+after dgkernel is imported, and prints the traced peak in bytes; then
+the live set at the end of the job's largest build (the
+`homology.Construction.build` that returned with the most memory live,
+while the model or resolution it built is still held), per module
+(`module module_resolution: N B in K blocks`, most first, with code
+outside dgkernel as `other`) and per allocating line for the TOP_LINES
+largest; then the bytes still live when the job has returned, and the
+job's exit code.  A live set is read after a garbage collection.  These
+figures count Python's own allocations, not the arenas the allocator
+keeps around them, so they repeat within a few hundred bytes where a
+process's peak RSS does not; the built and kept counts are left out
+here, as counting them holds every matrix.  Tracing makes the job some
+2-4 times slower.
 """
 
 import contextlib
+import gc
 import importlib
 import io
 import os
 import sys
+import tracemalloc
 
 ACCUMULATIONS = ("axpy", "axpy_at")
 ENTRY_POINTS = ("rank", "kernel_basis", "pick_new_generators", "quotient",
                 "matmul")
 MODULES = ("cli", "dg_core", "graded_base", "homology", "invariants",
            "model_builder", "module_resolution")
+TOP_LINES = 12
 
 
 def count_work(la, modules):
@@ -157,17 +176,91 @@ def count_opcodes(package_dir):
     return counts
 
 
+def live_at_largest_build(cls, package_dir):
+    """Wrap cls.build so that each build, as it returns, records the
+    traced peak so far, collects garbage, and if more memory is then
+    traced than at any return before, records the live set by module
+    and by line; the peak is then reset, so the snapshot's own objects,
+    freed by then, count in no peak.  Returns the live record: the
+    peaks, and (traced bytes, modules, lines) of the largest build."""
+    record = {"peaks": [], "largest": None}
+    build = cls.build
+
+    def module_of(filename):
+        if filename.startswith(package_dir):
+            return os.path.splitext(filename[len(package_dir):])[0]
+        return "other"
+
+    def wrapped(self, *args, **kwargs):
+        built = build(self, *args, **kwargs)
+        record["peaks"].append(tracemalloc.get_traced_memory()[1])
+        gc.collect()
+        current = tracemalloc.get_traced_memory()[0]
+        largest = record["largest"]
+        if largest is None or current > largest[0]:
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(False, tracemalloc.__file__),
+                 tracemalloc.Filter(False, __file__)])
+            modules = {}
+            for stat in snapshot.statistics("filename"):
+                name = module_of(stat.traceback[0].filename)
+                size, count = modules.get(name, (0, 0))
+                modules[name] = (size + stat.size, count + stat.count)
+            lines = [(stat.traceback[0], stat.size, stat.count)
+                     for stat in snapshot.statistics("lineno")[:TOP_LINES]]
+            del snapshot
+            record["largest"] = (current, modules, lines)
+        tracemalloc.reset_peak()
+        return built
+    cls.build = wrapped
+    return record
+
+
+def print_memory(record, code, after):
+    print(f"peak: {max(record['peaks'] + [after[1]])} B")
+    if record["largest"] is None:
+        print("live at the end of the largest build: no build")
+    else:
+        current, modules, lines = record["largest"]
+        print(f"live at the end of the largest build: {current} B")
+        for name, (size, count) in sorted(modules.items(),
+                                          key=lambda kv: (-kv[1][0], kv[0])):
+            print(f"module {name}: {size} B in {count} blocks")
+        for frame, size, count in lines:
+            print(f"line {os.path.basename(frame.filename)}:{frame.lineno}: "
+                  f"{size} B in {count} blocks")
+    print(f"live after the job: {after[0]} B")
+    print(f"exit: {code}")
+
+
 def main(argv):
-    opcodes = argv[3:] == ["--opcodes"]
-    if len(argv) != 3 + opcodes:
-        print("usage: python tests/_work.py SRC JOB [--opcodes]",
+    mode = argv[3:]
+    if len(argv) not in (3, 4) or mode not in ([], ["--opcodes"],
+                                               ["--memory"]):
+        print("usage: python tests/_work.py SRC JOB [--opcodes | --memory]",
               file=sys.stderr)
         return 1
     sys.path.insert(0, os.path.abspath(argv[1]))
     from dgkernel import cli
     from dgkernel import exact_linear as la
+    from dgkernel import homology
     from dgkernel.module_resolution import SemifreeResolution
 
+    if mode == ["--memory"]:
+        record = live_at_largest_build(
+            homology.Construction, os.path.dirname(la.__file__) + os.sep)
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([argv[2]])
+            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            after = (tracemalloc.get_traced_memory()[0], peak)
+        finally:
+            tracemalloc.stop()
+        print_memory(record, code, after)
+        return 0
+    opcodes = mode == ["--opcodes"]
     kept = count_kept(SemifreeResolution, ("diff_matrix", "act_matrix"))
     if opcodes:
         counts = count_opcodes(os.path.dirname(la.__file__) + os.sep)

@@ -19,8 +19,8 @@ from dgkernel.dg_core import DgElement, POLYNOMIAL
 from dgkernel.graded_base import residue_field
 from dgkernel.module_resolution import (SemifreeResolution, cyclic_module,
                                         resolve_module)
-from _fixtures import (complete_intersection, golod, hypersurface,
-                       ring_algebra)
+from _fixtures import (boundary_elements, complete_intersection, golod,
+                       hypersurface, ring_algebra)
 
 
 def test_ring_complex_homology_is_the_ring():
@@ -527,6 +527,7 @@ def check_against_reference(built, n):
     if isinstance(built, SemifreeResolution):
         basis = partial(resolution_labels, built)
         hmax, dmax = built.max_hdeg, built.max_intdeg
+        elements = boundary_elements(built.generators)
 
         def label(i, j, lab):
             g, akey = lab
@@ -539,7 +540,7 @@ def check_against_reference(built, n):
                 out = [((g, k), c) for k, c in
                        leibniz_reference(plain, lab[1]).terms.items()]
                 sign = F.neg(one) if a.hdeg % 2 else one
-                for g2, e in built.generators[g][2].items():
+                for g2, e in elements[g].items():
                     out += [((g2, k), F.mul(sign, c)) for k, c in
                             plain.multiply(a, e).terms.items()]
                 return out

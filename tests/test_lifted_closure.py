@@ -24,8 +24,9 @@ from dgkernel.errors import ReductionError
 from dgkernel.fields import PrimeField
 from dgkernel.graded_base import TruncatedBase
 from dgkernel.module_resolution import SemifreeResolution, first_non_cycle
-from _fixtures import (complete_intersection, golod, hypersurface,
-                       ring_algebra, truncated_even, two_even_generators)
+from _fixtures import (boundary_elements, complete_intersection, golod,
+                       hypersurface, ring_algebra, truncated_even,
+                       two_even_generators)
 from _sweep import RINGS
 
 P61 = 2**61 - 1
@@ -133,12 +134,13 @@ def test_lift_is_integral_and_reduces_to_the_resolution_mod_p(tmp_path):
     Fp = GF(P61)
     _, res = inv.betti_numbers(A.reduce_mod(Fp), N, D)
     assert any(Fp.lift(c).__class__ is Fraction
-               for _, _, bnd, _ in res.generators
+               for bnd in boundary_elements(res.generators)
                for e in bnd.values() for c in e.terms.values())
     lifted = res.lift(A)
     assert [(h, d) for h, d, _ in lifted] == \
         [(h, d) for h, d, _, _ in res.generators]
-    for (_, _, bnd), (_, _, bndp, _) in zip(lifted, res.generators):
+    for bnd, bndp in zip(boundary_elements(lifted),
+                         boundary_elements(res.generators)):
         assert bnd.keys() == bndp.keys()
         for g2, e in bnd.items():
             assert e.terms.keys() == bndp[g2].terms.keys()
@@ -262,8 +264,8 @@ def test_fallback_when_the_lift_is_not_minimal(tmp_path, monkeypatch,
     def with_a_unit(self, A):
         out = lift(self, A)
         g = next(g for g, (h, d, _) in enumerate(out) if (h, d) == (1, 1))
-        unit = DgElement(0, 0, {(0, 0, TRIVIAL_MONOMIAL): 1})
-        return out + [(2, 1, {g: unit})]
+        unit = (0, 0, TRIVIAL_MONOMIAL)
+        return out + [(2, 1, (g, unit, 1))]
     monkeypatch.setattr(SemifreeResolution, "lift", with_a_unit)
     with pytest.raises(CertificationError, match="not minimal"):
         inv.lifted_betti_table(A, N, D)
@@ -333,13 +335,14 @@ def fraction_first_non_cycle(A, generators):
     term of d(dg) accumulated through the field, structure constant by
     structure constant."""
     F = A.field
-    for g, (_, _, bnd) in enumerate(generators):
+    elements = boundary_elements(generators)
+    for g, bnd in enumerate(elements):
         out = {}
         for g2, e in bnd.items():
             la.axpy(F, out.setdefault(g2, {}), F.one,
                     A.differential(e).terms)
             sign = F.neg(F.one) if e.hdeg % 2 else F.one
-            for g3, e3 in generators[g2][2].items():
+            for g3, e3 in elements[g2].items():
                 acc = out.setdefault(g3, {})
                 for k, c in e.terms.items():
                     c = F.mul(sign, c)
@@ -357,7 +360,8 @@ def fraction_lift(res, A):
     F = A.field
     scales = []
     out = []
-    for h, d, bnd, _ in res.generators:
+    for (h, d, _, _), bnd in zip(res.generators,
+                                 boundary_elements(res.generators)):
         comps = {}
         for g2, e in bnd.items():
             terms = {}
@@ -396,14 +400,10 @@ def mutants(generators):
         h, d, bnd = generators[g]
         if not bnd:
             continue
-        g2, e = next(iter(bnd.items()))
-        k, c = next(iter(e.terms.items()))
+        g2, k, c = bnd[:3]
         for moved in (c + 1, c * Fraction(3, 2)):
-            terms = dict(e.terms)
-            terms[k] = moved
-            yield generators[:g] + [
-                (h, d, {**bnd, g2: DgElement(e.hdeg, e.intdeg, terms)})
-            ] + generators[g + 1:]
+            yield generators[:g] + [(h, d, (g2, k, moved) + bnd[3:])] + \
+                generators[g + 1:]
 
 
 @pytest.mark.parametrize("ring", list(CHECKED_RINGS))
@@ -449,10 +449,11 @@ def test_check_computes_each_structure_constant_once(tmp_path, monkeypatch,
     spy("_label_differential")
     assert first_non_cycle(A, generators) is None
     # the terms the check multiplies and differentiates, with repeats
-    pairs = [(k, k3) for _, _, bnd in generators for g2, e in bnd.items()
-             for e3 in generators[g2][2].values()
+    elements = boundary_elements(generators)
+    pairs = [(k, k3) for bnd in elements for g2, e in bnd.items()
+             for e3 in elements[g2].values()
              for k in e.terms for k3 in e3.terms]
-    labels = [(k,) for _, _, bnd in generators for e in bnd.values()
+    labels = [(k,) for bnd in elements for e in bnd.values()
               if e.hdeg for k in e.terms]
     assert len(pairs) > 10 * len(set(pairs))
     for name, want in (("_label_product", pairs),
@@ -467,13 +468,15 @@ def test_check_computes_each_structure_constant_once(tmp_path, monkeypatch,
 def test_integer_lift_equals_the_fraction_lift(tmp_path, ring):
     A, res, generators = lifted_generators(tmp_path, CHECKED_RINGS[ring])
     want, scales = fraction_lift(res, A)
-    assert generators == want
+    assert [(h, d, bnd) for (h, d, _), bnd in
+            zip(generators, boundary_elements(generators))] == want
     # the dense ring's lifts have denominators, the paper's ring's not
     assert any(L > 1 for L in scales) is (ring == "dense")
     # each lifted coefficient is L_g / L_g2 times the lift of its residue
     Fp = res.algebra.field
     got = []
-    for (_, _, bnd), (_, _, bndp, _) in zip(generators, res.generators):
+    for bnd, bndp in zip(boundary_elements(generators),
+                         boundary_elements(res.generators)):
         ratios = {Fraction(c) * got[g2] / Fp.lift(bndp[g2].terms[k])
                   for g2, e in bnd.items() for k, c in e.terms.items()}
         got.append(ratios.pop() if ratios else 1)
@@ -573,8 +576,8 @@ def lift_is_not_minimal(monkeypatch):
     def with_a_unit(self, A):
         out = lift(self, A)
         g = next(g for g, (h, d, _) in enumerate(out) if (h, d) == (1, 1))
-        unit = DgElement(0, 0, {(0, 0, TRIVIAL_MONOMIAL): 1})
-        return out + [(2, 1, {g: unit})]
+        unit = (0, 0, TRIVIAL_MONOMIAL)
+        return out + [(2, 1, (g, unit, 1))]
     monkeypatch.setattr(SemifreeResolution, "lift", with_a_unit)
 
 

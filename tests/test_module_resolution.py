@@ -10,11 +10,12 @@ from dgkernel import exact_linear as la
 from dgkernel import homology as hml
 from dgkernel import invariants as inv
 from dgkernel.graded_base import residue_field
-from dgkernel.module_resolution import (SemifreeResolution, cyclic_module,
-                                        first_non_minimal, resolve_module)
-from _fixtures import (free_rank_table, hypersurface, complete_intersection,
-                       golod, marginals, ring_algebra, small_presentations,
-                       two_even_generators)
+from dgkernel.module_resolution import (NO_IMAGE, SemifreeResolution,
+                                        cyclic_module, first_non_minimal,
+                                        resolve_module)
+from _fixtures import (boundary_elements, free_rank_table, hypersurface,
+                       complete_intersection, golod, marginals, ring_algebra,
+                       small_presentations, two_even_generators)
 from _oracle import OracleResolution, betti_of_k
 
 
@@ -158,13 +159,14 @@ def reference_differential(res, i, j):
     A = res.algebra
     F = A.field
     rows = positions(res, i - 1, j)
+    elements = boundary_elements(res.generators)
     columns = []
     for g, label in positions(res, i, j):
-        h, d, bnd, _ = res.generators[g]
+        h, d, _, _ = res.generators[g]
         a = DgElement(i - h, j - d, {label: F.one})
         image = {g: A.differential(a)} if i > h else {}
         sign = F.neg(F.one) if (i - h) % 2 else F.one
-        for g2, e in bnd.items():
+        for g2, e in elements[g].items():
             image[g2] = A.scale(sign, A.multiply(a, e))
         columns.append(coordinates(res, image, rows))
     return columns
@@ -218,6 +220,7 @@ def test_matrices_match_a_label_by_label_reference(make):
     A, M, N, D = make()
     res = resolve_module(A, M, N, D)
     F = A.field
+    elements = boundary_elements(res.generators)
     seen = {"empty": 0, "one term": 0, "moves": 0, "long": 0}
     for i in range(1, N + 1):
         for j in range(D + 1):
@@ -230,14 +233,13 @@ def test_matrices_match_a_label_by_label_reference(make):
                 assert res.diff_matrix(i, j, first).columns == \
                     want[first:], (i, j, first)
             for g, label in positions(res, i, j):
-                h, d, bnd, _ = res.generators[g]
-                terms = sum(len(e.terms) for e in bnd.values())
+                h, d, _, _ = res.generators[g]
+                terms = sum(len(e.terms) for e in elements[g].values())
                 seen["long"] += terms > 1
                 seen["moves"] += bool(A.differential(
                     DgElement(i - h, j - d, {label: F.one})).terms)
             seen["empty"] += sum(not col for col in want)
-            seen["one term"] += sum(len(res.generators[g][2]) == 1
-                                    for g in owners)
+            seen["one term"] += sum(len(elements[g]) == 1 for g in owners)
     for d in range(1, D + 1):
         for bidx in A.base.a0_basis(d):
             for i in range(N + 1):
@@ -269,12 +271,12 @@ def fresh_copy(res):
 
 def free_module(A, generators):
     """A SemifreeResolution over A on the given generators, each (hdeg,
-    intdeg, boundary {older generator: DgElement}), consecutive ones of
-    one bidegree in one run: a free module with its differential, which
-    resolves nothing."""
+    intdeg, boundary (older generator, label, c, ...)), consecutive ones
+    of one bidegree in one run: a free module with its differential,
+    which resolves nothing."""
     res = SemifreeResolution(A, residue_field(A), A.max_hdeg, A.max_intdeg)
     for g, (h, d, bnd) in enumerate(generators):
-        res.generators.append((h, d, bnd, {}))
+        res.generators.append((h, d, bnd, NO_IMAGE))
         if res._runs and res._runs[-1][:2] == (h, d):
             res._runs[-1] = (h, d, res._runs[-1][2], g + 1)
         else:
@@ -293,7 +295,7 @@ def golod_y(N=2, D=6):
 
 def by_y(A, y, g):
     """The boundary y*g."""
-    return {g: DgElement(0, 1, {y: A.field.one})}
+    return (g, y, A.field.one)
 
 
 def test_every_matrix_equals_a_fresh_build_and_repeats_are_kept():
@@ -356,7 +358,7 @@ def test_a_product_differing_at_one_degree_forces_a_rebuild(monkeypatch):
     A, y = golod_y()
     # the label y is the base element (1, bidx)
     d, bidx, _ = y
-    generators = [(0, 0, {}), (1, 1, by_y(A, y, 0))]
+    generators = [(0, 0, ()), (1, 1, by_y(A, y, 0))]
     res = free_module(A, generators)
     assert res.diff_matrix(1, 5) is res.diff_matrix(1, 4)
     assert res.act_matrix(d, bidx, 0, 4) is res.act_matrix(d, bidx, 0, 3)
@@ -383,10 +385,11 @@ def test_a_run_extended_by_adjoin_forces_a_rebuild():
     # adjoin drops what the resolution keeps; were the kept matrix still
     # there, the extended run alone tells the slice apart from it
     A, y = golod_y()
-    res = free_module(A, [(0, 0, {}), (1, 1, by_y(A, y, 0))])
+    res = free_module(A, [(0, 0, ()), (1, 1, by_y(A, y, 0))])
     before = res.diff_matrix(1, 5)
     kept = dict(res._kept)
-    x = coordinates(res, by_y(A, y, 0), positions(res, 0, 1))
+    x = coordinates(res, boundary_elements(res.generators)[1],
+                    positions(res, 0, 1))
     res.adjoin(1, [(1, x, {})])
     assert res._runs[-1] == (1, 1, 1, 3)
     res._kept.update(kept)
@@ -416,7 +419,7 @@ def test_a_shifted_row_layout_forces_a_rebuild():
     # its product, but g0's block below shrinks from A_1 to A_2, so g1's
     # rows move up by one
     A, y = golod_y()
-    res = free_module(A, [(0, 3, {}), (0, 0, {}), (1, 1, by_y(A, y, 1))])
+    res = free_module(A, [(0, 3, ()), (0, 0, ()), (1, 1, by_y(A, y, 1))])
     assert res._layout(1, 4)[3] == res._layout(1, 5)[3]
     below, here = res.diff_matrix(1, 4), res.diff_matrix(1, 5)
     assert (below.rows, below.columns) == (3, [{2: 1}])
@@ -439,6 +442,62 @@ def test_adjoin_drops_the_kept_matrices(monkeypatch):
     resolve_module(*golod_over_f101())
     assert any(before for before, _ in sizes)
     assert all(after == 0 for _, after in sizes)
+
+
+# ---------------------------------------------------------------------------
+# A generator is (hdeg, intdeg, flat boundary, image), with no DgElement
+# ---------------------------------------------------------------------------
+
+UNIT = (0, 0, TRIVIAL_MONOMIAL)
+
+
+def test_generators_are_flat_records_sharing_one_empty_image(monkeypatch):
+    # the resolution of k over F_101[x,y]/(x^2, xy) makes no DgElement;
+    # each boundary is one tuple of (g2, label, c) triples, g2 an older
+    # generator, the label one of A in the bidegree between them and c
+    # nonzero; every generator of degree >= 1 holds the one shared empty
+    # image, which is still empty after the build
+    A = golod(GF(101), N=6, D=10)
+    M = residue_field(A)
+    made = []
+    init = DgElement.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(DgElement, "__init__", counted)
+    res = resolve_module(A, M, 6, 10)
+    assert made == []
+    assert betti_marginals(res, 6) == [1, 2, 3, 5, 8, 13, 21]
+    for g, (h, d, bnd, image) in enumerate(res.generators):
+        assert bnd.__class__ is tuple and len(bnd) % 3 == 0
+        assert bool(bnd) is (h > 0)
+        for g2, k, c in zip(bnd[::3], bnd[1::3], bnd[2::3]):
+            h2, d2 = res.generators[g2][:2]
+            assert g2 < g and k in A.basis_of_bidegree(h - 1 - h2, d - d2)
+            assert not A.field.is_zero(c)
+        assert (image is NO_IMAGE) is (h > 0)
+    assert NO_IMAGE == {}
+
+
+def test_first_non_minimal_finds_a_unit_term_stored_or_lifted():
+    # a term on 1, A's one label of bidegree (0, 0), puts a boundary
+    # outside the maximal ideal: first_non_minimal finds it alone or after
+    # other terms, in the storage over F_101 and in its lift to Q
+    A = golod(QQ, N=4, D=6)
+    Ap = A.reduce_mod(GF(101))
+    res = resolve_module(Ap, residue_field(Ap), 4, 6)
+    for generators in (list(res.generators), res.lift(A)):
+        assert first_non_minimal(generators) is None
+        g = max(g for g, gen in enumerate(generators) if gen[0] == 2)
+        h, d, bnd, *image = generators[g]
+        g2 = next(g2 for g2, gen in enumerate(generators) if gen[:2] == (1, 1))
+        for moved in (bnd + (g2, UNIT, 1), (g2, UNIT, 1)):
+            assert first_non_minimal(generators[:g] + [
+                (h, d, moved, *image)] + generators[g + 1:]) == g
+    res.generators.append((2, 1, (g2, UNIT, 1), NO_IMAGE))
+    assert res.non_minimal_witness() == \
+        f"resolution not minimal at generator {len(res.generators) - 1}"
 
 
 def generator_runs(generators):

@@ -1,7 +1,8 @@
-"""tests/_replay.py: timings per checkout, and a failure when two
-checkouts' reports differ."""
+"""tests/_replay.py: timings and peak RSS per checkout, and a failure
+when two checkouts' reports differ."""
 
 import pathlib
+import re
 import shutil
 
 import dgkernel
@@ -34,6 +35,14 @@ def test_replay_times_both_trees_and_compares_their_reports(tmp_path,
     assert [line.split()[0] for line in lines[:2]] == ["A", "B"]
     assert all("wall median" in line and "(1 runs)" in line
                for line in lines[:2])
+    # each tree's peak RSS, median and maximum over its runs, in MB: one
+    # run, so both are the same reading, of a process that imported
+    # dgkernel
+    for line in lines[:2]:
+        rss = re.search(r"; rss median (\d+\.\d\d) MB, max (\d+\.\d\d) MB "
+                        r"\(1 runs\)$", line)
+        assert rss, line
+        assert rss[1] == rss[2] and 1 < float(rss[1]) < 1000
     assert lines[2] == "reports: identical (exit 0)"
 
 
