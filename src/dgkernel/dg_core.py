@@ -11,15 +11,17 @@ variables by strictly increasing id.  Only odd/odd transpositions carry
 signs, so the sign of any product is the inversion count of the odd id
 merge.  A Monomial is the tuple (evens, odds), ordered as a tuple.
 
-A bidegree basis is ordered by the newest (highest-id) variable of each
-label's monomial, then by the monomial, then by base index.  An adjoined
-variable is the newest of all, so adjoining one appends labels to every
-basis it reaches and moves none: a cached basis is extended, and a
-differential block keeps its columns and gains the new ones.  One block
-fill builds every matrix on a slice: the differential, and right
-multiplication by a label, of which the A0 action is a case.  The
-monomial table keeps each bidegree's ranks beside its monomials, so
-bases are bisected and sorted by int.
+A bidegree slice is a list of monomial blocks, the labels b*m of one
+monomial m, one per base index b of its degree and homological degree,
+ordered by the newest (highest-id) variable of m, then by m.  A slice
+keeps no label: labels are built for a caller that walks a whole slice
+or asks for an element.  An adjoined variable is the newest of all, so
+adjoining one appends blocks to every slice it reaches and moves none:
+a cached slice is extended, and a differential keeps its columns and
+gains the new ones.  One block fill builds every matrix on a slice: the
+differential, and right multiplication by a label, of which the A0
+action is a case.  The monomial table keeps each bidegree's ranks
+beside its monomials, so slices are bisected and sorted by int.
 
 The Leibniz rule writes the terms of d(m), not accumulates them: for m
 = rest*v^e with v its newest variable, the terms of d(rest)*v^e carry
@@ -29,8 +31,8 @@ distinct terms to distinct terms.  So no two terms meet, none can
 cancel, and each is written once on an interned Monomial.
 """
 
-from bisect import bisect_left
-from itertools import repeat
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
 from math import comb
 from operator import itemgetter
 
@@ -142,9 +144,10 @@ class DgAlgebra:
         if self.max_intdeg > base.D:
             raise ValueError("max_intdeg exceeds the base truncation bound")
         self.max_hdeg = self.max_intdeg if max_hdeg is None else max_hdeg
-        # (i, j) -> (labels, the number of variables they cover, the
-        # position of the first label of each monomial)
-        self._bases = {}
+        # (i, j) -> (the monomials of its blocks, in order, and their
+        # base parts (jb, indices), {monomial: offset}, dim, the number
+        # of variables covered)
+        self._slices = {}
         # the monomial table of the variables of _var_rank: per bidegree,
         # its monomials in the basis order and beside them their ranks,
         # their positions in that order over the whole table; _nmons
@@ -162,27 +165,22 @@ class DgAlgebra:
         # of the Leibniz fill hit by identity before comparing any tuple
         self._interned = {TRIVIAL_MONOMIAL: TRIVIAL_MONOMIAL}
         # per base degree: its indices by homological degree, and each
-        # index's homological degree and position among those of that
-        # degree, its offset in the labels of a monomial in a slice
+        # index's position among those of its homological degree, its
+        # offset in the block of a monomial in a slice
         self._base_indices = []
-        self._base_hdeg = []
         self._base_offset = []
         for jb in range(self.max_intdeg + 1):
             groups = {}
-            hdeg = []
             offset = []
             for idx in range(base.dim(jb)):
-                h = base.basis_hdeg(jb, idx)
-                group = groups.setdefault(h, [])
-                hdeg.append(h)
+                group = groups.setdefault(base.basis_hdeg(jb, idx), [])
                 offset.append(len(group))
                 group.append(idx)
             self._base_indices.append(groups)
-            self._base_hdeg.append(hdeg)
             self._base_offset.append(offset)
-        # (jb, hb, j2, i2) -> the nonzero base products b*(j2, i2) for b
-        # over _base_indices[jb][hb], as (position of b, {offset of the
-        # product's index: scalar}), built on first use
+        # (jb, first index of a group, j2, i2) -> the nonzero products
+        # b*(j2, i2) for b over the group, as (position of b, {offset of
+        # the product's index: scalar}), built on first use
         self._products = {}
 
     # --- element constructors --------------------------------------------
@@ -431,119 +429,121 @@ class DgAlgebra:
                                     map(rank.__getitem__, span)))
         return table
 
-    def basis_of_bidegree(self, i, j):
-        """Ordered basis labels (base_deg, base_idx, Monomial) of bidegree
-        (i, j): by the rank of the monomial (its newest variable, then the
-        monomial), then by base index, so the labels of one monomial are
-        consecutive.  A cached basis older than the last adjunction is
-        extended by the labels on the variables adjoined since, and is
-        returned as it is when none of them fits the bidegree."""
+    def _slice(self, i, j):
+        """Slice (i, j) as kept in _slices: its blocks by the rank of the
+        monomial, the block of m holding the labels (jb, ib, m) for ib
+        over the base indices of degree jb and homological degree i -
+        |m|.  A cached slice older than the last adjunction is extended
+        in place by the blocks on the variables adjoined since."""
         if i > self.max_hdeg or j > self.max_intdeg or i < 0 or j < 0:
             raise BoundExceededError(
                 f"bidegree ({i},{j}) outside bounds "
                 f"({self.max_hdeg},{self.max_intdeg})")
         nvars = len(self.variables)
-        hit = self._bases.get((i, j))
-        if hit is not None and hit[1] == nvars:
-            return hit[0]
+        hit = self._slices.get((i, j))
+        if hit is not None and hit[4] == nvars:
+            return hit
         vmons = self._variable_monomials()
-        if hit is None:
-            labels, low, start = [], 0, {}
-        else:
-            labels, covered, start = hit
-            low = self._var_rank[covered]
+        mons, bases, start, dim, covered = hit or ([], [], {}, 0, None)
+        low = 0 if covered is None else self._var_rank[covered]
         new = []
-        for (h, d), (mons, ranks) in vmons.items():
+        for (h, d), (ms, ranks) in vmons.items():
             if h > i or d > j:
                 continue
             indices = self._base_indices[j - d].get(i - h)
             if indices:
                 k = bisect_left(ranks, low)
-                new += zip(ranks[k:], mons[k:], repeat((j - d, indices)))
+                new += zip(ranks[k:], ms[k:], repeat((j - d, indices)))
         if new:
             # ranks are distinct, so the sort compares no monomial
             new.sort()
-            added = []
-            n = len(labels)
-            for _, m, (jb, indices) in new:
-                start[m] = n
-                n += len(indices)
-                added += zip(repeat(jb), indices, repeat(m))
-            labels = labels + added
-        self._bases[(i, j)] = (labels, nvars, start)
-        return labels
+            _, ms, bs = zip(*new)
+            ends = [*accumulate(map(len, map(itemgetter(1), bs)), initial=dim)]
+            dim = ends.pop()
+            start.update(zip(ms, ends))
+            mons += ms
+            bases += bs
+        hit = self._slices[(i, j)] = (mons, bases, start, dim, nvars)
+        return hit
+
+    def dim(self, i, j):
+        return self._slice(i, j)[3]
+
+    def blocks(self, i, j):
+        """The blocks (offset, m, (jb, indices)) of slice (i, j) in order,
+        to be read before the next adjunction."""
+        mons, bases, start, _, _ = self._slice(i, j)
+        return zip(map(start.__getitem__, mons), mons, bases)
+
+    def basis_of_bidegree(self, i, j):
+        """The labels (base_deg, base_idx, Monomial) of slice (i, j), in
+        order, built afresh for a caller that walks the whole slice."""
+        return [(jb, ib, m) for _, m, (jb, indices) in self.blocks(i, j)
+                for ib in indices]
 
     def element_from_coords(self, i, j, coords):
-        basis = self.basis_of_bidegree(i, j)
-        return DgElement(i, j, {basis[n]: c for n, c in coords.items()
-                                if not self.field.is_zero(c)})
-
-    def _base_products(self, jb, hb, j2, i2):
-        """The nonzero base products b*(j2, i2) for b over the indices
-        of degree jb and homological degree hb, as (position of b among
-        them, {offset of each index of the product: scalar})."""
-        mult = self.base.mult_basis
-        offset = self._base_offset[jb + j2]
-        kept = []
-        for pos, ib in enumerate(self._base_indices[jb][hb]):
-            if prod := mult(jb, ib, j2, i2):
-                kept.append((pos, {offset[i3]: c3
-                                   for i3, c3 in prod.items()}))
-        return kept
+        """The element with coordinates {position: scalar} in slice (i,
+        j), each label found by its block's offset."""
+        mons, bases, start, _, _ = self._slice(i, j)
+        terms = {}
+        for p, c in coords.items():
+            if not self.field.is_zero(c):
+                k = bisect_right(mons, p, key=start.__getitem__) - 1
+                jb, indices = bases[k]
+                terms[(jb, indices[p - start[mons[k]]], mons[k])] = c
+        return DgElement(i, j, terms)
 
     def _fill(self, cols, first, rows, image):
-        """The labels of cols from position first on, as columns into the
-        slice of bidegree rows: b*m goes to b*image(m), image(m) asked
-        once per block (the consecutive labels of one m), and its term
-        (j2, i2, m2), times b, lands at the first row of m2 plus the
-        offset of each index of the base product b*(j2, i2), walked from
-        the block's kept nonzero products and added there by axpy_at,
-        with no shifted copy.  A block cut short by first or by the end
-        of cols gives the columns of its labels there."""
-        nrows = len(self.basis_of_bidegree(*rows))
-        start = self._bases[rows][2]
+        """The labels of slice cols from position first on, as columns
+        into slice rows: b*m goes to b*image(m), image(m) asked once per
+        block, and its term (j2, i2, m2), times b, lands at the offset of
+        m2's block plus the offset of each index of the base product
+        b*(j2, i2), walked from the block's kept nonzero products and
+        added there by axpy_at, with no shifted copy.  The columns before
+        first, in the block bisected to, are dropped."""
+        mons, bases, start, dim, _ = self._slice(*cols)
+        _, _, row_start, nrows, _ = self._slice(*rows)
         F = self.field
+        if first >= dim:
+            return ExactMatrix.zero(F, nrows, 0)
         offset = self._base_offset
         products = self._products
+        mult = self.base.mult_basis
+        k = bisect_right(mons, first, key=start.__getitem__) - 1
         columns = []
-        n, end = first, len(cols)
-        while n < end:
-            jb, ib, m = cols[n]
+        for m, (jb, indices) in zip(mons[k:], bases[k:]):
             im = image(m)
             if jb == 0:
                 # b = 1, the only base element of degree 0
-                columns.append({start[m2] + offset[j2][i2]: c
+                columns.append({row_start[m2] + offset[j2][i2]: c
                                 for (j2, i2, m2), c in im.items()})
-                n += 1
                 continue
-            hb = self._base_hdeg[jb][ib]
-            block = [{} for _ in self._base_indices[jb][hb]]
+            block = [{} for _ in indices]
             for (j2, i2, m2), c in im.items():
-                kept = products.get((jb, hb, j2, i2))
+                kept = products.get((jb, indices[0], j2, i2))
                 if kept is None:
-                    kept = products[(jb, hb, j2, i2)] = self._base_products(
-                        jb, hb, j2, i2)
+                    kept = products[(jb, indices[0], j2, i2)] = [
+                        (pos, {offset[jb + j2][i3]: c3
+                               for i3, c3 in terms.items()})
+                        for pos, ib in enumerate(indices)
+                        if (terms := mult(jb, ib, j2, i2))]
                 # most base products vanish on monomial rings, and where
-                # all do, m2 may have no labels in the slice
+                # all do, m2 may have no block in the slice
                 if kept:
-                    s = start[m2]
+                    s = row_start[m2]
                     for pos, prod in kept:
                         axpy_at(F, block[pos], c, prod, s)
-            # ib is at position offset[jb][ib] of its block
-            k = offset[jb][ib]
-            block = block[k:k + end - n]
             columns += block
-            n += len(block)
+        del columns[:first - start[mons[k]]]
         return ExactMatrix(F, nrows, columns)
 
     def diff_matrix(self, i, j, first=0):
         """Matrix of the differential from bidegree (i, j) to (i-1, j), on
         the labels of (i, j) from position first on: the fill with
         image d, as d(b*m) = b*d(m)."""
-        cols = self.basis_of_bidegree(i, j)
         if i == 0:
-            return ExactMatrix.zero(self.field, 0, len(cols) - first)
-        return self._fill(cols, first, (i - 1, j),
+            return ExactMatrix.zero(self.field, 0, self.dim(i, j) - first)
+        return self._fill((i, j), first, (i - 1, j),
                           self._monomial_differential)
 
     def mul_matrix(self, key, i, j):
@@ -555,7 +555,7 @@ class DgAlgebra:
         for vid, e in mk.evens + tuple((vid, 1) for vid in mk.odds):
             hk += self.variables[vid].hdeg * e
             dk += self.variables[vid].intdeg * e
-        return self._fill(self.basis_of_bidegree(i, j), 0, (i + hk, j + dk),
+        return self._fill((i, j), 0, (i + hk, j + dk),
                           lambda m: self._label_product((0, 0, m), key))
 
     # --- adjunction --------------------------------------------------------
@@ -580,8 +580,8 @@ class DgAlgebra:
         vid = len(self.variables)
         var = DgVariable(vid, name or f"v{vid}", hdeg, z.intdeg, kind, z,
                          family=family)
-        # the labels on var follow all others, so every cached basis stays
-        # a prefix of its slice (basis_of_bidegree extends it)
+        # the blocks on var follow all others, so every cached slice stays
+        # a prefix of its slice (_slice extends it)
         self.variables += (var,)
         return var
 

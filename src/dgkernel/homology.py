@@ -175,9 +175,8 @@ class BigradedComplex:
 
 def algebra_complex(A):
     """The underlying complex of a DgAlgebra."""
-    return BigradedComplex(
-        A.field, lambda i, j: len(A.basis_of_bidegree(i, j)), A.diff_matrix,
-        A.max_hdeg, A.max_intdeg)
+    return BigradedComplex(A.field, A.dim, A.diff_matrix, A.max_hdeg,
+                           A.max_intdeg)
 
 
 def cone(C, tdim, block):
@@ -432,7 +431,8 @@ class Construction:
         degree n - 1 is final and the stages have cached the ranks its
         homology reads, so it is checked with d o d and no elimination;
         no stage or check reads a differential out of a degree < n
-        again.  Minimality is checked once, after the last stage."""
+        again, nor any differential after the last stage, so none is
+        kept.  Minimality is checked once, after the last stage."""
         for n in range(first, self.max_hdeg + 1):
             kill_homology(self, n, reverse=reverse)
             bad = first_nonzero_homology(self.cone, [n - 1], self.max_intdeg)
@@ -444,8 +444,11 @@ class Construction:
             if bad is not None:
                 raise CertificationError(
                     f"cone of q not exact: homology at {bad}")
-            self.complex.release(n)
-            self.cone.release(n)
+            # drop the differentials out of degrees < n, and after the
+            # last stage all of them (the cone's top degree is n + 1)
+            top = n if n < self.max_hdeg else n + 2
+            self.complex.release(top)
+            self.cone.release(top)
         witness = self.non_minimal_witness()
         if witness is not None:
             raise CertificationError(witness)

@@ -8,6 +8,8 @@ Every asymptotic claim is reported relative to the explicit bounds
 certified inside the computed box.
 """
 
+from functools import cache
+
 from . import exact_linear as la
 from . import homology as hml
 from . import model_builder as mb
@@ -610,24 +612,26 @@ def _verify_odd_to_even(A, N, D):
 def _fiber_complex(model, i):
     """k tensor_{V(i)} V: monomials in the variables of homological degree
     > i, with the projected differential: V's, on the positions of its
-    labels with base part 1 and only such variables."""
+    labels with base part 1 and only such variables, found once per
+    slice: each is a block of base degree 0, the one label 1*m."""
     V = model.algebra
     high = {v.id for v in V.variables if v.hdeg > i}
 
-    def kept(n, j):
-        return [p for p, (jb, _, mon) in enumerate(V.basis_of_bidegree(n, j))
+    @cache
+    def positions(n, j):
+        return [p for p, mon, (jb, _) in V.blocks(n, j)
                 if jb == 0 and high.issuperset(mon.odds)
                 and high.issuperset(vid for vid, _ in mon.evens)]
 
     def diff(n, j):
-        rows = {p: r for r, p in enumerate(kept(n - 1, j))}
+        rows = {p: r for r, p in enumerate(positions(n - 1, j))}
         cols = V.diff_matrix(n, j).columns
         return la.ExactMatrix(V.field, len(rows), [
             {rows[r]: c for r, c in cols[p].items() if r in rows}
-            for p in kept(n, j)])
+            for p in positions(n, j)])
 
-    return hml.BigradedComplex(V.field, lambda n, j: len(kept(n, j)), diff,
-                               V.max_hdeg, V.max_intdeg)
+    return hml.BigradedComplex(V.field, lambda n, j: len(positions(n, j)),
+                               diff, V.max_hdeg, V.max_intdeg)
 
 
 def _verify_fiber_boundedness(A, N, D):

@@ -68,7 +68,7 @@ class Model(hml.Construction):
     # --- the object under construction, for hml.kill_homology ------------
 
     def dim(self, i, j):
-        return len(self.algebra.basis_of_bidegree(i, j))
+        return self.algebra.dim(i, j)
 
     def diff_matrix(self, i, j, first=0):
         return self.algebra.diff_matrix(i, j, first)
@@ -100,35 +100,24 @@ class Model(hml.Construction):
             return {b: F.div(c, fact) for b, c in p.items()}
         return p
 
-    def _factor_images(self, key):
-        """(internal degree, image) of each factor of the basis monomial
-        key: its base part, then its variable powers."""
-        jb, ib, mon = key
-        yield jb, self.target.base_image(jb, ib)
-        variables = self.algebra.variables
-        for vid, e in mon.evens:
-            yield variables[vid].intdeg * e, self._power_image(vid, e)
-        for vid in mon.odds:
-            yield variables[vid].intdeg, self.images[vid]
-
     def q_block(self, i, j):
         """Matrix of q from slice (i, j) of U to slice (i, j) of the
-        target: each basis monomial goes to the product of the images of
-        its factors."""
+        target: a label b*m goes to the image of b times that of m, the
+        product of the images of m's variable powers, found once per
+        block."""
         U = self.algebra
         T = self.target
+        R = T.tbase
         columns = []
-        for key in U.basis_of_bidegree(i, j):
-            img = None
-            for d, factor in self._factor_images(key):
-                if img is None:
-                    img, deg = factor, d
-                else:
-                    img = T.tbase.multiply(deg, img, d, factor)
-                    deg += d
-                if not img:
-                    break
-            columns.append(T.coords(i, j, img))
+        for _, m, (jb, indices) in U.blocks(i, j):
+            # from 1, the one basis element of R in degree 0
+            img, deg = {0: U.field.one}, 0
+            for vid, e in m.evens + tuple((vid, 1) for vid in m.odds):
+                d = U.variables[vid].intdeg * e
+                img = R.multiply(deg, img, d, self._power_image(vid, e))
+                deg += d
+            columns += [T.coords(i, j, R.multiply(
+                jb, T.base_image(jb, ib), deg, img)) for ib in indices]
         return la.ExactMatrix(U.field, T.dim(i, j), columns)
 
     def adjoin(self, n, stage):

@@ -20,6 +20,7 @@ degree >= 1, is the one shared empty dict NO_IMAGE, which nothing mutates.
 """
 
 from bisect import bisect_right
+from functools import cache
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -44,6 +45,9 @@ class SemifreeResolution(hml.Construction):
         # (h, d), in order
         self._runs = []
         self._layouts = {}
+        # A's labels by slice, kept for the slices that q and boundaries
+        # are read on, so that all boundaries share one object per label
+        self._labels = cache(algebra.basis_of_bidegree)
         # the labels of each run's boundaries, by run
         self._boundary_labels = {}
         # A's differentials and products by slice, kept (A does not
@@ -58,26 +62,24 @@ class SemifreeResolution(hml.Construction):
     # --- the underlying complex -------------------------------------------
 
     def _layout(self, i, j):
-        """(blocks, dim, starts, shape) of slice (i, j): blocks lists
-        (offset, run, A's basis of bidegree (i, j) - |g|) per run that
-        reaches the slice, the generator first + t of the run at offset
-        + t * len(basis), starts the first generator of each block's run,
-        and shape the (offset, run, len(basis)) of each block, all that a
-        matrix reads of the slice.  A basis is looked up once per run."""
+        """(blocks, dim, starts) of slice (i, j): blocks lists (offset,
+        run, n) per run that reaches the slice, n the dimension of A's
+        slice (i, j) - |g|, with the generator first + t of the run at
+        offset + t * n, and starts the first generator of each block's
+        run.  A's dimension is looked up once per run."""
         hit = self._layouts.get((i, j))
         if hit is None:
             A = self.algebra
             blocks, dim = [], 0
             for run in self._runs:
                 h, d, first, stop = run
-                labels = (A.basis_of_bidegree(i - h, j - d) if h <= i and
-                          d <= j and i - h <= A.max_hdeg else ())
-                if labels:
-                    blocks.append((dim, run, labels))
-                    dim += (stop - first) * len(labels)
-            hit = self._layouts[(i, j)] = (
-                blocks, dim, [run[2] for _, run, _ in blocks],
-                tuple((off, run, len(labels)) for off, run, labels in blocks))
+                n = (A.dim(i - h, j - d) if h <= i and d <= j
+                     and i - h <= A.max_hdeg else 0)
+                if n:
+                    blocks.append((dim, run, n))
+                    dim += (stop - first) * n
+            hit = self._layouts[(i, j)] = (blocks, dim,
+                                           [run[2] for _, run, _ in blocks])
         return hit
 
     def dim(self, i, j):
@@ -87,9 +89,9 @@ class SemifreeResolution(hml.Construction):
     def _offset(layout, g):
         """Offset of generator g in a slice by its layout, and the length
         of each generator's block there."""
-        blocks, _, starts, _ = layout
-        off, run, labels = blocks[bisect_right(starts, g) - 1]
-        return off + (g - run[2]) * len(labels), len(labels)
+        blocks, _, starts = layout
+        off, run, n = blocks[bisect_right(starts, g) - 1]
+        return off + (g - run[2]) * n, n
 
     def _labels_of(self, run):
         """The labels of A in the boundaries of the run's generators,
@@ -146,15 +148,14 @@ class SemifreeResolution(hml.Construction):
         rows = self._layout(i - 1, j)
         layout = self._layout(i, j)
         blocks = []
-        for off, run, labels in layout[0]:
-            n = len(labels)
+        for off, run, n in layout[0]:
             if off + (run[3] - run[2]) * n > first:
                 a, b = i - run[0], j - run[1]
                 prods = {k: self._a_columns(k, a, b)
                          for k in self._labels_of(run)}
                 blocks.append((off, run, n, self._a_columns(None, a, b),
                                prods))
-        sig = (first, rows[3], layout[3], tuple(
+        sig = (first, rows[0], layout[0], tuple(
             (id(da), *map(id, prods.values())) for *_, da, prods in blocks))
         kept = self._kept.get(i)
         if kept is not None and kept[0] == sig:
@@ -196,14 +197,14 @@ class SemifreeResolution(hml.Construction):
         layout = self._layout(i, j)
         prods = [self._a_columns(key, i - h, j - hd)
                  for _, (h, hd, _, _), _ in layout[0]]
-        sig = (rows[3], layout[3], tuple(map(id, prods)))
+        sig = (rows[0], layout[0], tuple(map(id, prods)))
         kept = self._kept.get((d, bidx, i))
         if kept is not None and kept[0] == sig:
             return kept[1]
         columns = []
-        for (_, (_, _, g0, g1), labels), prod in zip(layout[0], prods):
+        for (_, (_, _, g0, g1), n), prod in zip(layout[0], prods):
             if prod is None:
-                columns += [{}] * ((g1 - g0) * len(labels))
+                columns += [{}] * ((g1 - g0) * n)
                 continue
             start, step = self._offset(rows, g0)
             for at in range(start, start + (g1 - g0) * step, step):
@@ -225,7 +226,8 @@ class SemifreeResolution(hml.Construction):
             return la.ExactMatrix.zero(F, 0, self.dim(i, j))
         T = self.target
         columns = []
-        for _, (_, d, g0, g1), labels in self._layout(0, j)[0]:
+        for _, (_, d, g0, g1), _ in self._layout(0, j)[0]:
+            labels = self._labels(0, j - d)
             for g in range(g0, g1):
                 img = self.generators[g][3]
                 columns += [T.coords(0, j, T.tbase.multiply(
@@ -244,9 +246,10 @@ class SemifreeResolution(hml.Construction):
             blocks = self._layout(n - 1, j)[0]
             bnd = []
             for pos, c in x.items():
-                off, run, labels = blocks[bisect_right(
+                off, run, size = blocks[bisect_right(
                     blocks, pos, key=itemgetter(0)) - 1]
-                g, a = divmod(pos - off, len(labels))
+                g, a = divmod(pos - off, size)
+                labels = self._labels(n - 1 - run[0], j - run[1])
                 bnd += (run[2] + g, labels[a], c)
             new.append((n, j, tuple(bnd), {T.basis(n, j)[r]: c for r, c
                                            in t.items()} if t else NO_IMAGE))

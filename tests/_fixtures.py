@@ -101,6 +101,14 @@ def boundary_elements(generators):
     return out
 
 
+def cached_labels(A):
+    """The labels of each slice A keeps, as it keeps them (a slice older
+    than the last adjunction is not extended): {(i, j): labels}."""
+    return {k: [(jb, ib, m) for m, (jb, indices) in zip(mons, bases)
+                for ib in indices]
+            for k, (mons, bases, _, _, _) in A._slices.items()}
+
+
 def marginal(table, i):
     """Sum of a bigraded count table {(h, j): count} over h = i."""
     return sum(c for (h, _), c in table.items() if h == i)

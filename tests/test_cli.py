@@ -491,8 +491,8 @@ def owners(res, i, j):
     """The generator of each position of slice (i, j) of a resolution,
     read off its layout: each generator is a block of the algebra's
     slice."""
-    return [g for _, (_, _, g0, g1), labels in res._layout(i, j)[0]
-            for g in range(g0, g1) for _ in labels]
+    return [g for _, (_, _, g0, g1), n in res._layout(i, j)[0]
+            for g in range(g0, g1) for _ in range(n)]
 
 
 def drop_the_sign_of_a_dg(monkeypatch):

@@ -12,8 +12,8 @@ from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
                       TruncatedBase, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
 from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgVariable
 from dgkernel import acyclic_closure
-from _fixtures import (hypersurface, complete_intersection, golod,
-                       ring_algebra, small_presentations)
+from _fixtures import (cached_labels, hypersurface, complete_intersection,
+                       golod, ring_algebra, small_presentations)
 
 
 def closure_algebra(field, N=6, D=6):
@@ -386,7 +386,7 @@ def test_adjoining_a_variable_appends_to_every_cached_basis():
     adjoin = DgAlgebra.adjoin_variable
 
     def checked_adjoin(self, z, kind, name=None, family=None):
-        cached = {k: labels for k, (labels, _, _) in self._bases.items()}
+        cached = cached_labels(self)
         var = adjoin(self, z, kind, name=name, family=family)
         fresh = DgAlgebra(self.base, self.variables, self.max_hdeg,
                           self.max_intdeg)
@@ -408,6 +408,34 @@ def test_adjoining_a_variable_appends_to_every_cached_basis():
     finally:
         DgAlgebra.adjoin_variable = adjoin
     assert any(grown) and not all(grown)
+
+
+def test_element_from_coords_finds_each_label_by_its_block():
+    # a coordinate's label is found by the offset of its block: through
+    # the acyclic closures of generated rings, the element with the one
+    # coordinate p is the p-th label of the slice, at every position p,
+    # and each block holds its first and last label at its two ends
+    blocks = []
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def closure_of(ring):
+        U = acyclic_closure(*ring).algebra
+        one = U.field.one
+        for i in range(U.max_hdeg + 1):
+            for j in range(U.max_intdeg + 1):
+                labels = U.basis_of_bidegree(i, j)
+                for p, label in enumerate(labels):
+                    element = U.element_from_coords(i, j, {p: one})
+                    assert element.terms == {label: one}, (i, j, p)
+                for off, m, (jb, indices) in U.blocks(i, j):
+                    assert labels[off] == (jb, indices[0], m), (i, j, off)
+                    assert (labels[off + len(indices) - 1]
+                            == (jb, indices[-1], m)), (i, j, off)
+                    blocks.append(len(indices))
+
+    closure_of()
+    assert 1 in blocks and max(blocks) > 1
 
 
 def leibniz_reference(U, mon):
@@ -546,7 +574,7 @@ def test_fill_matches_the_elementwise_differential_and_product(make, N, D):
     after = []
 
     def checked_adjoin(self, z, kind, name=None, family=None):
-        cached = {k: len(labels) for k, (labels, _, _) in self._bases.items()
+        cached = {k: dim for k, (_, _, _, dim, _) in self._slices.items()
                   if k[0] > 0}
         var = adjoin(self, z, kind, name=name, family=family)
         for (i, j), first in cached.items():

@@ -138,8 +138,9 @@ def test_resolution_over_a_dg_algebra_with_a_differential():
 def positions(res, i, j):
     """The (generator, label of A) at each position of slice (i, j), read
     off the layout's blocks in order: no offset is used."""
-    return [(g, label) for _, (_, _, g0, g1), labels in res._layout(i, j)[0]
-            for g in range(g0, g1) for label in labels]
+    return [(g, label) for _, (h, d, g0, g1), _ in res._layout(i, j)[0]
+            for g in range(g0, g1)
+            for label in res.algebra.basis_of_bidegree(i - h, j - d)]
 
 
 def coordinates(res, element, rows):
@@ -420,7 +421,7 @@ def test_a_shifted_row_layout_forces_a_rebuild():
     # rows move up by one
     A, y = golod_y()
     res = free_module(A, [(0, 3, ()), (0, 0, ()), (1, 1, by_y(A, y, 1))])
-    assert res._layout(1, 4)[3] == res._layout(1, 5)[3]
+    assert res._layout(1, 4)[0] == res._layout(1, 5)[0]
     below, here = res.diff_matrix(1, 4), res.diff_matrix(1, 5)
     assert (below.rows, below.columns) == (3, [{2: 1}])
     assert here is not below
@@ -509,17 +510,17 @@ def generator_runs(generators):
 
 def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
         monkeypatch):
-    # a slice of the resolution asks the algebra for one basis per run of
-    # generators of one bidegree, not one per generator; the algebra's
-    # right multiplication by a label is built once per label and algebra
-    # slice, and its differential once per slice; and over an algebra
-    # with no variables every label product keeps its monomial
+    # a slice of the resolution asks the algebra for one slice dimension
+    # per run of generators of one bidegree, not one per generator; the
+    # algebra's right multiplication by a label is built once per label
+    # and algebra slice, and its differential once per slice; and over an
+    # algebra with no variables every label product keeps its monomial
     A = golod(GF(101), N=6, D=8)
     counts = {"lookups": 0, "monomials": 0, "runs": 0, "slices": 0}
     built = {"mul_matrix": [], "diff_matrix": []}
     in_layout = [False]
 
-    lookup = DgAlgebra.basis_of_bidegree
+    lookup = DgAlgebra.dim
 
     def counted_lookup(self, i, j):
         counts["lookups"] += in_layout[0]
@@ -549,13 +550,13 @@ def test_resolution_looks_up_bases_per_run_and_builds_no_monomial(
             built[name].append(args)
             return method(self, *args)
         monkeypatch.setattr(DgAlgebra, name, recorded)
-    monkeypatch.setattr(DgAlgebra, "basis_of_bidegree", counted_lookup)
+    monkeypatch.setattr(DgAlgebra, "dim", counted_lookup)
     monkeypatch.setattr(Monomial, "__new__", staticmethod(counted_new))
     monkeypatch.setattr(SemifreeResolution, "_layout", counted_layout)
     res = resolve_module(A, residue_field(A), 6, 8)
     assert betti_marginals(res, 6) == [1, 2, 3, 5, 8, 13, 21]
     assert counts["slices"] > 0
-    assert counts["lookups"] <= counts["runs"]
+    assert 0 < counts["lookups"] <= counts["runs"]
     assert counts["lookups"] <= generator_runs(res.generators) * \
         counts["slices"]
     assert built["mul_matrix"]

@@ -273,6 +273,17 @@ def test_label_products_and_differentials_stay_in_the_algebra():
                            "module_resolution.py:first_non_cycle"}, name
 
 
+def test_only_whole_slice_walks_build_an_algebras_labels():
+    # an algebra's slice keeps monomial blocks, not labels: its fill,
+    # differential and products, its dimensions, a model's q and the
+    # algebra's complex read the blocks, and a label list is built only
+    # where a caller walks a whole slice (a resolution keeps one per slice
+    # that its q and boundaries read, so that boundaries share labels)
+    assert callers_of("basis_of_bidegree") == {
+        "invariants.py:embedding_dimension_h0.boundaries",
+        "module_resolution.py:cyclic_module"}
+
+
 def test_algebras_are_grown_only_by_the_code_that_made_them():
     # adjoin_variable grows an algebra in place, so it is called only on
     # an algebra the caller made itself: a model's own algebra, the copy a
