@@ -196,8 +196,8 @@ def poincare_from_deviations(dev, order):
 
 def _embedding_dimension(A, D, relations=None):
     """dim m/(m^2 + I) degreewise through internal degree D, with m the
-    maximal ideal of A0 and I spanned by relations(d, pos): columns in
-    the coordinates pos of the degree-d part of A0."""
+    maximal ideal of A0 and I spanned by relations(d): columns in the
+    coordinates of a0_basis(d), a basis of the degree-d part of A0."""
     base = A.base
     total = 0
     for d in range(1, D + 1):
@@ -214,7 +214,7 @@ def _embedding_dimension(A, D, relations=None):
                     if col:
                         span.append(col)
         if relations is not None:
-            span += relations(d, pos)
+            span += relations(d)
         total += len(cand) - la.rank(
             la.ExactMatrix(A.field, len(cand), span))
     return total
@@ -226,19 +226,12 @@ def embedding_dimension_a0(A):
 
 
 def embedding_dimension_h0(A):
-    """dim m/m^2 of H_0(A) = A0 / image(d: A_1 -> A_0), degreewise."""
-    def boundaries(d, pos):
-        rowpos = {}
-        for n, (jb, ib, mon) in enumerate(A.basis_of_bidegree(0, d)):
-            if mon.is_trivial() and ib in pos:
-                rowpos[n] = pos[ib]
-        span = []
-        for col in A.diff_matrix(1, d).columns:
-            c2 = {rowpos[r]: v for r, v in col.items() if r in rowpos}
-            if c2:
-                span.append(c2)
-        return span
-    return _embedding_dimension(A, A.max_intdeg, boundaries)
+    """dim m/m^2 of H_0(A) = A0 / image(d: A_1 -> A_0), degreewise.
+    Every variable of A has homological degree >= 1, so A's slice (0, d)
+    is A0_d, its labels the trivial monomial on a0_basis(d) in order:
+    the columns of d_1 are already in A0_d's coordinates."""
+    return _embedding_dimension(
+        A, A.max_intdeg, lambda d: A.diff_matrix(1, d).columns)
 
 
 def _top_homology(C, N, D):

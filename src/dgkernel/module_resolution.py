@@ -12,7 +12,10 @@ and the finished build checks that no boundary has a unit entry
 (first_non_minimal).  A resolution over the reduction of A mod p lifts
 to A over Q (SemifreeResolution.lift, first_non_cycle, first_non_minimal).
 F is a sum of shifted copies of A, one per generator, so its slices are
-blocks of A's at generator offsets and its matrices are built from A's.
+blocks of A's at generator offsets, and one block fill builds its
+differential and A0's action from A's matrices.  A's slice (0, j) is
+A0_j (every variable of A has homological degree >= 1), which q and the
+admissibility check read as a0_basis(j), with no labels.
 A generator is (hdeg, intdeg, boundary, image): its boundary is one flat
 tuple (g2, label, c, ...) of its terms c*label*g2 on older generators,
 each c nonzero, and its image in M a dict; an image of 0, as in every
@@ -45,8 +48,8 @@ class SemifreeResolution(hml.Construction):
         # (h, d), in order
         self._runs = []
         self._layouts = {}
-        # A's labels by slice, kept for the slices that q and boundaries
-        # are read on, so that all boundaries share one object per label
+        # A's labels by slice, kept for the slices that boundaries are
+        # read on, so that all boundaries share one object per label
         self._labels = cache(algebra.basis_of_bidegree)
         # the labels of each run's boundaries, by run
         self._boundary_labels = {}
@@ -54,8 +57,8 @@ class SemifreeResolution(hml.Construction):
         # change) and interned: equal matrices of A are one list
         self._products = {}
         self._interned = {}
-        # (signature, matrix) of the last diff_matrix per i and the last
-        # act_matrix per (d, bidx, i), for one stage
+        # (signature, matrix) of the last fill per (key, i), key None for
+        # the differential and the label of A0's action, for one stage
         self._kept = {}
         super().__init__(algebra, module, max_hdeg, max_intdeg)
 
@@ -107,7 +110,7 @@ class SemifreeResolution(hml.Construction):
         """Columns of A's right multiplication by the label key on A's
         slice (a, b), or of A's differential there when key is None, or
         None when they are all zero.  Kept, and interned by value: equal
-        matrices of A are one list, so a signature names them by
+        matrices of A are one list, so signatures holding them compare by
         identity."""
         hit = self._products.get((key, a, b), False)
         if hit is False:
@@ -125,115 +128,109 @@ class SemifreeResolution(hml.Construction):
             self._products[(key, a, b)] = hit
         return hit
 
-    def diff_matrix(self, i, j, first=0):
-        """Columns of slice (i, j) from position first, a block boundary,
-        on.  The column of a*g is d(a*g) = da*g + (-1)^|a| a*dg: A's
-        differential at g's block, and for each term c*k*g2 of dg, c
+    def _fill(self, key, cols, first, rows):
+        """Columns of slice cols from position first, a block boundary,
+        on, into slice rows, with key None for the differential and the
+        label (d, bidx, 1) for A0's action by the base element (d, bidx).
+        The column of a*g is A's matrix on a at g's block, A's
+        differential or its product by key, and for the differential, as
+        d(a*g) = da*g + (-1)^|a| a*dg, plus for each term c*k*g2 of dg, c
         times A's right multiplication by k at g2's block.  dg lies on
         generators older than g, so the blocks never meet.
 
-        A's products by the labels of a run's boundaries are looked up
-        once per block, and a term whose product vanishes is passed
-        over.  Where da and the products of all the terms of dg vanish,
-        g's columns are empty; where da vanishes and one term is left,
-        each column is that product's, shifted and scaled.
+        A's matrices are looked up once per block, and so is the offset
+        of the block's first generator, stepped from there.  A term whose
+        product vanishes is passed over, and a block where all do is
+        filled as a whole: each generator's columns are A's, shifted.
+        Where A's own matrix vanishes and one term is left, each column
+        is that product's, shifted and scaled.
 
-        So the columns are a function of first, the shapes of the slice
-        and of slice (i - 1, j), and, on each block from first on, of
-        A's differential and products, interned.  Their identities make
-        a signature, and where it is that of the last matrix built for
-        degree i (above the diagonal, that of slice (i, j - 1)), that
-        matrix is returned; adjoin drops it."""
+        So the columns are a function of key, first, the shape of slice
+        rows and the blocks from first on with A's matrices, interned.
+        Those make a signature, and where it is that of the last matrix
+        built for key on degree i = cols[0] (above the diagonal, that of
+        slice (i, j - 1)), that matrix is returned; adjoin drops it."""
         F = self.algebra.field
-        rows = self._layout(i - 1, j)
+        i, j = cols
+        rows = self._layout(*rows)
         layout = self._layout(i, j)
         blocks = []
         for off, run, n in layout[0]:
             if off + (run[3] - run[2]) * n > first:
                 a, b = i - run[0], j - run[1]
-                prods = {k: self._a_columns(k, a, b)
-                         for k in self._labels_of(run)}
-                blocks.append((off, run, n, self._a_columns(None, a, b),
+                # the action has no terms of dg to add
+                prods = {} if key else {k: self._a_columns(k, a, b)
+                                        for k in self._labels_of(run)}
+                blocks.append((off, run, n, self._a_columns(key, a, b),
                                prods))
-        sig = (first, rows[0], layout[0], tuple(
-            (id(da), *map(id, prods.values())) for *_, da, prods in blocks))
-        kept = self._kept.get(i)
+        sig = (first, rows[0], blocks)
+        kept = self._kept.get((key, i))
         if kept is not None and kept[0] == sig:
             return kept[1]
         columns = []
-        for off, (h, d, g0, g1), n, da, prods in blocks:
+        for off, (h, _, g0, g1), n, own, prods in blocks:
+            g0 += max(first - off, 0) // n
+            # g has a block in slice rows if own is nonzero
+            at, step = self._offset(rows, g0) if own else (0, 0)
+            if not any(prods.values()):
+                columns += ([{s + r: c for r, c in col.items()}
+                             for s in range(at, at + (g1 - g0) * step, step)
+                             for col in own] if own else [{}] * ((g1 - g0) * n))
+                continue
             odd = (i - h) % 2
-            for g in range(g0 + max(first - off, 0) // n, g1):
+            for g in range(g0, g1):
                 bnd = self.generators[g][2]
                 parts = [(self._offset(rows, g2)[0], F.neg(c) if odd else c,
                           prod) for g2, k, c in zip(*[iter(bnd)] * 3)
                          if (prod := prods[k])]
-                if da or len(parts) > 1:
-                    # g has a block in slice (i - 1, j) if da is nonzero
-                    own = self._offset(rows, g)[0] if da else 0
-                    for m, dcol in enumerate(da or [{}] * n):
-                        col = {own + r: c for r, c in dcol.items()}
-                        for at, c, prod in parts:
-                            la.axpy_at(F, col, c, prod[m], at)
+                if own or len(parts) > 1:
+                    for m, col in enumerate(own or [{}] * n):
+                        col = {at + r: c for r, c in col.items()}
+                        for at2, c, prod in parts:
+                            la.axpy_at(F, col, c, prod[m], at2)
                         columns.append(col)
                 elif parts:
-                    (at, c, prod), = parts
-                    columns += [{at + r: F.mul(c, v) for r, v in col.items()}
+                    (at2, c, prod), = parts
+                    columns += [{at2 + r: F.mul(c, v) for r, v in col.items()}
                                 for col in prod]
                 else:
                     columns += [{}] * n
+                at += step
         M = la.ExactMatrix(F, rows[1], columns)
-        self._kept[i] = (sig, M)
+        self._kept[(key, i)] = (sig, M)
         return M
 
+    def diff_matrix(self, i, j, first=0):
+        """Columns of the differential on slice (i, j) from position
+        first, a block boundary, on: the fill with A's differential."""
+        return self._fill(None, (i, j), first, (i - 1, j))
+
     def act_matrix(self, d, bidx, i, j):
-        """A0's action by the base element (d, bidx): A's on each block.
-        Its columns are a function of the shapes of slices (i, j) and
-        (i, j + d) and of A's product by (d, bidx) on each block, so
-        where those repeat, the last action matrix of (d, bidx) on degree
-        i is returned (see diff_matrix)."""
-        key = (d, bidx, TRIVIAL_MONOMIAL)
-        rows = self._layout(i, j + d)
-        layout = self._layout(i, j)
-        prods = [self._a_columns(key, i - h, j - hd)
-                 for _, (h, hd, _, _), _ in layout[0]]
-        sig = (rows[0], layout[0], tuple(map(id, prods)))
-        kept = self._kept.get((d, bidx, i))
-        if kept is not None and kept[0] == sig:
-            return kept[1]
-        columns = []
-        for (_, (_, _, g0, g1), n), prod in zip(layout[0], prods):
-            if prod is None:
-                columns += [{}] * ((g1 - g0) * n)
-                continue
-            start, step = self._offset(rows, g0)
-            for at in range(start, start + (g1 - g0) * step, step):
-                columns += [{at + r: c for r, c in col.items()}
-                            for col in prod]
-        M = la.ExactMatrix(self.algebra.field, rows[1], columns)
-        self._kept[(d, bidx, i)] = (sig, M)
-        return M
+        """A0's action by the base element (d, bidx): the fill with A's
+        product by it on each block."""
+        return self._fill((d, bidx, TRIVIAL_MONOMIAL), (i, j), 0, (i, j + d))
 
     # --- the comparison map -------------------------------------------------
 
     def q_block(self, i, j):
         """q from slice (i, j) to the module ring R, which is zero outside
-        homological degree 0: the label a*g of slice (0, j), a a base
-        element (jb, ib) of A0, goes to the image of a in R times the
-        image of g."""
-        F = self.algebra.field
+        homological degree 0: a*g in slice (0, j), a the base element
+        (jb, ib) of A0_jb, jb = j - |g|, goes to the image of a in R
+        times the image of g."""
+        A = self.algebra
         if i:
-            return la.ExactMatrix.zero(F, 0, self.dim(i, j))
+            return la.ExactMatrix.zero(A.field, 0, self.dim(i, j))
         T = self.target
         columns = []
         for _, (_, d, g0, g1), _ in self._layout(0, j)[0]:
-            labels = self._labels(0, j - d)
+            jb = j - d
+            basis = A.base.a0_basis(jb)
             for g in range(g0, g1):
                 img = self.generators[g][3]
                 columns += [T.coords(0, j, T.tbase.multiply(
                     jb, T.base_image(jb, ib), d, img) if jb else img)
-                    for jb, ib, _ in labels]
-        return la.ExactMatrix(F, T.dim(0, j), columns)
+                    for ib in basis]
+        return la.ExactMatrix(A.field, T.dim(0, j), columns)
 
     def adjoin(self, n, stage):
         """Add one free generator of homological degree n per cycle of the
@@ -446,12 +443,11 @@ def cyclic_module(A, relations):
     # image in R being 0
     top = A.max_intdeg if A.max_hdeg >= 1 else 0
     for e in range(1, top + 1):
-        labels = A.basis_of_bidegree(0, e)
+        basis = base.a0_basis(e)
         for col in A.diff_matrix(1, e).columns:
             image = {}
             for r, c in col.items():
-                jb, ib, _ = labels[r]
-                la.axpy(A.field, image, c, R.base_image(jb, ib))
+                la.axpy(A.field, image, c, R.base_image(e, basis[r]))
             if image:
                 raise AdmissibilityError(
                     f"a boundary of internal degree {e} acts nonzero on "

@@ -11,7 +11,8 @@ from dgkernel import (QQ, GF, ParityError, NotCycleError, Monomial,
                       DgAlgebra, DgElement, BaseVariable, BasePresentation,
                       TruncatedBase, EXTERIOR, POLYNOMIAL, DIVIDED_POWER)
 from dgkernel.dg_core import TRIVIAL_MONOMIAL, DgVariable
-from dgkernel import acyclic_closure
+from dgkernel import acyclic_closure, model_over_cover
+from dgkernel.model_builder import koszul_on_maximal_ideal
 from _fixtures import (cached_labels, hypersurface, complete_intersection,
                        golod, ring_algebra, small_presentations)
 
@@ -408,6 +409,41 @@ def test_adjoining_a_variable_appends_to_every_cached_basis():
     finally:
         DgAlgebra.adjoin_variable = adjoin
     assert any(grown) and not all(grown)
+
+
+def test_slice_zero_is_the_degree_zero_part_of_the_base():
+    # every variable has homological degree >= 1, so slice (0, j) of any
+    # algebra is A0_j: the trivial monomial on the base's indices of
+    # homological degree 0, in order (resolutions and embedding
+    # dimensions read it so, with no labels)
+    def check(A):
+        for j in range(A.max_intdeg + 1):
+            assert A.basis_of_bidegree(0, j) == [
+                (j, ib, TRIVIAL_MONOMIAL) for ib in A.base.a0_basis(j)], j
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(small_presentations())
+    def closure_of(ring):
+        check(acyclic_closure(*ring).algebra)
+
+    closure_of()
+    paper = ring_algebra(QQ, [("x", 1), ("y", 1), ("z", 1)],
+                         [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(1, 0, 1): 1},
+                          {(0, 1, 1): 1}], 5, 7)
+    paper.adjoin_variable(
+        paper.base_element(1, paper.base.normal_form(1, (0, 0, 1))),
+        EXTERIOR, name="e")
+    # A0_2 of the last ring is a proper part of the base's degree 2,
+    # which also holds u of homological degree 2
+    hdeg2 = DgAlgebra(TruncatedBase(BasePresentation(
+        QQ, [BaseVariable("x", 1), BaseVariable("u", 2, 2),
+             BaseVariable("y", 2)],
+        [{(3, 0, 0): 1}, {(1, 0, 1): 1}, {(0, 2, 0): 1}]), 7), (), 5, 7)
+    assert len(hdeg2.base.a0_basis(2)) < hdeg2.base.dim(2)
+    for A in (paper, koszul_on_maximal_ideal(golod(QQ, N=4, D=6)),
+              model_over_cover(golod(QQ, N=4, D=6).base, 4, 6).algebra,
+              hdeg2, acyclic_closure(hdeg2, 5, 7).algebra):
+        check(A)
 
 
 def test_element_from_coords_finds_each_label_by_its_block():

@@ -212,43 +212,59 @@ def ring_with_gaps_between_runs():
     return A, residue_field(A), 4, 6
 
 
-@pytest.mark.parametrize("make", [golod_over_f101, dg_ring_with_de_y,
-                                  ring_with_long_boundaries,
-                                  ring_with_gaps_between_runs])
-def test_matrices_match_a_label_by_label_reference(make):
+MATRIX_CASES = [golod_over_f101, dg_ring_with_de_y, ring_with_long_boundaries,
+                ring_with_gaps_between_runs]
+
+
+@pytest.mark.parametrize("make, act_first", [
+    pytest.param(make, act_first,
+                 id=make.__name__ + ("-act_first" if act_first else ""))
+    for act_first in (False, True) for make in MATRIX_CASES])
+def test_matrices_match_a_label_by_label_reference(make, act_first):
     # every column of diff_matrix, from every generator boundary on, and
-    # of act_matrix equals d(a*g) or b*a*g computed on elements of A
+    # of act_matrix equals d(a*g) or b*a*g computed on elements of A:
+    # every diff_matrix and then every act_matrix, or in each (i, j) the
+    # act_matrix calls before diff_matrix, after which the last action
+    # is still the kept one (the fill keeps the two matrices apart)
     A, M, N, D = make()
     res = resolve_module(A, M, N, D)
     F = A.field
     elements = boundary_elements(res.generators)
     seen = {"empty": 0, "one term": 0, "moves": 0, "long": 0}
-    for i in range(1, N + 1):
-        for j in range(D + 1):
-            want = reference_differential(res, i, j)
-            got = res.diff_matrix(i, j)
-            assert got.rows == len(positions(res, i - 1, j)), (i, j)
-            assert got.columns == want, (i, j)
-            owners = [g for g, _ in positions(res, i, j)]
-            for first in sorted({owners.index(g) for g in owners}):
-                assert res.diff_matrix(i, j, first).columns == \
-                    want[first:], (i, j, first)
-            for g, label in positions(res, i, j):
-                h, d, _, _ = res.generators[g]
-                terms = sum(len(e.terms) for e in elements[g].values())
-                seen["long"] += terms > 1
-                seen["moves"] += bool(A.differential(
-                    DgElement(i - h, j - d, {label: F.one})).terms)
-            seen["empty"] += sum(not col for col in want)
-            seen["one term"] += sum(len(elements[g]) == 1 for g in owners)
-    for d in range(1, D + 1):
-        for bidx in A.base.a0_basis(d):
-            for i in range(N + 1):
-                for j in range(D + 1 - d):
-                    got = res.act_matrix(d, bidx, i, j)
-                    assert got.rows == len(positions(res, i, j + d))
-                    assert got.columns == \
-                        reference_action(res, d, bidx, i, j), (d, bidx, i, j)
+    calls = [(i, j, "diff") for i in range(1, N + 1) for j in range(D + 1)]
+    calls += [(i, j, "act", d, bidx) for d in range(1, D + 1)
+              for bidx in A.base.a0_basis(d)
+              for i in range(N + 1) for j in range(D + 1 - d)]
+    if act_first:
+        # stable, so the actions keep their order within each (i, j)
+        calls.sort(key=lambda call: (*call[:2], call[2] == "diff"))
+    last = None
+    for i, j, kind, *key in calls:
+        if kind == "act":
+            got = res.act_matrix(*key, i, j)
+            assert got.rows == len(positions(res, i, j + key[0]))
+            assert got.columns == \
+                reference_action(res, *key, i, j), (*key, i, j)
+            last = (i, j, key, got)
+            continue
+        want = reference_differential(res, i, j)
+        got = res.diff_matrix(i, j)
+        assert got.rows == len(positions(res, i - 1, j)), (i, j)
+        assert got.columns == want, (i, j)
+        if act_first and last and last[:2] == (i, j):
+            assert res.act_matrix(*last[2], i, j) is last[3], (i, j)
+        owners = [g for g, _ in positions(res, i, j)]
+        for first in sorted({owners.index(g) for g in owners}):
+            assert res.diff_matrix(i, j, first).columns == \
+                want[first:], (i, j, first)
+        for g, label in positions(res, i, j):
+            h, d, _, _ = res.generators[g]
+            terms = sum(len(e.terms) for e in elements[g].values())
+            seen["long"] += terms > 1
+            seen["moves"] += bool(A.differential(
+                DgElement(i - h, j - d, {label: F.one})).terms)
+        seen["empty"] += sum(not col for col in want)
+        seen["one term"] += sum(len(elements[g]) == 1 for g in owners)
     assert seen["empty"] and seen["one term"]
     if make is dg_ring_with_de_y:
         assert seen["moves"]

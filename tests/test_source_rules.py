@@ -156,28 +156,36 @@ def test_the_accumulation_rule_is_written_once():
         "exact_linear.py", "fields.py"}, found
 
 
-def calls_by_scope(node, scope=()):
-    """(enclosing class and def names, call) for every call under node."""
+def nodes_by_scope(node, kind=ast.Call, scope=()):
+    """(enclosing class and def names, node) for every node of the type
+    kind under node, a call by default."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
-            yield from calls_by_scope(child, scope + (child.name,))
+            yield from nodes_by_scope(child, kind, scope + (child.name,))
             continue
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield scope, child
-        yield from calls_by_scope(child, scope)
+        yield from nodes_by_scope(child, kind, scope)
 
 
 def callers_of(name):
     """"file:scope" of every call of a function or method called name."""
     found = set()
     for path, tree in modules():
-        for scope, call in calls_by_scope(tree):
+        for scope, call in nodes_by_scope(tree):
             func = call.func
             called = func.id if isinstance(func, ast.Name) else getattr(
                 func, "attr", None)
             if called == name:
                 found.add(f"{path.name}:{'.'.join(scope)}")
     return found
+
+
+def readers_of(name):
+    """"file:scope" of every attribute reference .name, called or not."""
+    return {f"{path.name}:{'.'.join(scope)}" for path, tree in modules()
+            for scope, node in nodes_by_scope(tree, ast.Attribute)
+            if node.attr == name}
 
 
 def test_only_assembly_skips_the_matrix_check():
@@ -276,12 +284,19 @@ def test_label_products_and_differentials_stay_in_the_algebra():
 def test_only_whole_slice_walks_build_an_algebras_labels():
     # an algebra's slice keeps monomial blocks, not labels: its fill,
     # differential and products, its dimensions, a model's q and the
-    # algebra's complex read the blocks, and a label list is built only
-    # where a caller walks a whole slice (a resolution keeps one per slice
-    # that its q and boundaries read, so that boundaries share labels)
-    assert callers_of("basis_of_bidegree") == {
-        "invariants.py:embedding_dimension_h0.boundaries",
-        "module_resolution.py:cyclic_module"}
+    # algebra's complex read the blocks, and slice (0, j) is read as A0_j
+    # (a0_basis); a label list is built only for a resolution's boundaries,
+    # by the view it keeps per slice so that boundaries share labels
+    assert callers_of("basis_of_bidegree") == set()
+    assert readers_of("basis_of_bidegree") == {
+        "module_resolution.py:SemifreeResolution.__init__"}
+
+
+def test_one_fill_builds_a_resolutions_matrices():
+    # a resolution's differential and A0 action are one block fill, which
+    # alone reads A's matrices on the blocks
+    assert callers_of("_a_columns") == {
+        "module_resolution.py:SemifreeResolution._fill"}
 
 
 def test_algebras_are_grown_only_by_the_code_that_made_them():
